@@ -34,6 +34,7 @@ class Dataset:
                 raise ValueError(f"label count {y.shape[0]} != sample count {X.shape[0]}")
             y = _freeze(y)
         self.y = y
+        self._max_feature_norm: float | None = None
 
     @property
     def n(self) -> int:
@@ -68,7 +69,12 @@ class Dataset:
         return Dataset(X, ys)
 
     def max_feature_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.X, axis=1))) if self.n else 0.0
+        """Largest row norm of X. Computed on first call and cached: X is
+        frozen, and every derived dataset is a new instance with its own cache."""
+        if self._max_feature_norm is None:
+            self._max_feature_norm = (float(np.max(np.linalg.norm(self.X, axis=1)))
+                                      if self.n else 0.0)
+        return self._max_feature_norm
 
 
 class DatasetCursor:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -74,7 +75,8 @@ def _gen_population(config: ExperimentConfig, d: int) -> FiniteSupportDistributi
 
 def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
                eps: float, seed_index: int, seed: int) -> tuple[dict, dict | None]:
-    """One grid point x seed; derivation failures become tagged rows."""
+    """One grid point x seed; derivation failures become tagged rows, and a
+    returned point or exact gradient norm that is not finite is `diverged`."""
     row = {"algorithm": config.algorithm, "n": n, "d": d, "eps": eps,
            "delta": config.delta, "seed": seed, "grad_norm": float("nan"),
            "oracle_calls": 0, "wall_ms": 0.0, "param_hash": "", "status": "ok"}
@@ -168,6 +170,8 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
                       "base_selected_index": rep.base_report.selected_index}
         else:
             raise ValueError(f"unknown algorithm {config.algorithm!r}")
+        if not (math.isfinite(row["grad_norm"]) and np.isfinite(rep.w_out).all()):
+            row["status"] = "diverged"
         if config.write_reports:
             report_doc = {
                 "algorithm": config.algorithm, "n": n, "d": d, "eps": eps,
@@ -233,8 +237,36 @@ def run_experiment(config: ExperimentConfig) -> Path:
         for (g, s), (_, doc) in sorted(results.items()):
             if doc is not None:
                 with open(rep_dir / f"run_g{g}_s{s}.json", "w", encoding="utf-8") as fh:
-                    json.dump(doc, fh, indent=1)
+                    fh.write(report_json(doc))
     return csv_path
+
+
+_LEDGER_ENTRY = ('\n  {\n   "site": %s,\n   "sigma": %s,\n   "dim": %d,'
+                 '\n   "count": %d\n  }')
+
+
+def _json_number(v) -> str:
+    # json.dumps builds a whole encoder even for one float, several times the
+    # cost of repr; a finite float encodes as its repr, anything else as before
+    return repr(v) if type(v) is float and math.isfinite(v) else json.dumps(v)
+
+
+def report_json(doc: dict) -> str:
+    """`json.dumps(doc, indent=1)`, byte for byte, for a run report.
+
+    The noise ledger, which must be the report's last key, can hold 10^4
+    entries per run; they are filled into a fixed template instead of going
+    through the pure-Python indenting encoder.
+    """
+    keys = list(doc)
+    if len(keys) < 2 or keys[-1] != "noise_ledger":
+        raise ValueError("a report needs other keys before a last 'noise_ledger'")
+    head = json.dumps({k: doc[k] for k in keys[:-1]}, indent=1)
+    entries = ",".join(_LEDGER_ENTRY % (json.dumps(e["site"]), _json_number(e["sigma"]),
+                                        e["dim"], e["count"])
+                       for e in doc["noise_ledger"])
+    ledger = f"[{entries}\n ]" if entries else "[]"
+    return f'{head[:-2]},\n "noise_ledger": {ledger}\n}}'
 
 
 def _csv_cell(v) -> str:

@@ -119,7 +119,7 @@ def project_ball(w: np.ndarray, R: float) -> np.ndarray:
     """Euclidean projection onto the centered ball of radius R."""
     if R < 0:
         raise ValueError("R must be non-negative")
-    nw = float(np.linalg.norm(w))
+    nw = math.sqrt(w @ w)
     if nw <= R:
         return w
     return w * (R / nw)

@@ -125,7 +125,7 @@ def _batch(S: Dataset, b: int, rng: np.random.Generator, replace: bool):
     if b == S.n:
         return S.X, S.y
     idx = rng.integers(0, S.n, size=b) if replace else rng.choice(S.n, size=b, replace=False)
-    return S.X[idx], None if S.y is None else S.y[idx]
+    return S.X.take(idx, axis=0), None if S.y is None else S.y.take(idx)
 
 
 def run_spiderboost(loss: LossSpec, S: Dataset, params: SpiderParams,
@@ -158,7 +158,8 @@ def run_spiderboost(loss: LossSpec, S: Dataset, params: SpiderParams,
     for t in range(params.T):
         if t % stride == 0:
             trace_steps.append(t)
-            trace.append(float(np.linalg.norm(erm_grad(loss, w, S))))
+            g_erm = erm_grad(loss, w, S)
+            trace.append(math.sqrt(g_erm @ g_erm))
         if t % params.q == 0:
             X, Y = _batch(S, params.b1, rng, replace_within_batch)
             oracle_calls += params.b1
@@ -167,7 +168,8 @@ def run_spiderboost(loss: LossSpec, S: Dataset, params: SpiderParams,
         else:
             X, Y = _batch(S, params.b2, rng, replace_within_batch)
             oracle_calls += 2 * params.b2
-            step = float(np.linalg.norm(w - w_prev))
+            dw = w - w_prev
+            step = math.sqrt(dw @ dw)
             sigma_t = min(params.sigma2 * step, params.sigma2_hat)
             g = draw_gaussian(d, sigma_t, rng, ledger, SITE_GV)
             delta = loss.grad_mean(w, X, Y) - loss.grad_mean(w_prev, X, Y) + g

@@ -286,6 +286,22 @@ class TestDataset:
         assert swapped.y[1] == 7.0
         assert np.all(ds.X[1] == 0.0)
 
+    def test_max_feature_norm_cached_per_instance(self):
+        rng = np.random.default_rng(11)
+        ds = Dataset(rng.standard_normal((9, 4)) / 4.0, rng.standard_normal(9))
+        copies = [ds, ds.slice(2, 7), ds.subset(np.array([0, 3, 3, 8])),
+                  ds.replace_sample(4, np.full(4, 0.9))]
+        for c in copies:
+            fresh = float(np.max(np.linalg.norm(c.X, axis=1)))
+            assert c.max_feature_norm() == fresh
+            assert c.max_feature_norm() == fresh  # second call: the cached value
+        # the parent's cached bound must not carry over to a neighbor whose
+        # swapped-in row breaks the declared norm
+        loss = glm_loss(tanh_link(), 1.0, 1.0, 1.0, 4)
+        loss.validate_dataset(ds)
+        with pytest.raises(ValueError, match="feature norm"):
+            loss.validate_dataset(ds.replace_sample(0, np.full(4, 1.0)))
+
     def test_csv_round_trip_unlabeled(self, tmp_path):
         ds = Dataset(np.random.default_rng(9).standard_normal((7, 3)))
         path = tmp_path / "d.csv"

@@ -8,6 +8,7 @@ from dpopt.harness import (ExperimentConfig, gen_support, gen_synthetic,
                            median, median_by_x, read_csv_rows, run_experiment,
                            scaling_fit, stream, stream_seed)
 from dpopt.harness.cli import main as cli_main
+from dpopt.harness.experiment import report_json
 from dpopt.core import load_csv, synthetic_nonconvex_loss
 from dpopt.glm_jl import numeric_rank
 
@@ -235,6 +236,20 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match="not writable"):
             run_experiment(ExperimentConfig.from_dict(raw))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_status(self, tmp_path):
+        # eta = 1e300 on the unclipped square link overflows the iterates to
+        # inf/nan within three steps
+        raw = {"algorithm": "spiderboost",
+               "grid": {"n": [64], "eps": [1.0], "d": [4]},
+               "delta": 1e-4, "seeds": [0, 1], "out": str(tmp_path / "h"),
+               "loss": {"kind": "glm_square"},
+               "data": {"kind": "glm_fullrank", "label_scale": 0.5},
+               "overrides": {"T": 20, "eta": 1e300}}
+        rows = read_csv_rows(run_experiment(ExperimentConfig.from_dict(raw)))
+        assert [r["status"] for r in rows] == ["diverged", "diverged"]
+        assert not any(np.isfinite(float(r["grad_norm"])) for r in rows)
+
     def test_workers_match_serial(self, tmp_path):
         raw = {"algorithm": "spiderboost",
                "grid": {"n": [64, 128], "eps": [1.0], "d": [4]},
@@ -246,6 +261,47 @@ class TestRunExperiment:
         raw["workers"] = 2
         parallel = run_experiment(ExperimentConfig.from_dict(raw)).read_bytes()
         assert serial == parallel
+
+
+class TestReportJson:
+    """The report writer gives exactly the bytes of json.dumps(doc, indent=1)."""
+
+    def run_report(self, tmp_path, raw) -> tuple[str, dict]:
+        raw = {"grid": {"n": [1024], "eps": [1.0], "d": [4]}, "delta": 1e-4,
+               "seeds": [0], "out": str(tmp_path),
+               "data": {"kind": "glm_fullrank", "label_scale": 0.5,
+                        "support_size": 64}, **raw}
+        run_experiment(ExperimentConfig.from_dict(raw))
+        text = (tmp_path / "reports" / "run_g0_s0.json").read_text()
+        return text, json.loads(text)
+
+    @pytest.mark.parametrize("raw", [
+        {"algorithm": "spiderboost", "overrides": {"T": 60}},
+        {"algorithm": "tree_spider"},
+    ], ids=["spiderboost", "tree_spider"])
+    def test_real_reports(self, tmp_path, raw):
+        text, doc = self.run_report(tmp_path, raw)
+        assert doc["noise_ledger"]
+        assert text == json.dumps(doc, indent=1)
+        assert report_json(doc) == text
+
+    @pytest.mark.parametrize("ledger", [
+        [],
+        [{"site": "spider-grad", "sigma": float("nan"), "dim": 4, "count": 1},
+         {"site": "spider-gv", "sigma": float("inf"), "dim": 4, "count": 2},
+         {"site": "spider-gv", "sigma": 0, "dim": 4, "count": 1}],
+        [{"site": 'quote " back\\ tab\t uni \u00e9 nl\n', "sigma": 1e-300,
+          "dim": 16, "count": 3}],
+    ], ids=["empty", "nonfinite", "escaped-site"])
+    def test_edge_docs(self, ledger):
+        doc = {"algorithm": "spiderboost", "n": 64, "grad_norm": float("nan"),
+               "trace_steps": [0, 1], "stop_address": None, "clamped": False,
+               "noise_ledger": ledger}
+        assert report_json(doc) == json.dumps(doc, indent=1)
+
+    def test_ledger_must_be_last(self):
+        with pytest.raises(ValueError):
+            report_json({"noise_ledger": [], "n": 1})
 
 
 class TestCLI:
