@@ -60,6 +60,15 @@ class LossSpec:
             return grads.mean(axis=0)
         return weights @ grads
 
+    def grad_var(self, W: np.ndarray, W_prev: np.ndarray, X: np.ndarray,
+                 Y: np.ndarray | None = None) -> np.ndarray:
+        """Batch-mean gradient variations on a run axis: row r is
+        grad_mean(W[r], X[r], Y[r]) - grad_mean(W_prev[r], X[r], Y[r]) for
+        iterates W, W_prev of shape (R, d) and batches X of shape (R, b, d)."""
+        return np.stack([self.grad_mean(w, x, None if Y is None else Y[r])
+                         - self.grad_mean(v, x, None if Y is None else Y[r])
+                         for r, (w, v, x) in enumerate(zip(W, W_prev, X))])
+
     # plumbing -----------------------------------------------------------
     def probe_sample(self, rng: np.random.Generator) -> tuple[np.ndarray, float | None]:
         """A random data point from the loss's domain, for gradient checks."""
@@ -349,6 +358,32 @@ class GLMLoss(LossSpec):
         if weights is None:
             return (X.T @ s) / X.shape[0]
         return X.T @ (s * weights)
+
+    def erm_grads(self, W: np.ndarray, S: Dataset) -> np.ndarray:
+        """Exact empirical-risk gradients at the rows of W, shape (P, d).
+
+        The points go in blocks of at most 2**15 // n, each one X @ W_block^T
+        and one X^T @ slopes, so temporaries stay within 256 KB and X is read
+        twice per block instead of twice per point.
+        """
+        W = np.asarray(W, dtype=np.float64)
+        if W.ndim != 2 or W.shape[1] != S.dim:
+            raise ValueError(f"W has shape {W.shape}, expected (P, {S.dim})")
+        self.validate_dataset(S)
+        Y = None if S.y is None else S.y[:, None]
+        block = max(1, 2 ** 15 // S.n)
+        out = np.empty_like(W)
+        for i in range(0, len(W), block):
+            s = self.link.slope(S.X @ W[i:i + block].T, Y)
+            out[i:i + block] = (S.X.T @ s).T / S.n
+        return out
+
+    def grad_var(self, W, W_prev, X, Y=None):
+        # one batched X @ [w, w_prev], one slope call, one X^T @ slope difference
+        WW = np.empty(W.shape + (2,))
+        WW[:, :, 0], WW[:, :, 1] = W, W_prev
+        s = self.link.slope(X @ WW, None if Y is None else Y[:, :, None])
+        return ((s[:, :, 0] - s[:, :, 1])[:, None, :] @ X)[:, 0, :] / X.shape[1]
 
     def probe_sample(self, rng):
         z = rng.standard_normal(self.dim)

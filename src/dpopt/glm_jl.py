@@ -145,8 +145,10 @@ def run_jl(base, loss: GLMLoss, S: Dataset, params: JLParams,
 
     Xp = S.X @ phi.entries.T
     S_proj = Dataset(Xp, S.y)
-    orig_norms = np.linalg.norm(S.X, axis=1)
-    proj_norms = np.linalg.norm(Xp, axis=1)
+    # row norms without an n x d temporary, which at d = 256 was the run's
+    # largest allocation after the data
+    orig_norms = np.sqrt(np.einsum("ij,ij->i", S.X, S.X))
+    proj_norms = np.sqrt(np.einsum("ij,ij->i", Xp, Xp))
     ratio = float(np.max(proj_norms / np.maximum(orig_norms, 1e-300)))
 
     proj_norm_bound = float(max(np.max(proj_norms), 1e-300))

@@ -15,10 +15,10 @@ from ..privacy import PrivacyBudget, accountant_sigma, gaussian_sigma
 from ..recursive_reg import project_ball, selector_weighted_avg
 from ..spiderboost import run_spiderboost, spider_oracle_count
 from ..tree_spider import dfs_order
-from .config import ExperimentConfig
+from .config import ALGORITHMS, ExperimentConfig
 from .experiment import read_csv_rows, run_experiment
 from .fitting import median_by_x, scaling_fit
-from .synthetic import gen_synthetic
+from .synthetic import KINDS, gen_synthetic
 
 
 def _parse_override(kv: str):
@@ -203,8 +203,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("--config", help="JSON config file")
-    p_run.add_argument("--algorithm", choices=("spiderboost", "tree_spider",
-                                               "recursive_reg", "jl_spiderboost"))
+    p_run.add_argument("--algorithm", choices=ALGORITHMS)
     p_run.add_argument("--n", help="comma-separated n grid")
     p_run.add_argument("--d", help="comma-separated d grid")
     p_run.add_argument("--eps", help="comma-separated eps grid")
@@ -230,8 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     p_fit.set_defaults(fn=cmd_fit)
 
     p_gen = sub.add_parser("gen", help="emit a synthetic dataset as CSV")
-    p_gen.add_argument("--kind", required=True,
-                       choices=("glm_lowrank", "glm_fullrank", "huber_cluster"))
+    p_gen.add_argument("--kind", required=True, choices=KINDS)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--d", type=int, required=True)
     p_gen.add_argument("--rank", type=int, default=None)

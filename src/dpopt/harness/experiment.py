@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from ..privacy import PrivacyBudget
 from ..recursive_reg import derive_rr_params, run_recursive_regularization
 from ..spiderboost import derive_spider_params, run_spiderboost
 from ..tree_spider import derive_tree_params, run_tree_spider
+from ..util import PreconditionError
 from .config import ExperimentConfig, build_loss
 from .rng import stream, stream_seed
 from .synthetic import FiniteSupportDistribution, gen_support, gen_synthetic
@@ -34,6 +35,10 @@ CSV_COLUMNS = ("algorithm", "n", "d", "eps", "delta", "seed", "grad_norm",
                "oracle_calls", "wall_ms", "param_hash", "status")
 
 DEFAULT_SUPPORT_SIZE = 256
+
+# algorithms whose seeds at one grid point share n, d and the derived
+# parameters, and so run in lockstep in one job
+LOCKSTEP = ("spiderboost",)
 
 
 def _fmt(v) -> str:
@@ -74,30 +79,49 @@ def _gen_population(config: ExperimentConfig, d: int) -> FiniteSupportDistributi
 
 
 def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
-               eps: float, seed_index: int, seed: int) -> tuple[dict, dict | None]:
-    """One grid point x seed; derivation failures become tagged rows, and a
-    returned point or exact gradient norm that is not finite is `diverged`."""
-    row = {"algorithm": config.algorithm, "n": n, "d": d, "eps": eps,
-           "delta": config.delta, "seed": seed, "grad_norm": float("nan"),
-           "oracle_calls": 0, "wall_ms": 0.0, "param_hash": "", "status": "ok"}
+               eps: float, seeds: list[tuple[int, int]]) -> list[tuple[dict, dict | None]]:
+    """One grid point for the given (seed_index, seed) pairs: one (row,
+    report) per seed, in order. SpiderBoost runs all of a grid point's seeds
+    in lockstep; the other algorithms take one seed per call.
+
+    A failed sample-size hypothesis tags every row `precondition:`, any other
+    exception `error:`; a returned point or exact gradient norm that is not
+    finite is `diverged`. Under `timing`, each row gets the call's wall time
+    divided by the number of seeds.
+    """
+    if len(seeds) != 1 and config.algorithm not in LOCKSTEP:
+        raise ValueError(f"{config.algorithm} takes one seed per call, got {len(seeds)}")
+    rows = [{"algorithm": config.algorithm, "n": n, "d": d, "eps": eps,
+             "delta": config.delta, "seed": seed, "grad_norm": float("nan"),
+             "oracle_calls": 0, "wall_ms": 0.0, "param_hash": "", "status": "ok"}
+            for _, seed in seeds]
+    docs: list[dict | None] = [None] * len(seeds)
     budget = PrivacyBudget(eps, config.delta, config.accountant_c)
     loss = build_loss(config.loss, d)
+    seed_index = seeds[0][0]
     run_rng = stream(config.master_seed, "run", grid_index, seed_index)
     t0 = time.perf_counter()
-    report_doc = None
+
+    def set_hash(params):
+        for row in rows:
+            row["param_hash"] = param_hash(params)
+
     try:
+        # each branch gives outs: (w_out, exact gradient, oracle calls,
+        # noise ledger, report extras) per seed
         if config.algorithm == "spiderboost":
-            S = _gen_dataset(config, n, d, grid_index, seed_index)
             params = derive_spider_params(n, d, loss.L0, loss.L1, loss.F0_hint,
                                           budget, config.overrides)
-            row["param_hash"] = param_hash(params)
-            rep = run_spiderboost(loss, S, params, run_rng)
-            row["grad_norm"] = float(np.linalg.norm(erm_grad(loss, rep.w_out, S)))
-            row["oracle_calls"] = rep.oracle_calls
-            ledger = rep.noise_ledger
-            extras = {"selected_index": rep.selected_index,
-                      "trace_steps": rep.trace_steps,
-                      "grad_norm_trace": rep.grad_norm_trace}
+            set_hash(params)
+            data = [_gen_dataset(config, n, d, grid_index, s) for s, _ in seeds]
+            reps = run_spiderboost(loss, data, params,
+                                   [stream(config.master_seed, "run", grid_index, s)
+                                    for s, _ in seeds])
+            outs = [(rep.w_out, erm_grad(loss, rep.w_out, S), rep.oracle_calls,
+                     rep.noise_ledger, {"selected_index": rep.selected_index,
+                                        "trace_steps": rep.trace_steps,
+                                        "grad_norm_trace": rep.grad_norm_trace})
+                    for rep, S in zip(reps, data)]
         elif config.algorithm == "tree_spider":
             dist = _gen_population(config, d)
             sample_rng = stream(config.master_seed, "sample", grid_index, seed_index)
@@ -106,19 +130,17 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
                                         budget, float(config.overrides.get("p", 0.1)),
                                         {k: v for k, v in config.overrides.items()
                                          if k != "p"})
-            row["param_hash"] = param_hash(params)
+            set_hash(params)
             rep = run_tree_spider(loss, DatasetCursor(S), params, run_rng)
-            g = dist.population_grad(loss, rep.w_out)
-            row["grad_norm"] = float(np.linalg.norm(g))
-            row["oracle_calls"] = rep.oracle_calls
-            ledger = rep.noise_ledger
-            extras = {"stopped_early": rep.stopped_early,
+            outs = [(rep.w_out, dist.population_grad(loss, rep.w_out), rep.oracle_calls,
+                     rep.noise_ledger,
+                     {"stopped_early": rep.stopped_early,
                       "stop_address": (None if rep.stop_address is None else
                                        [rep.stop_address.t, rep.stop_address.s]),
                       "samples_consumed": rep.samples_consumed,
                       "leaf_count_visited": rep.leaf_count_visited,
                       "leaves_per_round": rep.leaves_per_round,
-                      "rounds_completed": rep.rounds_completed}
+                      "rounds_completed": rep.rounds_completed})]
         elif config.algorithm == "recursive_reg":
             dist = _gen_population(config, d)
             sample_rng = stream(config.master_seed, "sample", grid_index, seed_index)
@@ -128,16 +150,14 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
                                       loss.L0, loss.L1,
                                       float(rr.get("R_bar", 1.0)), budget,
                                       config.overrides)
-            row["param_hash"] = param_hash(params)
+            set_hash(params)
             rep = run_recursive_regularization(S, loss, params,
                                                rr.get("subroutine", "phased_sgd"),
                                                run_rng)
-            g = dist.population_grad(loss, rep.w_out)
-            row["grad_norm"] = float(np.linalg.norm(g))
-            row["oracle_calls"] = n  # single pass over disjoint slices
-            ledger = rep.noise_ledger
-            extras = {"rounds": rep.rounds, "t1_edge": rep.t1_edge,
-                      "kt_capped": rep.kt_capped}
+            # n oracle calls: a single pass over disjoint slices
+            outs = [(rep.w_out, dist.population_grad(loss, rep.w_out), n,
+                     rep.noise_ledger, {"rounds": rep.rounds, "t1_edge": rep.t1_edge,
+                                        "kt_capped": rep.kt_capped})]
         elif config.algorithm == "jl_spiderboost":
             S = _gen_dataset(config, n, d, grid_index, seed_index)
             rank = config.data.get("rank") or d
@@ -157,47 +177,53 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
                 return run_spiderboost(loss_proj, S_proj, sp, rng)
 
             rep = run_jl(base, loss, S, jl_params, budget, run_rng)
-            row["param_hash"] = param_hash({"k": k, "rank": rank,
-                                            "normX": loss.normX})
-            row["grad_norm"] = float(np.linalg.norm(erm_grad(loss, rep.w_out, S)))
-            row["oracle_calls"] = rep.base_report.oracle_calls
-            ledger = rep.base_report.noise_ledger
-            extras = {"k": rep.k, "rank": rep.rank,
+            set_hash({"k": k, "rank": rank, "normX": loss.normX})
+            outs = [(rep.w_out, erm_grad(loss, rep.w_out, S), rep.base_report.oracle_calls,
+                     rep.base_report.noise_ledger,
+                     {"k": rep.k, "rank": rep.rank,
                       "matrix_seed": rep.matrix_seed,
                       "max_feature_norm_ratio": rep.max_feature_norm_ratio,
                       "clamped": rep.clamped,
                       "base_eps": rep.base_eps, "base_delta": rep.base_delta,
-                      "base_selected_index": rep.base_report.selected_index}
+                      "base_selected_index": rep.base_report.selected_index})]
         else:
             raise ValueError(f"unknown algorithm {config.algorithm!r}")
-        if not (math.isfinite(row["grad_norm"]) and np.isfinite(rep.w_out).all()):
-            row["status"] = "diverged"
-        if config.write_reports:
-            report_doc = {
-                "algorithm": config.algorithm, "n": n, "d": d, "eps": eps,
-                "delta": config.delta, "seed": seed,
-                "grad_norm": row["grad_norm"],
-                "oracle_calls": row["oracle_calls"],
-                "param_hash": row["param_hash"],
-                **extras,
-                "noise_ledger": [
-                    {"site": s, "sigma": sig, "dim": dd, "count": c}
-                    for (s, sig, dd, c) in ledger.rows()],
-            }
-    except ValueError as exc:
-        row["status"] = f"precondition: {exc}"
-    except Exception as exc:  # pragma: no cover - defensive
-        row["status"] = f"error: {type(exc).__name__}: {exc}"
+        for i, (row, (w_out, g, oracle_calls, ledger, extras)) in enumerate(zip(rows, outs)):
+            row["grad_norm"] = float(np.linalg.norm(g))
+            row["oracle_calls"] = oracle_calls
+            if not (math.isfinite(row["grad_norm"]) and np.isfinite(w_out).all()):
+                row["status"] = "diverged"
+            if config.write_reports:
+                docs[i] = {
+                    "algorithm": config.algorithm, "n": n, "d": d, "eps": eps,
+                    "delta": config.delta, "seed": row["seed"],
+                    "grad_norm": row["grad_norm"],
+                    "oracle_calls": row["oracle_calls"],
+                    "param_hash": row["param_hash"],
+                    **extras,
+                    "noise_ledger": [
+                        {"site": s, "sigma": sig, "dim": dd, "count": c}
+                        for (s, sig, dd, c) in ledger.rows()],
+                }
+    except PreconditionError as exc:
+        for row in rows:
+            row["status"] = f"precondition: {exc}"
+    except Exception as exc:
+        for row in rows:
+            row["status"] = f"error: {type(exc).__name__}: {exc}"
     if config.timing:
-        row["wall_ms"] = (time.perf_counter() - t0) * 1000.0
-    return row, report_doc
+        wall_ms = (time.perf_counter() - t0) * 1000.0 / len(rows)
+        for row in rows:
+            row["wall_ms"] = wall_ms
+    return list(zip(rows, docs))
 
 
 def run_experiment(config: ExperimentConfig) -> Path:
     """Execute the sweep; returns the path of the written CSV.
 
-    Rows are written in canonical order (grid index, then seed index)
-    regardless of worker completion order.
+    Each report is written as soon as its row's job finishes, and only the
+    row is kept. Rows are written in canonical order (grid index, then seed
+    index) regardless of worker completion order.
     """
     config.validate()
     out_dir = Path(config.out)
@@ -208,36 +234,39 @@ def run_experiment(config: ExperimentConfig) -> Path:
         probe.unlink()
     except OSError as exc:
         raise RuntimeError(f"output directory {out_dir} is not writable: {exc}")
+    rep_dir = out_dir / "reports"
+    if config.write_reports:
+        rep_dir.mkdir(exist_ok=True)
 
-    jobs = []
-    for grid_index, n, d, eps in config.grid_points():
-        for seed_index, seed in enumerate(config.seeds):
-            jobs.append((grid_index, n, d, eps, seed_index, seed))
+    seeds = list(enumerate(config.seeds))
+    groups = [seeds] if config.algorithm in LOCKSTEP else [[s] for s in seeds]
+    jobs = [(grid_index, n, d, eps, group)
+            for grid_index, n, d, eps in config.grid_points() for group in groups]
 
-    results: dict[tuple[int, int], tuple[dict, dict | None]] = {}
+    rows: dict[tuple[int, int], dict] = {}
+
+    def keep(job, results):
+        for (seed_index, _), (row, doc) in zip(job[4], results):
+            rows[(job[0], seed_index)] = row
+            if doc is not None:
+                with open(rep_dir / f"run_g{job[0]}_s{seed_index}.json", "w",
+                          encoding="utf-8") as fh:
+                    fh.write(report_json(doc))
+
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             futs = {pool.submit(run_single, config, *job): job for job in jobs}
-            for fut, job in futs.items():
-                results[(job[0], job[4])] = fut.result()
+            for fut in as_completed(futs):
+                keep(futs.pop(fut), fut.result())
     else:
         for job in jobs:
-            results[(job[0], job[4])] = run_single(config, *job)
+            keep(job, run_single(config, *job))
 
     csv_path = out_dir / "runs.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for key in sorted(results):
-            row, _ = results[key]
-            fh.write(",".join(_csv_cell(row[c]) for c in CSV_COLUMNS) + "\n")
-
-    if config.write_reports:
-        rep_dir = out_dir / "reports"
-        rep_dir.mkdir(exist_ok=True)
-        for (g, s), (_, doc) in sorted(results.items()):
-            if doc is not None:
-                with open(rep_dir / f"run_g{g}_s{s}.json", "w", encoding="utf-8") as fh:
-                    fh.write(report_json(doc))
+        for key in sorted(rows):
+            fh.write(",".join(_csv_cell(rows[key][c]) for c in CSV_COLUMNS) + "\n")
     return csv_path
 
 

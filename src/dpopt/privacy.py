@@ -2,7 +2,8 @@
 noise sampler with its draw ledger.
 
 All calibration operations are pure: identical inputs give bit-identical
-outputs. Optimizers route every noise draw through :func:`draw_gaussian`
+outputs. Optimizers route every noise draw through :func:`draw_gaussian`,
+or scale normals drawn ahead in a block through :func:`scale_gaussian_rows`,
 so each draw lands in the run's ledger with the calibrated sigma.
 """
 from __future__ import annotations
@@ -37,7 +38,7 @@ class PrivacyBudget:
         return PrivacyBudget(self.eps, self.delta / 2.0, self.c)
 
 
-@dataclass
+@dataclass(slots=True)
 class NoiseLedgerEntry:
     site: str
     sigma: float
@@ -139,3 +140,20 @@ def draw_gaussian(dim: int, sigma: float, rng: np.random.Generator,
     if ledger is not None:
         ledger.record(site, sigma, dim)
     return g
+
+
+def scale_gaussian_rows(z: np.ndarray, sigmas: np.ndarray,
+                        ledgers: list[NoiseLedger] | None = None,
+                        site: str = "gauss") -> np.ndarray:
+    """One N(0, I_d sigmas[r]^2) draw per run r, from standard normals z of
+    shape (R, d) that run r's generator drew ahead of time (a block of them
+    per phase); records each run's draw in ledgers[r] when given ledgers."""
+    if (sigmas < 0).any():
+        raise ValueError("sigma must be non-negative")
+    if z.shape[1] < 1:
+        raise ValueError("dim must be >= 1")
+    if ledgers is not None:
+        dim = z.shape[1]
+        for ledger, sigma in zip(ledgers, sigmas.tolist()):
+            ledger.record(site, sigma, dim)
+    return z * sigmas[:, None]

@@ -17,7 +17,7 @@ from .core.data import Dataset
 from .core.gradcheck import convexity_spot_check
 from .core.loss import LossSpec
 from .privacy import NoiseLedger, PrivacyBudget, draw_gaussian
-from .util import floori
+from .util import PreconditionError, floori
 
 KT_CAP = 10 ** 7  # desk-scale cap on inner step counts; capped rounds are flagged
 
@@ -256,8 +256,8 @@ def derive_rr_params(mode: str, n: int, d: int, L0: float, L1: float,
         raise ValueError(f"unknown mode {mode!r}")
     lam = float(ov.pop("lam", lam))
     if lam >= L1:
-        raise ValueError(f"lam = {lam:.6g} >= L1 = {L1:.6g}: T would be 0; "
-                         "increase n or R_bar")
+        raise PreconditionError(f"lam = {lam:.6g} >= L1 = {L1:.6g}: T would be 0; "
+                                "increase n or R_bar")
     T = int(ov.pop("T", floori(math.log2(L1 / lam))))
     T = max(T, 1)
     m = n // T

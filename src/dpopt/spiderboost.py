@@ -4,22 +4,34 @@ Phases of length q start with a noisy mini-batch gradient; within a phase
 the estimate is extended by noisy gradient-variation estimates whose noise
 scales with L1 * ||w_t - w_{t-1}|| (clamped at a Lipschitz-based cap), which
 is where the method saves over Lipschitz-scaled noise.
+
+The recursion is written once, in `_spider_path`, over a leading run axis:
+iterates and estimates have shape (R, d), each run keeps its own generator,
+dataset and ledger, and every operation is row-wise, so a run's output is
+bit-identical alone or in a group. The optimizer uses it with R = 1 or with
+R seeds in lockstep, and the Monte Carlo validator with R = trials.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core.data import Dataset
-from .core.loss import LossSpec, erm_grad
+from .core.loss import GLMLoss, LossSpec, erm_grad
 from .privacy import (NoiseLedger, PrivacyBudget, accountant_sigma,
-                      draw_gaussian)
-from .util import floori
+                      draw_gaussian, scale_gaussian_rows)
+from .util import PreconditionError, floori
 
 SITE_GRAD = "spider-grad"
 SITE_GV = "spider-gv"
+
+# a phase's gradient-variation steps draw their batch indices and normals in
+# blocks of at most this many entries per run (8 MB), so a long phase cannot
+# ask for unbounded memory
+BLOCK_ENTRIES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -47,6 +59,21 @@ class SpiderParams:
 
 
 @dataclass
+class GvRecords:
+    """One run's gradient-variation steps as arrays: step index t, the sigma
+    used and the step norm ||w_t - w_{t-1}||. Iterates as (t, sigma, step)."""
+    t: np.ndarray
+    sigma: np.ndarray
+    step: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __iter__(self):
+        return zip(self.t.tolist(), self.sigma.tolist(), self.step.tolist())
+
+
+@dataclass
 class OptimizerReport:
     w_out: np.ndarray
     grad_norm_trace: list[float]
@@ -54,7 +81,7 @@ class OptimizerReport:
     oracle_calls: int
     noise_ledger: NoiseLedger
     selected_index: int
-    gv_records: list[tuple[int, float, float]]  # (t, sigma used, step norm)
+    gv_records: GvRecords
     iterates: list[np.ndarray] | None = None    # w_1..w_T when recorded
 
 
@@ -90,7 +117,8 @@ def derive_spider_params(n: int, d: int, L0: float, L1: float, F0: float,
     if n < bound2:
         failures.append(f"n >= sqrt(d) max(1, sqrt(L1 F0)/L0)/eps = {bound2:.6g}")
     if failures:
-        raise ValueError("sample-size hypothesis violated: " + "; ".join(failures))
+        raise PreconditionError("sample-size hypothesis violated: "
+                                + "; ".join(failures))
 
     ov = dict(overrides or {})
     eta = float(ov.pop("eta", 1.0 / (2.0 * L1)))
@@ -128,63 +156,152 @@ def _batch(S: Dataset, b: int, rng: np.random.Generator, replace: bool):
     return S.X.take(idx, axis=0), None if S.y is None else S.y.take(idx)
 
 
-def run_spiderboost(loss: LossSpec, S: Dataset, params: SpiderParams,
-                    rng: np.random.Generator, *,
+def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
+                 data: Sequence[Dataset], rngs: Sequence[np.random.Generator],
+                 ledgers: Sequence[NoiseLedger] | None, replace: bool,
+                 advance: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The SpiderBoost estimator for R = len(rngs) runs in lockstep, from
+    W_0 = 0, for `steps` steps.
+
+    Run r samples data[r] with rngs[r] and records its noise in ledgers[r].
+    At t = 0 mod q each run draws a fresh batch, then its N(0, sigma1^2 I)
+    noise, and nabla_t is the batch-mean gradient plus that noise. Each of the
+    phase's gradient-variation steps adds grad_var(w_t, w_{t-1}) on a batch
+    of b2 plus noise at sigma_t = min(sigma2 ||w_t - w_{t-1}||, sigma2_hat);
+    their batch indices, then their standard normals, are drawn in one call
+    per generator (in blocks of at most BLOCK_ENTRIES entries; without
+    replacement, a `choice` per step; b2 = n takes the full dataset and draws
+    no indices). `advance(t, W_t, nabla_t)` returns W_{t+1}. Returns the
+    (R, G) sigma_t and step norms of the G variation steps.
+    """
+    R, n, d = len(rngs), data[0].n, data[0].dim
+    labelled = data[0].y is not None
+    if all(S is data[0] for S in data):
+        X, Y, offset = data[0].X, data[0].y, 0
+        X_full = np.broadcast_to(X, (R, n, d))
+        Y_full = np.broadcast_to(Y, (R, n)) if labelled else None
+    else:
+        X = np.concatenate([S.X for S in data])
+        Y = np.concatenate([S.y for S in data]) if labelled else None
+        offset = n * np.arange(R)[:, None]
+        X_full, Y_full = X.reshape(R, n, d), Y.reshape(R, n) if labelled else None
+    b2, q = params.b2, params.q
+    draw = replace and b2 < n
+    block = max(1, BLOCK_ENTRIES // (b2 + d))
+    G = steps - -(-steps // q)
+    sigmas, norms = np.empty((R, G)), np.empty((R, G))
+    g = 0
+    W = np.zeros((R, d))
+    for t0 in range(0, steps, q):
+        nabla = np.empty((R, d))
+        for r, (S, rng) in enumerate(zip(data, rngs)):
+            Xb, Yb = _batch(S, params.b1, rng, replace)
+            noise = draw_gaussian(d, params.sigma1, rng,
+                                  None if ledgers is None else ledgers[r], SITE_GRAD)
+            nabla[r] = loss.grad_mean(W[r], Xb, Yb) + noise
+        W_prev, W = W, advance(t0, W, nabla)
+        phase_end = min(t0 + q, steps)
+        for t1 in range(t0 + 1, phase_end, block):
+            m = min(block, phase_end - t1)
+            if draw:
+                idx = np.stack([rng.integers(0, n, (m, b2)) for rng in rngs], axis=1)
+                idx += offset
+            z = np.stack([rng.standard_normal((m, d)) for rng in rngs], axis=1)
+            for j in range(m):
+                if b2 == n:  # the full dataset, exactly, as in _batch
+                    Xb, Yb = X_full, Y_full
+                else:
+                    rows = idx[j] if draw else offset + np.stack(
+                        [rng.choice(n, b2, replace=False) for rng in rngs])
+                    Xb, Yb = X.take(rows, axis=0), Y.take(rows) if labelled else None
+                dW = W - W_prev
+                step = np.sqrt((dW * dW).sum(axis=1))
+                sigma = np.minimum(params.sigma2 * step, params.sigma2_hat)
+                noise = scale_gaussian_rows(z[j], sigma, ledgers, SITE_GV)
+                nabla = nabla + loss.grad_var(W, W_prev, Xb, Yb) + noise
+                sigmas[:, g], norms[:, g] = sigma, step
+                g += 1
+                W_prev, W = W, advance(t1 + j, W, nabla)
+    return sigmas, norms
+
+
+def run_spiderboost(loss: LossSpec, S: Dataset | Sequence[Dataset],
+                    params: SpiderParams,
+                    rng: np.random.Generator | Sequence[np.random.Generator], *,
                     replace_within_batch: bool = True,
                     trace_points: int = 200,
-                    record_iterates: bool = False) -> OptimizerReport:
+                    record_iterates: bool = False
+                    ) -> OptimizerReport | list[OptimizerReport]:
     """Run T iterations from w_0 = 0 and return a uniformly random iterate.
 
     At t = 0 mod q the estimate is a fresh batch-mean gradient plus
     N(0, I sigma1^2); otherwise the previous estimate is extended by the
     batch-mean gradient variation plus N(0, I min(sigma2^2 ||w_t - w_{t-1}||^2,
     sigma2_hat^2)). Batches are uniform with replacement at batch granularity
-    (b = n uses the full dataset). Deterministic given the rng state.
+    (b = n uses the full dataset). Deterministic given the rng state: the
+    output index is drawn first, then the draws of `_spider_path`.
+
+    Given a sequence of generators (and one dataset per generator, or one
+    shared dataset), the runs go in lockstep and a list of reports comes
+    back; each equals what that run gives alone. The exact ERM gradient norm
+    is traced at up to `trace_points` iterates, evaluated after the run.
     """
-    params.validate(S.n)
-    loss.validate_dataset(S)
-    d = S.dim
-    ledger = NoiseLedger()
-    w = np.zeros(d)
-    w_prev = None
-    nabla = np.zeros(d)
-    iterates = []
-    gv_records = []
-    oracle_calls = 0
-    stride = max(1, -(-params.T // trace_points))
-    trace_steps: list[int] = []
-    trace: list[float] = []
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    data = [S] * len(rngs) if isinstance(S, Dataset) else list(S)
+    if len(data) != len(rngs) or not rngs:
+        raise ValueError(f"need one dataset per generator: {len(data)} for {len(rngs)}")
+    if any((D.n, D.dim, D.y is None) != (data[0].n, data[0].dim, data[0].y is None)
+           for D in data):
+        raise ValueError("lockstep datasets must share n, d and labelling")
+    params.validate(data[0].n)
+    for D in dict.fromkeys(data):
+        loss.validate_dataset(D)
+    R, T, d = len(rngs), params.T, data[0].dim
+    selected = [int(g.integers(1, T + 1)) for g in rngs]
+    picks: dict[int, list[int]] = {}
+    for r, s in enumerate(selected):
+        picks.setdefault(s - 1, []).append(r)
+    w_out = np.empty((R, d))
+    stride = max(1, -(-T // trace_points))
+    traced: list[np.ndarray] = []
+    iterates: list[np.ndarray] | None = [] if record_iterates else None
 
-    for t in range(params.T):
+    def advance(t, W, nabla):
         if t % stride == 0:
-            trace_steps.append(t)
-            g_erm = erm_grad(loss, w, S)
-            trace.append(math.sqrt(g_erm @ g_erm))
-        if t % params.q == 0:
-            X, Y = _batch(S, params.b1, rng, replace_within_batch)
-            oracle_calls += params.b1
-            g = draw_gaussian(d, params.sigma1, rng, ledger, SITE_GRAD)
-            nabla = loss.grad_mean(w, X, Y) + g
-        else:
-            X, Y = _batch(S, params.b2, rng, replace_within_batch)
-            oracle_calls += 2 * params.b2
-            dw = w - w_prev
-            step = math.sqrt(dw @ dw)
-            sigma_t = min(params.sigma2 * step, params.sigma2_hat)
-            g = draw_gaussian(d, sigma_t, rng, ledger, SITE_GV)
-            delta = loss.grad_mean(w, X, Y) - loss.grad_mean(w_prev, X, Y) + g
-            nabla = nabla + delta
-            gv_records.append((t, sigma_t, step))
-        w_prev = w
-        w = w - params.eta * nabla
-        iterates.append(w)
+            traced.append(W)
+        W_next = W - params.eta * nabla
+        for r in picks.get(t, ()):
+            w_out[r] = W_next[r]
+        if iterates is not None:
+            iterates.append(W_next)
+        return W_next
 
-    selected = int(rng.integers(1, params.T + 1))
-    return OptimizerReport(w_out=iterates[selected - 1],
-                           grad_norm_trace=trace, trace_steps=trace_steps,
-                           oracle_calls=oracle_calls, noise_ledger=ledger,
-                           selected_index=selected, gv_records=gv_records,
-                           iterates=iterates if record_iterates else None)
+    ledgers = [NoiseLedger() for _ in rngs]
+    sigmas, norms = _spider_path(loss, params, T, data, rngs, ledgers,
+                                 replace_within_batch, advance)
+    trace_steps = list(range(0, T, stride))
+    gv_t = np.array([t for t in range(T) if t % params.q], dtype=np.int64)
+    traced_W = np.stack(traced, axis=1)  # (R, P, d)
+    reports = [OptimizerReport(
+        w_out=w_out[r].copy(),
+        grad_norm_trace=np.linalg.norm(_erm_grads(loss, traced_W[r], data[r]),
+                                       axis=1).tolist(),
+        trace_steps=list(trace_steps), oracle_calls=spider_oracle_count(params),
+        noise_ledger=ledgers[r], selected_index=selected[r],
+        gv_records=GvRecords(gv_t, sigmas[r], norms[r]),
+        iterates=None if iterates is None else [w[r] for w in iterates])
+        for r in range(R)]
+    return reports[0] if single else reports
+
+
+def _erm_grads(loss: LossSpec, W: np.ndarray, S: Dataset) -> np.ndarray:
+    """Exact ERM gradients at the rows of W (P, d): in blocks for a GLM, and
+    through erm_grad point by point otherwise."""
+    if isinstance(loss, GLMLoss):
+        return loss.erm_grads(W, S)
+    return np.array([erm_grad(loss, w, S) for w in W]).reshape(W.shape)
 
 
 @dataclass
@@ -214,8 +331,11 @@ def validate_spider_error_bound(loss: LossSpec, S: Dataset, params: SpiderParams
                                 path_len: int | None = None) -> SpiderBoundCheck:
     """Freeze one iterate path, then re-draw the estimator `trials` times.
 
-    Reports the Monte Carlo mean squared estimation error at each path step
-    against the analytic bound tau2^2 sum_k ||w_k - w_{k-1}||^2 + tau1^2 with
+    The path is one run of `_spider_path`; the trials are `trials` runs of it
+    in lockstep, on generators spawned from `rng`, whose iterates are pinned
+    to the frozen path. Reports the Monte Carlo mean squared estimation error
+    at each path step against the analytic bound
+    tau2^2 sum_k ||w_k - w_{k-1}||^2 + tau1^2 with
     tau1^2 = L0^2/b1 + d sigma1^2 and tau2^2 = L1^2/b2 + d sigma2^2.
     """
     if trials < 100:
@@ -224,47 +344,30 @@ def validate_spider_error_bound(loss: LossSpec, S: Dataset, params: SpiderParams
     d = S.dim
     t_max = path_len if path_len is not None else min(params.T, 8)
 
-    # frozen path: one forward run of the update rule
-    ws = [np.zeros(d)]
-    nabla = np.zeros(d)
-    w_prev = None
-    for t in range(t_max):
-        w = ws[-1]
-        if t % params.q == 0:
-            X, Y = _batch(S, params.b1, rng, True)
-            nabla = loss.grad_mean(w, X, Y) + draw_gaussian(d, params.sigma1, rng)
-        else:
-            X, Y = _batch(S, params.b2, rng, True)
-            step = float(np.linalg.norm(w - w_prev))
-            sigma_t = min(params.sigma2 * step, params.sigma2_hat)
-            nabla = nabla + (loss.grad_mean(w, X, Y) - loss.grad_mean(w_prev, X, Y)
-                             + draw_gaussian(d, sigma_t, rng))
-        w_prev = w
-        ws.append(w - params.eta * nabla)
+    path = [np.zeros((1, d))]
 
-    true_grads = [erm_grad(loss, w, S) for w in ws]
+    def follow(t, W, nabla):
+        path.append(W - params.eta * nabla)
+        return path[-1]
+
+    _spider_path(loss, params, t_max, [S], [rng], None, True, follow)
+    ws = np.concatenate(path)
+    true_grads = _erm_grads(loss, ws, S)
     dists = [0.0] + [float(np.linalg.norm(ws[k] - ws[k - 1])) for k in range(1, t_max + 1)]
 
     sq_err = np.zeros((trials, t_max))
     est_sum = np.zeros((t_max, d))
     est_sq_sum = np.zeros((t_max, d))
-    for trial in range(trials):
-        nabla = np.zeros(d)
-        for t in range(t_max):
-            w = ws[t]
-            if t % params.q == 0:
-                X, Y = _batch(S, params.b1, rng, True)
-                nabla = loss.grad_mean(w, X, Y) + draw_gaussian(d, params.sigma1, rng)
-            else:
-                X, Y = _batch(S, params.b2, rng, True)
-                sigma_t = min(params.sigma2 * dists[t], params.sigma2_hat)
-                nabla = nabla + (loss.grad_mean(w, X, Y)
-                                 - loss.grad_mean(ws[t - 1], X, Y)
-                                 + draw_gaussian(d, sigma_t, rng))
-            err = nabla - true_grads[t]
-            sq_err[trial, t] = float(err @ err)
-            est_sum[t] += nabla
-            est_sq_sum[t] += nabla * nabla
+
+    def pinned(t, W, nabla):
+        err = nabla - true_grads[t]
+        sq_err[:, t] = np.einsum("rd,rd->r", err, err)
+        est_sum[t] = nabla.sum(axis=0)
+        est_sq_sum[t] = (nabla * nabla).sum(axis=0)
+        return np.broadcast_to(ws[t + 1], (trials, d))
+
+    _spider_path(loss, params, t_max, [S] * trials, rng.spawn(trials), None,
+                 True, pinned)
 
     tau1_sq = loss.L0 ** 2 / params.b1 + d * params.sigma1 ** 2
     tau2_sq = loss.L1 ** 2 / params.b2 + d * params.sigma2 ** 2

@@ -18,7 +18,7 @@ from .core.data import Dataset, DatasetCursor
 from .core.loss import LossSpec
 from .privacy import (NoiseLedger, PrivacyBudget, draw_gaussian,
                       gaussian_sigma, tree_gv_sensitivity)
-from .util import floori
+from .util import PreconditionError, floori
 
 SITE_ROOT = "tree-root"
 SITE_DELTA = "tree-delta"
@@ -151,11 +151,11 @@ def derive_tree_params(n: int, d: int, L0: float, L1: float, F0: float,
     if n < bound2:
         failures.append(f"n >= (D/2+1)^3 = {bound2:.6g}")
     if failures:
-        raise ValueError("sample-size hypothesis violated: " + "; ".join(failures))
+        raise PreconditionError("sample-size hypothesis violated: " + "; ".join(failures))
 
     T = int(ov.pop("T", floori(n / (b * half))))
     if T < 1:
-        raise ValueError(f"derived T = {T} < 1: n too small for b(D/2+1) = {b * half:.6g}")
+        raise PreconditionError(f"derived T = {T} < 1: n too small for b(D/2+1) = {b * half:.6g}")
 
     alpha = float(ov.pop("alpha",
                          math.sqrt(2.0) * L0 * max(n ** (-1.0 / 3.0),

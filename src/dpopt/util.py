@@ -1,7 +1,15 @@
-"""Small numeric helpers shared by the parameter derivations."""
+"""Small helpers shared by the parameter derivations."""
 from __future__ import annotations
 
 import math
+
+
+class PreconditionError(ValueError):
+    """A derivation's sample-size hypothesis does not hold at this (n, d, eps).
+
+    The harness turns exactly this error into a `precondition:` row; any
+    other ValueError is a bug or a bad config and surfaces as `error:`.
+    """
 
 
 def floori(v: float) -> int:

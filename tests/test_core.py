@@ -162,6 +162,39 @@ class TestGLM:
         assert loss.grad(w, x, y=0.2)[0] == pytest.approx(0.3, rel=1e-12)
 
 
+class TestGradVar:
+    """grad_var on a run axis: row r is grad_mean(W[r]) - grad_mean(W_prev[r])
+    on batch r."""
+
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("labelled", [True, False])
+    @pytest.mark.parametrize("make", [synthetic_nonconvex_loss,
+                                      lambda d: glm_loss(tanh_link(), 1.0, 1.0, 1.0, d)],
+                             ids=["rational", "tanh"])
+    def test_fused_glm_matches_two_grad_means(self, R, labelled, make):
+        rng = np.random.default_rng(R + 10 * labelled)
+        loss = make(5)
+        X = rng.standard_normal((R, 17, 5)) / 3.0
+        Y = rng.standard_normal((R, 17)) if labelled else None
+        W, W_prev = rng.standard_normal((R, 5)), rng.standard_normal((R, 5))
+        got = loss.grad_var(W, W_prev, X, Y)
+        assert got.shape == (R, 5)
+        for r in range(R):
+            y = None if Y is None else Y[r]
+            want = loss.grad_mean(W[r], X[r], y) - loss.grad_mean(W_prev[r], X[r], y)
+            assert np.max(np.abs(got[r] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_default_is_the_two_grad_means(self):
+        rng = np.random.default_rng(4)
+        loss = huber_mean_loss(1.0, 1.0, dim=3)
+        X = rng.standard_normal((2, 9, 3))
+        W, W_prev = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+        got = loss.grad_var(W, W_prev, X)
+        for r in range(2):
+            assert np.array_equal(got[r], loss.grad_mean(W[r], X[r])
+                                  - loss.grad_mean(W_prev[r], X[r]))
+
+
 class TestSyntheticNonconvex:
     def test_declared_constants_match_numeric_maximization(self):
         # the hard-coded sup |phi'| and sup |phi''| are re-derived numerically
@@ -251,6 +284,25 @@ class TestErmGrad:
     def test_zero_loss(self):
         S = Dataset(np.ones((5, 2)))
         assert np.all(erm_grad(ZeroLoss(2), np.ones(2), S) == 0.0)
+
+    @pytest.mark.parametrize("n,P", [(4096, 19), (100, 3), (2 ** 16, 2)])
+    def test_glm_blocks_match_erm_grad(self, n, P):
+        # blocks of 2**15 // n points: 8 (two full, one partial), 327 (one), 1
+        loss = synthetic_nonconvex_loss(6)
+        S = gen_synthetic("glm_fullrank", n, 6, seed=n, label_scale=0.5)
+        W = np.random.default_rng(P).standard_normal((P, 6))
+        got = loss.erm_grads(W, S)
+        for w, g in zip(W, got):
+            want = erm_grad(loss, w, S)
+            assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_glm_blocks_check_shapes_and_domain(self):
+        loss = synthetic_nonconvex_loss(3)
+        S = gen_synthetic("glm_fullrank", 10, 3, seed=0)
+        with pytest.raises(ValueError, match="shape"):
+            loss.erm_grads(np.zeros(3), S)
+        with pytest.raises(ValueError, match="exceeds"):
+            loss.erm_grads(np.zeros((2, 3)), Dataset(np.full((4, 3), 5.0)))
 
 
 class TestDataset:

@@ -8,7 +8,7 @@ from dpopt.harness import (ExperimentConfig, gen_support, gen_synthetic,
                            median, median_by_x, read_csv_rows, run_experiment,
                            scaling_fit, stream, stream_seed)
 from dpopt.harness.cli import main as cli_main
-from dpopt.harness.experiment import report_json
+from dpopt.harness.experiment import report_json, run_single
 from dpopt.core import load_csv, synthetic_nonconvex_loss
 from dpopt.glm_jl import numeric_rank
 
@@ -178,6 +178,57 @@ class TestRunExperiment:
         rows = read_csv_rows(run_experiment(cfg))
         assert rows[0]["status"].startswith("precondition")
         assert rows[1]["status"] == "ok"
+
+    def test_precondition_tags_every_seed_of_a_group(self, tmp_path):
+        raw = {"algorithm": "spiderboost",
+               "grid": {"n": [2, 256], "eps": [1.0], "d": [16]},
+               "delta": 1e-4, "seeds": [0, 1, 2], "out": str(tmp_path / "b"),
+               "data": {"kind": "glm_fullrank", "label_scale": 0.5}}
+        rows = read_csv_rows(run_experiment(ExperimentConfig.from_dict(raw)))
+        status = [r["status"] for r in rows]
+        assert status[0].startswith("precondition: sample-size hypothesis violated: n >= ")
+        assert status[:3] == [status[0]] * 3
+        assert status[3:] == ["ok"] * 3
+        assert not any((tmp_path / "b" / "reports").glob("run_g0_*"))
+
+    @pytest.mark.parametrize("algorithm,kind", [("spiderboost", "spiderboost"),
+                                                ("tree_spider", "tree")])
+    def test_other_value_errors_are_error_rows(self, tmp_path, algorithm, kind):
+        # a bad override is a config error, not a sample-size hypothesis
+        raw = {"algorithm": algorithm,
+               "grid": {"n": [1024], "eps": [1.0], "d": [4]},
+               "delta": 1e-4, "seeds": [0, 1], "out": str(tmp_path / "e"),
+               "data": {"kind": "glm_fullrank", "label_scale": 0.5,
+                        "support_size": 64},
+               "overrides": {"bogus": 1}}
+        rows = read_csv_rows(run_experiment(ExperimentConfig.from_dict(raw)))
+        assert [r["status"] for r in rows] == [
+            f"error: ValueError: unknown {kind} overrides: ['bogus']"] * 2
+
+    def test_group_rows_equal_single_seed_rows(self, tmp_path):
+        # a seed's row and report do not depend on the seeds it runs with
+        cfg = ExperimentConfig.from_dict({
+            "algorithm": "spiderboost", "grid": {"n": [128], "eps": [1.0], "d": [4]},
+            "delta": 1e-4, "seeds": [5, 6, 7], "out": str(tmp_path / "s"),
+            "master_seed": 3, "data": {"kind": "glm_fullrank", "label_scale": 0.5},
+            "overrides": {"T": 50}})
+        group = run_single(cfg, 0, 128, 4, 1.0, [(0, 5), (1, 6), (2, 7)])
+        assert [row["seed"] for row, _ in group] == [5, 6, 7]
+        for seed_index, seed in ((1, 6), (2, 7)):
+            (alone,) = run_single(cfg, 0, 128, 4, 1.0, [(seed_index, seed)])
+            assert group[seed_index][0] == alone[0]
+            assert report_json(group[seed_index][1]) == report_json(alone[1])
+        assert group[0][0]["grad_norm"] != group[1][0]["grad_norm"]
+
+    def test_timing_splits_group_wall_time(self, tmp_path):
+        raw = {"algorithm": "spiderboost",
+               "grid": {"n": [64], "eps": [1.0], "d": [4]},
+               "delta": 1e-4, "seeds": [0, 1, 2], "out": str(tmp_path / "t"),
+               "data": {"kind": "glm_fullrank", "label_scale": 0.5},
+               "overrides": {"T": 20}, "timing": True}
+        rows = read_csv_rows(run_experiment(ExperimentConfig.from_dict(raw)))
+        walls = {float(r["wall_ms"]) for r in rows}
+        assert len(walls) == 1 and walls.pop() > 0.0
 
     def test_reports_carry_ledger(self, tmp_path):
         raw = {"algorithm": "tree_spider",

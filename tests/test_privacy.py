@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dpopt.privacy import (NoiseLedger, PrivacyBudget, accountant_sigma,
-                           draw_gaussian, gaussian_sigma,
+                           draw_gaussian, gaussian_sigma, scale_gaussian_rows,
                            spider_gv_sensitivity, tree_gv_sensitivity)
 
 
@@ -129,6 +129,33 @@ class TestDrawGaussian:
         assert rows == [("site-a", 0.5, 4, 3), ("site-a", 0.25, 4, 1),
                         ("site-b", 0.5, 2, 1)]
         assert ledger.total_draws() == 5
+
+
+class TestScaleGaussianRows:
+    def test_scales_rows_and_records_each_run(self):
+        z = np.random.default_rng(5).standard_normal((3, 4))
+        sigmas = np.array([0.5, 0.0, 2.0])
+        ledgers = [NoiseLedger() for _ in range(3)]
+        g = scale_gaussian_rows(z, sigmas, ledgers, "site-a")
+        for r in range(3):
+            assert np.array_equal(g[r], z[r] * sigmas[r])
+            assert ledgers[r].rows() == [("site-a", float(sigmas[r]), 4, 1)]
+            assert type(ledgers[r].rows()[0][1]) is float
+        scale_gaussian_rows(z, sigmas, ledgers, "site-a")
+        assert [l.total_draws() for l in ledgers] == [2, 2, 2]
+        assert len(ledgers[0].entries) == 1  # repeats coalesce as in draw_gaussian
+
+    def test_matches_draw_gaussian_stream(self):
+        # a row of normals drawn ahead, scaled, is draw_gaussian's draw
+        a = draw_gaussian(6, 0.7, np.random.default_rng(9))
+        z = np.random.default_rng(9).standard_normal((1, 6))
+        assert np.array_equal(scale_gaussian_rows(z, np.array([0.7]))[0], a)
+
+    def test_keeps_draw_gaussian_checks(self):
+        with pytest.raises(ValueError, match="sigma"):
+            scale_gaussian_rows(np.zeros((2, 3)), np.array([0.1, -0.1]))
+        with pytest.raises(ValueError, match="dim"):
+            scale_gaussian_rows(np.zeros((2, 0)), np.array([0.1, 0.1]))
 
 
 class TestPrivacyBudget:

@@ -14,6 +14,7 @@ from dpopt.recursive_reg import (derive_rr_params,
                                  phased_sgd, project_ball, regularize,
                                  run_recursive_regularization,
                                  selector_weighted_avg)
+from dpopt.util import PreconditionError
 
 
 def e(i, d):
@@ -317,7 +318,7 @@ class TestDeriveRRParams:
             assert params.K[t] == 1024 // params.T
 
     def test_rejects_lambda_at_least_L1(self):
-        with pytest.raises(ValueError, match="T would be 0"):
+        with pytest.raises(PreconditionError, match="T would be 0"):
             derive_rr_params("optimal", 8, 2, 10.0, 0.1, 1.0,
                              PrivacyBudget(1.0, 1e-5))
 

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from dpopt.core import erm_grad, huber_mean_loss, synthetic_nonconvex_loss
+from dpopt.core import (erm_grad, glm_loss, huber_mean_loss,
+                        synthetic_nonconvex_loss, tanh_link)
 from dpopt.harness import gen_synthetic
 from dpopt.privacy import PrivacyBudget
 from dpopt.spiderboost import (SpiderParams, derive_spider_params,
                                run_spiderboost, spider_oracle_count,
                                validate_spider_error_bound, SITE_GRAD, SITE_GV)
+from dpopt.util import PreconditionError
 
 
 def reference_gd(loss, S, eta, steps):
@@ -72,7 +74,7 @@ class TestDeriveSpiderParams:
             prev = T
 
     def test_hypothesis_violation_diagnostic(self):
-        with pytest.raises(ValueError, match="sample-size hypothesis"):
+        with pytest.raises(PreconditionError, match="sample-size hypothesis"):
             derive_spider_params(4, 64, 1.0, 1.0, 1.0, PrivacyBudget(0.5, 1e-6))
 
     def test_overrides(self):
@@ -167,6 +169,112 @@ class TestRunSpiderboost:
         with pytest.raises(ValueError):
             run_spiderboost(loss, S, SpiderParams(0.1, 1, 9, 4, 5, 0, 0, 0),
                             np.random.default_rng(0))
+
+
+def assert_same_run(a, b):
+    """Two reports of one run, bit for bit."""
+    assert np.array_equal(a.w_out, b.w_out)
+    assert a.selected_index == b.selected_index
+    assert a.noise_ledger.rows() == b.noise_ledger.rows()
+    assert a.grad_norm_trace == b.grad_norm_trace
+    assert a.trace_steps == b.trace_steps
+    assert a.oracle_calls == b.oracle_calls
+    for field in ("t", "sigma", "step"):
+        assert np.array_equal(getattr(a.gv_records, field), getattr(b.gv_records, field))
+    assert (a.iterates is None) == (b.iterates is None)
+    for wa, wb in zip(a.iterates or [], b.iterates or []):
+        assert np.array_equal(wa, wb)
+
+
+class TestLockstep:
+    """R runs in lockstep give each run's R = 1 output, bit for bit."""
+
+    def datasets(self, n, d, R=5):
+        return [gen_synthetic("glm_fullrank", n, d, seed=40 + r, label_scale=0.6)
+                for r in range(R)]
+
+    @pytest.mark.parametrize("T,q,b1,b2,replace", [
+        (40, 7, 64, 9, True),      # several phases, the last one short
+        (25, 1, 64, 9, True),      # q = 1: every step fresh, no variation steps
+        (25, 40, 64, 9, True),     # q >= T: one phase
+        (40, 7, 20, 9, True),      # b1 < n draws fresh batches too
+        (40, 7, 20, 9, False),     # without replacement: a choice per step
+        (30, 6, 64, 64, True),     # b2 = n: the full dataset, no index draws
+    ], ids=["phases", "q1", "q_ge_T", "b1_lt_n", "no_replace", "b2_eq_n"])
+    def test_lockstep_equals_single_runs(self, T, q, b1, b2, replace):
+        loss = synthetic_nonconvex_loss(4)
+        data = self.datasets(64, 4)
+        params = SpiderParams(eta=0.3, q=q, b1=b1, b2=b2, T=T,
+                              sigma1=0.05, sigma2=0.4, sigma2_hat=0.08)
+        kw = dict(replace_within_batch=replace, trace_points=12, record_iterates=True)
+        group = run_spiderboost(loss, data, params,
+                                [np.random.default_rng(60 + r) for r in range(5)], **kw)
+        assert len(group) == 5
+        for r, rep in enumerate(group):
+            alone = run_spiderboost(loss, data[r], params, np.random.default_rng(60 + r), **kw)
+            assert_same_run(rep, alone)
+            fresh = math.ceil(T / q)
+            assert sum(e.count for e in rep.noise_ledger.entries
+                       if e.site == SITE_GRAD) == fresh
+            assert rep.noise_ledger.total_draws() == T
+            assert [t for t, _, _ in rep.gv_records] == [t for t in range(T) if t % q]
+            assert rep.oracle_calls == spider_oracle_count(params)
+        assert not np.array_equal(group[0].w_out, group[1].w_out)
+
+    def test_shared_dataset_equals_single_runs(self):
+        loss = synthetic_nonconvex_loss(3)
+        S = self.datasets(48, 3, R=1)[0]
+        params = SpiderParams(eta=0.3, q=5, b1=48, b2=7, T=23,
+                              sigma1=0.05, sigma2=0.4, sigma2_hat=0.08)
+        group = run_spiderboost(loss, S, params, [np.random.default_rng(r) for r in range(3)])
+        for r, rep in enumerate(group):
+            assert_same_run(rep, run_spiderboost(loss, S, params, np.random.default_rng(r)))
+
+    def test_unlabelled_and_generic_loss(self):
+        # the LossSpec default grad_var (Huber) and a GLM without labels
+        params = SpiderParams(eta=0.3, q=4, b1=32, b2=5, T=14,
+                              sigma1=0.05, sigma2=0.4, sigma2_hat=0.08)
+        for loss, kind in ((huber_mean_loss(1.0, 1.0, dim=3), "huber_cluster"),
+                           (glm_loss(tanh_link(), 1.0, 1.0, 1.0, 3), "glm_fullrank")):
+            data = [gen_synthetic(kind, 32, 3, seed=r) for r in range(3)]
+            assert data[0].y is None
+            group = run_spiderboost(loss, data, params,
+                                    [np.random.default_rng(r) for r in range(3)])
+            for r, rep in enumerate(group):
+                assert_same_run(rep, run_spiderboost(loss, data[r], params,
+                                                     np.random.default_rng(r)))
+
+    def test_rejects_mismatched_datasets(self):
+        loss = synthetic_nonconvex_loss(3)
+        params = SpiderParams(eta=0.3, q=4, b1=16, b2=5, T=10,
+                              sigma1=0.0, sigma2=0.0, sigma2_hat=0.0)
+        a = gen_synthetic("glm_fullrank", 32, 3, seed=0, label_scale=0.5)
+        b = gen_synthetic("glm_fullrank", 40, 3, seed=1, label_scale=0.5)
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        with pytest.raises(ValueError, match="share n"):
+            run_spiderboost(loss, [a, b], params, rngs)
+        with pytest.raises(ValueError, match="one dataset per generator"):
+            run_spiderboost(loss, [a], params, rngs)
+
+
+class TestTrace:
+    """The trace is the exact ERM gradient norm at w_t, t = 0, stride, ..."""
+
+    @pytest.mark.parametrize("loss,kind,n", [
+        (synthetic_nonconvex_loss(4), "glm_fullrank", 4096),   # GLM: blocks of 8
+        (huber_mean_loss(1.0, 1.0, dim=4), "huber_cluster", 300),  # erm_grad per point
+    ], ids=["glm_blocked", "huber_fallback"])
+    def test_trace_matches_erm_grad(self, loss, kind, n):
+        S = gen_synthetic(kind, n, 4, seed=8, label_scale=0.5)
+        params = SpiderParams(eta=0.3, q=6, b1=n, b2=11, T=30,
+                              sigma1=0.05, sigma2=0.4, sigma2_hat=0.08)
+        rep = run_spiderboost(loss, S, params, np.random.default_rng(3),
+                              record_iterates=True)
+        assert rep.trace_steps == list(range(30))
+        for t, got in zip(rep.trace_steps, rep.grad_norm_trace):
+            w = np.zeros(4) if t == 0 else rep.iterates[t - 1]
+            want = float(np.linalg.norm(erm_grad(loss, w, S)))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 class TestErrorBoundValidator:

@@ -11,6 +11,7 @@ from dpopt.privacy import PrivacyBudget
 from dpopt.tree_spider import (NodeAddress, TreeParams, derive_tree_params,
                                dfs_order, largest_depth, leaf_label,
                                run_tree_spider, validate_tree_estimation_error)
+from dpopt.util import PreconditionError
 
 
 class ConstantGradLoss(LossSpec):
@@ -108,7 +109,7 @@ class TestDeriveTreeParams:
         assert params.beta_par < params.alpha
 
     def test_hypothesis_violation(self):
-        with pytest.raises(ValueError, match="sample-size hypothesis"):
+        with pytest.raises(PreconditionError, match="sample-size hypothesis"):
             derive_tree_params(8, 4096, 1.0, 1.0, 1.0, PrivacyBudget(0.5, 1e-6), 0.1)
 
     def test_override_C_tilde_recomputes_threshold(self):
