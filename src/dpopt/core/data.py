@@ -16,6 +16,24 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# entries per row block when taking row norms: the squares temporary of a
+# block stays near 512 KB instead of growing with n x d
+_NORM_BLOCK_ENTRIES = 2 ** 16
+
+
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of X, taken in row blocks.
+
+    Each row's norm is what `np.linalg.norm(X, axis=1)` gives, bit for bit
+    (it reduces every row on its own), without that call's n x d temporary.
+    """
+    out = np.empty(X.shape[0])
+    step = max(1, _NORM_BLOCK_ENTRIES // max(X.shape[1], 1))
+    for i in range(0, X.shape[0], step):
+        out[i:i + step] = np.linalg.norm(X[i:i + step], axis=1)
+    return out
+
+
 class Dataset:
     """An ordered collection of samples, immutable after construction.
 
@@ -23,26 +41,60 @@ class Dataset:
     vector ``y`` of shape (n,). Slicing by index range is deterministic;
     streaming consumption is modelled by :class:`DatasetCursor`, never by
     mutation.
+
+    A dataset made by :meth:`indexed` holds rows of another dataset as an
+    index vector instead: its slices and subsets stay index vectors, ``X``
+    and ``y`` are gathered on first use, and ``max_feature_norm`` reads the
+    source's row norms.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray | None = None):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        self.X = _freeze(X)
         if y is not None:
             y = np.asarray(y, dtype=np.float64).reshape(-1)
             if y.shape[0] != X.shape[0]:
                 raise ValueError(f"label count {y.shape[0]} != sample count {X.shape[0]}")
             y = _freeze(y)
-        self.y = y
+        self._X, self._y = _freeze(X), y
+        self._source: Dataset | None = None
+        self._idx: np.ndarray | None = None
         self._max_feature_norm: float | None = None
+        self._row_norms: np.ndarray | None = None
+
+    @classmethod
+    def indexed(cls, source: "Dataset", idx: np.ndarray) -> "Dataset":
+        """Rows idx of source (with repeats), held as the index vector."""
+        if source._idx is not None:
+            source, idx = source._source, source._idx[idx]
+        idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+        if idx.size and not (0 <= idx.min() and idx.max() < source.n):
+            raise ValueError(f"row index out of range for n={source.n}")
+        idx.setflags(write=False)
+        ds = cls.__new__(cls)
+        ds._X = ds._y = None
+        ds._source, ds._idx = source, idx
+        ds._max_feature_norm = ds._row_norms = None
+        return ds
+
+    @property
+    def X(self) -> np.ndarray:
+        if self._X is None:
+            self._X = _freeze(self._source.X.take(self._idx, axis=0))
+        return self._X
+
+    @property
+    def y(self) -> np.ndarray | None:
+        if self._y is None and self._idx is not None and self._source.y is not None:
+            self._y = _freeze(self._source.y.take(self._idx))
+        return self._y
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self._X.shape[0] if self._idx is None else self._idx.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.X.shape[1]
+        return self._X.shape[1] if self._idx is None else self._source.dim
 
     def __len__(self) -> int:
         return self.n
@@ -50,10 +102,14 @@ class Dataset:
     def slice(self, start: int, stop: int) -> "Dataset":
         if not (0 <= start <= stop <= self.n):
             raise ValueError(f"bad slice [{start}:{stop}] for n={self.n}")
+        if self._idx is not None:
+            return Dataset.indexed(self._source, self._idx[start:stop])
         y = self.y[start:stop] if self.y is not None else None
         return Dataset(self.X[start:stop], y)
 
     def subset(self, idx: np.ndarray) -> "Dataset":
+        if self._idx is not None:
+            return Dataset.indexed(self, idx)
         y = self.y[idx] if self.y is not None else None
         return Dataset(self.X[idx], y)
 
@@ -68,12 +124,20 @@ class Dataset:
                 ys[i] = y
         return Dataset(X, ys)
 
+    def _norms(self) -> np.ndarray:
+        # the row norms, kept for a dataset that indexed datasets point into
+        if self._row_norms is None:
+            self._row_norms = row_norms(self.X)
+        return self._row_norms
+
     def max_feature_norm(self) -> float:
         """Largest row norm of X. Computed on first call and cached: X is
-        frozen, and every derived dataset is a new instance with its own cache."""
+        frozen, and every derived dataset is a new instance with its own
+        cache. An indexed dataset reads its source's row norms at its rows."""
         if self._max_feature_norm is None:
-            self._max_feature_norm = (float(np.max(np.linalg.norm(self.X, axis=1)))
-                                      if self.n else 0.0)
+            norms = (row_norms(self.X) if self._idx is None
+                     else self._source._norms().take(self._idx))
+            self._max_feature_norm = float(np.max(norms)) if self.n else 0.0
         return self._max_feature_norm
 
 

@@ -60,6 +60,20 @@ class LossSpec:
             return grads.mean(axis=0)
         return weights @ grads
 
+    def grad_rows(self, W: np.ndarray, X: np.ndarray,
+                  Y: np.ndarray | None = None) -> np.ndarray:
+        """Single-sample gradients on a run axis: row r is grad(W[r], X[r],
+        Y[r]) for iterates W and samples X of shape (R, d)."""
+        return np.stack([self.grad(w, x, None if Y is None else Y[r])
+                         for r, (w, x) in enumerate(zip(W, X))])
+
+    def grad_mean_rows(self, W: np.ndarray, X: np.ndarray,
+                       Y: np.ndarray | None = None) -> np.ndarray:
+        """Batch-mean gradients on a run axis: row r is grad_mean(W[r], X[r],
+        Y[r]) for iterates W of shape (R, d) and batches X of shape (R, b, d)."""
+        return np.stack([self.grad_mean(w, x, None if Y is None else Y[r])
+                         for r, (w, x) in enumerate(zip(W, X))])
+
     def grad_var(self, W: np.ndarray, W_prev: np.ndarray, X: np.ndarray,
                  Y: np.ndarray | None = None) -> np.ndarray:
         """Batch-mean gradient variations on a run axis: row r is
@@ -341,9 +355,17 @@ class GLMLoss(LossSpec):
         return float(self.link.value(np.float64(z), None if y is None else np.float64(y)))
 
     def grad(self, w, x, y=None):
+        """phi'_y(<w, x>) x for one sample; for w and x of shape (R, d), and
+        y of shape (R,) or None, row-wise with one sample per run."""
+        if isinstance(w, np.ndarray) and w.ndim == 2:
+            s = self.link.slope(np.add.reduce(w * x, axis=1), y)
+            return s[:, None] * x
         z = float(np.dot(w, x))
         s = float(self.link.slope(np.float64(z), None if y is None else np.float64(y)))
         return s * np.asarray(x, dtype=np.float64)
+
+    def grad_rows(self, W, X, Y=None):
+        return self.grad(W, X, Y)
 
     def eval_mean(self, w, X, Y=None, weights=None):
         z = X @ w
@@ -358,6 +380,11 @@ class GLMLoss(LossSpec):
         if weights is None:
             return (X.T @ s) / X.shape[0]
         return X.T @ (s * weights)
+
+    def grad_mean_rows(self, W, X, Y=None):
+        # one batched X @ w and one slope^T @ X over the runs
+        s = self.link.slope((X @ W[:, :, None])[:, :, 0], Y)
+        return (s[:, None, :] @ X)[:, 0, :] / X.shape[1]
 
     def erm_grads(self, W: np.ndarray, S: Dataset) -> np.ndarray:
         """Exact empirical-risk gradients at the rows of W, shape (P, d).

@@ -38,7 +38,7 @@ DEFAULT_SUPPORT_SIZE = 256
 
 # algorithms whose seeds at one grid point share n, d and the derived
 # parameters, and so run in lockstep in one job
-LOCKSTEP = ("spiderboost",)
+LOCKSTEP = ("spiderboost", "recursive_reg")
 
 
 def _fmt(v) -> str:
@@ -81,8 +81,10 @@ def _gen_population(config: ExperimentConfig, d: int) -> FiniteSupportDistributi
 def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
                eps: float, seeds: list[tuple[int, int]]) -> list[tuple[dict, dict | None]]:
     """One grid point for the given (seed_index, seed) pairs: one (row,
-    report) per seed, in order. SpiderBoost runs all of a grid point's seeds
-    in lockstep; the other algorithms take one seed per call.
+    report) per seed, in order. SpiderBoost and recursive regularization
+    (the algorithms in LOCKSTEP) run all of a grid point's seeds in lockstep,
+    each seed on its own data or population sample and its own generator;
+    the other algorithms take one seed per call.
 
     A failed sample-size hypothesis tags every row `precondition:`, any other
     exception `error:`; a returned point or exact gradient norm that is not
@@ -143,21 +145,22 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
                       "rounds_completed": rep.rounds_completed})]
         elif config.algorithm == "recursive_reg":
             dist = _gen_population(config, d)
-            sample_rng = stream(config.master_seed, "sample", grid_index, seed_index)
-            S = dist.sample(n, sample_rng)
+            samples = [dist.sample(n, stream(config.master_seed, "sample", grid_index, s))
+                       for s, _ in seeds]
             rr = config.rr
             params = derive_rr_params(rr.get("mode", "linear_time"), n, d,
                                       loss.L0, loss.L1,
                                       float(rr.get("R_bar", 1.0)), budget,
                                       config.overrides)
             set_hash(params)
-            rep = run_recursive_regularization(S, loss, params,
-                                               rr.get("subroutine", "phased_sgd"),
-                                               run_rng)
+            reps = run_recursive_regularization(
+                samples, loss, params, rr.get("subroutine", "phased_sgd"),
+                [stream(config.master_seed, "run", grid_index, s) for s, _ in seeds])
             # n oracle calls: a single pass over disjoint slices
             outs = [(rep.w_out, dist.population_grad(loss, rep.w_out), n,
                      rep.noise_ledger, {"rounds": rep.rounds, "t1_edge": rep.t1_edge,
-                                        "kt_capped": rep.kt_capped})]
+                                        "kt_capped": rep.kt_capped})
+                    for rep in reps]
         elif config.algorithm == "jl_spiderboost":
             S = _gen_dataset(config, n, d, grid_index, seed_index)
             rank = config.data.get("rank") or d

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.data import Dataset
+from ..core.data import Dataset, row_norms
 from ..core.loss import LossSpec
 from .rng import stream
 
@@ -26,7 +26,7 @@ def gen_synthetic(kind: str, n: int, d: int, rank: int | None = None,
     rng = stream(seed, "gen", kind, n, d, rank if rank is not None else d)
     if kind == "huber_cluster":
         z = rng.standard_normal((n, d))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        z /= row_norms(z)[:, None]
         radii = (B / 4.0) * rng.random(n) ** (1.0 / d)
         return Dataset(z * radii[:, None])
 
@@ -39,7 +39,7 @@ def gen_synthetic(kind: str, n: int, d: int, rank: int | None = None,
     spectrum = spectrum_decay ** np.arange(r)
     coeff = rng.standard_normal((n, r)) * spectrum
     V = coeff @ Q.T
-    X = V / np.maximum(np.linalg.norm(V, axis=1, keepdims=True), 1e-300)
+    X = V / np.maximum(row_norms(V)[:, None], 1e-300)
     y = None
     if label_scale != 0.0:
         y = label_scale * (X @ Q[:, 0])
@@ -62,8 +62,10 @@ class FiniteSupportDistribution:
         return self.support.dim
 
     def sample(self, k: int, rng: np.random.Generator) -> Dataset:
+        """k i.i.d. uniform draws, held as indices into the support (see
+        `Dataset.indexed`): rows are gathered only when a consumer asks."""
         idx = rng.integers(0, self.support.n, size=k)
-        return self.support.subset(idx)
+        return Dataset.indexed(self.support, idx)
 
     def population_grad(self, loss: LossSpec, w: np.ndarray) -> np.ndarray:
         return loss.grad_mean(w, self.support.X, self.support.y)

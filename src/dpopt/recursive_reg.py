@@ -5,10 +5,16 @@ The outer loop repeatedly adds quadratic proximal terms (lambda_t/2)
 on a fresh disjoint data slice with a private strongly-convex solver
 (projected noisy full-batch GD, or single-pass phased SGD with output
 perturbation) over a ball whose radius grows by sqrt(2) per round.
+
+The solvers are written once over a leading run axis: the iterates of R
+runs have shape (R, d), each run keeps its own dataset, generator and noise
+ledger, and every operation on the iterates is row-wise, so a run's output
+is bit-identical alone or in a group. One run is the R = 1 case.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +22,16 @@ import numpy as np
 from .core.data import Dataset
 from .core.gradcheck import convexity_spot_check
 from .core.loss import LossSpec
-from .privacy import NoiseLedger, PrivacyBudget, draw_gaussian
+from .privacy import NoiseLedger, PrivacyBudget, draw_gaussian, scale_gaussian_rows
 from .util import PreconditionError, floori
 
 KT_CAP = 10 ** 7  # desk-scale cap on inner step counts; capped rounds are flagged
+
+# noisy_gd hands its iterates to the selector in blocks of at most this many
+# steps, so its memory does not grow with K_t
+ITERATE_BLOCK = 2 ** 16
+# and draws its normals ahead in blocks of at most this many steps per run
+NOISE_BLOCK = 2 ** 12
 
 
 class RegularizedLoss(LossSpec):
@@ -29,6 +41,9 @@ class RegularizedLoss(LossSpec):
     convexity is at least sum(lambda_i) when the base is convex. The
     regularizer is data-independent, so per-sample sensitivity (and hence
     noise calibration) keeps the base Lipschitz constant.
+
+    Centers of shape (R, d) give each of R runs its own objective; such a
+    loss is evaluated through `grad_rows` and `grad_mean_rows`.
     """
 
     name = "regularized"
@@ -48,7 +63,7 @@ class RegularizedLoss(LossSpec):
         self._lam_total = lam_total
         self._offset = sum((l * c for l, c in zip(self.lambdas, self.centers)),
                            np.zeros(base.dim))
-        self._const = 0.5 * sum(l * float(c @ c)
+        self._const = 0.5 * sum(l * (c * c).sum(axis=-1)
                                 for l, c in zip(self.lambdas, self.centers))
 
     def _reg_value(self, w: np.ndarray) -> float:
@@ -63,11 +78,17 @@ class RegularizedLoss(LossSpec):
     def grad(self, w, x, y=None):
         return self.base.grad(w, x, y) + self._reg_grad(np.asarray(w, dtype=np.float64))
 
+    def grad_rows(self, W, X, Y=None):
+        return self.base.grad_rows(W, X, Y) + self._reg_grad(W)
+
     def eval_mean(self, w, X, Y=None, weights=None):
         return self.base.eval_mean(w, X, Y, weights) + self._reg_value(w)
 
     def grad_mean(self, w, X, Y=None, weights=None):
         return self.base.grad_mean(w, X, Y, weights) + self._reg_grad(w)
+
+    def grad_mean_rows(self, W, X, Y=None):
+        return self.base.grad_mean_rows(W, X, Y) + self._reg_grad(W)
 
     def probe_sample(self, rng):
         return self.base.probe_sample(rng)
@@ -86,11 +107,17 @@ def regularize(base: LossSpec, centers: list[np.ndarray],
     return RegularizedLoss(base, centers, lambdas)
 
 
-def selector_weighted_avg(iterates: list[np.ndarray], eta: float, lam: float) -> np.ndarray:
+def selector_weighted_avg(iterates, eta: float, lam: float,
+                          prior: tuple[np.ndarray, int] | None = None) -> np.ndarray:
     """Geometric weighted average with weights (1 - eta lam)^(-k), k = 1..K.
 
     Weights are normalized by the largest weight before summing for
-    numerical stability. Late iterates receive the most weight.
+    numerical stability. Late iterates receive the most weight. `iterates`
+    is a list of points or an array whose leading axis runs over them; a
+    block of shape (K, R, d) averages each of R runs, with one
+    weights-times-block product. `prior = (avg, k0)` continues a sequence
+    whose first k0 iterates average to `avg`, so a long run can be averaged
+    block by block.
     """
     K = len(iterates)
     if K < 1:
@@ -99,103 +126,182 @@ def selector_weighted_avg(iterates: list[np.ndarray], eta: float, lam: float) ->
     if r < 0 or r >= 1:
         raise ValueError(f"need 0 <= eta*lam < 1, got {r}")
     base = 1.0 - r
-    acc = np.zeros_like(iterates[0])
-    total = 0.0
-    for k in range(1, K + 1):
-        g = base ** (K - k)  # (1-r)^(-k) / (1-r)^(-K)
-        acc = acc + g * iterates[k - 1]
-        total += g
+    g = base ** np.arange(K - 1, -1, -1.0)  # (1-r)^(-k) / (1-r)^(-K)
+    # (K,) @ (R, K, d): one product per run on its own (K, d) slab, so a
+    # run's average does not depend on the runs beside it
+    acc = np.matmul(g, np.moveaxis(np.asarray(iterates, dtype=np.float64), 0, -2))
+    total = float(g.sum())
+    if prior is not None:
+        avg, k0 = prior
+        # the prior's weights, relative to this block's last iterate
+        c = base ** K * (k0 if r == 0 else -math.expm1(k0 * math.log1p(-r)) / r)
+        acc, total = acc + c * avg, total + c
     return acc / total
 
 
 def make_selector(lam: float):
     """Bind the strong-convexity weight; sub-routines supply their step size."""
-    def selector(iterates: list[np.ndarray], eta: float) -> np.ndarray:
-        return selector_weighted_avg(iterates, eta, lam)
+    def selector(iterates, eta: float, prior=None) -> np.ndarray:
+        return selector_weighted_avg(iterates, eta, lam, prior)
     return selector
 
 
 def project_ball(w: np.ndarray, R: float) -> np.ndarray:
-    """Euclidean projection onto the centered ball of radius R."""
+    """Euclidean projection onto the centered ball of radius R; row-wise
+    for iterates of shape (runs, d)."""
     if R < 0:
         raise ValueError("R must be non-negative")
-    nw = math.sqrt(w @ w)
-    if nw <= R:
+    if R == 0:
+        return w * 0.0
+    nw = np.sqrt(np.add.reduce(w * w, axis=-1, keepdims=True))
+    if np.maximum.reduce(nw, axis=None) <= R:  # the common case: every row inside
         return w
-    return w * (R / nw)
+    # R / max(||w||, R) is exactly 1.0 for the rows inside
+    return w * (R / np.maximum(nw, R))
 
 
-def noisy_gd(S: Dataset, loss: LossSpec, R: float, T: int, eta: float,
-             selector, sigma: float, rng: np.random.Generator,
-             ledger: NoiseLedger | None = None, site: str = "gd-step") -> np.ndarray:
+class _Runs(tuple):
+    """The datasets of R runs in lockstep, one per run, of equal size."""
+
+    @property
+    def n(self) -> int:
+        return self[0].n
+
+    def slice(self, start: int, stop: int) -> "_Runs":
+        return _Runs(S.slice(start, stop) for S in self)
+
+    def stack(self, axis: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Every run's features and labels, stacked on `axis`."""
+        labelled = self[0].y is not None
+        return (np.stack([S.X for S in self], axis=axis),
+                np.stack([S.y for S in self], axis=axis) if labelled else None)
+
+
+def _lockstep(S, rng, ledger):
+    """(datasets, generators, ledgers, single) for one run, or for R runs
+    given a generator per run and a dataset per run (or one shared)."""
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    data = _Runs([S] * len(rngs) if isinstance(S, Dataset) else S)
+    if len(data) != len(rngs) or not rngs:
+        raise ValueError(f"need one dataset per generator: {len(data)} for {len(rngs)}")
+    if any((D.n, D.dim) != (data[0].n, data[0].dim) for D in data):
+        raise ValueError("lockstep datasets must share n and d")
+    ledgers = None if ledger is None else [ledger] if single else list(ledger)
+    return data, rngs, ledgers, single
+
+
+def noisy_gd(S: Dataset | Sequence[Dataset], loss: LossSpec, R: float, T: int,
+             eta: float, selector, sigma: float,
+             rng: np.random.Generator | Sequence[np.random.Generator],
+             ledger: NoiseLedger | Sequence[NoiseLedger] | None = None,
+             site: str = "gd-step") -> np.ndarray:
     """Projected noisy full-batch GD from 0; returns selector of all iterates.
 
     w_{t+1} = Proj_R(w_t - eta (grad F(w_t; S) + xi_t)), xi_t ~ N(0, sigma^2 I),
-    for t = 1..T-1.
+    for t = 1..T-1. Given a generator (and a dataset and ledger) per run,
+    the runs go in lockstep and the (R, d) outputs come back. Each run draws
+    its normals ahead, in blocks of at most NOISE_BLOCK steps (the same
+    stream as one draw per step). The iterates reach `selector(block, eta)`
+    as blocks of shape (K, R, d) of at most ITERATE_BLOCK; every block after
+    the first comes with `prior=(average so far, iterates so far)`.
     """
     if getattr(loss, "strong_convexity", 0.0) <= 0.0:
         raise ValueError("noisy_gd requires a strongly convex (regularized) loss")
-    w = np.zeros(S.dim)
-    ws = [w]
-    for _ in range(T - 1):
-        xi = draw_gaussian(S.dim, sigma, rng, ledger, site)
-        g = loss.grad_mean(w, S.X, S.y)
-        w = project_ball(w - eta * (g + xi), R)
-        ws.append(w)
-    return selector(ws, eta)
+    data, rngs, ledgers, single = _lockstep(S, rng, ledger)
+    X, Y = data.stack(axis=0)
+    runs, d = X.shape[0], X.shape[2]
+    store = np.empty((runs, min(max(T, 1), ITERATE_BLOCK), d))
+    W = np.zeros((runs, d))
+    store[:, 0] = W
+    k, avg, done = 1, None, 0
+
+    def fold():
+        block = store[:, :k].transpose(1, 0, 2)
+        return selector(block, eta) if avg is None else selector(block, eta, (avg, done))
+
+    t = 1
+    while t < T:
+        if k == store.shape[1]:
+            avg, done, k = fold(), done + k, 0
+        m = min(T - t, store.shape[1] - k, NOISE_BLOCK)
+        # the block's draws, step-major: step j's run r is row j * runs + r
+        z = np.stack([g.standard_normal((m, d)) for g in rngs], axis=1).reshape(-1, d)
+        xi = scale_gaussian_rows(z, np.full(m * runs, float(sigma)),
+                                 None if ledgers is None else ledgers * m,
+                                 site).reshape(m, runs, d)
+        for j in range(m):
+            W = project_ball(W - eta * (loss.grad_mean_rows(W, X, Y) + xi[j]), R)
+            store[:, k] = W
+            k += 1
+        t += m
+    out = fold()
+    return out[0] if single else out
 
 
-def output_perturbed_sgd(w1: np.ndarray, S: Dataset, loss: LossSpec, R: float,
-                         eta: float, sigma: float, selector,
-                         rng: np.random.Generator,
-                         ledger: NoiseLedger | None = None,
+def output_perturbed_sgd(w1: np.ndarray, S: Dataset | Sequence[Dataset],
+                         loss: LossSpec, R: float, eta: float, sigma: float,
+                         selector,
+                         rng: np.random.Generator | Sequence[np.random.Generator],
+                         ledger: NoiseLedger | Sequence[NoiseLedger] | None = None,
                          site: str = "opsgd-output") -> np.ndarray:
     """One in-order projected SGD pass, then a perturbed weighted average.
 
     w_{t+1} = Proj_R(w_t - eta grad f(w_t; x_t)) for t = 1..|S|-1; the output
-    is selector({w_t}) + N(0, sigma^2 I).
+    is selector({w_t}) + N(0, sigma^2 I). Given a generator (and a dataset,
+    ledger and start row of w1) per run, the runs go in lockstep: each step
+    is one `grad_rows` over the runs' t-th samples and one row-wise
+    projection, and the selector gets the (|S|, R, d) iterate block.
     """
-    if S.n < 1:
+    data, rngs, ledgers, single = _lockstep(S, rng, ledger)
+    if data.n < 1:
         raise ValueError("need at least one sample")
-    w = np.asarray(w1, dtype=np.float64)
-    ws = [w]
-    for t in range(S.n - 1):
-        g = loss.grad(w, S.X[t], None if S.y is None else S.y[t])
-        w = project_ball(w - eta * g, R)
-        ws.append(w)
-    tilde = selector(ws, eta)
-    xi = draw_gaussian(S.dim, sigma, rng, ledger, site)
-    return tilde + xi
+    X, Y = data.stack(axis=1)
+    n, runs, d = X.shape
+    store = np.empty((runs, n, d))
+    store[:, 0] = w1
+    W = store[:, 0]
+    for t in range(n - 1):
+        G = loss.grad_rows(W, X[t], None if Y is None else Y[t])
+        W = project_ball(W - eta * G, R)
+        store[:, t + 1] = W
+    tilde = selector(store.transpose(1, 0, 2), eta)
+    xi = np.stack([draw_gaussian(d, sigma, g, None if ledgers is None else ledgers[r], site)
+                   for r, g in enumerate(rngs)])
+    out = tilde + xi
+    return out[0] if single else out
 
 
-def phased_sgd(S: Dataset, loss: LossSpec, R: float, eta: float, sigma: float,
-               selector, rng: np.random.Generator,
-               ledger: NoiseLedger | None = None,
+def phased_sgd(S: Dataset | Sequence[Dataset], loss: LossSpec, R: float,
+               eta: float, sigma: float, selector,
+               rng: np.random.Generator | Sequence[np.random.Generator],
+               ledger: NoiseLedger | Sequence[NoiseLedger] | None = None,
                site: str = "phased") -> np.ndarray:
     """ceil(log2 |S|) phases of OutputPerturbedSGD over disjoint slices.
 
     Phase k runs on the next floor(|S|/2^k) samples with step eta_k = eta/4^k
     and output noise sigma_k = eta_k * sigma, warm-starting at the previous
     phase's output. Exhausted slices end the schedule at the last complete
-    phase.
+    phase. Runs go in lockstep as in `output_perturbed_sgd`.
     """
-    n = S.n
+    data, rngs, ledgers, single = _lockstep(S, rng, ledger)
+    n = data.n
     if n < 2:
         raise ValueError("need at least two samples")
     K = math.ceil(math.log2(n))
-    w = np.zeros(S.dim)
+    W = np.zeros((len(rngs), data[0].dim))
     pos = 0
     for k in range(1, K + 1):
         size = n >> k
         if size < 1 or pos + size > n:
             break
-        part = S.slice(pos, pos + size)
+        part = data.slice(pos, pos + size)
         pos += size
         eta_k = eta * 4.0 ** (-k)
         sigma_k = eta_k * sigma
-        w = output_perturbed_sgd(w, part, loss, R, eta_k, sigma_k, selector,
-                                 rng, ledger, site=f"{site}-k{k}")
-    return w
+        W = output_perturbed_sgd(W, part, loss, R, eta_k, sigma_k, selector,
+                                 rngs, ledgers, site=f"{site}-k{k}")
+    return W[0] if single else W
 
 
 @dataclass(frozen=True)
@@ -324,44 +430,52 @@ class RRRunReport:
     kt_capped: bool = False
 
 
-def run_recursive_regularization(S: Dataset, loss: LossSpec, params: RRParams,
-                                 subroutine: str,
-                                 rng: np.random.Generator) -> RRRunReport:
+def run_recursive_regularization(S: Dataset | Sequence[Dataset], loss: LossSpec,
+                                 params: RRParams, subroutine: str,
+                                 rng: np.random.Generator | Sequence[np.random.Generator]
+                                 ) -> RRRunReport | list[RRRunReport]:
     """T-1 outer rounds over disjoint front-to-back slices of size floor(n/T).
 
     Round t solves the round's regularized objective (centers 0, w1..w_{t-1})
     over the radius-R_t ball and appends its output as the next center; the
     last computed center is returned. T = 1 returns the origin, flagged.
+
+    Given a sequence of generators (and one dataset per generator, or one
+    shared dataset), the runs go in lockstep, each with its own centers and
+    ledger, and a list of reports comes back; each equals what that run
+    gives alone.
     """
     if subroutine not in ("noisy_gd", "phased_sgd"):
         raise ValueError(f"unknown subroutine {subroutine!r}")
     if not loss.convex:
         raise ValueError("recursive regularization requires a convex base loss")
     convexity_spot_check(loss, probes=16, seed=0)
-    loss.validate_dataset(S)
-
-    ledger = NoiseLedger()
-    if params.T == 1:
-        return RRRunReport(w_out=np.zeros(S.dim), rounds=[], noise_ledger=ledger,
-                           t1_edge=True)
-
-    centers = [np.zeros(S.dim)]
-    rounds = []
+    data, rngs, _, single = _lockstep(S, rng, None)
+    for D in dict.fromkeys(data):
+        loss.validate_dataset(D)
+    runs, d = len(rngs), data[0].dim
+    ledgers = [NoiseLedger() for _ in rngs]
+    rounds: list[list[dict]] = [[] for _ in rngs]
+    W = np.zeros((runs, d))
+    centers = [W]
     pos = 0
     for t in range(1, params.T):
         reg = regularize(loss, centers, list(params.lambdas[:t]))
-        part = S.slice(pos, pos + params.slice_size)
+        part = data.slice(pos, pos + params.slice_size)
         pos += params.slice_size
         sel = make_selector(params.lambdas[t])
         if subroutine == "noisy_gd":
-            w_t = noisy_gd(part, reg, params.radii[t], params.K[t], params.eta[t],
-                           sel, params.sigma[t], rng, ledger, site=f"gd-t{t}")
+            W = noisy_gd(part, reg, params.radii[t], params.K[t], params.eta[t],
+                         sel, params.sigma[t], rngs, ledgers, site=f"gd-t{t}")
         else:
-            w_t = phased_sgd(part, reg, params.radii[t], params.eta[t],
-                             params.sigma[t], sel, rng, ledger, site=f"phased-t{t}")
-        centers.append(w_t)
-        rounds.append({"t": t, "lambda_t": params.lambdas[t], "R_t": params.radii[t],
-                       "K_t": params.K[t], "sigma_t": params.sigma[t],
-                       "center_norm": float(np.linalg.norm(w_t))})
-    return RRRunReport(w_out=centers[-1], rounds=rounds, noise_ledger=ledger,
-                       kt_capped=any(params.kt_capped))
+            W = phased_sgd(part, reg, params.radii[t], params.eta[t],
+                           params.sigma[t], sel, rngs, ledgers, site=f"phased-t{t}")
+        centers.append(W)
+        for r, w in enumerate(W):
+            rounds[r].append({"t": t, "lambda_t": params.lambdas[t], "R_t": params.radii[t],
+                              "K_t": params.K[t], "sigma_t": params.sigma[t],
+                              "center_norm": float(np.linalg.norm(w))})
+    reports = [RRRunReport(w_out=W[r].copy(), rounds=rounds[r], noise_ledger=ledgers[r],
+                           t1_edge=params.T == 1, kt_capped=any(params.kt_capped))
+               for r in range(runs)]
+    return reports[0] if single else reports

@@ -10,6 +10,8 @@ from dpopt.core import (Dataset, DatasetCursor, StreamExhausted, ZeroLoss,
                         lipschitz_audit, load_csv, rational_link, save_csv,
                         smoothness_audit, square_link, synthetic_nonconvex_loss,
                         tanh_link, RATIONAL_L0, RATIONAL_L1)
+from dpopt.core import data as data_module
+from dpopt.core.data import row_norms
 from dpopt.harness import gen_synthetic
 
 
@@ -353,6 +355,59 @@ class TestDataset:
         loss.validate_dataset(ds)
         with pytest.raises(ValueError, match="feature norm"):
             loss.validate_dataset(ds.replace_sample(0, np.full(4, 1.0)))
+
+    def test_row_norms_in_blocks_match_linalg_norm(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((37, 5))
+        want = np.linalg.norm(X, axis=1)
+        assert np.array_equal(row_norms(X), want)
+        monkeypatch.setattr(data_module, "_NORM_BLOCK_ENTRIES", 12)  # 2 rows a block
+        assert np.array_equal(row_norms(X), want)
+        assert Dataset(X).max_feature_norm() == float(np.max(want))
+
+    def test_indexed_rows_labels_and_norm_equal_subset(self):
+        rng = np.random.default_rng(13)
+        support = Dataset(rng.standard_normal((11, 4)) / 4.0, rng.standard_normal(11))
+        idx = rng.integers(0, 11, 40)
+        ds, ref = Dataset.indexed(support, idx), support.subset(idx)
+        assert ds.n == len(ds) == 40 and ds.dim == 4
+        assert np.array_equal(ds.X, ref.X) and np.array_equal(ds.y, ref.y)
+        assert ds.max_feature_norm() == ref.max_feature_norm()
+        assert not ds.X.flags.writeable and not ds.y.flags.writeable
+        unlabelled = Dataset.indexed(Dataset(support.X), idx)
+        assert unlabelled.y is None and np.array_equal(unlabelled.X, ref.X)
+        with pytest.raises(ValueError, match="out of range"):
+            Dataset.indexed(support, np.array([0, 11]))
+
+    def test_indexed_slices_and_subsets_compose(self):
+        rng = np.random.default_rng(14)
+        support = Dataset(rng.standard_normal((9, 3)), rng.standard_normal(9))
+        idx = rng.integers(0, 9, 30)
+        ds, ref = Dataset.indexed(support, idx), support.subset(idx)
+        views = [(ds.slice(5, 25).slice(3, 12), ref.slice(5, 25).slice(3, 12)),
+                 (ds.slice(2, 20).subset(np.array([4, 0, 4])),
+                  ref.slice(2, 20).subset(np.array([4, 0, 4]))),
+                 (DatasetCursor(ds, 7).take(6), DatasetCursor(ref, 7).take(6)),
+                 (ds.slice(4, 4), ref.slice(4, 4))]
+        for got, want in views:
+            assert np.array_equal(got.X, want.X) and np.array_equal(got.y, want.y)
+            assert got.max_feature_norm() == want.max_feature_norm()
+        neighbor = ds.replace_sample(0, np.full(3, 9.0), y=1.5)
+        assert neighbor.X[0, 0] == 9.0 and neighbor.y[0] == 1.5
+        assert np.array_equal(neighbor.X[1:], ref.X[1:])
+
+    def test_indexed_row_above_bound_fails_validation(self):
+        X = np.full((4, 2), 0.5)
+        X[2] = [1.0, 1.0]  # norm sqrt(2) > normX = 1
+        support = Dataset(X)
+        loss = glm_loss(tanh_link(), 1.0, 1.0, 1.0, 2)
+        loss.validate_dataset(Dataset.indexed(support, np.array([0, 1, 3, 3])))
+        bad = Dataset.indexed(support, np.array([0, 3, 2, 1]))
+        with pytest.raises(ValueError, match="feature norm"):
+            loss.validate_dataset(bad)
+        with pytest.raises(ValueError, match="feature norm"):
+            loss.validate_dataset(bad.slice(1, 3))
+        loss.validate_dataset(bad.slice(3, 4))
 
     def test_csv_round_trip_unlabeled(self, tmp_path):
         ds = Dataset(np.random.default_rng(9).standard_normal((7, 3)))

@@ -230,6 +230,44 @@ class TestRunExperiment:
         walls = {float(r["wall_ms"]) for r in rows}
         assert len(walls) == 1 and walls.pop() > 0.0
 
+    def rr_config(self, tmp_path, **extra):
+        return ExperimentConfig.from_dict({
+            "algorithm": "recursive_reg", "grid": {"n": [512], "eps": [1.0], "d": [3]},
+            "delta": 1e-5, "seeds": [5, 6, 7], "out": str(tmp_path / "rr"),
+            "master_seed": 4, "loss": {"kind": "glm_tanh"},
+            "data": {"kind": "glm_fullrank", "label_scale": 0.5, "support_size": 64},
+            **extra})
+
+    @pytest.mark.parametrize("subroutine", ["phased_sgd", "noisy_gd"])
+    def test_rr_group_rows_equal_single_seed_rows(self, tmp_path, subroutine):
+        cfg = self.rr_config(tmp_path, rr={"subroutine": subroutine},
+                             overrides={"K_t": 40})
+        group = run_single(cfg, 0, 512, 3, 1.0, [(0, 5), (1, 6), (2, 7)])
+        assert [row["seed"] for row, _ in group] == [5, 6, 7]
+        assert all(row["status"] == "ok" for row, _ in group)
+        for seed_index, seed in enumerate((5, 6, 7)):
+            (alone,) = run_single(cfg, 0, 512, 3, 1.0, [(seed_index, seed)])
+            assert group[seed_index][0] == alone[0]
+            assert report_json(group[seed_index][1]) == report_json(alone[1])
+        assert group[0][0]["grad_norm"] != group[1][0]["grad_norm"]
+
+    def test_rr_precondition_tags_every_seed_of_a_group(self, tmp_path):
+        cfg = self.rr_config(tmp_path, overrides={"lam": 2.0})
+        rows = read_csv_rows(run_experiment(cfg))
+        assert [r["status"] for r in rows] == [
+            "precondition: lam = 2 >= L1 = 1: T would be 0; increase n or R_bar"] * 3
+        assert not any((tmp_path / "rr" / "reports").glob("*"))
+
+    def test_rr_timing_is_group_time_over_seeds(self, tmp_path, monkeypatch):
+        from types import SimpleNamespace
+        from dpopt.harness import experiment
+        clock = iter([10.0, 13.0])  # the group starts at 10 s and ends at 13 s
+        monkeypatch.setattr(experiment, "time",
+                            SimpleNamespace(perf_counter=lambda: next(clock)))
+        rows = [row for row, _ in run_single(self.rr_config(tmp_path, timing=True),
+                                             0, 512, 3, 1.0, [(0, 5), (1, 6), (2, 7)])]
+        assert [row["wall_ms"] for row in rows] == [1000.0] * 3
+
     def test_reports_carry_ledger(self, tmp_path):
         raw = {"algorithm": "tree_spider",
                "grid": {"n": [1024], "eps": [1.0], "d": [4]},

@@ -86,6 +86,19 @@ class TestSelector:
         got = selector_weighted_avg([w] * 5, 0.1, 0.9)
         assert np.max(np.abs(got - w)) <= 1e-15
 
+    def test_block_matches_loop_reference(self):
+        # the weights-times-block product against the per-iterate loop
+        rng = np.random.default_rng(3)
+        block = rng.standard_normal((57, 4, 3))
+        eta, lam = 0.05, 0.9
+        got = selector_weighted_avg(block, eta, lam)
+        for r in range(4):
+            acc, total = np.zeros(3), 0.0
+            for k in range(1, 58):
+                g = (1 - eta * lam) ** (57 - k)
+                acc, total = acc + g * block[k - 1, r], total + g
+            assert np.max(np.abs(got[r] - acc / total)) <= 1e-12
+
     def test_rejects_eta_lambda_at_least_one(self):
         with pytest.raises(ValueError):
             selector_weighted_avg([np.zeros(2)], 1.0, 1.0)
@@ -217,6 +230,25 @@ class TestOutputPerturbedSGD:
         output_perturbed_sgd(np.zeros(2), S, loss, 1.0, 0.4, 0.0, spy,
                              np.random.default_rng(41))
         assert all(b <= a + 1e-15 for a, b in zip(dists, dists[1:]))
+
+    def test_matches_per_sample_loop_reference(self):
+        # the run-axis pass against the single-sample loop it replaced
+        loss, S = self.convex_instance(n=40, d=3, seed=12)
+        lam, eta, R, sigma = 1.0, 0.3, 0.3, 0.2  # the start lies outside the ball
+        got = output_perturbed_sgd(np.full(3, 0.5), S, loss, R, eta, sigma,
+                                   make_selector(lam), np.random.default_rng(42))
+        w, ws = np.full(3, 0.5), [np.full(3, 0.5)]
+        projected = 0
+        for t in range(S.n - 1):
+            w = w - eta * loss.grad(w, S.X[t], S.y[t])
+            nw = math.sqrt(w @ w)
+            w, projected = (w, projected) if nw <= R else (w * (R / nw), projected + 1)
+            ws.append(w)
+        weights = [(1 - eta * lam) ** (S.n - k) for k in range(1, S.n + 1)]
+        want = (sum(g * v for g, v in zip(weights, ws)) / sum(weights)
+                + np.random.default_rng(42).standard_normal(3) * sigma)
+        assert projected > 0
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_neighbor_stability_bound(self):
         # Lemma-style bound: ||out(S) - out(S')|| <= 2 L0 log(n) / (lam n)
@@ -376,9 +408,10 @@ class TestRunRecursiveRegularization:
         seen = []
         real = rr.noisy_gd
 
-        def spy(Spart, *args, **kw):
+        def spy(parts, *args, **kw):
+            (Spart,) = parts  # one slice per run, and this is one run
             seen.append(Spart.X)
-            return real(Spart, *args, **kw)
+            return real(parts, *args, **kw)
 
         monkeypatch.setattr(rr, "noisy_gd", spy)
         run_recursive_regularization(S, loss, params, "noisy_gd",
@@ -417,3 +450,159 @@ class TestRunRecursiveRegularization:
         with pytest.raises(ValueError, match="convex"):
             run_recursive_regularization(S, loss, params, "noisy_gd",
                                          np.random.default_rng(30))
+
+
+def assert_same_rr_run(a, b):
+    assert np.array_equal(a.w_out, b.w_out)
+    assert a.rounds == b.rounds
+    assert a.noise_ledger.rows() == b.noise_ledger.rows()
+    assert (a.t1_edge, a.kt_capped) == (b.t1_edge, b.kt_capped)
+
+
+class TestLockstep:
+    """R runs in lockstep give each run's R = 1 output, bit for bit."""
+
+    def case(self, link, labelled, n=256, d=3):
+        loss = glm_loss(link, 2.0, 1.0, 1.0, d, F0_hint=1.0)
+        pop = gen_support("glm_fullrank", 48, d, seed=31,
+                          label_scale=0.6 if labelled else 0.0)
+        samples = [pop.sample(n, np.random.default_rng(70 + r)) for r in range(5)]
+        assert (samples[0].y is not None) == labelled
+        return loss, samples
+
+    def check(self, loss, samples, params, subroutine):
+        rngs = [np.random.default_rng(80 + r) for r in range(len(samples))]
+        group = run_recursive_regularization(samples, loss, params, subroutine, rngs)
+        assert len(group) == len(samples)
+        for r, rep in enumerate(group):
+            alone = run_recursive_regularization(samples[r], loss, params, subroutine,
+                                                 np.random.default_rng(80 + r))
+            assert_same_rr_run(rep, alone)
+        return group
+
+    @pytest.mark.parametrize("subroutine", ["noisy_gd", "phased_sgd"])
+    @pytest.mark.parametrize("link,labelled", [(tanh_link, True), (tanh_link, False),
+                                               (square_link, True)],
+                             ids=["tanh_labelled", "tanh_unlabelled", "square_labelled"])
+    def test_lockstep_equals_single_runs(self, subroutine, link, labelled):
+        loss, samples = self.case(link(), labelled)
+        params = derive_rr_params("linear_time", 256, 3, loss.L0, loss.L1, 1.0,
+                                  PrivacyBudget(1.0, 1e-5),
+                                  {"lam": loss.L1 / 2 ** 4, "K_t": 30})
+        group = self.check(loss, samples, params, subroutine)
+        assert len(group[0].rounds) == params.T - 1
+        assert group[0].noise_ledger.total_draws() > 0
+        assert not np.array_equal(group[0].w_out, group[1].w_out)
+
+    @pytest.mark.parametrize("subroutine", ["noisy_gd", "phased_sgd"])
+    def test_t1_edge(self, subroutine):
+        loss, samples = self.case(tanh_link(), True, n=64)
+        params = derive_rr_params("linear_time", 64, 3, loss.L0, loss.L1, 1.0,
+                                  PrivacyBudget(1.0, 1e-5), {"lam": 0.3, "T": 1})
+        for rep in self.check(loss, samples, params, subroutine):
+            assert rep.t1_edge and np.all(rep.w_out == 0.0) and not rep.rounds
+
+    @pytest.mark.parametrize("subroutine", ["noisy_gd", "phased_sgd"])
+    def test_zero_loss_base(self, subroutine):
+        # the LossSpec default grad_rows and grad_mean_rows
+        _, samples = self.case(tanh_link(), False, n=128)
+        params = derive_rr_params("linear_time", 128, 3, 1.0, 1.0, 1.0,
+                                  PrivacyBudget(1.0, 1e-5),
+                                  {"lam": 1.0 / 2 ** 3, "K_t": 20})
+        self.check(ZeroLoss(3), samples, params, subroutine)
+
+    def test_shared_dataset_and_materialized_samples(self):
+        loss, samples = self.case(tanh_link(), True, n=128)
+        S = Dataset(samples[0].X, samples[0].y)
+        params = derive_rr_params("linear_time", 128, 3, loss.L0, loss.L1, 1.0,
+                                  PrivacyBudget(1.0, 1e-5), {"lam": loss.L1 / 2 ** 3})
+        group = run_recursive_regularization(S, loss, params, "phased_sgd",
+                                             [np.random.default_rng(r) for r in range(3)])
+        for r, rep in enumerate(group):
+            assert_same_rr_run(rep, run_recursive_regularization(
+                samples[0], loss, params, "phased_sgd", np.random.default_rng(r)))
+
+    def test_rejects_mismatched_datasets(self):
+        loss, samples = self.case(tanh_link(), True, n=64)
+        params = derive_rr_params("linear_time", 64, 3, loss.L0, loss.L1, 1.0,
+                                  PrivacyBudget(1.0, 1e-5), {"lam": 0.3})
+        rngs = [np.random.default_rng(r) for r in range(2)]
+        with pytest.raises(ValueError, match="share n"):
+            run_recursive_regularization([samples[0], samples[1].slice(0, 32)], loss,
+                                         params, "phased_sgd", rngs)
+        with pytest.raises(ValueError, match="one dataset per generator"):
+            run_recursive_regularization(samples[:3], loss, params, "phased_sgd", rngs)
+
+    def test_noisy_gd_draws_one_normal_vector_per_step(self):
+        # normals drawn ahead in blocks are the stream of one draw per step
+        loss = regularize(ZeroLoss(2), [np.array([0.3, -0.1])], [1.0])
+        S = Dataset(np.zeros((3, 2)))
+        rng = np.random.default_rng(5)
+        noisy_gd(S, loss, 10.0, 9, 0.1, make_selector(1.0), 0.7, rng)
+        ref = np.random.default_rng(5)
+        for _ in range(8):
+            ref.standard_normal(2)
+        assert rng.standard_normal() == ref.standard_normal()
+
+
+class TestBlockedNoisyGD:
+    def test_prior_folds_to_the_full_average(self):
+        rng = np.random.default_rng(50)
+        ws = rng.standard_normal((23, 2, 3))
+        for eta, lam in ((0.1, 0.7), (0.3, 0.0)):
+            full = selector_weighted_avg(ws, eta, lam)
+            avg, done = None, 0
+            for lo in range(0, 23, 5):
+                blk = ws[lo:lo + 5]
+                avg = selector_weighted_avg(blk, eta, lam, None if avg is None else (avg, done))
+                done += len(blk)
+            assert np.max(np.abs(avg - full)) <= 1e-12
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_small_blocks_give_the_unblocked_average(self, monkeypatch, runs):
+        c = np.array([0.4, -0.3, 0.2])
+        loss = regularize(glm_loss(tanh_link(), 1.0, 1.0, 1.0, 3),
+                          [np.zeros(3), c], [0.2, 0.4])
+        pop = gen_support("glm_fullrank", 32, 3, seed=9, label_scale=0.5)
+        data = [pop.sample(16, np.random.default_rng(r)) for r in range(runs)]
+
+        def run():
+            sizes = []
+
+            def sel(block, eta, prior=None):
+                sizes.append(len(block))
+                return selector_weighted_avg(block, eta, 0.6, prior)
+
+            out = noisy_gd(data, loss, 1.0, 40, 0.2, sel, 0.3,
+                           [np.random.default_rng(60 + r) for r in range(runs)])
+            return out, sizes
+
+        whole, sizes = run()
+        assert sizes == [40]
+        monkeypatch.setattr(rr, "ITERATE_BLOCK", 7)
+        monkeypatch.setattr(rr, "NOISE_BLOCK", 3)
+        blocked, sizes = run()
+        assert sizes == [7] * 5 + [5]
+        assert np.max(np.abs(blocked - whole)) <= 1e-12
+
+
+class TestIndexedSampleMemory:
+    def test_group_allocates_far_less_than_materialized_samples(self):
+        import tracemalloc
+        n, d, runs = 16384, 16, 5
+        loss = glm_loss(tanh_link(), 1.0, 1.0, 1.0, d, F0_hint=1.0)
+        pop = gen_support("glm_fullrank", 256, d, seed=3, label_scale=0.7)
+        params = derive_rr_params("linear_time", n, d, loss.L0, loss.L1, 1.0,
+                                  PrivacyBudget(1.0, 1e-6))
+        materialized = runs * n * d * 8  # 10.5 MB
+        tracemalloc.start()
+        try:
+            samples = [pop.sample(n, np.random.default_rng(r)) for r in range(runs)]
+            reps = run_recursive_regularization(samples, loss, params, "phased_sgd",
+                                                [np.random.default_rng(r) for r in range(runs)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reps) == runs
+        # about 2.4 MB: one phase's iterate block and rows, and the index vectors
+        assert peak < materialized / 3
