@@ -125,7 +125,7 @@ class Dataset:
         return Dataset(X, ys)
 
     def _norms(self) -> np.ndarray:
-        # the row norms, kept for a dataset that indexed datasets point into
+        # the row norms, kept for this dataset and the indexed ones into it
         if self._row_norms is None:
             self._row_norms = row_norms(self.X)
         return self._row_norms
@@ -135,7 +135,7 @@ class Dataset:
         frozen, and every derived dataset is a new instance with its own
         cache. An indexed dataset reads its source's row norms at its rows."""
         if self._max_feature_norm is None:
-            norms = (row_norms(self.X) if self._idx is None
+            norms = (self._norms() if self._idx is None
                      else self._source._norms().take(self._idx))
             self._max_feature_norm = float(np.max(norms)) if self.n else 0.0
         return self._max_feature_norm

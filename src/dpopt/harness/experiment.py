@@ -78,6 +78,13 @@ def _gen_population(config: ExperimentConfig, d: int) -> FiniteSupportDistributi
                        spectrum_decay=float(data.get("spectrum_decay", 1.0)))
 
 
+def _failed(exc: Exception) -> str:
+    """The status of a row whose run raised exc."""
+    if isinstance(exc, PreconditionError):
+        return f"precondition: {exc}"
+    return f"error: {type(exc).__name__}: {exc}"
+
+
 def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
                eps: float, seeds: list[tuple[int, int]]) -> list[tuple[dict, dict | None]]:
     """One grid point for the given (seed_index, seed) pairs: one (row,
@@ -88,8 +95,10 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
 
     A failed sample-size hypothesis tags every row `precondition:`, any other
     exception `error:`; a returned point or exact gradient norm that is not
-    finite is `diverged`. Under `timing`, each row gets the call's wall time
-    divided by the number of seeds.
+    finite is `diverged`. A recursive-regularization seed whose population
+    sample fails the loss's dataset check is tagged `error:` alone, and the
+    other seeds run as a smaller group. Under `timing`, each row gets the
+    call's wall time divided by the number of seeds.
     """
     if len(seeds) != 1 and config.algorithm not in LOCKSTEP:
         raise ValueError(f"{config.algorithm} takes one seed per call, got {len(seeds)}")
@@ -110,7 +119,8 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
 
     try:
         # each branch gives outs: (w_out, exact gradient, oracle calls,
-        # noise ledger, report extras) per seed
+        # noise ledger, report extras) per seed, or None for a seed that
+        # failed on its own and whose row already says so
         if config.algorithm == "spiderboost":
             params = derive_spider_params(n, d, loss.L0, loss.L1, loss.F0_hint,
                                           budget, config.overrides)
@@ -153,14 +163,26 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
                                       float(rr.get("R_bar", 1.0)), budget,
                                       config.overrides)
             set_hash(params)
+            # each seed draws its own sample, so one sample holding a support
+            # row above the norm bound fails only its own seed
+            live = []
+            for i, S in enumerate(samples):
+                try:
+                    loss.validate_dataset(S)
+                    live.append(i)
+                except ValueError as exc:
+                    rows[i]["status"] = _failed(exc)
             reps = run_recursive_regularization(
-                samples, loss, params, rr.get("subroutine", "phased_sgd"),
-                [stream(config.master_seed, "run", grid_index, s) for s, _ in seeds])
-            # n oracle calls: a single pass over disjoint slices
-            outs = [(rep.w_out, dist.population_grad(loss, rep.w_out), n,
-                     rep.noise_ledger, {"rounds": rep.rounds, "t1_edge": rep.t1_edge,
-                                        "kt_capped": rep.kt_capped})
-                    for rep in reps]
+                [samples[i] for i in live], loss, params,
+                rr.get("subroutine", "phased_sgd"),
+                [stream(config.master_seed, "run", grid_index, seeds[i][0]) for i in live]
+            ) if live else []
+            outs = [None] * len(seeds)
+            for i, rep in zip(live, reps):
+                # n oracle calls: a single pass over disjoint slices
+                outs[i] = (rep.w_out, dist.population_grad(loss, rep.w_out), n,
+                           rep.noise_ledger, {"rounds": rep.rounds, "t1_edge": rep.t1_edge,
+                                              "kt_capped": rep.kt_capped})
         elif config.algorithm == "jl_spiderboost":
             S = _gen_dataset(config, n, d, grid_index, seed_index)
             rank = config.data.get("rank") or d
@@ -191,7 +213,10 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
                       "base_selected_index": rep.base_report.selected_index})]
         else:
             raise ValueError(f"unknown algorithm {config.algorithm!r}")
-        for i, (row, (w_out, g, oracle_calls, ledger, extras)) in enumerate(zip(rows, outs)):
+        for i, (row, out) in enumerate(zip(rows, outs)):
+            if out is None:
+                continue
+            w_out, g, oracle_calls, ledger, extras = out
             row["grad_norm"] = float(np.linalg.norm(g))
             row["oracle_calls"] = oracle_calls
             if not (math.isfinite(row["grad_norm"]) and np.isfinite(w_out).all()):
@@ -208,12 +233,9 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
                         {"site": s, "sigma": sig, "dim": dd, "count": c}
                         for (s, sig, dd, c) in ledger.rows()],
                 }
-    except PreconditionError as exc:
-        for row in rows:
-            row["status"] = f"precondition: {exc}"
     except Exception as exc:
         for row in rows:
-            row["status"] = f"error: {type(exc).__name__}: {exc}"
+            row["status"] = _failed(exc)
     if config.timing:
         wall_ms = (time.perf_counter() - t0) * 1000.0 / len(rows)
         for row in rows:

@@ -22,7 +22,7 @@ import numpy as np
 from .core.data import Dataset
 from .core.gradcheck import convexity_spot_check
 from .core.loss import LossSpec
-from .privacy import NoiseLedger, PrivacyBudget, draw_gaussian, scale_gaussian_rows
+from .privacy import NoiseLedger, PrivacyBudget, draw_gaussian
 from .util import PreconditionError, floori
 
 KT_CAP = 10 ** 7  # desk-scale cap on inner step counts; capped rounds are flagged
@@ -30,8 +30,6 @@ KT_CAP = 10 ** 7  # desk-scale cap on inner step counts; capped rounds are flagg
 # noisy_gd hands its iterates to the selector in blocks of at most this many
 # steps, so its memory does not grow with K_t
 ITERATE_BLOCK = 2 ** 16
-# and draws its normals ahead in blocks of at most this many steps per run
-NOISE_BLOCK = 2 ** 12
 
 
 class RegularizedLoss(LossSpec):
@@ -63,11 +61,10 @@ class RegularizedLoss(LossSpec):
         self._lam_total = lam_total
         self._offset = sum((l * c for l, c in zip(self.lambdas, self.centers)),
                            np.zeros(base.dim))
-        self._const = 0.5 * sum(l * (c * c).sum(axis=-1)
-                                for l, c in zip(self.lambdas, self.centers))
 
     def _reg_value(self, w: np.ndarray) -> float:
-        return float(0.5 * self._lam_total * (w @ w) - w @ self._offset + self._const)
+        const = 0.5 * sum(l * float(c @ c) for l, c in zip(self.lambdas, self.centers))
+        return float(0.5 * self._lam_total * (w @ w) - w @ self._offset + const)
 
     def _reg_grad(self, w: np.ndarray) -> np.ndarray:
         return self._lam_total * w - self._offset
@@ -200,9 +197,8 @@ def noisy_gd(S: Dataset | Sequence[Dataset], loss: LossSpec, R: float, T: int,
 
     w_{t+1} = Proj_R(w_t - eta (grad F(w_t; S) + xi_t)), xi_t ~ N(0, sigma^2 I),
     for t = 1..T-1. Given a generator (and a dataset and ledger) per run,
-    the runs go in lockstep and the (R, d) outputs come back. Each run draws
-    its normals ahead, in blocks of at most NOISE_BLOCK steps (the same
-    stream as one draw per step). The iterates reach `selector(block, eta)`
+    the runs go in lockstep and the (R, d) outputs come back; each run draws
+    its own noise vector per step. The iterates reach `selector(block, eta)`
     as blocks of shape (K, R, d) of at most ITERATE_BLOCK; every block after
     the first comes with `prior=(average so far, iterates so far)`.
     """
@@ -220,21 +216,14 @@ def noisy_gd(S: Dataset | Sequence[Dataset], loss: LossSpec, R: float, T: int,
         block = store[:, :k].transpose(1, 0, 2)
         return selector(block, eta) if avg is None else selector(block, eta, (avg, done))
 
-    t = 1
-    while t < T:
+    for _ in range(1, T):
         if k == store.shape[1]:
             avg, done, k = fold(), done + k, 0
-        m = min(T - t, store.shape[1] - k, NOISE_BLOCK)
-        # the block's draws, step-major: step j's run r is row j * runs + r
-        z = np.stack([g.standard_normal((m, d)) for g in rngs], axis=1).reshape(-1, d)
-        xi = scale_gaussian_rows(z, np.full(m * runs, float(sigma)),
-                                 None if ledgers is None else ledgers * m,
-                                 site).reshape(m, runs, d)
-        for j in range(m):
-            W = project_ball(W - eta * (loss.grad_mean_rows(W, X, Y) + xi[j]), R)
-            store[:, k] = W
-            k += 1
-        t += m
+        xi = np.array([draw_gaussian(d, sigma, g, None if ledgers is None else ledgers[r],
+                                     site) for r, g in enumerate(rngs)])
+        W = project_ball(W - eta * (loss.grad_mean_rows(W, X, Y) + xi), R)
+        store[:, k] = W
+        k += 1
     out = fold()
     return out[0] if single else out
 
@@ -266,7 +255,7 @@ def output_perturbed_sgd(w1: np.ndarray, S: Dataset | Sequence[Dataset],
         W = project_ball(W - eta * G, R)
         store[:, t + 1] = W
     tilde = selector(store.transpose(1, 0, 2), eta)
-    xi = np.stack([draw_gaussian(d, sigma, g, None if ledgers is None else ledgers[r], site)
+    xi = np.array([draw_gaussian(d, sigma, g, None if ledgers is None else ledgers[r], site)
                    for r, g in enumerate(rngs)])
     out = tilde + xi
     return out[0] if single else out

@@ -258,6 +258,31 @@ class TestRunExperiment:
             "precondition: lam = 2 >= L1 = 1: T would be 0; increase n or R_bar"] * 3
         assert not any((tmp_path / "rr" / "reports").glob("*"))
 
+    def test_rr_bad_sample_fails_only_its_seed(self, tmp_path, monkeypatch):
+        # a support row above the norm bound that only seed 6's sample draws
+        from dpopt.core import Dataset
+        from dpopt.harness import experiment
+        from dpopt.harness.rng import stream
+        from dpopt.harness.synthetic import FiniteSupportDistribution
+        cfg = self.rr_config(tmp_path)
+        support = experiment._gen_population(cfg, 3).support
+        drawn = [(FiniteSupportDistribution(support)
+                  .sample(64, stream(cfg.master_seed, "sample", 0, i)).X[:, None]
+                  == support.X[None]).all(axis=2).any(axis=0) for i in range(3)]
+        j = int(np.flatnonzero(drawn[1] & ~drawn[0] & ~drawn[2])[0])
+        X = support.X.copy()
+        X[j] *= 2.0 / np.linalg.norm(X[j])
+        monkeypatch.setattr(experiment, "_gen_population",
+                            lambda config, d: FiniteSupportDistribution(Dataset(X, support.y)))
+        group = run_single(cfg, 0, 64, 3, 1.0, [(0, 5), (1, 6), (2, 7)])
+        assert [row["status"] for row, _ in group] == [
+            "ok", "error: ValueError: feature norm 2.0 exceeds declared bound 1.0", "ok"]
+        assert group[1][1] is None and group[1][0]["param_hash"]
+        for seed_index, seed in enumerate((5, 6, 7)):
+            (alone,) = run_single(cfg, 0, 64, 3, 1.0, [(seed_index, seed)])
+            assert repr(group[seed_index][0]) == repr(alone[0])  # nan grad_norm on seed 6
+            assert group[seed_index][1] == alone[1]
+
     def test_rr_timing_is_group_time_over_seeds(self, tmp_path, monkeypatch):
         from types import SimpleNamespace
         from dpopt.harness import experiment

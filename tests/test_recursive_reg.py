@@ -533,17 +533,6 @@ class TestLockstep:
         with pytest.raises(ValueError, match="one dataset per generator"):
             run_recursive_regularization(samples[:3], loss, params, "phased_sgd", rngs)
 
-    def test_noisy_gd_draws_one_normal_vector_per_step(self):
-        # normals drawn ahead in blocks are the stream of one draw per step
-        loss = regularize(ZeroLoss(2), [np.array([0.3, -0.1])], [1.0])
-        S = Dataset(np.zeros((3, 2)))
-        rng = np.random.default_rng(5)
-        noisy_gd(S, loss, 10.0, 9, 0.1, make_selector(1.0), 0.7, rng)
-        ref = np.random.default_rng(5)
-        for _ in range(8):
-            ref.standard_normal(2)
-        assert rng.standard_normal() == ref.standard_normal()
-
 
 class TestBlockedNoisyGD:
     def test_prior_folds_to_the_full_average(self):
@@ -580,7 +569,6 @@ class TestBlockedNoisyGD:
         whole, sizes = run()
         assert sizes == [40]
         monkeypatch.setattr(rr, "ITERATE_BLOCK", 7)
-        monkeypatch.setattr(rr, "NOISE_BLOCK", 3)
         blocked, sizes = run()
         assert sizes == [7] * 5 + [5]
         assert np.max(np.abs(blocked - whole)) <= 1e-12
