@@ -89,6 +89,11 @@ class Dataset:
         return self._y
 
     @property
+    def labelled(self) -> bool:
+        """Whether samples carry labels, without gathering an indexed y."""
+        return (self if self._source is None else self._source)._y is not None
+
+    @property
     def n(self) -> int:
         return self._X.shape[0] if self._idx is None else self._idx.shape[0]
 
@@ -164,6 +169,40 @@ class DatasetCursor:
         out = self._dataset.slice(self._pos, self._pos + k)
         self._pos += k
         return out
+
+
+class Runs(tuple):
+    """The datasets of R runs in lockstep, one per run, of equal size."""
+
+    @property
+    def n(self) -> int:
+        return self[0].n
+
+    def slice(self, start: int, stop: int) -> "Runs":
+        return Runs(S.slice(start, stop) for S in self)
+
+    def stack(self, axis: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Every run's features and labels, stacked on `axis`."""
+        labelled = self[0].y is not None
+        return (np.stack([S.X for S in self], axis=axis),
+                np.stack([S.y for S in self], axis=axis) if labelled else None)
+
+
+def lockstep(S, rng, ledger=None):
+    """(datasets, generators, ledgers, single) for one run, or for R runs
+    given a generator per run, a dataset per run (or one shared) and,
+    unless ledger is None, a ledger per run. The datasets must share n, d
+    and labelling."""
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    data = Runs([S] * len(rngs) if isinstance(S, Dataset) else S)
+    if len(data) != len(rngs) or not rngs:
+        raise ValueError(f"need one dataset per generator: {len(data)} for {len(rngs)}")
+    if any((D.n, D.dim, D.labelled) != (data[0].n, data[0].dim, data[0].labelled)
+           for D in data):
+        raise ValueError("lockstep datasets must share n, d and labelling")
+    ledgers = None if ledger is None else [ledger] if single else list(ledger)
+    return data, rngs, ledgers, single
 
 
 def load_csv(path: str | Path, labels: bool = False) -> Dataset:

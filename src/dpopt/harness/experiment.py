@@ -94,11 +94,12 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
     the other algorithms take one seed per call.
 
     A failed sample-size hypothesis tags every row `precondition:`, any other
-    exception `error:`; a returned point or exact gradient norm that is not
-    finite is `diverged`. A recursive-regularization seed whose population
-    sample fails the loss's dataset check is tagged `error:` alone, and the
-    other seeds run as a smaller group. Under `timing`, each row gets the
-    call's wall time divided by the number of seeds.
+    exception `error:`; a returned point, exact gradient norm or entry of
+    the exact gradient-norm trace that is not finite is `diverged`. A
+    recursive-regularization seed whose population sample fails the loss's
+    dataset check is tagged `error:` alone, and the other seeds run as a
+    smaller group. Under `timing`, each row gets the call's wall time
+    divided by the number of seeds.
     """
     if len(seeds) != 1 and config.algorithm not in LOCKSTEP:
         raise ValueError(f"{config.algorithm} takes one seed per call, got {len(seeds)}")
@@ -219,7 +220,8 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
             w_out, g, oracle_calls, ledger, extras = out
             row["grad_norm"] = float(np.linalg.norm(g))
             row["oracle_calls"] = oracle_calls
-            if not (math.isfinite(row["grad_norm"]) and np.isfinite(w_out).all()):
+            if not (math.isfinite(row["grad_norm"]) and np.isfinite(w_out).all()
+                    and np.isfinite(extras.get("grad_norm_trace", ())).all()):
                 row["status"] = "diverged"
             if config.write_reports:
                 docs[i] = {

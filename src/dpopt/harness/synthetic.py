@@ -70,9 +70,6 @@ class FiniteSupportDistribution:
     def population_grad(self, loss: LossSpec, w: np.ndarray) -> np.ndarray:
         return loss.grad_mean(w, self.support.X, self.support.y)
 
-    def population_value(self, loss: LossSpec, w: np.ndarray) -> float:
-        return loss.eval_mean(w, self.support.X, self.support.y)
-
 
 def gen_support(kind: str, m: int, d: int, rank: int | None = None,
                 seed: int = 0, **kw) -> FiniteSupportDistribution:

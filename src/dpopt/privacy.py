@@ -63,15 +63,8 @@ class NoiseLedger:
     def total_draws(self) -> int:
         return sum(e.count for e in self.entries)
 
-    def sites(self) -> set[str]:
-        return {e.site for e in self.entries}
-
     def rows(self) -> list[tuple[str, float, int, int]]:
         return [(e.site, e.sigma, e.dim, e.count) for e in self.entries]
-
-    def extend(self, other: "NoiseLedger") -> None:
-        for e in other.entries:
-            self.entries.append(NoiseLedgerEntry(e.site, e.sigma, e.dim, e.count))
 
 
 def gaussian_sigma(sensitivity: float, eps: float, delta: float) -> float:

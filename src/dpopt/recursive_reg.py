@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core.data import Dataset
+from .core.data import Dataset, lockstep
 from .core.gradcheck import convexity_spot_check
 from .core.loss import LossSpec
 from .privacy import NoiseLedger, PrivacyBudget, draw_gaussian
@@ -157,37 +157,6 @@ def project_ball(w: np.ndarray, R: float) -> np.ndarray:
     return w * (R / np.maximum(nw, R))
 
 
-class _Runs(tuple):
-    """The datasets of R runs in lockstep, one per run, of equal size."""
-
-    @property
-    def n(self) -> int:
-        return self[0].n
-
-    def slice(self, start: int, stop: int) -> "_Runs":
-        return _Runs(S.slice(start, stop) for S in self)
-
-    def stack(self, axis: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """Every run's features and labels, stacked on `axis`."""
-        labelled = self[0].y is not None
-        return (np.stack([S.X for S in self], axis=axis),
-                np.stack([S.y for S in self], axis=axis) if labelled else None)
-
-
-def _lockstep(S, rng, ledger):
-    """(datasets, generators, ledgers, single) for one run, or for R runs
-    given a generator per run and a dataset per run (or one shared)."""
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
-    data = _Runs([S] * len(rngs) if isinstance(S, Dataset) else S)
-    if len(data) != len(rngs) or not rngs:
-        raise ValueError(f"need one dataset per generator: {len(data)} for {len(rngs)}")
-    if any((D.n, D.dim) != (data[0].n, data[0].dim) for D in data):
-        raise ValueError("lockstep datasets must share n and d")
-    ledgers = None if ledger is None else [ledger] if single else list(ledger)
-    return data, rngs, ledgers, single
-
-
 def noisy_gd(S: Dataset | Sequence[Dataset], loss: LossSpec, R: float, T: int,
              eta: float, selector, sigma: float,
              rng: np.random.Generator | Sequence[np.random.Generator],
@@ -204,7 +173,7 @@ def noisy_gd(S: Dataset | Sequence[Dataset], loss: LossSpec, R: float, T: int,
     """
     if getattr(loss, "strong_convexity", 0.0) <= 0.0:
         raise ValueError("noisy_gd requires a strongly convex (regularized) loss")
-    data, rngs, ledgers, single = _lockstep(S, rng, ledger)
+    data, rngs, ledgers, single = lockstep(S, rng, ledger)
     X, Y = data.stack(axis=0)
     runs, d = X.shape[0], X.shape[2]
     store = np.empty((runs, min(max(T, 1), ITERATE_BLOCK), d))
@@ -242,7 +211,7 @@ def output_perturbed_sgd(w1: np.ndarray, S: Dataset | Sequence[Dataset],
     is one `grad_rows` over the runs' t-th samples and one row-wise
     projection, and the selector gets the (|S|, R, d) iterate block.
     """
-    data, rngs, ledgers, single = _lockstep(S, rng, ledger)
+    data, rngs, ledgers, single = lockstep(S, rng, ledger)
     if data.n < 1:
         raise ValueError("need at least one sample")
     X, Y = data.stack(axis=1)
@@ -273,7 +242,7 @@ def phased_sgd(S: Dataset | Sequence[Dataset], loss: LossSpec, R: float,
     phase's output. Exhausted slices end the schedule at the last complete
     phase. Runs go in lockstep as in `output_perturbed_sgd`.
     """
-    data, rngs, ledgers, single = _lockstep(S, rng, ledger)
+    data, rngs, ledgers, single = lockstep(S, rng, ledger)
     n = data.n
     if n < 2:
         raise ValueError("need at least two samples")
@@ -439,7 +408,7 @@ def run_recursive_regularization(S: Dataset | Sequence[Dataset], loss: LossSpec,
     if not loss.convex:
         raise ValueError("recursive regularization requires a convex base loss")
     convexity_spot_check(loss, probes=16, seed=0)
-    data, rngs, _, single = _lockstep(S, rng, None)
+    data, rngs, _, single = lockstep(S, rng)
     for D in dict.fromkeys(data):
         loss.validate_dataset(D)
     runs, d = len(rngs), data[0].dim

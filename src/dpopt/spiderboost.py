@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core.data import Dataset
+from .core.data import Dataset, lockstep
 from .core.loss import GLMLoss, LossSpec, erm_grad
 from .privacy import (NoiseLedger, PrivacyBudget, accountant_sigma,
                       draw_gaussian, scale_gaussian_rows)
@@ -247,14 +247,7 @@ def run_spiderboost(loss: LossSpec, S: Dataset | Sequence[Dataset],
     back; each equals what that run gives alone. The exact ERM gradient norm
     is traced at up to `trace_points` iterates, evaluated after the run.
     """
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
-    data = [S] * len(rngs) if isinstance(S, Dataset) else list(S)
-    if len(data) != len(rngs) or not rngs:
-        raise ValueError(f"need one dataset per generator: {len(data)} for {len(rngs)}")
-    if any((D.n, D.dim, D.y is None) != (data[0].n, data[0].dim, data[0].y is None)
-           for D in data):
-        raise ValueError("lockstep datasets must share n, d and labelling")
+    data, rngs, _, single = lockstep(S, rng)
     params.validate(data[0].n)
     for D in dict.fromkeys(data):
         loss.validate_dataset(D)
@@ -316,14 +309,6 @@ class SpiderBoundCheck:
     tau2_sq: float
     trials: int
     unbiased_ratio: list[float]  # per step, max_i |mean_i - grad_i| / stderr_i
-
-    def worst_ratio_slack(self) -> float:
-        """max over steps of (lhs - rhs)/ (5 * stderr); <= 1 passes."""
-        out = 0.0
-        for l, r, s in zip(self.lhs, self.rhs, self.stderr):
-            if s > 0:
-                out = max(out, (l - r) / (5.0 * s))
-        return out
 
 
 def validate_spider_error_bound(loss: LossSpec, S: Dataset, params: SpiderParams,

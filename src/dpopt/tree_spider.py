@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core.data import Dataset, DatasetCursor
+from .core.data import DatasetCursor
 from .core.loss import LossSpec
 from .privacy import (NoiseLedger, PrivacyBudget, draw_gaussian,
                       gaussian_sigma, tree_gv_sensitivity)
@@ -35,16 +35,6 @@ class NodeAddress:
             raise ValueError("round index must be >= 1")
         if any(c not in "01" for c in self.s):
             raise ValueError("s must be a bit string")
-
-    @property
-    def depth(self) -> int:
-        return len(self.s)
-
-    @property
-    def parent(self) -> "NodeAddress":
-        if not self.s:
-            raise ValueError("root has no parent")
-        return NodeAddress(self.t, self.s[:-1])
 
 
 def leaf_label(k: int, D: int) -> str:
@@ -207,95 +197,120 @@ class TreeRunReport:
         return self.samples_consumed
 
 
-def run_tree_spider(loss: LossSpec, stream: DatasetCursor, params: TreeParams,
-                    rng: np.random.Generator, *,
-                    record_nodes: bool = False) -> TreeRunReport:
-    """Run T rounds of depth-D trees over the stream.
+def _tree_path(loss: LossSpec, params: TreeParams, take, rng: np.random.Generator,
+               ledger: NoiseLedger | None, leaf, node=None) -> None:
+    """The DFS of T rounds of depth-D trees, from the root iterate 0.
 
-    Per round the root draws b fresh samples for a noisy batch-mean gradient;
-    right children at depth |s| draw b/2^|s| fresh samples for the variation
-    update Delta = (2^|s|/b) sum (grad(w_s) - grad(w_parent)) + noise. Leaves
-    either return early (estimate norm <= 2 alpha_tilde) or step with exact
-    length beta/(2^(D/2) L1); the stepped iterate seeds the next DFS node, and
-    after the last leaf, the next round's root. Without an early stop, a
-    uniformly random leaf iterate is returned.
+    `take(k)` returns k fresh samples. The root of a round draws its batch,
+    then its noise, for the estimate grad(w_root) + N(0, sigma_root^2); a left
+    child copies its parent; a right child at depth k draws its batch of
+    b/2^k, then its noise, for Delta = (2^k/b) sum (grad(w_s) - grad(w_parent))
+    + N(0, sigma_delta^2) and the estimate nabla_parent + Delta. Roots and
+    right children sit at the pending iterate; `leaf(t, s, w_s, nabla_s)`
+    returns the next pending iterate, or None to stop. `node(t, s, w_s,
+    nabla_s, delta)`, when given, sees every node before its leaf hook.
     """
-    params.validate()
     d = loss.dim
-    per_round = params.samples_per_round()
-    if stream.remaining < params.T * per_round:
-        raise ValueError(f"stream holds {stream.remaining} samples, "
-                         f"need {params.T * per_round}")
-
-    ledger = NoiseLedger()
-    order = dfs_order(params.D)
-    step_len = params.beta_par / (2 ** (params.D / 2.0) * loss.L1)
+    visit = [""] + dfs_order(params.D)
     pending_w = np.zeros(d)
-    leaf_ws: list[np.ndarray] = []
-    records: list[NodeRecord] = []
-    consumed0 = stream.consumed
-    round_consumption: list[int] = []
-    leaf_count = 0
-
-    def make_report(stopped, address, w_out, rounds_done, selected=None):
-        return TreeRunReport(
-            w_out=w_out, stopped_early=stopped, stop_address=address,
-            samples_consumed=stream.consumed - consumed0,
-            leaf_count_visited=leaf_count, noise_ledger=ledger,
-            rounds_completed=rounds_done, leaves_per_round=2 ** params.D,
-            round_consumption=round_consumption, selected_leaf=selected,
-            nodes=records)
-
     for t in range(1, params.T + 1):
-        round_start = stream.consumed
-        start = stream.consumed
-        batch = stream.take(params.b)
-        w_root = pending_w
-        g = draw_gaussian(d, params.sigma_root, rng, ledger, SITE_ROOT)
-        nabla_root = loss.grad_mean(w_root, batch.X, batch.y) + g
-        nodes: dict[str, tuple[np.ndarray, np.ndarray]] = {"": (w_root, nabla_root)}
-        if record_nodes:
-            records.append(NodeRecord(NodeAddress(t, ""), w_root, nabla_root,
-                                      None, (start, stream.consumed)))
-
-        visit = [""] if params.D == 0 else order
+        nodes: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for s in visit:
-            if s == "":
-                w_s, nabla_s = nodes[""]
+            delta = None
+            if not s:
+                w_s = pending_w
+                batch = take(params.b)
+                g = draw_gaussian(d, params.sigma_root, rng, ledger, SITE_ROOT)
+                nabla_s = loss.grad_mean(w_s, batch.X, batch.y) + g
             elif s[-1] == "0":
                 w_s, nabla_s = nodes[s[:-1]]
-                nodes[s] = (w_s, nabla_s)
-                if record_nodes:
-                    records.append(NodeRecord(NodeAddress(t, s), w_s, nabla_s, None, None))
             else:
                 w_par, nabla_par = nodes[s[:-1]]
                 w_s = pending_w
                 k = len(s)
-                start = stream.consumed
-                batch = stream.take(params.batch_size(k))
+                batch = take(params.batch_size(k))
                 # (2^|s|/b) * sum over the batch of per-sample variations
                 var_sum = batch.n * (loss.grad_mean(w_s, batch.X, batch.y)
                                      - loss.grad_mean(w_par, batch.X, batch.y))
                 g = draw_gaussian(d, params.sigma_delta, rng, ledger, SITE_DELTA)
                 delta = (2 ** k / params.b) * var_sum + g
                 nabla_s = nabla_par + delta
-                nodes[s] = (w_s, nabla_s)
-                if record_nodes:
-                    records.append(NodeRecord(NodeAddress(t, s), w_s, nabla_s,
-                                              delta, (start, stream.consumed)))
+            nodes[s] = (w_s, nabla_s)
+            if node is not None:
+                node(t, s, w_s, nabla_s, delta)
             if len(s) == params.D:
-                leaf_count += 1
-                leaf_ws.append(w_s)
-                norm = float(np.linalg.norm(nabla_s))
-                if norm <= 2.0 * params.alpha_tilde:
-                    round_consumption.append(stream.consumed - round_start)
-                    return make_report(True, NodeAddress(t, s), w_s, t - 1)
-                pending_w = w_s - (step_len / norm) * nabla_s
+                pending_w = leaf(t, s, w_s, nabla_s)
+                if pending_w is None:
+                    return
 
-        round_consumption.append(stream.consumed - round_start)
 
-    selected = int(rng.integers(len(leaf_ws)))
-    return make_report(False, None, leaf_ws[selected], params.T, selected)
+def run_tree_spider(loss: LossSpec, stream: DatasetCursor, params: TreeParams,
+                    rng: np.random.Generator, *,
+                    record_nodes: bool = False) -> TreeRunReport:
+    """Run T rounds of depth-D trees over the stream (see `_tree_path`).
+
+    Leaves either return early (estimate norm <= 2 alpha_tilde) or step with
+    exact length beta/(2^(D/2) L1); the stepped iterate seeds the next root
+    or right child. Without an early stop, a uniformly random leaf iterate is
+    returned.
+    """
+    params.validate()
+    per_round = params.samples_per_round()
+    if stream.remaining < params.T * per_round:
+        raise ValueError(f"stream holds {stream.remaining} samples, "
+                         f"need {params.T * per_round}")
+
+    ledger = NoiseLedger()
+    step_len = params.beta_par / (2 ** (params.D / 2.0) * loss.L1)
+    last_leaf = "1" * params.D
+    consumed0 = round_start = batch_start = stream.consumed
+    leaf_ws: list[np.ndarray] = []
+    records: list[NodeRecord] = []
+    round_consumption: list[int] = []
+    stop: NodeAddress | None = None
+
+    def leaf(t, s, w_s, nabla_s):
+        nonlocal round_start, stop
+        leaf_ws.append(w_s)
+        norm = float(np.linalg.norm(nabla_s))
+        if norm <= 2.0 * params.alpha_tilde:
+            stop = NodeAddress(t, s)
+        if stop is not None or s == last_leaf:
+            round_consumption.append(stream.consumed - round_start)
+            round_start = stream.consumed
+        return None if stop is not None else w_s - (step_len / norm) * nabla_s
+
+    def record(t, s, w_s, nabla_s, delta):
+        nonlocal batch_start
+        span = None
+        if not s.endswith("0"):  # the root and right children take a batch
+            span, batch_start = (batch_start, stream.consumed), stream.consumed
+        records.append(NodeRecord(NodeAddress(t, s), w_s, nabla_s, delta, span))
+
+    _tree_path(loss, params, stream.take, rng, ledger, leaf,
+               record if record_nodes else None)
+    selected = None if stop is not None else int(rng.integers(len(leaf_ws)))
+    return TreeRunReport(
+        w_out=leaf_ws[-1 if selected is None else selected],
+        stopped_early=stop is not None, stop_address=stop,
+        samples_consumed=stream.consumed - consumed0,
+        leaf_count_visited=len(leaf_ws), noise_ledger=ledger,
+        rounds_completed=params.T if stop is None else stop.t - 1,
+        leaves_per_round=2 ** params.D, round_consumption=round_consumption,
+        selected_leaf=selected, nodes=records)
+
+
+def _pinned_leaf(ref: TreeRunReport, visit):
+    """A leaf hook that holds a trial to the path of `ref`, a run with
+    recorded nodes: each leaf calls visit(t, s, w_s, nabla_s) and hands on
+    the iterate `ref` handed on there (the w of its next root or right
+    child), and the hook stops where `ref` stopped."""
+    handed = iter([r.w for r in ref.nodes if not r.address.s.endswith("0")][1:])
+
+    def leaf(t, s, w_s, nabla_s):
+        visit(t, s, w_s, nabla_s)
+        return next(handed, None)
+    return leaf
 
 
 @dataclass
@@ -309,65 +324,35 @@ class TreeBoundCheck:
 
 
 def validate_tree_estimation_error(loss: LossSpec, dist, params: TreeParams,
-                                   trials: int, rng: np.random.Generator,
-                                   batch_sampler=None) -> TreeBoundCheck:
+                                   trials: int, rng: np.random.Generator) -> TreeBoundCheck:
     """Monte Carlo check of the per-leaf estimation-error event.
 
-    Freezes the node iterates of one reference run, then redraws batches and
-    noise `trials` times, counting the fraction of (leaf, trial) pairs with
-    ||estimate - population gradient||^2 > alpha * alpha_tilde. `dist` must
-    expose sample(k, rng) -> Dataset and population_grad(loss, w).
+    Pins the node iterates of one reference run, then redraws batches and
+    noise along its path `trials` times, counting the fraction of (leaf,
+    trial) pairs with ||estimate - population gradient||^2 > alpha *
+    alpha_tilde. `dist` must expose sample(k, rng) -> Dataset and
+    population_grad(loss, w).
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
     params.validate()
-    d = loss.dim
-    sampler = batch_sampler if batch_sampler is not None else dist.sample
 
     need = params.T * params.samples_per_round()
-    ref_stream = DatasetCursor(dist.sample(need, rng))
-    ref = run_tree_spider(loss, ref_stream, params, rng, record_nodes=True)
-    frozen = {(r.address.t, r.address.s): r.w for r in ref.nodes}
-    pop_grads = {key: dist.population_grad(loss, w) for key, w in frozen.items()}
+    ref = run_tree_spider(loss, DatasetCursor(dist.sample(need, rng)), params, rng,
+                          record_nodes=True)
+    pop_grads = {(r.address.t, r.address.s): dist.population_grad(loss, r.w)
+                 for r in ref.nodes if len(r.address.s) == params.D}
+    sq_errs: list[float] = []
 
-    bound = params.alpha * params.alpha_tilde
-    order = dfs_order(params.D)
-    violations = 0
-    checks = 0
-    worst = 0.0
-    rounds = max(r.address.t for r in ref.nodes)
+    def check(t, s, w_s, nabla_s):
+        err = nabla_s - pop_grads[(t, s)]
+        sq_errs.append(float(err @ err))
+
     for _ in range(trials):
-        for t in range(1, rounds + 1):
-            if (t, "") not in frozen:
-                break
-            batch = sampler(params.b, rng)
-            est = {"": loss.grad_mean(frozen[(t, "")], batch.X, batch.y)
-                   + draw_gaussian(d, params.sigma_root, rng)}
-            visit = [""] if params.D == 0 else order
-            for s in visit:
-                if (t, s) not in frozen:
-                    break
-                if s == "":
-                    nabla_s = est[""]
-                elif s[-1] == "0":
-                    est[s] = est[s[:-1]]
-                    nabla_s = est[s]
-                else:
-                    k = len(s)
-                    batch = sampler(params.batch_size(k), rng)
-                    var_sum = batch.n * (
-                        loss.grad_mean(frozen[(t, s)], batch.X, batch.y)
-                        - loss.grad_mean(frozen[(t, s[:-1])], batch.X, batch.y))
-                    est[s] = (est[s[:-1]] + (2 ** k / params.b) * var_sum
-                              + draw_gaussian(d, params.sigma_delta, rng))
-                    nabla_s = est[s]
-                if len(s) == params.D:
-                    err = nabla_s - pop_grads[(t, s)]
-                    sq = float(err @ err)
-                    worst = max(worst, sq)
-                    checks += 1
-                    if sq > bound:
-                        violations += 1
-    return TreeBoundCheck(violation_rate=violations / max(checks, 1),
-                          target_p=params.p, leaf_checks=checks, trials=trials,
-                          worst_sq_err=worst, bound=bound)
+        _tree_path(loss, params, lambda k: dist.sample(k, rng), rng, None,
+                   _pinned_leaf(ref, check))
+    bound = params.alpha * params.alpha_tilde
+    violations = sum(sq > bound for sq in sq_errs)
+    return TreeBoundCheck(violation_rate=violations / max(len(sq_errs), 1),
+                          target_p=params.p, leaf_checks=len(sq_errs), trials=trials,
+                          worst_sq_err=max(sq_errs, default=0.0), bound=bound)

@@ -371,6 +371,9 @@ class TestDataset:
         idx = rng.integers(0, 11, 40)
         ds, ref = Dataset.indexed(support, idx), support.subset(idx)
         assert ds.n == len(ds) == 40 and ds.dim == 4
+        assert ds.labelled and ds.slice(0, 5).labelled
+        assert ds._y is None  # `labelled` gathers no labels
+        assert not Dataset.indexed(Dataset(support.X), idx).labelled
         assert np.array_equal(ds.X, ref.X) and np.array_equal(ds.y, ref.y)
         assert ds.max_feature_norm() == ref.max_feature_norm()
         assert not ds.X.flags.writeable and not ds.y.flags.writeable

@@ -364,6 +364,23 @@ class TestRunExperiment:
         assert [r["status"] for r in rows] == ["diverged", "diverged"]
         assert not any(np.isfinite(float(r["grad_norm"])) for r in rows)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_when_only_the_trace_overflows(self, tmp_path):
+        # eta = 1e6: the exact gradient-norm trace reaches inf, while the
+        # uniformly selected iterate and its gradient norm stay finite
+        raw = {"algorithm": "spiderboost",
+               "grid": {"n": [64], "eps": [1.0], "d": [4]},
+               "delta": 1e-4, "seeds": [0], "out": str(tmp_path / "h"),
+               "loss": {"kind": "glm_square"},
+               "data": {"kind": "glm_fullrank", "label_scale": 0.5},
+               "overrides": {"T": 40, "eta": 1e6}}
+        csv = run_experiment(ExperimentConfig.from_dict(raw))
+        (row,) = read_csv_rows(csv)
+        report = json.loads((csv.parent / "reports" / "run_g0_s0.json").read_text())
+        assert np.isfinite(float(row["grad_norm"]))
+        assert not np.isfinite(report["grad_norm_trace"]).all()
+        assert row["status"] == "diverged"
+
     def test_workers_match_serial(self, tmp_path):
         raw = {"algorithm": "spiderboost",
                "grid": {"n": [64, 128], "eps": [1.0], "d": [4]},

@@ -533,6 +533,18 @@ class TestLockstep:
         with pytest.raises(ValueError, match="one dataset per generator"):
             run_recursive_regularization(samples[:3], loss, params, "phased_sgd", rngs)
 
+    @pytest.mark.parametrize("other", ["d", "labelling"])
+    def test_rejects_a_group_of_other_d_or_labelling(self, other):
+        loss, samples = self.case(tanh_link(), True, n=64)
+        params = derive_rr_params("linear_time", 64, 3, loss.L0, loss.L1, 1.0,
+                                  PrivacyBudget(1.0, 1e-5), {"lam": 0.3})
+        S = samples[1]
+        b = (Dataset(np.hstack([S.X, 0 * S.X[:, :1]]), S.y) if other == "d"
+             else Dataset(S.X))
+        rngs = [np.random.default_rng(r) for r in range(2)]
+        with pytest.raises(ValueError, match="must share n, d and labelling"):
+            run_recursive_regularization([samples[0], b], loss, params, "phased_sgd", rngs)
+
 
 class TestBlockedNoisyGD:
     def test_prior_folds_to_the_full_average(self):

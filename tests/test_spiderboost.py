@@ -256,6 +256,17 @@ class TestLockstep:
         with pytest.raises(ValueError, match="one dataset per generator"):
             run_spiderboost(loss, [a], params, rngs)
 
+    @pytest.mark.parametrize("d, label_scale", [(4, 0.5), (3, 0.0)])
+    def test_rejects_a_group_of_other_d_or_labelling(self, d, label_scale):
+        loss = synthetic_nonconvex_loss(3)
+        params = SpiderParams(eta=0.3, q=4, b1=16, b2=5, T=10,
+                              sigma1=0.0, sigma2=0.0, sigma2_hat=0.0)
+        a = gen_synthetic("glm_fullrank", 32, 3, seed=0, label_scale=0.5)
+        b = gen_synthetic("glm_fullrank", 32, d, seed=1, label_scale=label_scale)
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        with pytest.raises(ValueError, match="must share n, d and labelling"):
+            run_spiderboost(loss, [a, b], params, rngs)
+
 
 class TestTrace:
     """The trace is the exact ERM gradient norm at w_t, t = 0, stride, ..."""

@@ -7,10 +7,11 @@ import pytest
 from dpopt.core import Dataset, DatasetCursor, LossSpec, synthetic_nonconvex_loss
 from dpopt.core.loss import huber_mean_loss
 from dpopt.harness import FiniteSupportDistribution, gen_support
-from dpopt.privacy import PrivacyBudget
-from dpopt.tree_spider import (NodeAddress, TreeParams, derive_tree_params,
-                               dfs_order, largest_depth, leaf_label,
-                               run_tree_spider, validate_tree_estimation_error)
+from dpopt.privacy import NoiseLedger, PrivacyBudget
+from dpopt.tree_spider import (NodeAddress, TreeParams, _pinned_leaf, _tree_path,
+                               derive_tree_params, dfs_order, largest_depth,
+                               leaf_label, run_tree_spider,
+                               validate_tree_estimation_error)
 from dpopt.util import PreconditionError
 
 
@@ -284,6 +285,34 @@ class TestTreeSensitivityRealization:
                 worst = max(worst, diff)
                 assert diff <= bound + 1e-12
         assert worst > 0.0  # the swap was actually visible somewhere
+
+
+class TestSharedTraversal:
+    @pytest.mark.parametrize("alpha, T, stops", [(0.35, 4, True), (0.15, 2, False)])
+    def test_pinned_replay_reproduces_the_run(self, alpha, T, stops):
+        # the validator's trials walk the optimizer's path: replaying a noisy
+        # run on the same stream and generator state, with the validator's
+        # pinned leaf hook, gives every leaf estimate and the ledger bit for bit
+        rng = np.random.default_rng(0)
+        S = Dataset(0.2 * rng.standard_normal((400, 3)) + np.array([1.5, 1.0, 0.0]))
+        loss = huber_mean_loss(1.0, 1.0, dim=3)
+        params = TreeParams(b=16, D=2, T=T, alpha=alpha, alpha_tilde=alpha,
+                            beta_par=0.3, C_tilde=1.0, sigma_root=0.05,
+                            sigma_delta=0.02, p=0.1)
+        ref = run_tree_spider(loss, DatasetCursor(S), params,
+                              np.random.default_rng(1), record_nodes=True)
+        assert ref.stopped_early == stops
+        seen = []
+        ledger = NoiseLedger()
+        _tree_path(loss, params, DatasetCursor(S).take, np.random.default_rng(1),
+                   ledger, _pinned_leaf(ref, lambda *leaf: seen.append(leaf)))
+        leaves = [r for r in ref.nodes if len(r.address.s) == params.D]
+        assert len(seen) == len(leaves) == ref.leaf_count_visited
+        for (t, s, w, nabla), rec in zip(seen, leaves):
+            assert NodeAddress(t, s) == rec.address
+            assert np.array_equal(w, rec.w)
+            assert np.array_equal(nabla, rec.grad_est)
+        assert ledger.rows() == ref.noise_ledger.rows()
 
 
 class TestEstimationErrorValidator:
