@@ -43,9 +43,10 @@ class Dataset:
     mutation.
 
     A dataset made by :meth:`indexed` holds rows of another dataset as an
-    index vector instead: its slices and subsets stay index vectors, ``X``
-    and ``y`` are gathered on first use, and ``max_feature_norm`` reads the
-    source's row norms.
+    index vector instead, checked against the source once: its slices are
+    views of that vector, its subsets are checked again, ``X`` and ``y``
+    are gathered on first use, and ``max_feature_norm`` reads the source's
+    row norms.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray | None = None):
@@ -63,13 +64,22 @@ class Dataset:
 
     @classmethod
     def indexed(cls, source: "Dataset", idx: np.ndarray) -> "Dataset":
-        """Rows idx of source (with repeats), held as the index vector."""
+        """Rows idx of source (with repeats), held as the index vector. A
+        writeable idx is copied, so the vector checked here cannot change."""
         if source._idx is not None:
             source, idx = source._source, source._idx[idx]
         idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+        if idx.flags.writeable:
+            idx = idx.copy()
         if idx.size and not (0 <= idx.min() and idx.max() < source.n):
             raise ValueError(f"row index out of range for n={source.n}")
         idx.setflags(write=False)
+        return cls._view(source, idx)
+
+    @classmethod
+    def _view(cls, source: "Dataset", idx: np.ndarray) -> "Dataset":
+        # rows idx of a plain source, for an index vector already checked
+        # against source.n and frozen (a slice of one stays both)
         ds = cls.__new__(cls)
         ds._X = ds._y = None
         ds._source, ds._idx = source, idx
@@ -78,14 +88,17 @@ class Dataset:
 
     @property
     def X(self) -> np.ndarray:
+        # take gives a fresh contiguous copy, frozen in place
         if self._X is None:
-            self._X = _freeze(self._source.X.take(self._idx, axis=0))
+            self._X = self._source.X.take(self._idx, axis=0)
+            self._X.setflags(write=False)
         return self._X
 
     @property
     def y(self) -> np.ndarray | None:
         if self._y is None and self._idx is not None and self._source.y is not None:
-            self._y = _freeze(self._source.y.take(self._idx))
+            self._y = self._source.y.take(self._idx)
+            self._y.setflags(write=False)
         return self._y
 
     @property
@@ -108,7 +121,7 @@ class Dataset:
         if not (0 <= start <= stop <= self.n):
             raise ValueError(f"bad slice [{start}:{stop}] for n={self.n}")
         if self._idx is not None:
-            return Dataset.indexed(self._source, self._idx[start:stop])
+            return Dataset._view(self._source, self._idx[start:stop])
         y = self.y[start:stop] if self.y is not None else None
         return Dataset(self.X[start:stop], y)
 

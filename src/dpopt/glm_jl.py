@@ -197,11 +197,9 @@ def check_subspace_embedding(phi: JLMatrix, basis: np.ndarray, tau: float,
     Q, _ = np.linalg.qr(basis.T)  # d x r orthonormal
     if rng is None:
         rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(probes):
-        z = rng.standard_normal(r)
-        z /= max(np.linalg.norm(z), 1e-300)
-        v = Q @ z
-        pv = phi.entries @ v
-        worst = max(worst, abs(float(pv @ pv) - 1.0))
+    # one draw of all probes is the stream of one draw per probe
+    Z = rng.standard_normal((probes, r))
+    Z /= np.maximum(np.sqrt(np.einsum("pr,pr->p", Z, Z)), 1e-300)[:, None]
+    PV = Z @ (phi.entries @ Q).T  # Phi Q z per probe, through the k x r product
+    worst = float(np.max(np.abs(np.einsum("pk,pk->p", PV, PV) - 1.0), initial=0.0))
     return worst <= tau, worst

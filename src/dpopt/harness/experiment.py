@@ -249,8 +249,9 @@ def run_experiment(config: ExperimentConfig) -> Path:
     """Execute the sweep; returns the path of the written CSV.
 
     Each report is written as soon as its row's job finishes, and only the
-    row is kept. Rows are written in canonical order (grid index, then seed
-    index) regardless of worker completion order.
+    row is kept. A process pool takes the jobs largest n first; rows are
+    written in canonical order (grid index, then seed index) regardless of
+    submission or completion order.
     """
     config.validate()
     out_dir = Path(config.out)
@@ -281,8 +282,11 @@ def run_experiment(config: ExperimentConfig) -> Path:
                     fh.write(report_json(doc))
 
     if config.workers > 1:
+        # largest n first (a stable sort): the pool's last jobs are its
+        # shortest, so the workers finish close together
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futs = {pool.submit(run_single, config, *job): job for job in jobs}
+            futs = {pool.submit(run_single, config, *job): job
+                    for job in sorted(jobs, key=lambda job: -job[1])}
             for fut in as_completed(futs):
                 keep(futs.pop(fut), fut.result())
     else:
@@ -318,9 +322,12 @@ def report_json(doc: dict) -> str:
     if len(keys) < 2 or keys[-1] != "noise_ledger":
         raise ValueError("a report needs other keys before a last 'noise_ledger'")
     head = json.dumps({k: doc[k] for k in keys[:-1]}, indent=1)
-    entries = ",".join(_LEDGER_ENTRY % (json.dumps(e["site"]), _json_number(e["sigma"]),
+    rows = doc["noise_ledger"]
+    # a ledger names a handful of sites: encode each one once
+    sites = {s: json.dumps(s) for s in {e["site"] for e in rows}}
+    entries = ",".join(_LEDGER_ENTRY % (sites[e["site"]], _json_number(e["sigma"]),
                                         e["dim"], e["count"])
-                       for e in doc["noise_ledger"])
+                       for e in rows)
     ledger = f"[{entries}\n ]" if entries else "[]"
     return f'{head[:-2]},\n "noise_ledger": {ledger}\n}}'
 

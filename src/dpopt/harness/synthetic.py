@@ -65,6 +65,7 @@ class FiniteSupportDistribution:
         """k i.i.d. uniform draws, held as indices into the support (see
         `Dataset.indexed`): rows are gathered only when a consumer asks."""
         idx = rng.integers(0, self.support.n, size=k)
+        idx.setflags(write=False)  # no one else holds it: spare indexed's copy
         return Dataset.indexed(self.support, idx)
 
     def population_grad(self, loss: LossSpec, w: np.ndarray) -> np.ndarray:

@@ -166,9 +166,11 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
 
     Run r samples data[r] with rngs[r] and records its noise in ledgers[r].
     At t = 0 mod q each run draws a fresh batch, then its N(0, sigma1^2 I)
-    noise, and nabla_t is the batch-mean gradient plus that noise. Each of the
-    phase's gradient-variation steps adds grad_var(w_t, w_{t-1}) on a batch
-    of b2 plus noise at sigma_t = min(sigma2 ||w_t - w_{t-1}||, sigma2_hat);
+    noise, and nabla_t is the batch-mean gradient plus that noise (with
+    b1 = n on one shared dataset, the gradient is computed once per distinct
+    row of W_t, as for the validator's pinned trials). Each of the phase's
+    gradient-variation steps adds grad_var(w_t, w_{t-1}) on a batch of b2
+    plus noise at sigma_t = min(sigma2 ||w_t - w_{t-1}||, sigma2_hat);
     their batch indices, then their standard normals, are drawn in one call
     per generator (in blocks of at most BLOCK_ENTRIES entries; without
     replacement, a `choice` per step; b2 = n takes the full dataset and draws
@@ -177,7 +179,8 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
     """
     R, n, d = len(rngs), data[0].n, data[0].dim
     labelled = data[0].y is not None
-    if all(S is data[0] for S in data):
+    shared = all(S is data[0] for S in data)
+    if shared:
         X, Y, offset = data[0].X, data[0].y, 0
         X_full = np.broadcast_to(X, (R, n, d))
         Y_full = np.broadcast_to(Y, (R, n)) if labelled else None
@@ -195,11 +198,15 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
     W = np.zeros((R, d))
     for t0 in range(0, steps, q):
         nabla = np.empty((R, d))
+        fresh: dict = {}
         for r, (S, rng) in enumerate(zip(data, rngs)):
             Xb, Yb = _batch(S, params.b1, rng, replace)
             noise = draw_gaussian(d, params.sigma1, rng,
                                   None if ledgers is None else ledgers[r], SITE_GRAD)
-            nabla[r] = loss.grad_mean(W[r], Xb, Yb) + noise
+            key = W[r].tobytes() if shared and params.b1 == n else r
+            if key not in fresh:
+                fresh[key] = loss.grad_mean(W[r], Xb, Yb)
+            nabla[r] = fresh[key] + noise
         W_prev, W = W, advance(t0, W, nabla)
         phase_end = min(t0 + q, steps)
         for t1 in range(t0 + 1, phase_end, block):

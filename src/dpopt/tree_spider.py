@@ -209,36 +209,40 @@ def _tree_path(loss: LossSpec, params: TreeParams, take, rng: np.random.Generato
     right children sit at the pending iterate; `leaf(t, s, w_s, nabla_s)`
     returns the next pending iterate, or None to stop. `node(t, s, w_s,
     nabla_s, delta)`, when given, sees every node before its leaf hook.
+    The schedule (s, depth, is-right, batch size, 2^depth/b) is built once
+    per call; `path[k]` holds the (w, nabla) of the depth-k node on the
+    current root-to-node path.
     """
-    d = loss.dim
-    visit = [""] + dfs_order(params.D)
+    d, D = loss.dim, params.D
+    schedule = [("", 0, False, params.b, None)] + [
+        (s, len(s), s[-1] == "1", params.batch_size(len(s)), 2 ** len(s) / params.b)
+        for s in dfs_order(D)]
+    path: list[tuple[np.ndarray, np.ndarray] | None] = [None] * (D + 1)
     pending_w = np.zeros(d)
     for t in range(1, params.T + 1):
-        nodes: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for s in visit:
+        for s, k, right, size, scale in schedule:
             delta = None
-            if not s:
+            if not k:
                 w_s = pending_w
-                batch = take(params.b)
+                batch = take(size)
                 g = draw_gaussian(d, params.sigma_root, rng, ledger, SITE_ROOT)
                 nabla_s = loss.grad_mean(w_s, batch.X, batch.y) + g
-            elif s[-1] == "0":
-                w_s, nabla_s = nodes[s[:-1]]
+            elif not right:
+                w_s, nabla_s = path[k - 1]
             else:
-                w_par, nabla_par = nodes[s[:-1]]
+                w_par, nabla_par = path[k - 1]
                 w_s = pending_w
-                k = len(s)
-                batch = take(params.batch_size(k))
+                batch = take(size)
                 # (2^|s|/b) * sum over the batch of per-sample variations
                 var_sum = batch.n * (loss.grad_mean(w_s, batch.X, batch.y)
                                      - loss.grad_mean(w_par, batch.X, batch.y))
                 g = draw_gaussian(d, params.sigma_delta, rng, ledger, SITE_DELTA)
-                delta = (2 ** k / params.b) * var_sum + g
+                delta = scale * var_sum + g
                 nabla_s = nabla_par + delta
-            nodes[s] = (w_s, nabla_s)
+            path[k] = (w_s, nabla_s)
             if node is not None:
                 node(t, s, w_s, nabla_s, delta)
-            if len(s) == params.D:
+            if k == D:
                 pending_w = leaf(t, s, w_s, nabla_s)
                 if pending_w is None:
                     return
@@ -272,7 +276,7 @@ def run_tree_spider(loss: LossSpec, stream: DatasetCursor, params: TreeParams,
     def leaf(t, s, w_s, nabla_s):
         nonlocal round_start, stop
         leaf_ws.append(w_s)
-        norm = float(np.linalg.norm(nabla_s))
+        norm = math.sqrt(nabla_s @ nabla_s)  # np.linalg.norm's bits
         if norm <= 2.0 * params.alpha_tilde:
             stop = NodeAddress(t, s)
         if stop is not None or s == last_leaf:

@@ -399,6 +399,30 @@ class TestDataset:
         assert neighbor.X[0, 0] == 9.0 and neighbor.y[0] == 1.5
         assert np.array_equal(neighbor.X[1:], ref.X[1:])
 
+    def test_indexed_slices_and_takes_view_the_checked_index(self):
+        rng = np.random.default_rng(15)
+        support = Dataset(rng.standard_normal((7, 3)), rng.standard_normal(7))
+        idx = rng.integers(0, 7, 50)
+        ds = Dataset.indexed(support, idx)
+        cursor = DatasetCursor(ds.slice(10, 50))
+        views = [(ds.slice(4, 44).slice(6, 30).slice(2, 20), idx[12:30]),
+                 (cursor.take(1), idx[10:11]), (cursor.take(9), idx[11:20]),
+                 (DatasetCursor(ds.slice(3, 9).slice(1, 6)).take(5), idx[4:9])]
+        for got, rows in views:
+            want = support.subset(rows)
+            assert np.array_equal(got.X, want.X) and np.array_equal(got.y, want.y)
+            assert not got.X.flags.writeable and not got.y.flags.writeable
+            assert np.shares_memory(got._idx, ds._idx)  # a view, not a copy
+        for bad in ([7], [0, -1]):
+            with pytest.raises(ValueError, match="out of range"):
+                Dataset.indexed(support, np.array(bad))
+        with pytest.raises(IndexError):
+            ds.subset(np.array([50]))
+        with pytest.raises(IndexError):
+            ds.slice(4, 44).subset(np.array([3, 40]))
+        idx[12] = 7  # a write to the caller's array misses the checked copy
+        assert ds._idx[12] != 7
+
     def test_indexed_row_above_bound_fails_validation(self):
         X = np.full((4, 2), 0.5)
         X[2] = [1.0, 1.0]  # norm sqrt(2) > normX = 1

@@ -113,6 +113,27 @@ class TestSubspaceEmbedding:
             check_subspace_embedding(phi, np.array([[1.0, 0, 0, 0],
                                                     [2.0, 0, 0, 0]]), 0.5)
 
+    def test_matches_one_probe_at_a_time(self):
+        # the batched check draws the same probes as a draw per probe
+        def per_probe(phi, basis, probes, rng):
+            Q, _ = np.linalg.qr(basis.T)
+            worst = 0.0
+            for _ in range(probes):
+                z = rng.standard_normal(basis.shape[0])
+                z /= max(np.linalg.norm(z), 1e-300)
+                pv = phi.entries @ (Q @ z)
+                worst = max(worst, abs(float(pv @ pv) - 1.0))
+            return worst
+
+        rng = np.random.default_rng(2)
+        for r, k, d in ((1, 12, 9), (3, 40, 20), (4, 5, 6)):
+            basis = rng.standard_normal((r, d))
+            phi = jl_matrix(k, d, seed=r)
+            ok, worst = check_subspace_embedding(phi, basis, 0.5, probes=200,
+                                                 rng=np.random.default_rng(k))
+            want = per_probe(phi, basis, 200, np.random.default_rng(k))
+            assert abs(worst - want) <= 1e-12 and ok == (want <= 0.5)
+
     def test_ose_pass_rate(self):
         # k = O(r log(2/beta)/tau^2) gives pass rate >= 1 - beta at tau = 1/2
         r, beta, tau, d = 2, 0.05, 0.5, 64

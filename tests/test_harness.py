@@ -1,5 +1,6 @@
 """Harness: synthetic data, RNG streams, scaling fits, sweeps, and the CLI."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,16 +383,26 @@ class TestRunExperiment:
         assert row["status"] == "diverged"
 
     def test_workers_match_serial(self, tmp_path):
-        raw = {"algorithm": "spiderboost",
-               "grid": {"n": [64, 128], "eps": [1.0], "d": [4]},
-               "delta": 1e-4, "seeds": [0, 1], "out": str(tmp_path / "f"),
-               "data": {"kind": "glm_fullrank", "label_scale": 0.5},
-               "overrides": {"T": 30}}
-        serial = run_experiment(ExperimentConfig.from_dict(raw)).read_bytes()
-        raw["out"] = str(tmp_path / "g")
-        raw["workers"] = 2
-        parallel = run_experiment(ExperimentConfig.from_dict(raw)).read_bytes()
-        assert serial == parallel
+        # the pool takes jobs largest n first; runs.csv and every report
+        # still come out byte for byte as in a serial sweep
+        for algorithm, n_grid, overrides in (("spiderboost", [64, 128], {"T": 30}),
+                                             ("tree_spider", [1024, 2048], {})):
+            outs = []
+            for workers in (1, 2):
+                out = tmp_path / f"{algorithm}_{workers}"
+                run_experiment(ExperimentConfig.from_dict({
+                    "algorithm": algorithm,
+                    "grid": {"n": n_grid, "eps": [1.0], "d": [4]},
+                    "delta": 1e-4, "seeds": [0, 1], "out": str(out),
+                    "data": {"kind": "glm_fullrank", "label_scale": 0.5,
+                             "support_size": 64},
+                    "overrides": overrides, "workers": workers}))
+                outs.append({f.relative_to(out): f.read_bytes()
+                             for f in out.rglob("*") if f.is_file()})
+            serial, parallel = outs
+            assert len(serial) == 5 and serial == parallel  # runs.csv, 4 reports
+            rows = serial[Path("runs.csv")].splitlines()[1:]
+            assert len(rows) == 4 and all(r.endswith(b",ok") for r in rows)
 
 
 class TestReportJson:

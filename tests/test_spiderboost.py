@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from dpopt.core import (erm_grad, glm_loss, huber_mean_loss,
+from dpopt.core import (Dataset, erm_grad, glm_loss, huber_mean_loss,
                         synthetic_nonconvex_loss, tanh_link)
 from dpopt.harness import gen_synthetic
 from dpopt.privacy import PrivacyBudget
-from dpopt.spiderboost import (SpiderParams, derive_spider_params,
+from dpopt.spiderboost import (SpiderParams, _spider_path, derive_spider_params,
                                run_spiderboost, spider_oracle_count,
                                validate_spider_error_bound, SITE_GRAD, SITE_GV)
 from dpopt.util import PreconditionError
@@ -326,6 +326,37 @@ class TestErrorBoundValidator:
                                           rng=np.random.default_rng(16),
                                           path_len=5)
         assert max(chk.unbiased_ratio) <= 4.0
+
+    def test_shared_full_batch_gradient_once_per_phase(self, monkeypatch):
+        # b1 = n on one shared dataset: runs at one iterate share a fresh
+        # gradient, which equals what each run computes on its own copy
+        loss, S, params = self._setup()
+        phases = -(-8 // params.q)
+        ws = [np.zeros((1, 5))] + [np.full((1, 5), 0.01 * t) for t in range(1, 9)]
+        calls = []
+        grad_mean = type(loss).grad_mean
+        monkeypatch.setattr(type(loss), "grad_mean",
+                            lambda *a, **k: calls.append(1) or grad_mean(*a, **k))
+
+        def estimates(data):
+            seen = []
+
+            def pinned(t, W, nabla):
+                seen.append(nabla.copy())
+                return np.broadcast_to(ws[t + 1], W.shape)
+            _spider_path(loss, params, 8, data, np.random.default_rng(3).spawn(4),
+                         None, True, pinned)
+            return seen
+
+        shared = estimates([S] * 4)
+        assert len(calls) == phases
+        copies = estimates([Dataset(S.X.copy(), S.y.copy()) for _ in range(4)])
+        assert len(calls) == phases + 4 * phases
+        assert all(np.array_equal(a, b) for a, b in zip(shared, copies))
+        calls.clear()
+        validate_spider_error_bound(loss, S, params, trials=200,
+                                    rng=np.random.default_rng(4))
+        assert len(calls) == 2 * phases  # the frozen path, then all trials
 
     def test_rejects_too_few_trials(self):
         loss, S, params = self._setup()

@@ -246,6 +246,29 @@ class TestRunTreeSpider:
         assert np.array_equal(reps[0].w_out, reps[1].w_out)
         assert reps[0].noise_ledger.rows() == reps[1].noise_ledger.rows()
 
+    def test_indexed_stream_matches_plain_stream(self):
+        # a population sample held as support indices runs as its gathered rows
+        loss = synthetic_nonconvex_loss(3)
+        dist = gen_support("glm_fullrank", 32, 3, seed=17, label_scale=0.5)
+        sample = dist.sample(200, np.random.default_rng(18))
+        params = manual_params(b=16, D=2, T=3, sigma_root=0.03, sigma_delta=0.01)
+        reps = [run_tree_spider(loss, DatasetCursor(S), params,
+                                np.random.default_rng(19), record_nodes=True)
+                for S in (sample, Dataset(sample.X.copy(), sample.y.copy()))]
+        indexed, plain = reps
+        assert np.array_equal(indexed.w_out, plain.w_out)
+        assert indexed.noise_ledger.rows() == plain.noise_ledger.rows()
+        for field in ("stopped_early", "stop_address", "samples_consumed",
+                      "leaf_count_visited", "rounds_completed", "round_consumption",
+                      "selected_leaf"):
+            assert getattr(indexed, field) == getattr(plain, field), field
+        assert len(indexed.nodes) == len(plain.nodes) == 3 * 7
+        for a, b in zip(indexed.nodes, plain.nodes):
+            assert (a.address, a.batch_range) == (b.address, b.batch_range)
+            assert np.array_equal(a.w, b.w) and np.array_equal(a.grad_est, b.grad_est)
+            assert (a.delta is None) == (b.delta is None)
+            assert a.delta is None or np.array_equal(a.delta, b.delta)
+
     def test_uniform_leaf_selection_range(self):
         loss = synthetic_nonconvex_loss(2)
         params = manual_params(b=8, D=1, T=3, sigma_root=0.02, sigma_delta=0.01)
