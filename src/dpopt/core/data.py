@@ -1,6 +1,7 @@
 """Immutable datasets, deterministic slicing, and single-pass cursors."""
 from __future__ import annotations
 
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,26 @@ class StreamExhausted(RuntimeError):
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    # setflags on a view leaves its base writeable: copy a view whose base is
     a = np.ascontiguousarray(a, dtype=np.float64)
+    if _writeable_base(a):
+        a = a.copy()
     a.setflags(write=False)
     return a
+
+
+def _writeable_base(a: np.ndarray) -> bool:
+    base = a.base
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return True
+        base = base.base
+    if base is None:
+        return False
+    try:  # a buffer such as a bytearray or an mmap
+        return not memoryview(base).readonly
+    except TypeError:
+        return True
 
 
 # entries per row block when taking row norms: the squares temporary of a
@@ -47,12 +65,20 @@ class Dataset:
     views of that vector, its subsets are checked again, ``X`` and ``y``
     are gathered on first use, and ``max_feature_norm`` reads the source's
     row norms.
+
+    ``X`` and ``y`` are read-only. An array that owns its memory is frozen
+    in place and not copied; a view is copied when its base can still be
+    written, so a later write to the caller's buffer cannot reach the data
+    (or void the cached norm bound). A caller that sets an owner writeable
+    again with ``setflags`` is not guarded against.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray | None = None):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if y is not None:
-            y = np.asarray(y, dtype=np.float64).reshape(-1)
+            y = np.asarray(y, dtype=np.float64)
+            if y.ndim != 1:  # reshape makes a view even of a 1-D owner
+                y = y.reshape(-1)
             if y.shape[0] != X.shape[0]:
                 raise ValueError(f"label count {y.shape[0]} != sample count {X.shape[0]}")
             y = _freeze(y)
@@ -185,11 +211,59 @@ class DatasetCursor:
 
 
 class Runs(tuple):
-    """The datasets of R runs in lockstep, one per run, of equal size."""
+    """The datasets of R runs in lockstep, one per run, of equal size.
+
+    A packed group (see :meth:`pack`) holds its runs' rows in one read-only
+    block, and each run's dataset is a view of its slot in it.
+    """
+
+    _block: tuple[np.ndarray, np.ndarray | None] | None = None
+
+    @classmethod
+    def pack(cls, R: int, datasets: Iterable[Dataset]) -> "Runs":
+        """R datasets of equal n, d and labelling, copied one at a time
+        (`datasets` may generate them lazily) into slots of one (R*n, d)
+        block and (R*n,) labels, which are frozen before the views are
+        taken."""
+        if R < 1:
+            raise ValueError("pack needs R >= 1")
+        X = Y = None
+        count = 0
+        for S in datasets:
+            if X is None:
+                n, d = S.n, S.dim
+                X = np.empty((R * n, d))
+                Y = np.empty(R * n) if S.labelled else None
+            if count == R or (S.n, S.dim, S.labelled) != (n, d, Y is not None):
+                raise ValueError(f"pack needs {R} datasets that share n, d and labelling")
+            X[count * n:(count + 1) * n] = S.X
+            if Y is not None:
+                Y[count * n:(count + 1) * n] = S.y
+            count += 1
+        if count != R:
+            raise ValueError(f"pack needs {R} datasets, got {count}")
+        X.setflags(write=False)
+        if Y is not None:
+            Y.setflags(write=False)
+        slots = [slice(r * n, (r + 1) * n) for r in range(R)]
+        runs = cls(Dataset(X[s], None if Y is None else Y[s]) for s in slots)
+        runs._block = (X, Y)
+        return runs
 
     @property
     def n(self) -> int:
         return self[0].n
+
+    def block(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Every run's features and labels, run after run: (R*n, d) and
+        (R*n,). A packed group gives its block, a lone run its own arrays,
+        and any other group a fresh concatenation."""
+        if self._block is not None:
+            return self._block
+        if len(self) == 1:
+            return self[0].X, self[0].y
+        return (np.concatenate([S.X for S in self]),
+                np.concatenate([S.y for S in self]) if self[0].labelled else None)
 
     def slice(self, start: int, stop: int) -> "Runs":
         return Runs(S.slice(start, stop) for S in self)
@@ -208,7 +282,8 @@ def lockstep(S, rng, ledger=None):
     and labelling."""
     single = isinstance(rng, np.random.Generator)
     rngs = [rng] if single else list(rng)
-    data = Runs([S] * len(rngs) if isinstance(S, Dataset) else S)
+    data = (S if isinstance(S, Runs) else
+            Runs([S] * len(rngs) if isinstance(S, Dataset) else S))
     if len(data) != len(rngs) or not rngs:
         raise ValueError(f"need one dataset per generator: {len(data)} for {len(rngs)}")
     if any((D.n, D.dim, D.labelled) != (data[0].n, data[0].dim, data[0].labelled)

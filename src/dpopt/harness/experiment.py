@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.data import Dataset, DatasetCursor
+from ..core.data import Dataset, DatasetCursor, Runs
 from ..core.loss import erm_grad
 from ..glm_jl import JLParams, choose_k, run_jl
-from ..privacy import PrivacyBudget
+from ..privacy import NoiseLedger, PrivacyBudget
 from ..recursive_reg import derive_rr_params, run_recursive_regularization
 from ..spiderboost import derive_spider_params, run_spiderboost
 from ..tree_spider import derive_tree_params, run_tree_spider
@@ -126,7 +126,10 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
             params = derive_spider_params(n, d, loss.L0, loss.L1, loss.F0_hint,
                                           budget, config.overrides)
             set_hash(params)
-            data = [_gen_dataset(config, n, d, grid_index, s) for s, _ in seeds]
+            # one seed's dataset at a time, into one block that the lockstep
+            # group samples from
+            data = Runs.pack(len(seeds), (_gen_dataset(config, n, d, grid_index, s)
+                                          for s, _ in seeds))
             reps = run_spiderboost(loss, data, params,
                                    [stream(config.master_seed, "run", grid_index, s)
                                     for s, _ in seeds])
@@ -231,9 +234,7 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
                     "oracle_calls": row["oracle_calls"],
                     "param_hash": row["param_hash"],
                     **extras,
-                    "noise_ledger": [
-                        {"site": s, "sigma": sig, "dim": dd, "count": c}
-                        for (s, sig, dd, c) in ledger.rows()],
+                    "noise_ledger": ledger,
                 }
     except Exception as exc:
         for row in rows:
@@ -312,24 +313,29 @@ def _json_number(v) -> str:
 
 
 def report_json(doc: dict) -> str:
-    """`json.dumps(doc, indent=1)`, byte for byte, for a run report.
+    """`json.dumps(doc, indent=1)`, byte for byte, for a run report whose
+    noise ledger is a list of entry dicts; a `NoiseLedger` is written as
+    the list of its entries' dicts (site, sigma, dim, count).
 
     The noise ledger, which must be the report's last key, can hold 10^4
     entries per run; they are filled into a fixed template instead of going
-    through the pure-Python indenting encoder.
+    through the pure-Python indenting encoder, straight from a ledger's
+    columns.
     """
     keys = list(doc)
     if len(keys) < 2 or keys[-1] != "noise_ledger":
         raise ValueError("a report needs other keys before a last 'noise_ledger'")
     head = json.dumps({k: doc[k] for k in keys[:-1]}, indent=1)
-    rows = doc["noise_ledger"]
+    ledger = doc["noise_ledger"]
+    rows = (ledger.iter_rows() if isinstance(ledger, NoiseLedger) else
+            ((e["site"], e["sigma"], e["dim"], e["count"]) for e in ledger))
     # a ledger names a handful of sites: encode each one once
-    sites = {s: json.dumps(s) for s in {e["site"] for e in rows}}
-    entries = ",".join(_LEDGER_ENTRY % (sites[e["site"]], _json_number(e["sigma"]),
-                                        e["dim"], e["count"])
-                       for e in rows)
-    ledger = f"[{entries}\n ]" if entries else "[]"
-    return f'{head[:-2]},\n "noise_ledger": {ledger}\n}}'
+    sites: dict[str, str] = {}
+    entries = ",".join(_LEDGER_ENTRY % (sites.get(s) or sites.setdefault(s, json.dumps(s)),
+                                        _json_number(sig), dd, c)
+                       for s, sig, dd, c in rows)
+    body = f"[{entries}\n ]" if entries else "[]"
+    return f'{head[:-2]},\n "noise_ledger": {body}\n}}'
 
 
 def _csv_cell(v) -> str:

@@ -28,7 +28,8 @@ def gen_synthetic(kind: str, n: int, d: int, rank: int | None = None,
         z = rng.standard_normal((n, d))
         z /= row_norms(z)[:, None]
         radii = (B / 4.0) * rng.random(n) ** (1.0 / d)
-        return Dataset(z * radii[:, None])
+        z *= radii[:, None]
+        return Dataset(z)
 
     r = d if kind == "glm_fullrank" else rank
     if r is None:
@@ -38,8 +39,8 @@ def gen_synthetic(kind: str, n: int, d: int, rank: int | None = None,
     Q, _ = np.linalg.qr(rng.standard_normal((d, r)))
     spectrum = spectrum_decay ** np.arange(r)
     coeff = rng.standard_normal((n, r)) * spectrum
-    V = coeff @ Q.T
-    X = V / np.maximum(row_norms(V)[:, None], 1e-300)
+    X = coeff @ Q.T
+    X /= np.maximum(row_norms(X)[:, None], 1e-300)
     y = None
     if label_scale != 0.0:
         y = label_scale * (X @ Q[:, 0])

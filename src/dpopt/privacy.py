@@ -9,6 +9,8 @@ so each draw lands in the run's ledger with the calibrated sigma.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,24 +49,76 @@ class NoiseLedgerEntry:
 
 
 class NoiseLedger:
-    """Append-only record of Gaussian draws, coalescing repeats in place."""
+    """Append-only record of Gaussian draws, coalescing repeats in place.
+
+    A draw at the last entry's site and dim, with a sigma that compares equal
+    (`==`, so a NaN never coalesces), adds one to that entry's count.
+    SpiderBoost gives each gradient-variation step its own sigma, so a
+    ledger can hold 10^4 entries per run: they are kept as columns, a site
+    list and typed arrays of sigma, dim and count (about 32 B an entry).
+    `entries` is a read-only view of them as `NoiseLedgerEntry` values.
+    Two ledgers are equal when their columns are, sigma bit for bit.
+    """
+
+    __slots__ = ("_site", "_sigma", "_dim", "_count")
 
     def __init__(self):
-        self.entries: list[NoiseLedgerEntry] = []
+        self._site: list[str] = []
+        self._sigma = array("d")
+        self._dim = array("q")
+        self._count = array("q")
 
     def record(self, site: str, sigma: float, dim: int) -> None:
-        if self.entries:
-            last = self.entries[-1]
-            if last.site == site and last.sigma == sigma and last.dim == dim:
-                last.count += 1
-                return
-        self.entries.append(NoiseLedgerEntry(site, sigma, dim))
+        if (self._site and self._site[-1] == site and self._sigma[-1] == sigma
+                and self._dim[-1] == dim):
+            self._count[-1] += 1
+            return
+        self._site.append(site)
+        self._sigma.append(sigma)
+        self._dim.append(dim)
+        self._count.append(1)
+
+    @property
+    def entries(self) -> "LedgerEntries":
+        return LedgerEntries(self)
+
+    def iter_rows(self) -> Iterator[tuple[str, float, int, int]]:
+        """The entries as (site, sigma, dim, count), without a list of them."""
+        return zip(self._site, self._sigma, self._dim, self._count)
 
     def total_draws(self) -> int:
-        return sum(e.count for e in self.entries)
+        return sum(self._count)
 
     def rows(self) -> list[tuple[str, float, int, int]]:
-        return [(e.site, e.sigma, e.dim, e.count) for e in self.entries]
+        return list(self.iter_rows())
+
+    def __eq__(self, other):
+        if not isinstance(other, NoiseLedger):
+            return NotImplemented
+        return (self._site == other._site and self._dim == other._dim
+                and self._count == other._count
+                and self._sigma.tobytes() == other._sigma.tobytes())
+
+
+class LedgerEntries(Sequence):
+    """Read-only view of a ledger's entries; each access builds a fresh
+    `NoiseLedgerEntry`, so changing one does not change the ledger."""
+
+    __slots__ = ("_ledger",)
+
+    def __init__(self, ledger: NoiseLedger):
+        self._ledger = ledger
+
+    def __len__(self) -> int:
+        return len(self._ledger._site)
+
+    def __getitem__(self, i: int) -> NoiseLedgerEntry:
+        led = self._ledger
+        return NoiseLedgerEntry(led._site[i], led._sigma[i], led._dim[i], led._count[i])
+
+    def __iter__(self) -> Iterator[NoiseLedgerEntry]:
+        led = self._ledger
+        return map(NoiseLedgerEntry, led._site, led._sigma, led._dim, led._count)
 
 
 def gaussian_sigma(sensitivity: float, eps: float, delta: float) -> float:

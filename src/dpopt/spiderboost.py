@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core.data import Dataset, lockstep
+from .core.data import Dataset, Runs, lockstep
 from .core.loss import GLMLoss, LossSpec, erm_grad
 from .privacy import (NoiseLedger, PrivacyBudget, accountant_sigma,
                       draw_gaussian, scale_gaussian_rows)
@@ -165,6 +165,8 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
     W_0 = 0, for `steps` steps.
 
     Run r samples data[r] with rngs[r] and records its noise in ledgers[r].
+    Runs on distinct datasets take their batches from `Runs.block()`: the
+    group's own block when `data` is a packed `Runs`, else a concatenation.
     At t = 0 mod q each run draws a fresh batch, then its N(0, sigma1^2 I)
     noise, and nabla_t is the batch-mean gradient plus that noise (with
     b1 = n on one shared dataset, the gradient is computed once per distinct
@@ -185,8 +187,7 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
         X_full = np.broadcast_to(X, (R, n, d))
         Y_full = np.broadcast_to(Y, (R, n)) if labelled else None
     else:
-        X = np.concatenate([S.X for S in data])
-        Y = np.concatenate([S.y for S in data]) if labelled else None
+        X, Y = (data if isinstance(data, Runs) else Runs(data)).block()
         offset = n * np.arange(R)[:, None]
         X_full, Y_full = X.reshape(R, n, d), Y.reshape(R, n) if labelled else None
     b2, q = params.b2, params.q

@@ -5,7 +5,8 @@ when the benchmark runs.
 fields of their results; `perfbench/gate.py` imports public names. A child
 interpreter installs the spans (which patch dpopt in place), imports the
 gate, runs every workload's sweep shrunk to one small n and two seeds, and
-checks each sweep with the gate and its heavy layers for recorded spans.
+checks each sweep with the gate and its heavy layers for recorded spans,
+and its traced ledger-entry count against the entries in its reports.
 """
 import json
 import os
@@ -37,10 +38,14 @@ for name, w in WORKLOADS.items():
     tracer.reset()
     run_experiment(config)
     summary = tracer.summary()
+    reports = sorted((Path(config.out) / "reports").glob("*.json"))
     out[name] = {"problems": gate.check_sweep(config, Path(config.out)),
                  "idle": [n for n in w.heavy
                           if not summary["layers"].get(n, {}).get("calls")],
-                 "counters": summary["counters"]}
+                 "counters": summary["counters"],
+                 "reports": len(reports),
+                 "report_entries": sum(len(json.loads(p.read_text())["noise_ledger"])
+                                       for p in reports)}
 print(json.dumps(out))
 """
 
@@ -54,5 +59,10 @@ def test_spans_install_and_gate_on_every_workload(tmp_path):
     for name, got in result.items():
         assert got["problems"] == [[], []], name
         assert got["idle"] == [], name
+        # the ledger hook counts each new entry once, so the traced count is
+        # the number of entries the two seeds' reports hold
+        assert got["reports"] == 2, name
+        entries = got["counters"]["privacy.ledger.entries"]
+        assert entries == got["report_entries"] > 0, name
     tree = result["tree_stream_sweep"]["counters"]
     assert tree["tree_spider.leaves"] > 0 and tree["tree_spider.samples"] > 0

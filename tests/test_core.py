@@ -11,7 +11,7 @@ from dpopt.core import (Dataset, DatasetCursor, StreamExhausted, ZeroLoss,
                         smoothness_audit, square_link, synthetic_nonconvex_loss,
                         tanh_link, RATIONAL_L0, RATIONAL_L1)
 from dpopt.core import data as data_module
-from dpopt.core.data import row_norms
+from dpopt.core.data import Runs, row_norms
 from dpopt.harness import gen_synthetic
 
 
@@ -333,6 +333,35 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.X[0, 0] = 5.0
 
+    def test_view_of_writeable_buffer_is_copied(self):
+        # a later write to the caller's buffer reaches neither X and y nor
+        # the cached norm bound that validated them
+        buf, labels = np.full((20, 2), 0.25), np.zeros(20)
+        ds = Dataset(buf[:10], labels[:10])
+        loss = glm_loss(tanh_link(), 1.0, 1.0, 1.0, 2)
+        loss.validate_dataset(ds)
+        buf[:10] *= 100.0
+        labels[:10] = 5.0
+        assert np.all(ds.X == 0.25) and np.all(ds.y == 0.0)
+        assert ds.max_feature_norm() == float(np.max(np.linalg.norm(ds.X, axis=1)))
+        loss.validate_dataset(ds)
+        frozen_view = buf[10:]
+        frozen_view.setflags(write=False)  # the view is read-only, its base is not
+        assert not np.shares_memory(Dataset(frozen_view).X, buf)
+        raw = bytearray(np.ones(4).tobytes())
+        assert not np.shares_memory(Dataset(np.frombuffer(raw).reshape(2, 2)).X,
+                                    np.frombuffer(raw))
+
+    def test_owners_and_views_of_frozen_memory_are_not_copied(self):
+        X, y = np.ones((6, 2)), np.zeros(6)
+        ds = Dataset(X, y)
+        assert ds.X is X and ds.y is y  # frozen in place
+        assert not X.flags.writeable and not y.flags.writeable
+        for view in (ds.slice(1, 4), Dataset(X[2:5], y[2:5])):
+            assert np.shares_memory(view.X, X) and np.shares_memory(view.y, y)
+        S = gen_synthetic("glm_fullrank", 8, 3, seed=0, label_scale=0.5)
+        assert S.X.base is None and S.y.base is None
+
     def test_replace_sample(self):
         ds = Dataset(np.zeros((3, 2)), np.zeros(3))
         swapped = ds.replace_sample(1, np.array([1.0, 2.0]), y=7.0)
@@ -455,3 +484,43 @@ class TestDataset:
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 2)), np.zeros(2))
+
+
+class TestRuns:
+    def datasets(self, R=3, n=5, d=2, labelled=True):
+        rng = np.random.default_rng(21)
+        return [Dataset(rng.standard_normal((n, d)),
+                        rng.standard_normal(n) if labelled else None) for _ in range(R)]
+
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_pack_copies_runs_into_one_frozen_block(self, labelled):
+        data = self.datasets(labelled=labelled)
+        runs = Runs.pack(3, (S for S in data))  # generated lazily
+        X, Y = runs.block()
+        assert runs.block()[0] is X and X.shape == (15, 2)
+        assert not X.flags.writeable
+        assert (Y is None) == (not labelled)
+        for r, (S, ref) in enumerate(zip(runs, data)):
+            assert np.array_equal(S.X, ref.X) and np.shares_memory(S.X, X)
+            assert np.array_equal(S.X, X[5 * r:5 * (r + 1)])
+            if labelled:
+                assert np.array_equal(S.y, ref.y) and np.shares_memory(S.y, Y)
+                assert not Y.flags.writeable
+        unpacked = Runs(data).block()
+        assert np.array_equal(unpacked[0], X) and not np.shares_memory(unpacked[0], X)
+        assert runs.slice(1, 3).block()[0].shape == (6, 2)
+        assert data_module.lockstep(runs, [np.random.default_rng(r) for r in range(3)])[0] is runs
+
+    def test_block_of_a_lone_run_is_its_own_arrays(self):
+        (S,) = self.datasets(R=1)
+        X, Y = Runs([S]).block()
+        assert X is S.X and Y is S.y
+
+    def test_pack_rejects_mismatched_runs(self):
+        data = self.datasets()
+        for bad in (data[:2], data + data[:1],
+                    data[:2] + [Dataset(np.zeros((4, 2)), np.zeros(4))],
+                    data[:2] + [Dataset(np.zeros((5, 3)), np.zeros(5))],
+                    data[:2] + [Dataset(np.zeros((5, 2)))]):
+            with pytest.raises(ValueError, match="pack needs"):
+                Runs.pack(3, bad)

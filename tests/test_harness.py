@@ -12,6 +12,7 @@ from dpopt.harness.cli import main as cli_main
 from dpopt.harness.experiment import report_json, run_single
 from dpopt.core import load_csv, synthetic_nonconvex_loss
 from dpopt.glm_jl import numeric_rank
+from dpopt.privacy import NoiseLedger
 
 
 class TestGenSynthetic:
@@ -221,6 +222,52 @@ class TestRunExperiment:
             assert report_json(group[seed_index][1]) == report_json(alone[1])
         assert group[0][0]["grad_norm"] != group[1][0]["grad_norm"]
 
+    def test_packed_group_rows_equal_single_seed_rows(self, tmp_path, monkeypatch):
+        # the group's datasets are views of one read-only block, in slots of
+        # 129 x 3 x 8 B (not a multiple of 64), and each seed's row and
+        # report still equal what it gives alone
+        from dpopt.harness import experiment
+        seen, run = [], experiment.run_spiderboost
+        monkeypatch.setattr(experiment, "run_spiderboost",
+                            lambda loss, S, *a, **k: seen.append(S) or run(loss, S, *a, **k))
+        cfg = ExperimentConfig.from_dict({
+            "algorithm": "spiderboost", "grid": {"n": [129], "eps": [1.0], "d": [3]},
+            "delta": 1e-4, "seeds": [5, 6, 7], "out": str(tmp_path / "p"),
+            "master_seed": 3, "data": {"kind": "glm_fullrank", "label_scale": 0.5},
+            "overrides": {"T": 50}})
+        group = run_single(cfg, 0, 129, 3, 1.0, [(0, 5), (1, 6), (2, 7)])
+        X, Y = seen[0].block()
+        assert X.shape == (387, 3) and not X.flags.writeable and not Y.flags.writeable
+        assert all(np.shares_memory(S.X, X) and np.shares_memory(S.y, Y)
+                   for S in seen[0])
+        assert all(row["status"] == "ok" for row, _ in group)
+        for seed_index, seed in enumerate((5, 6, 7)):
+            (alone,) = run_single(cfg, 0, 129, 3, 1.0, [(seed_index, seed)])
+            assert group[seed_index][0] == alone[0]
+            assert group[seed_index][1] == alone[1]
+            assert report_json(group[seed_index][1]) == report_json(alone[1])
+
+    def test_group_python_peak_memory(self, tmp_path):
+        """Python-side peak (tracemalloc, numpy buffers included) of one
+        5-seed SpiderBoost grid point at n = 4096, d = 16, eps = 1: 6.0 MB
+        with columnar ledgers in the report docs and one packed data block;
+        8.2 MB with an entry object and a report dict per ledger entry and the
+        datasets concatenated a second time."""
+        import tracemalloc
+        cfg = ExperimentConfig.from_dict({
+            "algorithm": "spiderboost", "grid": {"n": [4096], "d": [16], "eps": [1.0]},
+            "delta": 1e-6, "seeds": [0, 1, 2, 3, 4], "out": str(tmp_path / "m"),
+            "loss": {"kind": "synthetic_nonconvex"},
+            "data": {"kind": "glm_fullrank", "label_scale": 0.7, "spectrum_decay": 0.5}})
+        tracemalloc.start()
+        try:
+            group = run_single(cfg, 0, 4096, 16, 1.0, list(enumerate(range(5))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [row["status"] for row, _ in group] == ["ok"] * 5
+        assert peak < 7 * 2 ** 20
+
     def test_timing_splits_group_wall_time(self, tmp_path):
         raw = {"algorithm": "spiderboost",
                "grid": {"n": [64], "eps": [1.0], "d": [4]},
@@ -427,19 +474,39 @@ class TestReportJson:
         assert text == json.dumps(doc, indent=1)
         assert report_json(doc) == text
 
-    @pytest.mark.parametrize("ledger", [
+    EDGE_LEDGERS = [
         [],
         [{"site": "spider-grad", "sigma": float("nan"), "dim": 4, "count": 1},
          {"site": "spider-gv", "sigma": float("inf"), "dim": 4, "count": 2},
          {"site": "spider-gv", "sigma": 0, "dim": 4, "count": 1}],
         [{"site": 'quote " back\\ tab\t uni \u00e9 nl\n', "sigma": 1e-300,
           "dim": 16, "count": 3}],
-    ], ids=["empty", "nonfinite", "escaped-site"])
+    ]
+    EDGE_IDS = ["empty", "nonfinite", "escaped-site"]
+
+    @staticmethod
+    def edge_doc(ledger) -> dict:
+        return {"algorithm": "spiderboost", "n": 64, "grad_norm": float("nan"),
+                "trace_steps": [0, 1], "stop_address": None, "clamped": False,
+                "noise_ledger": ledger}
+
+    @pytest.mark.parametrize("ledger", EDGE_LEDGERS, ids=EDGE_IDS)
     def test_edge_docs(self, ledger):
-        doc = {"algorithm": "spiderboost", "n": 64, "grad_norm": float("nan"),
-               "trace_steps": [0, 1], "stop_address": None, "clamped": False,
-               "noise_ledger": ledger}
+        doc = self.edge_doc(ledger)
         assert report_json(doc) == json.dumps(doc, indent=1)
+
+    @pytest.mark.parametrize("entries", EDGE_LEDGERS, ids=EDGE_IDS)
+    def test_ledger_docs_write_their_entry_dicts(self, entries):
+        # a doc holding the NoiseLedger itself, as run_single returns it
+        ledger = NoiseLedger()
+        for e in entries:
+            for _ in range(e["count"]):
+                ledger.record(e["site"], e["sigma"], e["dim"])
+        dicts = [{"site": s, "sigma": sig, "dim": d, "count": c}
+                 for s, sig, d, c in ledger.rows()]
+        assert len(dicts) == len(entries)
+        assert (report_json(self.edge_doc(ledger))
+                == json.dumps(self.edge_doc(dicts), indent=1))
 
     def test_ledger_must_be_last(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,14 @@
 """Noise calibration formulas, sensitivity bounds, and the Gaussian sampler."""
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from dpopt.privacy import (NoiseLedger, PrivacyBudget, accountant_sigma,
-                           draw_gaussian, gaussian_sigma, scale_gaussian_rows,
-                           spider_gv_sensitivity, tree_gv_sensitivity)
+from dpopt.privacy import (NoiseLedger, NoiseLedgerEntry, PrivacyBudget,
+                           accountant_sigma, draw_gaussian, gaussian_sigma,
+                           scale_gaussian_rows, spider_gv_sensitivity,
+                           tree_gv_sensitivity)
 
 
 class TestGaussianSigma:
@@ -129,6 +131,66 @@ class TestDrawGaussian:
         assert rows == [("site-a", 0.5, 4, 3), ("site-a", 0.25, 4, 1),
                         ("site-b", 0.5, 2, 1)]
         assert ledger.total_draws() == 5
+
+
+class TestNoiseLedgerColumns:
+    """The ledger is held as columns; its entries are a read-only view."""
+
+    def test_coalesces_only_same_site_dim_and_equal_sigma(self):
+        ledger = NoiseLedger()
+        for site, sigma, dim in [("a", 0.5, 4), ("a", 0.5, 4), ("b", 0.5, 4),
+                                 ("b", 0.5, 2), ("b", 0.5, 2), ("b", math.nan, 2),
+                                 ("b", math.nan, 2), ("b", -0.0, 2), ("b", 0.0, 2)]:
+            ledger.record(site, sigma, dim)
+        rows = ledger.rows()
+        assert [(s, d, c) for s, _, d, c in rows] == [
+            ("a", 4, 2), ("b", 4, 1), ("b", 2, 2), ("b", 2, 1), ("b", 2, 1), ("b", 2, 2)]
+        assert math.isnan(rows[3][1]) and math.isnan(rows[4][1])  # NaN != NaN
+        assert math.copysign(1.0, rows[5][1]) == -1.0  # 0.0 == -0.0: the first stays
+        assert all(type(s) is str and type(sig) is float and type(d) is int
+                   and type(c) is int for s, sig, d, c in rows)
+        assert ledger.total_draws() == 9
+
+    def test_empty(self):
+        ledger = NoiseLedger()
+        assert ledger.rows() == [] and ledger.total_draws() == 0
+        assert len(ledger.entries) == 0 and list(ledger.entries) == []
+        with pytest.raises(IndexError):
+            ledger.entries[-1]
+        assert ledger == NoiseLedger()
+
+    def test_entries_view(self):
+        ledger = NoiseLedger()
+        ledger.record("a", 0.5, 4)
+        view = ledger.entries
+        ledger.record("a", 0.5, 4)
+        ledger.record("b", 0.25, 4)
+        assert len(view) == 2  # a view, not a copy
+        assert view[-1] == NoiseLedgerEntry("b", 0.25, 4, 1)
+        assert view[0].count == 2 and view[-2] == view[0]
+        assert list(view) == [NoiseLedgerEntry("a", 0.5, 4, 2),
+                              NoiseLedgerEntry("b", 0.25, 4, 1)]
+        assert [(e.site, e.sigma, e.dim, e.count) for e in view] == ledger.rows()
+        view[0].count = 99  # a fresh entry: the ledger does not change
+        assert ledger.rows()[0][3] == 2
+
+    def test_equality_and_pickle_round_trip(self):
+        def build(*draws):
+            ledger = NoiseLedger()
+            for d in draws:
+                ledger.record(*d)
+            return ledger
+        draws = [("a", 0.5, 4), ("a", 0.5, 4), ("b", math.nan, 4), ("b", 1e-300, 16)]
+        ledger = build(*draws)
+        assert ledger == build(*draws)  # NaN sigmas compare bit for bit
+        assert ledger != build(*draws[:3])
+        assert ledger != build(*draws[:3], ("b", 2e-300, 16))
+        assert build(("a", 0.0, 4)) != build(("a", -0.0, 4))
+        assert build(("a", 0.5, 4)) != build(("a", 0.5, 4), ("a", 0.5, 4))
+        assert ledger != ledger.rows()
+        back = pickle.loads(pickle.dumps(ledger))
+        assert back == ledger and back.total_draws() == 4
+        assert back._sigma.typecode == "d" and back._count.typecode == "q"
 
 
 class TestScaleGaussianRows:

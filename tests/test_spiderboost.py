@@ -6,6 +6,7 @@ import pytest
 
 from dpopt.core import (Dataset, erm_grad, glm_loss, huber_mean_loss,
                         synthetic_nonconvex_loss, tanh_link)
+from dpopt.core.data import Runs
 from dpopt.harness import gen_synthetic
 from dpopt.privacy import PrivacyBudget
 from dpopt.spiderboost import (SpiderParams, _spider_path, derive_spider_params,
@@ -220,6 +221,30 @@ class TestLockstep:
             assert [t for t, _, _ in rep.gv_records] == [t for t in range(T) if t % q]
             assert rep.oracle_calls == spider_oracle_count(params)
         assert not np.array_equal(group[0].w_out, group[1].w_out)
+
+    @pytest.mark.parametrize("b1", [129, 40], ids=["b1_eq_n", "b1_lt_n"])
+    def test_packed_group_equals_single_runs(self, b1):
+        # slots of 129 x 3 x 8 = 3096 B, not a multiple of 64: the runs' views
+        # start at unaligned offsets, and their fresh and traced gradients
+        # still give a run's bits alone on its own array
+        loss = synthetic_nonconvex_loss(3)
+        data = self.datasets(129, 3)
+        runs = Runs.pack(5, iter(data))
+        X, Y = runs.block()
+        assert not X.flags.writeable and not Y.flags.writeable
+        for r, S in enumerate(runs):
+            assert S.X.ctypes.data == X.ctypes.data + r * 3096
+            assert S.y.ctypes.data == Y.ctypes.data + r * 129 * 8
+            assert np.array_equal(S.X, data[r].X) and np.array_equal(S.y, data[r].y)
+        assert len({S.X.ctypes.data % 64 for S in runs}) > 1
+        params = SpiderParams(eta=0.3, q=7, b1=b1, b2=9, T=40,
+                              sigma1=0.05, sigma2=0.4, sigma2_hat=0.08)
+        kw = dict(trace_points=12, record_iterates=True)
+        group = run_spiderboost(loss, runs, params,
+                                [np.random.default_rng(70 + r) for r in range(5)], **kw)
+        for r, rep in enumerate(group):
+            assert_same_run(rep, run_spiderboost(loss, data[r], params,
+                                                 np.random.default_rng(70 + r), **kw))
 
     def test_shared_dataset_equals_single_runs(self):
         loss = synthetic_nonconvex_loss(3)
