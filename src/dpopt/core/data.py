@@ -38,6 +38,10 @@ def _writeable_base(a: np.ndarray) -> bool:
 # block stays near 512 KB instead of growing with n x d
 _NORM_BLOCK_ENTRIES = 2 ** 16
 
+# indices per block when an index vector is read in blocks: numpy turns a
+# compact index vector into an intp temporary of its whole length
+_INDEX_BLOCK = 2 ** 16
+
 
 def row_norms(X: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of X, taken in row blocks.
@@ -90,11 +94,16 @@ class Dataset:
 
     @classmethod
     def indexed(cls, source: "Dataset", idx: np.ndarray) -> "Dataset":
-        """Rows idx of source (with repeats), held as the index vector. A
-        writeable idx is copied, so the vector checked here cannot change."""
+        """Rows idx of source (with repeats), held as the index vector. An
+        integer idx keeps its dtype (a compact sample stays uint8), anything
+        else becomes int64. A writeable idx is copied, so the vector checked
+        here cannot change."""
         if source._idx is not None:
             source, idx = source._source, source._idx[idx]
-        idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+        idx = np.asarray(idx)
+        if idx.dtype.kind not in "iu":
+            idx = idx.astype(np.int64)
+        idx = idx.reshape(-1)
         if idx.flags.writeable:
             idx = idx.copy()
         if idx.size and not (0 <= idx.min() and idx.max() < source.n):
@@ -177,10 +186,17 @@ class Dataset:
     def max_feature_norm(self) -> float:
         """Largest row norm of X. Computed on first call and cached: X is
         frozen, and every derived dataset is a new instance with its own
-        cache. An indexed dataset reads its source's row norms at its rows."""
+        cache. An indexed dataset reads its source's row norms at the
+        source rows it holds, marked in blocks of its index vector, so no
+        n-length temporary is made."""
         if self._max_feature_norm is None:
-            norms = (self._norms() if self._idx is None
-                     else self._source._norms().take(self._idx))
+            if self._idx is None:
+                norms = self._norms()
+            else:
+                held = np.zeros(self._source.n, dtype=bool)
+                for i in range(0, self.n, _INDEX_BLOCK):
+                    held[self._idx[i:i + _INDEX_BLOCK]] = True
+                norms = self._source._norms()[held]
             self._max_feature_norm = float(np.max(norms)) if self.n else 0.0
         return self._max_feature_norm
 
@@ -191,6 +207,10 @@ class DatasetCursor:
     def __init__(self, dataset: Dataset, start: int = 0):
         self._dataset = dataset
         self._pos = start
+
+    @property
+    def dataset(self) -> Dataset:
+        return self._dataset
 
     @property
     def consumed(self) -> int:
@@ -269,10 +289,18 @@ class Runs(tuple):
         return Runs(S.slice(start, stop) for S in self)
 
     def stack(self, axis: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """Every run's features and labels, stacked on `axis`."""
-        labelled = self[0].y is not None
-        return (np.stack([S.X for S in self], axis=axis),
-                np.stack([S.y for S in self], axis=axis) if labelled else None)
+        """Every run's features and labels, stacked on `axis` (0 or 1). Runs
+        indexed into one source are gathered from it in one `take`."""
+        src = self[0]._source
+        if src is None or any(S._source is not src for S in self):
+            labelled = self[0].y is not None
+            return (np.stack([S.X for S in self], axis=axis),
+                    np.stack([S.y for S in self], axis=axis) if labelled else None)
+        idx = np.concatenate([S._idx for S in self]).reshape(len(self), -1)
+        if axis:
+            idx = idx.T
+        return (src.X.take(idx, axis=0),
+                None if src.y is None else src.y.take(idx))
 
 
 def lockstep(S, rng, ledger=None):

@@ -14,7 +14,10 @@ import hashlib
 import json
 import math
 import time
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from itertools import groupby, islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +41,7 @@ DEFAULT_SUPPORT_SIZE = 256
 
 # algorithms whose seeds at one grid point share n, d and the derived
 # parameters, and so run in lockstep in one job
-LOCKSTEP = ("spiderboost", "recursive_reg")
+LOCKSTEP = ("spiderboost", "tree_spider", "recursive_reg")
 
 
 def _fmt(v) -> str:
@@ -88,17 +91,17 @@ def _failed(exc: Exception) -> str:
 def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
                eps: float, seeds: list[tuple[int, int]]) -> list[tuple[dict, dict | None]]:
     """One grid point for the given (seed_index, seed) pairs: one (row,
-    report) per seed, in order. SpiderBoost and recursive regularization
-    (the algorithms in LOCKSTEP) run all of a grid point's seeds in lockstep,
-    each seed on its own data or population sample and its own generator;
-    the other algorithms take one seed per call.
+    report) per seed, in order. SpiderBoost, tree Spider and recursive
+    regularization (the algorithms in LOCKSTEP) run all of a grid point's
+    seeds in lockstep, each seed on its own data or population sample and its
+    own generator; the other algorithms take one seed per call.
 
     A failed sample-size hypothesis tags every row `precondition:`, any other
     exception `error:`; a returned point, exact gradient norm or entry of
-    the exact gradient-norm trace that is not finite is `diverged`. A
-    recursive-regularization seed whose population sample fails the loss's
-    dataset check is tagged `error:` alone, and the other seeds run as a
-    smaller group. Under `timing`, each row gets the call's wall time
+    the exact gradient-norm trace that is not finite is `diverged`. A tree
+    Spider or recursive-regularization seed whose population sample fails
+    the loss's dataset check is tagged `error:` alone, and the other seeds
+    run as a smaller group. Under `timing`, each row gets the call's wall time
     divided by the number of seeds.
     """
     if len(seeds) != 1 and config.algorithm not in LOCKSTEP:
@@ -117,6 +120,19 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
     def set_hash(params):
         for row in rows:
             row["param_hash"] = param_hash(params)
+
+    def checked_samples(samples):
+        # each seed draws its own population sample, so one sample holding a
+        # support row above the norm bound fails only its own seed: the
+        # indices of the samples that pass, the others' rows tagged
+        live = []
+        for i, S in enumerate(samples):
+            try:
+                loss.validate_dataset(S)
+                live.append(i)
+            except ValueError as exc:
+                rows[i]["status"] = _failed(exc)
+        return live
 
     try:
         # each branch gives outs: (w_out, exact gradient, oracle calls,
@@ -140,23 +156,29 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
                     for rep, S in zip(reps, data)]
         elif config.algorithm == "tree_spider":
             dist = _gen_population(config, d)
-            sample_rng = stream(config.master_seed, "sample", grid_index, seed_index)
-            S = dist.sample(n, sample_rng)
+            samples = [dist.sample(n, stream(config.master_seed, "sample", grid_index, s))
+                       for s, _ in seeds]
             params = derive_tree_params(n, d, loss.L0, loss.L1, loss.F0_hint,
                                         budget, float(config.overrides.get("p", 0.1)),
                                         {k: v for k, v in config.overrides.items()
                                          if k != "p"})
             set_hash(params)
-            rep = run_tree_spider(loss, DatasetCursor(S), params, run_rng)
-            outs = [(rep.w_out, dist.population_grad(loss, rep.w_out), rep.oracle_calls,
-                     rep.noise_ledger,
-                     {"stopped_early": rep.stopped_early,
-                      "stop_address": (None if rep.stop_address is None else
-                                       [rep.stop_address.t, rep.stop_address.s]),
-                      "samples_consumed": rep.samples_consumed,
-                      "leaf_count_visited": rep.leaf_count_visited,
-                      "leaves_per_round": rep.leaves_per_round,
-                      "rounds_completed": rep.rounds_completed})]
+            live = checked_samples(samples)
+            reps = run_tree_spider(
+                loss, [DatasetCursor(samples[i]) for i in live], params,
+                [stream(config.master_seed, "run", grid_index, seeds[i][0]) for i in live]
+            ) if live else []
+            outs = [None] * len(seeds)
+            for i, rep in zip(live, reps):
+                outs[i] = (rep.w_out, dist.population_grad(loss, rep.w_out), rep.oracle_calls,
+                           rep.noise_ledger,
+                           {"stopped_early": rep.stopped_early,
+                            "stop_address": (None if rep.stop_address is None else
+                                             [rep.stop_address.t, rep.stop_address.s]),
+                            "samples_consumed": rep.samples_consumed,
+                            "leaf_count_visited": rep.leaf_count_visited,
+                            "leaves_per_round": rep.leaves_per_round,
+                            "rounds_completed": rep.rounds_completed})
         elif config.algorithm == "recursive_reg":
             dist = _gen_population(config, d)
             samples = [dist.sample(n, stream(config.master_seed, "sample", grid_index, s))
@@ -167,15 +189,7 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
                                       float(rr.get("R_bar", 1.0)), budget,
                                       config.overrides)
             set_hash(params)
-            # each seed draws its own sample, so one sample holding a support
-            # row above the norm bound fails only its own seed
-            live = []
-            for i, S in enumerate(samples):
-                try:
-                    loss.validate_dataset(S)
-                    live.append(i)
-                except ValueError as exc:
-                    rows[i]["status"] = _failed(exc)
+            live = checked_samples(samples)
             reps = run_recursive_regularization(
                 [samples[i] for i in live], loss, params,
                 rr.get("subroutine", "phased_sgd"),
@@ -280,7 +294,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
             if doc is not None:
                 with open(rep_dir / f"run_g{job[0]}_s{seed_index}.json", "w",
                           encoding="utf-8") as fh:
-                    fh.write(report_json(doc))
+                    fh.writelines(report_chunks(doc))
 
     if config.workers > 1:
         # largest n first (a stable sort): the pool's last jobs are its
@@ -302,8 +316,13 @@ def run_experiment(config: ExperimentConfig) -> Path:
     return csv_path
 
 
-_LEDGER_ENTRY = ('\n  {\n   "site": %s,\n   "sigma": %s,\n   "dim": %d,'
-                 '\n   "count": %d\n  }')
+# a ledger entry is written as _ENTRY_HEAD % site, its sigma, then
+# _ENTRY_TAIL % (dim, count)
+_ENTRY_HEAD = '\n  {\n   "site": %s,\n   "sigma": '
+_ENTRY_TAIL = ',\n   "dim": %d,\n   "count": %d\n  }'
+
+# ledger entries per chunk of a written report
+REPORT_CHUNK_ENTRIES = 2 ** 12
 
 
 def _json_number(v) -> str:
@@ -312,30 +331,44 @@ def _json_number(v) -> str:
     return repr(v) if type(v) is float and math.isfinite(v) else json.dumps(v)
 
 
-def report_json(doc: dict) -> str:
-    """`json.dumps(doc, indent=1)`, byte for byte, for a run report whose
-    noise ledger is a list of entry dicts; a `NoiseLedger` is written as
-    the list of its entries' dicts (site, sigma, dim, count).
+def report_chunks(doc: dict) -> Iterator[str]:
+    """The pieces of `report_json(doc)`, in order, so a report can be
+    written without building it as one string.
 
     The noise ledger, which must be the report's last key, can hold 10^4
     entries per run; they are filled into a fixed template instead of going
     through the pure-Python indenting encoder, straight from a ledger's
-    columns.
+    columns. Consecutive entries with one site, dim and count differ only in
+    sigma, so each such stretch is the join of its sigma reprs, in chunks of
+    at most REPORT_CHUNK_ENTRIES entries.
     """
     keys = list(doc)
     if len(keys) < 2 or keys[-1] != "noise_ledger":
         raise ValueError("a report needs other keys before a last 'noise_ledger'")
     head = json.dumps({k: doc[k] for k in keys[:-1]}, indent=1)
+    yield f'{head[:-2]},\n "noise_ledger": ['
     ledger = doc["noise_ledger"]
     rows = (ledger.iter_rows() if isinstance(ledger, NoiseLedger) else
             ((e["site"], e["sigma"], e["dim"], e["count"]) for e in ledger))
     # a ledger names a handful of sites: encode each one once
     sites: dict[str, str] = {}
-    entries = ",".join(_LEDGER_ENTRY % (sites.get(s) or sites.setdefault(s, json.dumps(s)),
-                                        _json_number(sig), dd, c)
-                       for s, sig, dd, c in rows)
-    body = f"[{entries}\n ]" if entries else "[]"
-    return f'{head[:-2]},\n "noise_ledger": {body}\n}}'
+    sep = ""
+    for (s, dd, c), stretch in groupby(rows, key=itemgetter(0, 2, 3)):
+        first = _ENTRY_HEAD % (sites.get(s) or sites.setdefault(s, json.dumps(s)))
+        last = _ENTRY_TAIL % (dd, c)
+        sigmas = map(_json_number, map(itemgetter(1), stretch))
+        while chunk := list(islice(sigmas, REPORT_CHUNK_ENTRIES)):
+            yield sep + first + (last + "," + first).join(chunk) + last
+            sep = ","
+    yield "\n ]\n}" if sep else "]\n}"
+
+
+def report_json(doc: dict) -> str:
+    """`json.dumps(doc, indent=1)`, byte for byte, for a run report whose
+    noise ledger is a list of entry dicts; a `NoiseLedger` is written as
+    the list of its entries' dicts (site, sigma, dim, count). The join of
+    `report_chunks(doc)`."""
+    return "".join(report_chunks(doc))
 
 
 def _csv_cell(v) -> str:

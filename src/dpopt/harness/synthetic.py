@@ -47,6 +47,22 @@ def gen_synthetic(kind: str, n: int, d: int, rank: int | None = None,
     return Dataset(X, y)
 
 
+# draws per block of `uniform_indices`: its int64 temporary stays at 512 KB
+INDEX_DRAW_BLOCK = 2 ** 16
+
+
+def uniform_indices(m: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """`rng.integers(0, m, k)`, value for value and leaving `rng` in the same
+    state, in the smallest unsigned dtype that holds m - 1 (uint8 for
+    m <= 256). Integer draws in blocks give the one-shot draw's values at any
+    block size: the bit generator, not the call, keeps the unused half of a
+    64-bit word."""
+    out = np.empty(k, dtype=np.min_scalar_type(max(m - 1, 0)))
+    for i in range(0, k, INDEX_DRAW_BLOCK):
+        out[i:i + INDEX_DRAW_BLOCK] = rng.integers(0, m, min(INDEX_DRAW_BLOCK, k - i))
+    return out
+
+
 class FiniteSupportDistribution:
     """A uniform distribution on finitely many points; exact population
     gradients by enumeration."""
@@ -65,7 +81,7 @@ class FiniteSupportDistribution:
     def sample(self, k: int, rng: np.random.Generator) -> Dataset:
         """k i.i.d. uniform draws, held as indices into the support (see
         `Dataset.indexed`): rows are gathered only when a consumer asks."""
-        idx = rng.integers(0, self.support.n, size=k)
+        idx = uniform_indices(self.support.n, k, rng)
         idx.setflags(write=False)  # no one else holds it: spare indexed's copy
         return Dataset.indexed(self.support, idx)
 

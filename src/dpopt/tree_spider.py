@@ -6,15 +6,22 @@ left children copy the parent, right children add a noisy gradient-variation
 update, and each leaf takes a normalized step of exact length
 beta / (2^(D/2) L1), stopping early once the estimate's norm falls below the
 threshold 2 * alpha_tilde.
+
+The traversal is written once, in `_tree_path`, over a leading run axis:
+each run keeps its own stream, generator, ledger and early stop, so a run's
+output is bit-identical alone or in a group. The optimizer uses it with
+R = 1 or with R seeds in lockstep, and the Monte Carlo validator with R = 1.
 """
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core.data import DatasetCursor
+from .core.data import Dataset, DatasetCursor, Runs, lockstep
 from .core.loss import LossSpec
 from .privacy import (NoiseLedger, PrivacyBudget, draw_gaussian,
                       gaussian_sigma, tree_gv_sensitivity)
@@ -22,6 +29,11 @@ from .util import PreconditionError, floori
 
 SITE_ROOT = "tree-root"
 SITE_DELTA = "tree-delta"
+
+# the runs of a lockstep group gather a node's batch rows for at most this
+# many entries (256 KB) at a time: one root batch of five runs at n = 2^20
+# is 6.6 MB, and deep nodes, the most numerous, still go five runs at once
+GATHER_ENTRIES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -197,20 +209,59 @@ class TreeRunReport:
         return self.samples_consumed
 
 
-def _tree_path(loss: LossSpec, params: TreeParams, take, rng: np.random.Generator,
-               ledger: NoiseLedger | None, leaf, node=None) -> None:
-    """The DFS of T rounds of depth-D trees, from the root iterate 0.
+class TreeRuns(list):
+    """The reports of runs in lockstep, in run order, with the group's
+    totals of leaves visited and samples consumed."""
 
-    `take(k)` returns k fresh samples. The root of a round draws its batch,
-    then its noise, for the estimate grad(w_root) + N(0, sigma_root^2); a left
-    child copies its parent; a right child at depth k draws its batch of
-    b/2^k, then its noise, for Delta = (2^k/b) sum (grad(w_s) - grad(w_parent))
-    + N(0, sigma_delta^2) and the estimate nabla_parent + Delta. Roots and
-    right children sit at the pending iterate; `leaf(t, s, w_s, nabla_s)`
-    returns the next pending iterate, or None to stop. `node(t, s, w_s,
-    nabla_s, delta)`, when given, sees every node before its leaf hook.
-    The schedule (s, depth, is-right, batch size, 2^depth/b) is built once
-    per call; `path[k]` holds the (w, nabla) of the depth-k node on the
+    @property
+    def leaf_count_visited(self) -> int:
+        return sum(rep.leaf_count_visited for rep in self)
+
+    @property
+    def samples_consumed(self) -> int:
+        return sum(rep.samples_consumed for rep in self)
+
+
+def _grad_means(loss: LossSpec, batches: Sequence[Dataset],
+                *Ws: np.ndarray) -> list[np.ndarray]:
+    """For each W of shape (A, d), row i the batch-mean gradient at W[i] on
+    batches[i]. The batches' rows are gathered (one `take` when they index
+    one source) for at most GATHER_ENTRIES entries of runs at a time."""
+    size, d = batches[0].n, batches[0].dim
+    outs = [np.empty_like(W) for W in Ws]
+    step = max(1, GATHER_ENTRIES // (size * d))
+    for i in range(0, len(batches), step):
+        X, Y = Runs(batches[i:i + step]).stack(axis=0)
+        for W, out in zip(Ws, outs):
+            out[i:i + step] = loss.grad_mean_rows(W[i:i + step], X, Y)
+        del X, Y  # one sub-group's rows at a time
+    return outs
+
+
+def _tree_path(loss: LossSpec, params: TreeParams,
+               takes: Sequence[Callable[[int], Dataset]],
+               rngs: Sequence[np.random.Generator],
+               ledgers: Sequence[NoiseLedger] | None, leaf, node=None) -> None:
+    """The DFS of T rounds of depth-D trees for R = len(rngs) runs in
+    lockstep, each from the root iterate 0.
+
+    Run r takes k fresh samples with `takes[r](k)`, draws its noise from
+    rngs[r] and records it in ledgers[r] (nowhere when `ledgers` is None).
+    At the root of a round each run draws its batch, then its noise, for the
+    estimate grad(w_root) + N(0, sigma_root^2); a left child copies its
+    parent; at a right child of depth k each run draws its batch of b/2^k,
+    then its noise, for Delta = (2^k/b) sum (grad(w_s) - grad(w_parent)) +
+    N(0, sigma_delta^2) and the estimate nabla_parent + Delta. Roots and
+    right children sit at the pending iterates. `leaf(r, t, s, w_s,
+    nabla_s)` returns run r's next pending iterate, or None to stop it: a
+    stopped run leaves the group, and the others go on as before.
+    `node(r, t, s, w_s, nabla_s, delta)`, when given, sees every node of
+    every active run before its leaf hook.
+
+    Iterates and estimates are (A, d) arrays over the A active runs, and
+    every operation is row-wise, so a run gets the same bits alone as in a
+    group. The schedule (s, depth, is-right, batch size, 2^depth/b) is built
+    once per call; `path[k]` holds the (W, Nabla) of the depth-k nodes on the
     current root-to-node path.
     """
     d, D = loss.dim, params.D
@@ -218,100 +269,131 @@ def _tree_path(loss: LossSpec, params: TreeParams, take, rng: np.random.Generato
         (s, len(s), s[-1] == "1", params.batch_size(len(s)), 2 ** len(s) / params.b)
         for s in dfs_order(D)]
     path: list[tuple[np.ndarray, np.ndarray] | None] = [None] * (D + 1)
-    pending_w = np.zeros(d)
+    active = list(range(len(rngs)))
+    pending = np.zeros((len(active), d))
     for t in range(1, params.T + 1):
         for s, k, right, size, scale in schedule:
             delta = None
-            if not k:
-                w_s = pending_w
-                batch = take(size)
-                g = draw_gaussian(d, params.sigma_root, rng, ledger, SITE_ROOT)
-                nabla_s = loss.grad_mean(w_s, batch.X, batch.y) + g
-            elif not right:
-                w_s, nabla_s = path[k - 1]
+            if k and not right:
+                W, nabla = path[k - 1]
             else:
-                w_par, nabla_par = path[k - 1]
-                w_s = pending_w
-                batch = take(size)
-                # (2^|s|/b) * sum over the batch of per-sample variations
-                var_sum = batch.n * (loss.grad_mean(w_s, batch.X, batch.y)
-                                     - loss.grad_mean(w_par, batch.X, batch.y))
-                g = draw_gaussian(d, params.sigma_delta, rng, ledger, SITE_DELTA)
-                delta = scale * var_sum + g
-                nabla_s = nabla_par + delta
-            path[k] = (w_s, nabla_s)
+                sigma, site = ((params.sigma_delta, SITE_DELTA) if k
+                               else (params.sigma_root, SITE_ROOT))
+                batches, noise = [], []
+                for r in active:
+                    batches.append(takes[r](size))
+                    noise.append(draw_gaussian(d, sigma, rngs[r],
+                                               None if ledgers is None else ledgers[r],
+                                               site))
+                W = pending
+                if not k:
+                    nabla = _grad_means(loss, batches, W)[0] + np.array(noise)
+                else:
+                    W_par, nabla_par = path[k - 1]
+                    # (2^|s|/b) * sum over the batch of per-sample variations
+                    g_s, g_par = _grad_means(loss, batches, W, W_par)
+                    delta = scale * (size * (g_s - g_par)) + np.array(noise)
+                    nabla = nabla_par + delta
+            path[k] = (W, nabla)
             if node is not None:
-                node(t, s, w_s, nabla_s, delta)
+                for i, r in enumerate(active):
+                    node(r, t, s, W[i], nabla[i], None if delta is None else delta[i])
             if k == D:
-                pending_w = leaf(t, s, w_s, nabla_s)
-                if pending_w is None:
-                    return
+                handed = [leaf(r, t, s, W[i], nabla[i]) for i, r in enumerate(active)]
+                keep = [i for i, w in enumerate(handed) if w is not None]
+                if len(keep) < len(active):
+                    if not keep:
+                        return
+                    active = [active[i] for i in keep]
+                    handed = [handed[i] for i in keep]
+                    path = [p if p is None else (p[0][keep], p[1][keep]) for p in path]
+                pending = np.array(handed)
 
 
-def run_tree_spider(loss: LossSpec, stream: DatasetCursor, params: TreeParams,
-                    rng: np.random.Generator, *,
-                    record_nodes: bool = False) -> TreeRunReport:
+def run_tree_spider(loss: LossSpec, stream: DatasetCursor | Sequence[DatasetCursor],
+                    params: TreeParams,
+                    rng: np.random.Generator | Sequence[np.random.Generator], *,
+                    record_nodes: bool = False) -> TreeRunReport | TreeRuns:
     """Run T rounds of depth-D trees over the stream (see `_tree_path`).
 
     Leaves either return early (estimate norm <= 2 alpha_tilde) or step with
     exact length beta/(2^(D/2) L1); the stepped iterate seeds the next root
     or right child. Without an early stop, a uniformly random leaf iterate is
-    returned.
-    """
-    params.validate()
-    per_round = params.samples_per_round()
-    if stream.remaining < params.T * per_round:
-        raise ValueError(f"stream holds {stream.remaining} samples, "
-                         f"need {params.T * per_round}")
+    returned, drawn after the run's last noise draw.
 
-    ledger = NoiseLedger()
+    Given a sequence of generators and one stream per generator, the runs
+    go in lockstep and a `TreeRuns` of reports comes back; each equals what
+    that run gives alone. The streams' datasets must share n, d and
+    labelling.
+    """
+    streams = [stream] if isinstance(stream, DatasetCursor) else list(stream)
+    data, rngs, _, single = lockstep(Runs(c.dataset for c in streams), rng)
+    params.validate()
+    need = params.T * params.samples_per_round()
+    for c in streams:
+        if c.remaining < need:
+            raise ValueError(f"stream holds {c.remaining} samples, need {need}")
+    for D in dict.fromkeys(data):
+        loss.validate_dataset(D)
+
+    R, d = len(rngs), loss.dim
+    ledgers = [NoiseLedger() for _ in rngs]
     step_len = params.beta_par / (2 ** (params.D / 2.0) * loss.L1)
     last_leaf = "1" * params.D
-    consumed0 = round_start = batch_start = stream.consumed
-    leaf_ws: list[np.ndarray] = []
-    records: list[NodeRecord] = []
-    round_consumption: list[int] = []
-    stop: NodeAddress | None = None
+    consumed0 = [c.consumed for c in streams]
+    round_start, batch_start = list(consumed0), list(consumed0)
+    # each running run's leaf iterates, copied into a compact array so that
+    # no view keeps a group array alive; a stopped run keeps only its last
+    leaf_ws = [array("d") for _ in rngs]
+    leaf_counts = [0] * R
+    records: list[list[NodeRecord]] = [[] for _ in rngs]
+    round_consumption: list[list[int]] = [[] for _ in rngs]
+    stops: list[NodeAddress | None] = [None] * R
 
-    def leaf(t, s, w_s, nabla_s):
-        nonlocal round_start, stop
-        leaf_ws.append(w_s)
+    def leaf(r, t, s, w_s, nabla_s):
+        leaf_counts[r] += 1
         norm = math.sqrt(nabla_s @ nabla_s)  # np.linalg.norm's bits
         if norm <= 2.0 * params.alpha_tilde:
-            stop = NodeAddress(t, s)
-        if stop is not None or s == last_leaf:
-            round_consumption.append(stream.consumed - round_start)
-            round_start = stream.consumed
-        return None if stop is not None else w_s - (step_len / norm) * nabla_s
+            stops[r] = NodeAddress(t, s)
+            leaf_ws[r] = array("d", w_s.tobytes())
+        else:
+            leaf_ws[r].frombytes(w_s.tobytes())
+        if stops[r] is not None or s == last_leaf:
+            round_consumption[r].append(streams[r].consumed - round_start[r])
+            round_start[r] = streams[r].consumed
+        return None if stops[r] is not None else w_s - (step_len / norm) * nabla_s
 
-    def record(t, s, w_s, nabla_s, delta):
-        nonlocal batch_start
+    def record(r, t, s, w_s, nabla_s, delta):
         span = None
         if not s.endswith("0"):  # the root and right children take a batch
-            span, batch_start = (batch_start, stream.consumed), stream.consumed
-        records.append(NodeRecord(NodeAddress(t, s), w_s, nabla_s, delta, span))
+            span, batch_start[r] = (batch_start[r], streams[r].consumed), streams[r].consumed
+        records[r].append(NodeRecord(NodeAddress(t, s), w_s, nabla_s, delta, span))
 
-    _tree_path(loss, params, stream.take, rng, ledger, leaf,
+    _tree_path(loss, params, [c.take for c in streams], rngs, ledgers, leaf,
                record if record_nodes else None)
-    selected = None if stop is not None else int(rng.integers(len(leaf_ws)))
-    return TreeRunReport(
-        w_out=leaf_ws[-1 if selected is None else selected],
-        stopped_early=stop is not None, stop_address=stop,
-        samples_consumed=stream.consumed - consumed0,
-        leaf_count_visited=len(leaf_ws), noise_ledger=ledger,
-        rounds_completed=params.T if stop is None else stop.t - 1,
-        leaves_per_round=2 ** params.D, round_consumption=round_consumption,
-        selected_leaf=selected, nodes=records)
+    reports = TreeRuns()
+    for r, (rng_r, stop) in enumerate(zip(rngs, stops)):
+        ws = np.frombuffer(leaf_ws[r]).reshape(-1, d)
+        selected = None if stop is not None else int(rng_r.integers(leaf_counts[r]))
+        reports.append(TreeRunReport(
+            w_out=ws[-1 if selected is None else selected].copy(),
+            stopped_early=stop is not None, stop_address=stop,
+            samples_consumed=streams[r].consumed - consumed0[r],
+            leaf_count_visited=leaf_counts[r], noise_ledger=ledgers[r],
+            rounds_completed=params.T if stop is None else stop.t - 1,
+            leaves_per_round=2 ** params.D, round_consumption=round_consumption[r],
+            selected_leaf=selected, nodes=records[r]))
+    return reports[0] if single else reports
 
 
 def _pinned_leaf(ref: TreeRunReport, visit):
-    """A leaf hook that holds a trial to the path of `ref`, a run with
-    recorded nodes: each leaf calls visit(t, s, w_s, nabla_s) and hands on
-    the iterate `ref` handed on there (the w of its next root or right
+    """A leaf hook for one run that holds it to the path of `ref`, a run
+    with recorded nodes: each leaf calls visit(t, s, w_s, nabla_s) and hands
+    on the iterate `ref` handed on there (the w of its next root or right
     child), and the hook stops where `ref` stopped."""
     handed = iter([r.w for r in ref.nodes if not r.address.s.endswith("0")][1:])
 
-    def leaf(t, s, w_s, nabla_s):
+    def leaf(r, t, s, w_s, nabla_s):
         visit(t, s, w_s, nabla_s)
         return next(handed, None)
     return leaf
@@ -353,7 +435,7 @@ def validate_tree_estimation_error(loss: LossSpec, dist, params: TreeParams,
         sq_errs.append(float(err @ err))
 
     for _ in range(trials):
-        _tree_path(loss, params, lambda k: dist.sample(k, rng), rng, None,
+        _tree_path(loss, params, [lambda k: dist.sample(k, rng)], [rng], None,
                    _pinned_leaf(ref, check))
     bound = params.alpha * params.alpha_tilde
     violations = sum(sq > bound for sq in sq_errs)

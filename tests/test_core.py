@@ -12,7 +12,7 @@ from dpopt.core import (Dataset, DatasetCursor, StreamExhausted, ZeroLoss,
                         tanh_link, RATIONAL_L0, RATIONAL_L1)
 from dpopt.core import data as data_module
 from dpopt.core.data import Runs, row_norms
-from dpopt.harness import gen_synthetic
+from dpopt.harness import gen_synthetic, synthetic
 
 
 def e(i, d):
@@ -451,6 +451,48 @@ class TestDataset:
             ds.slice(4, 44).subset(np.array([3, 40]))
         idx[12] = 7  # a write to the caller's array misses the checked copy
         assert ds._idx[12] != 7
+
+    @pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.PCG64])
+    @pytest.mark.parametrize("m, dtype", [(7, np.uint8), (255, np.uint8), (256, np.uint8),
+                                          (1000, np.uint16), (65537, np.uint32)])
+    def test_compact_sample_equals_one_shot_draw(self, monkeypatch, bitgen, m, dtype):
+        # blocks of 1000 draws, and k = 2500 leaves a short last block
+        monkeypatch.setattr(synthetic, "INDEX_DRAW_BLOCK", 1000)
+        one_shot, blocked = (np.random.Generator(bitgen(21)) for _ in range(2))
+        want = one_shot.integers(0, m, 2500)
+        got = synthetic.uniform_indices(m, 2500, blocked)
+        assert got.dtype == dtype and np.array_equal(got, want)
+        assert one_shot.integers(0, 2 ** 40) == blocked.integers(0, 2 ** 40)  # same state
+
+    def test_compact_sample_keeps_its_dtype(self):
+        rng = np.random.default_rng(16)
+        support = Dataset(rng.standard_normal((256, 3)) / 4.0, rng.standard_normal(256))
+        ds = synthetic.FiniteSupportDistribution(support).sample(300, rng)
+        ref = support.subset(ds._idx.astype(np.int64))
+        views = [ds, ds.slice(10, 200), ds.slice(10, 200).subset(np.array([5, 0, 5])),
+                 DatasetCursor(ds, 7).take(40), Dataset.indexed(ds, np.arange(20, 60))]
+        for got in views:
+            assert got._idx.dtype == np.uint8 and not got._idx.flags.writeable
+        for got, want in zip(views[1:3], [ref.slice(10, 200),
+                                          ref.slice(10, 200).subset(np.array([5, 0, 5]))]):
+            assert np.array_equal(got.X, want.X) and np.array_equal(got.y, want.y)
+            assert got.max_feature_norm() == want.max_feature_norm()
+        assert Dataset.indexed(support, [1, 2]).n == 2  # a list still becomes an index
+
+    def test_indexed_norm_bound_makes_no_sample_length_temporary(self):
+        import tracemalloc
+        rng = np.random.default_rng(17)
+        support = Dataset(rng.standard_normal((256, 16)))
+        ds = synthetic.FiniteSupportDistribution(support).sample(2 ** 20, rng)
+        want = float(np.max(np.linalg.norm(support.X, axis=1)[np.unique(ds._idx)]))
+        tracemalloc.start()
+        try:
+            got = ds.max_feature_norm()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # blocks of 2^16 indices: an intp block of 512 KB, not 8 MB of norms
+        assert got == want and peak < 2 ** 20
 
     def test_indexed_row_above_bound_fails_validation(self):
         X = np.full((4, 2), 0.5)

@@ -306,30 +306,89 @@ class TestRunExperiment:
             "precondition: lam = 2 >= L1 = 1: T would be 0; increase n or R_bar"] * 3
         assert not any((tmp_path / "rr" / "reports").glob("*"))
 
-    def test_rr_bad_sample_fails_only_its_seed(self, tmp_path, monkeypatch):
+    def tree_config(self, tmp_path, support_size=64, **extra):
+        return ExperimentConfig.from_dict({
+            "algorithm": "tree_spider", "grid": {"n": [1024], "eps": [1.0], "d": [3]},
+            "delta": 1e-4, "seeds": [5, 6, 7], "out": str(tmp_path / "tree"),
+            "master_seed": 4, "overrides": {"C_tilde": 0.5},
+            "data": {"kind": "glm_fullrank", "label_scale": 0.5,
+                     "support_size": support_size},
+            **extra})
+
+    def test_tree_group_rows_equal_single_seed_rows(self, tmp_path):
+        cfg = self.tree_config(tmp_path)
+        group = run_single(cfg, 0, 1024, 3, 1.0, [(0, 5), (1, 6), (2, 7)])
+        assert [row["seed"] for row, _ in group] == [5, 6, 7]
+        assert all(row["status"] == "ok" for row, _ in group)
+        for seed_index, seed in enumerate((5, 6, 7)):
+            (alone,) = run_single(cfg, 0, 1024, 3, 1.0, [(seed_index, seed)])
+            assert group[seed_index][0] == alone[0]
+            assert report_json(group[seed_index][1]) == report_json(alone[1])
+        assert len({row["grad_norm"] for row, _ in group}) == 3
+        assert len({doc["leaf_count_visited"] for _, doc in group}) == 3
+
+    def test_tree_sample_above_the_norm_bound_fails(self, tmp_path):
+        # unit-norm data against a declared normX of 0.5: every seed's sample
+        # breaks the bound that L0, L1 and so the noise are calibrated to
+        rows = read_csv_rows(run_experiment(
+            self.tree_config(tmp_path, loss={"kind": "synthetic_nonconvex", "normX": 0.5})))
+        assert [r["status"] for r in rows] == [
+            "error: ValueError: feature norm 1.0 exceeds declared bound 0.5"] * 3
+        assert not any((tmp_path / "tree" / "reports").glob("*"))
+
+    @pytest.mark.parametrize("algorithm", ["recursive_reg", "tree_spider"])
+    def test_bad_sample_fails_only_its_seed(self, tmp_path, monkeypatch, algorithm):
         # a support row above the norm bound that only seed 6's sample draws
+        # (a tree sample of 1024 draws every row of a 64-row support)
         from dpopt.core import Dataset
         from dpopt.harness import experiment
         from dpopt.harness.rng import stream
         from dpopt.harness.synthetic import FiniteSupportDistribution
-        cfg = self.rr_config(tmp_path)
+        n, cfg = ((64, self.rr_config(tmp_path)) if algorithm == "recursive_reg" else
+                  (1024, self.tree_config(tmp_path, support_size=4096)))
         support = experiment._gen_population(cfg, 3).support
-        drawn = [(FiniteSupportDistribution(support)
-                  .sample(64, stream(cfg.master_seed, "sample", 0, i)).X[:, None]
-                  == support.X[None]).all(axis=2).any(axis=0) for i in range(3)]
+        drawn = [np.isin(np.arange(support.n), FiniteSupportDistribution(support)
+                         .sample(n, stream(cfg.master_seed, "sample", 0, i))._idx)
+                 for i in range(3)]
         j = int(np.flatnonzero(drawn[1] & ~drawn[0] & ~drawn[2])[0])
         X = support.X.copy()
         X[j] *= 2.0 / np.linalg.norm(X[j])
         monkeypatch.setattr(experiment, "_gen_population",
                             lambda config, d: FiniteSupportDistribution(Dataset(X, support.y)))
-        group = run_single(cfg, 0, 64, 3, 1.0, [(0, 5), (1, 6), (2, 7)])
+        group = run_single(cfg, 0, n, 3, 1.0, [(0, 5), (1, 6), (2, 7)])
         assert [row["status"] for row, _ in group] == [
             "ok", "error: ValueError: feature norm 2.0 exceeds declared bound 1.0", "ok"]
         assert group[1][1] is None and group[1][0]["param_hash"]
         for seed_index, seed in enumerate((5, 6, 7)):
-            (alone,) = run_single(cfg, 0, 64, 3, 1.0, [(seed_index, seed)])
+            (alone,) = run_single(cfg, 0, n, 3, 1.0, [(seed_index, seed)])
             assert repr(group[seed_index][0]) == repr(alone[0])  # nan grad_norm on seed 6
             assert group[seed_index][1] == alone[1]
+
+    def test_tree_group_python_peak_memory(self, tmp_path):
+        """Python-side peak (tracemalloc, numpy buffers included) of one
+        5-seed tree Spider grid point of tree_stream_sweep at n = 2^18 (d =
+        16, eps = 1, support 256, C_tilde = 2, master seed 101), after a
+        warm-up job: 3.05 MB in lockstep, with uint8 samples, each run's
+        leaves in a compact array and batch rows gathered 2^15 entries at a
+        time. One seed alone, as one job with an int64 sample and a list of
+        leaf arrays, peaked at 3.26-3.30 MB (3,263,786 B at the least)."""
+        import tracemalloc
+        cfg = ExperimentConfig.from_dict({
+            "algorithm": "tree_spider", "grid": {"n": [2 ** 18], "d": [16], "eps": [1.0]},
+            "delta": 1e-6, "seeds": [0, 1, 2, 3, 4], "master_seed": 101,
+            "out": str(tmp_path / "m"), "loss": {"kind": "synthetic_nonconvex"},
+            "data": {"kind": "glm_fullrank", "label_scale": 0.7, "spectrum_decay": 0.5,
+                     "support_size": 256},
+            "overrides": {"C_tilde": 2.0}})
+        run_single(cfg, 1, 2 ** 12, 16, 1.0, [(0, 0)])
+        tracemalloc.start()
+        try:
+            group = run_single(cfg, 0, 2 ** 18, 16, 1.0, list(enumerate(range(5))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [row["status"] for row, _ in group] == ["ok"] * 5
+        assert peak < 3_263_786
 
     def test_rr_timing_is_group_time_over_seeds(self, tmp_path, monkeypatch):
         from types import SimpleNamespace
@@ -507,6 +566,24 @@ class TestReportJson:
         assert len(dicts) == len(entries)
         assert (report_json(self.edge_doc(ledger))
                 == json.dumps(self.edge_doc(dicts), indent=1))
+
+    def test_chunks_join_to_the_report(self, monkeypatch):
+        # stretches of one site, dim and count go out in chunks of at most
+        # REPORT_CHUNK_ENTRIES entries
+        from dpopt.harness import experiment
+        monkeypatch.setattr(experiment, "REPORT_CHUNK_ENTRIES", 3)
+        ledger = NoiseLedger()
+        for site, sigmas in (("spider-grad", [0.5]), ("spider-gv", [0.1 * k for k in range(7)]),
+                             ("spider-grad", [0.5, 0.5]), ("spider-gv", [float("nan"), 2.0])):
+            for sigma in sigmas:
+                ledger.record(site, sigma, 4)
+        dicts = [{"site": s, "sigma": sig, "dim": d, "count": c}
+                 for s, sig, d, c in ledger.rows()]
+        chunks = list(experiment.report_chunks(self.edge_doc(ledger)))
+        # head, [1], [3, 3, 1], [1 (count 2)], [2], tail
+        assert len(chunks) == 8
+        assert "".join(chunks) == json.dumps(self.edge_doc(dicts), indent=1)
+        assert report_json(self.edge_doc(ledger)) == "".join(chunks)
 
     def test_ledger_must_be_last(self):
         with pytest.raises(ValueError):

@@ -8,9 +8,10 @@ from dpopt.core import Dataset, DatasetCursor, LossSpec, synthetic_nonconvex_los
 from dpopt.core.loss import huber_mean_loss
 from dpopt.harness import FiniteSupportDistribution, gen_support
 from dpopt.privacy import NoiseLedger, PrivacyBudget
-from dpopt.tree_spider import (NodeAddress, TreeParams, _pinned_leaf, _tree_path,
-                               derive_tree_params, dfs_order, largest_depth,
-                               leaf_label, run_tree_spider,
+from dpopt import tree_spider
+from dpopt.tree_spider import (NodeAddress, TreeParams, TreeRuns, _pinned_leaf,
+                               _tree_path, derive_tree_params, dfs_order,
+                               largest_depth, leaf_label, run_tree_spider,
                                validate_tree_estimation_error)
 from dpopt.util import PreconditionError
 
@@ -278,6 +279,91 @@ class TestRunTreeSpider:
         assert 0 <= rep.selected_leaf < rep.leaf_count_visited
 
 
+def assert_same_tree_run(a, b):
+    assert np.array_equal(a.w_out, b.w_out)
+    for name in ("stopped_early", "stop_address", "samples_consumed",
+                 "leaf_count_visited", "rounds_completed", "leaves_per_round",
+                 "round_consumption", "selected_leaf"):
+        assert getattr(a, name) == getattr(b, name), name
+    assert a.noise_ledger == b.noise_ledger
+    assert len(a.nodes) == len(b.nodes)
+    for x, y in zip(a.nodes, b.nodes):
+        assert (x.address, x.batch_range) == (y.address, y.batch_range)
+        assert np.array_equal(x.w, y.w) and np.array_equal(x.grad_est, y.grad_est)
+        assert (x.delta is None) == (y.delta is None)
+        assert x.delta is None or np.array_equal(x.delta, y.delta)
+
+
+class TestLockstep:
+    """R = 5 runs in lockstep give each run's R = 1 report, bit for bit."""
+
+    @staticmethod
+    def group_equals_alone(loss, datasets, params, record_nodes=False):
+        def rngs():
+            return [np.random.default_rng(50 + r) for r in range(len(datasets))]
+        group = run_tree_spider(loss, [DatasetCursor(S) for S in datasets], params,
+                                rngs(), record_nodes=record_nodes)
+        assert isinstance(group, TreeRuns) and len(group) == len(datasets)
+        for S, rng, rep in zip(datasets, rngs(), group):
+            assert_same_tree_run(rep, run_tree_spider(loss, DatasetCursor(S), params, rng,
+                                                      record_nodes=record_nodes))
+        # the totals perfbench's tree_spider.run span reads off the group
+        assert group.leaf_count_visited == sum(rep.leaf_count_visited for rep in group)
+        assert group.samples_consumed == sum(rep.samples_consumed for rep in group)
+        return [None if rep.stop_address is None else (rep.stop_address.t, rep.stop_address.s)
+                for rep in group]
+
+    @pytest.mark.parametrize("gather", [None, 48], ids=["one_gather", "sub_groups"])
+    @pytest.mark.parametrize("label_scale, alpha, stops", [
+        (0.5, 0.06, [(3, "01"), (3, "11"), (3, "00"), (1, "01"), None]),
+        (0.0, 0.015, [(3, "11"), None, (1, "11"), (2, "10"), (2, "10")]),
+    ], ids=["labelled", "unlabelled"])
+    def test_population_samples(self, monkeypatch, gather, label_scale, alpha, stops):
+        # runs stop at other leaves and in other rounds, and one never stops
+        # and draws its returned leaf; with 48 entries (16 rows x 3) a root
+        # gathers one run at a time and a depth-1 node two at a time
+        if gather is not None:
+            monkeypatch.setattr(tree_spider, "GATHER_ENTRIES", gather)
+        loss = synthetic_nonconvex_loss(3)
+        dist = gen_support("glm_fullrank", 64, 3, seed=13, label_scale=label_scale)
+        samples = [dist.sample(200, np.random.default_rng(30 + r)) for r in range(5)]
+        params = TreeParams(b=16, D=2, T=4, alpha=alpha, alpha_tilde=alpha,
+                            beta_par=2 * alpha, C_tilde=1.0, sigma_root=0.05,
+                            sigma_delta=0.02, p=0.1)
+        assert self.group_equals_alone(loss, samples, params) == stops
+
+    def test_plain_streams_and_a_loss_that_is_not_a_glm(self):
+        rngs = [np.random.default_rng(80 + r) for r in range(5)]
+        data = [Dataset(0.2 * rng.standard_normal((300, 3)) + np.array([1.5, 1.0, 0.0]))
+                for rng in rngs]
+        params = TreeParams(b=16, D=2, T=4, alpha=0.35, alpha_tilde=0.35, beta_par=0.3,
+                            C_tilde=1.0, sigma_root=0.05, sigma_delta=0.02, p=0.1)
+        stops = self.group_equals_alone(huber_mean_loss(1.0, 1.0, dim=3), data, params,
+                                        record_nodes=True)
+        assert len(set(stops)) > 1 and None not in stops
+
+    def test_rejects_mismatched_groups(self):
+        loss = synthetic_nonconvex_loss(3)
+        dist = gen_support("glm_fullrank", 64, 3, seed=13, label_scale=0.5)
+        params = manual_params(b=16, D=2, T=2)
+        rng = np.random.default_rng(0)
+        base = dist.sample(200, rng)
+        others = [dist.sample(201, rng),
+                  gen_support("glm_fullrank", 64, 4, seed=13, label_scale=0.5).sample(200, rng),
+                  gen_support("glm_fullrank", 64, 3, seed=13).sample(200, rng)]
+        for other in others:  # n, d, labelling
+            with pytest.raises(ValueError, match="share n, d and labelling"):
+                run_tree_spider(loss, [DatasetCursor(base), DatasetCursor(other)], params,
+                                [np.random.default_rng(1), np.random.default_rng(2)])
+        with pytest.raises(ValueError, match="one dataset per generator"):
+            run_tree_spider(loss, [DatasetCursor(base)] * 2, params,
+                            [np.random.default_rng(1)])
+        short = DatasetCursor(base, start=150)
+        with pytest.raises(ValueError, match="stream holds 50 samples"):
+            run_tree_spider(loss, [DatasetCursor(base), short], params,
+                            [np.random.default_rng(1), np.random.default_rng(2)])
+
+
 class TestTreeSensitivityRealization:
     def test_delta_differences_bounded_under_sample_swap(self):
         # huber loss far from its data: gradients have unit norm, no early stop
@@ -327,8 +413,8 @@ class TestSharedTraversal:
         assert ref.stopped_early == stops
         seen = []
         ledger = NoiseLedger()
-        _tree_path(loss, params, DatasetCursor(S).take, np.random.default_rng(1),
-                   ledger, _pinned_leaf(ref, lambda *leaf: seen.append(leaf)))
+        _tree_path(loss, params, [DatasetCursor(S).take], [np.random.default_rng(1)],
+                   [ledger], _pinned_leaf(ref, lambda *leaf: seen.append(leaf)))
         leaves = [r for r in ref.nodes if len(r.address.s) == params.D]
         assert len(seen) == len(leaves) == ref.leaf_count_visited
         for (t, s, w, nabla), rec in zip(seen, leaves):
@@ -339,6 +425,35 @@ class TestSharedTraversal:
 
 
 class TestEstimationErrorValidator:
+    def test_results_are_pinned(self):
+        # (violation_rate, leaf_checks, worst_sq_err) of the three tests
+        # below, bit for bit as the validator has given them since its trials
+        # first shared the optimizer's traversal
+        loss = synthetic_nonconvex_loss(2)
+        single = FiniteSupportDistribution(Dataset(np.array([[0.6, 0.3]]), np.array([0.4])))
+        loss3 = synthetic_nonconvex_loss(3)
+        tight = manual_params(b=16, D=1, T=2, alpha=0.05, C_tilde=1.0,
+                              sigma_root=0.05, sigma_delta=0.05)
+        calls = [
+            (loss, single, manual_params(b=8, D=1, T=2, alpha=1e-6, C_tilde=1.0,
+                                         sigma_root=0.0, sigma_delta=0.0), 100, 12),
+            (loss3, gen_support("glm_fullrank", 64, 3, seed=13, label_scale=0.5),
+             derive_tree_params(1024, 3, loss3.L0, loss3.L1, 1.0,
+                                PrivacyBudget(1.0, 1e-4), 0.1, {"b": 64, "T": 3}), 500, 14),
+            (loss3, gen_support("glm_fullrank", 64, 3, seed=15, label_scale=0.5),
+             tight, 200, 16),
+            (loss3, gen_support("glm_fullrank", 64, 3, seed=15, label_scale=0.5),
+             manual_params(b=16, D=1, T=2, alpha=0.05, C_tilde=10.0, beta=tight.beta_par,
+                           sigma_root=0.05, sigma_delta=0.05), 200, 16)]
+        got = []
+        for loss_, dist, params, trials, seed in calls:
+            chk = validate_tree_estimation_error(loss_, dist, params, trials=trials,
+                                                 rng=np.random.default_rng(seed))
+            got.append((chk.violation_rate, chk.leaf_checks, chk.worst_sq_err))
+        assert got == [(0.0, 400, 0.0), (0.0, 500, 0.13485345178389155),
+                       (0.93875, 800, 0.13658052323188377),
+                       (0.19, 200, 0.1021883286197732)]
+
     def test_exact_population_batches_never_violate(self):
         # single-point support: every batch mean is the population mean exactly
         loss = synthetic_nonconvex_loss(2)
