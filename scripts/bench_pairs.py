@@ -9,9 +9,12 @@ pair indices and the change first on odd ones, so drift on a shared host
 falls on both sides. Each end-to-end metric of BENCHMARK.json gets both
 sides' values, medians and quartiles, the median difference, the base's
 interquartile range and the number of pairs the change won (strictly
-better in the metric's direction). The host's Python, numpy, BLAS and CPU
-count are recorded with them. An existing output file keeps its other
-workloads. Standard library only; numpy is queried in a child process.
+better in the metric's direction). Each workload's entry also records the
+two trees' `git describe`, the command and the host's Python, numpy, BLAS
+and CPU count, so an existing output file keeps its other workloads with
+their own labels. At least two seeds are needed for quartiles; fewer are
+rejected before any run. Standard library only; numpy is queried in a
+child process.
 """
 from __future__ import annotations
 
@@ -92,14 +95,16 @@ def main() -> int:
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
+    if len(args.seeds) < 2:
+        ap.error(f"--seeds needs at least 2 values for quartiles, got {args.seeds}")
     declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
 
     doc = (json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists()
            else {"workloads": {}})
-    doc.update({"host": host_info(), "base": describe(args.base),
-                "change": describe(args.change),
-                "command": "perfbench/run.py --trace 0", "seconds": args.seconds})
+    labels = {"base": describe(args.base), "change": describe(args.change),
+              "host": host_info(), "command": "perfbench/run.py --trace 0",
+              "seconds": args.seconds}
     for workload in args.workload:
         runs: dict[str, list[dict]] = {"base": [], "change": []}
         order = []
@@ -114,7 +119,7 @@ def main() -> int:
                       f"{json.dumps(runs[side][-1])} ({time.monotonic() - t0:.0f} s)",
                       flush=True)
         doc["workloads"][workload] = {
-            "seeds": args.seeds, "first": order,
+            **labels, "seeds": args.seeds, "first": order,
             "metrics": {name: summarise([r[name] for r in runs["base"]],
                                         [r[name] for r in runs["change"]], better[name])
                         for name in better}}

@@ -279,12 +279,19 @@ def huber_1d_loss(L0: float, L1: float, p: float, v: int) -> Huber1DLoss:
 
 class LinkFamily:
     """A scalar link z -> phi_y(z), acting on the residual z - y (y defaults
-    to 0 when the dataset carries no labels)."""
+    to 0 when the dataset carries no labels).
 
-    def __init__(self, name: str, value, slope, convex: bool):
+    `slope_into(z, y)` is phi'_y(z) computed in z's own buffer: the residual
+    is taken in place and then overwritten by the slope, with the operations
+    of the allocating formula in the same order (a numpy scalar z is simply
+    rebound). The caller must own z and give it up. Each link's is bound
+    once, when the link is built, so a call is one Python frame.
+    """
+
+    def __init__(self, name: str, value, slope_into, convex: bool):
         self.name = name
         self._value = value
-        self._slope = slope
+        self.slope_into = slope_into
         self.convex = convex
 
     def value(self, z: np.ndarray, y: np.ndarray | None) -> np.ndarray:
@@ -292,13 +299,19 @@ class LinkFamily:
         return self._value(r)
 
     def slope(self, z: np.ndarray, y: np.ndarray | None) -> np.ndarray:
-        r = z if y is None else z - y
-        return self._slope(r)
+        """phi'_y(z) in a residual buffer of its own; z is left as it is."""
+        return self.slope_into(z.copy() if y is None else z - y, None)
+
+
+def _square_slope_into(z, y):
+    if y is not None:
+        z -= y
+    return z
 
 
 def square_link() -> LinkFamily:
     """phi_y(z) = (z - y)^2 / 2; convex, 1-smooth, Lipschitz only on bounded z."""
-    return LinkFamily("square", lambda r: 0.5 * r * r, lambda r: r, convex=True)
+    return LinkFamily("square", lambda r: 0.5 * r * r, _square_slope_into, convex=True)
 
 
 def _logcosh(r):
@@ -306,9 +319,15 @@ def _logcosh(r):
     return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
 
 
+def _tanh_slope_into(z, y):
+    if y is not None:
+        z -= y
+    return np.tanh(z, out=z) if z.ndim else np.tanh(z)
+
+
 def tanh_link() -> LinkFamily:
     """phi_y(z) = log cosh(z - y), so phi' = tanh; convex, 1-Lipschitz, 1-smooth."""
-    return LinkFamily("tanh", _logcosh, np.tanh, convex=True)
+    return LinkFamily("tanh", _logcosh, _tanh_slope_into, convex=True)
 
 
 # sup |phi'| = 3*sqrt(3)/8 at r = 1/sqrt(3); sup |phi''| = 2 at r = 0.
@@ -323,11 +342,18 @@ def rational_link() -> LinkFamily:
         r2 = r * r
         return r2 / (1.0 + r2)
 
-    def slope(r):
-        d = 1.0 + r * r
-        return 2.0 * r / (d * d)
+    def slope_into(z, y):
+        # 2 r / (1 + r^2)^2, operation for operation, with one temporary
+        if y is not None:
+            z -= y
+        d = z * z
+        d += 1.0
+        d *= d
+        z *= 2.0
+        z /= d
+        return z
 
-    return LinkFamily("rational", value, slope, convex=False)
+    return LinkFamily("rational", value, slope_into, convex=False)
 
 
 class GLMLoss(LossSpec):
@@ -358,10 +384,10 @@ class GLMLoss(LossSpec):
         """phi'_y(<w, x>) x for one sample; for w and x of shape (R, d), and
         y of shape (R,) or None, row-wise with one sample per run."""
         if isinstance(w, np.ndarray) and w.ndim == 2:
-            s = self.link.slope(np.add.reduce(w * x, axis=1), y)
+            s = self.link.slope_into(np.add.reduce(w * x, axis=1), y)
             return s[:, None] * x
         z = float(np.dot(w, x))
-        s = float(self.link.slope(np.float64(z), None if y is None else np.float64(y)))
+        s = float(self.link.slope_into(np.float64(z), None if y is None else np.float64(y)))
         return s * np.asarray(x, dtype=np.float64)
 
     def grad_rows(self, W, X, Y=None):
@@ -375,15 +401,14 @@ class GLMLoss(LossSpec):
         return float(np.dot(weights, vals))
 
     def grad_mean(self, w, X, Y=None, weights=None):
-        z = X @ w
-        s = self.link.slope(z, Y)
+        s = self.link.slope_into(X @ w, Y)
         if weights is None:
             return (X.T @ s) / X.shape[0]
         return X.T @ (s * weights)
 
     def grad_mean_rows(self, W, X, Y=None):
         # one batched X @ w and one slope^T @ X over the runs
-        s = self.link.slope((X @ W[:, :, None])[:, :, 0], Y)
+        s = self.link.slope_into((X @ W[:, :, None])[:, :, 0], Y)
         return (s[:, None, :] @ X)[:, 0, :] / X.shape[1]
 
     def erm_grads(self, W: np.ndarray, S: Dataset) -> np.ndarray:
@@ -391,25 +416,28 @@ class GLMLoss(LossSpec):
 
         The points go in blocks of at most 2**15 // n, each one X @ W_block^T
         and one X^T @ slopes, so temporaries stay within 256 KB and X is read
-        twice per block instead of twice per point.
+        twice per block instead of twice per point. The products, residuals
+        and slopes of every block share one n x block workspace.
         """
         W = np.asarray(W, dtype=np.float64)
         if W.ndim != 2 or W.shape[1] != S.dim:
             raise ValueError(f"W has shape {W.shape}, expected (P, {S.dim})")
         self.validate_dataset(S)
-        Y = None if S.y is None else S.y[:, None]
-        block = max(1, 2 ** 15 // S.n)
+        X, Y, n = S.X, None if S.y is None else S.y[:, None], S.n
+        block = max(1, 2 ** 15 // n)
+        work = np.empty(n * min(block, len(W)))
         out = np.empty_like(W)
         for i in range(0, len(W), block):
-            s = self.link.slope(S.X @ W[i:i + block].T, Y)
-            out[i:i + block] = (S.X.T @ s).T / S.n
+            Wb = W[i:i + block]
+            z = np.matmul(X, Wb.T, out=work[:n * len(Wb)].reshape(n, len(Wb)))
+            out[i:i + block] = (X.T @ self.link.slope_into(z, Y)).T / n
         return out
 
     def grad_var(self, W, W_prev, X, Y=None):
         # one batched X @ [w, w_prev], one slope call, one X^T @ slope difference
         WW = np.empty(W.shape + (2,))
         WW[:, :, 0], WW[:, :, 1] = W, W_prev
-        s = self.link.slope(X @ WW, None if Y is None else Y[:, :, None])
+        s = self.link.slope_into(X @ WW, None if Y is None else Y[:, :, None])
         return ((s[:, :, 0] - s[:, :, 1])[:, None, :] @ X)[:, 0, :] / X.shape[1]
 
     def probe_sample(self, rng):

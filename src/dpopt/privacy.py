@@ -3,8 +3,9 @@ noise sampler with its draw ledger.
 
 All calibration operations are pure: identical inputs give bit-identical
 outputs. Optimizers route every noise draw through :func:`draw_gaussian`,
-or scale normals drawn ahead in a block through :func:`scale_gaussian_rows`,
-so each draw lands in the run's ledger with the calibrated sigma.
+or scale normals drawn ahead in a block and record the block's draws through
+:func:`record_draws`, so each draw lands in the run's ledger with the
+calibrated sigma.
 """
 from __future__ import annotations
 
@@ -189,18 +190,20 @@ def draw_gaussian(dim: int, sigma: float, rng: np.random.Generator,
     return g
 
 
-def scale_gaussian_rows(z: np.ndarray, sigmas: np.ndarray,
-                        ledgers: list[NoiseLedger] | None = None,
-                        site: str = "gauss") -> np.ndarray:
-    """One N(0, I_d sigmas[r]^2) draw per run r, from standard normals z of
-    shape (R, d) that run r's generator drew ahead of time (a block of them
-    per phase); records each run's draw in ledgers[r] when given ledgers."""
+def record_draws(ledgers: Sequence[NoiseLedger] | None, sigmas: np.ndarray,
+                 dim: int, site: str = "gauss") -> None:
+    """Check and record a block of isotropic N(0, I_dim sigma^2) draws that
+    were scaled outside draw_gaussian: sigmas has one row per draw and one
+    column per run. draw_gaussian's checks are made once for the block; then,
+    when ledgers are given, run r's draws go into ledgers[r] in row order,
+    one `NoiseLedger.record` each."""
     if (sigmas < 0).any():
         raise ValueError("sigma must be non-negative")
-    if z.shape[1] < 1:
+    if dim < 1:
         raise ValueError("dim must be >= 1")
-    if ledgers is not None:
-        dim = z.shape[1]
-        for ledger, sigma in zip(ledgers, sigmas.tolist()):
-            ledger.record(site, sigma, dim)
-    return z * sigmas[:, None]
+    if ledgers is None:
+        return
+    for ledger, column in zip(ledgers, sigmas.T.tolist()):
+        record = ledger.record
+        for sigma in column:
+            record(site, sigma, dim)

@@ -22,7 +22,7 @@ import numpy as np
 from .core.data import Dataset, Runs, lockstep
 from .core.loss import GLMLoss, LossSpec, erm_grad
 from .privacy import (NoiseLedger, PrivacyBudget, accountant_sigma,
-                      draw_gaussian, scale_gaussian_rows)
+                      draw_gaussian, record_draws)
 from .util import PreconditionError, floori
 
 SITE_GRAD = "spider-grad"
@@ -176,8 +176,10 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
     their batch indices, then their standard normals, are drawn in one call
     per generator (in blocks of at most BLOCK_ENTRIES entries; without
     replacement, a `choice` per step; b2 = n takes the full dataset and draws
-    no indices). `advance(t, W_t, nabla_t)` returns W_{t+1}. Returns the
-    (R, G) sigma_t and step norms of the G variation steps.
+    no indices). A block's variation draws go into the ledgers after its
+    last step, run by run in step order, through `record_draws`.
+    `advance(t, W_t, nabla_t)` returns W_{t+1}. Returns the (R, G) sigma_t
+    and step norms of the G variation steps.
     """
     R, n, d = len(rngs), data[0].n, data[0].dim
     labelled = data[0].y is not None
@@ -194,7 +196,7 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
     draw = replace and b2 < n
     block = max(1, BLOCK_ENTRIES // (b2 + d))
     G = steps - -(-steps // q)
-    sigmas, norms = np.empty((R, G)), np.empty((R, G))
+    sigmas, norms = np.empty((G, R)), np.empty((G, R))
     g = 0
     W = np.zeros((R, d))
     for t0 in range(0, steps, q):
@@ -216,6 +218,7 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
                 idx = np.stack([rng.integers(0, n, (m, b2)) for rng in rngs], axis=1)
                 idx += offset
             z = np.stack([rng.standard_normal((m, d)) for rng in rngs], axis=1)
+            g0 = g
             for j in range(m):
                 if b2 == n:  # the full dataset, exactly, as in _batch
                     Xb, Yb = X_full, Y_full
@@ -224,14 +227,15 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
                         [rng.choice(n, b2, replace=False) for rng in rngs])
                     Xb, Yb = X.take(rows, axis=0), Y.take(rows) if labelled else None
                 dW = W - W_prev
-                step = np.sqrt((dW * dW).sum(axis=1))
-                sigma = np.minimum(params.sigma2 * step, params.sigma2_hat)
-                noise = scale_gaussian_rows(z[j], sigma, ledgers, SITE_GV)
-                nabla = nabla + loss.grad_var(W, W_prev, Xb, Yb) + noise
-                sigmas[:, g], norms[:, g] = sigma, step
+                step, sigma = norms[g], sigmas[g]
+                np.sqrt(np.add.reduce(np.multiply(dW, dW, out=dW), axis=1), out=step)
+                np.minimum(np.multiply(step, params.sigma2, out=sigma),
+                           params.sigma2_hat, out=sigma)
+                nabla = nabla + loss.grad_var(W, W_prev, Xb, Yb) + z[j] * sigma[:, None]
                 g += 1
                 W_prev, W = W, advance(t1 + j, W, nabla)
-    return sigmas, norms
+            record_draws(ledgers, sigmas[g0:g], d, SITE_GV)
+    return sigmas.T, norms.T
 
 
 def run_spiderboost(loss: LossSpec, S: Dataset | Sequence[Dataset],

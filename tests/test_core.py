@@ -197,6 +197,85 @@ class TestGradVar:
                                   - loss.grad_mean(W_prev[r], X[r]))
 
 
+def rational_slope(r):
+    d = 1.0 + r * r
+    return 2.0 * r / (d * d)
+
+
+# each link's slope as an allocating formula on r = z - y; the in-place
+# kernels must give these bits
+FORMULAS = {"rational": (rational_link, rational_slope),
+            "tanh": (tanh_link, np.tanh),
+            "square": (square_link, lambda r: r)}
+
+
+def labels_for(z, rng):
+    """Labels as the kernels pass them: (n,) with z of shape (n,), and a
+    trailing axis of 1 for the (R, b, 2) and (n, block) products."""
+    if np.ndim(z) == 0:
+        return np.float64(rng.standard_normal())
+    y = rng.standard_normal(z.shape[:-1] + (1,) if z.ndim > 1 else z.shape)
+    y.flat[:7] = 0.0
+    return y
+
+
+class TestOwnedSlopes:
+    """Slopes are computed in a residual buffer the link owns, with the
+    allocating formula's bits and without touching the caller's z."""
+
+    @pytest.mark.parametrize("link", list(FORMULAS))
+    @pytest.mark.parametrize("shape", [(5, 9, 2), (37,), (37, 4), ()],
+                             ids=["runs", "n", "n_block", "scalar"])
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_same_bits_as_the_allocating_formula(self, link, shape, labelled):
+        make, formula = FORMULAS[link]
+        rng = np.random.default_rng(len(shape) + 10 * labelled)
+        if shape:
+            z = rng.standard_normal(shape) * 3.0
+            z.flat[:7] = [0.0, -0.0, 1e200, 1e308, 1e-310, math.nan, -math.inf]
+        else:
+            z = np.float64(rng.standard_normal() * 3.0)
+        y = labels_for(z, rng) if labelled else None
+        before = np.array(z, copy=True)
+        with np.errstate(all="ignore"):
+            want = formula(z if y is None else z - y)
+            got = make().slope(z, y)
+            owned = make().slope_into(np.array(z, copy=True) if shape else z, y)
+        assert np.array(z).tobytes() == before.tobytes()  # z untouched
+        for out in (got, owned):
+            assert np.shape(out) == np.shape(want)
+            assert np.asarray(out).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("link", list(FORMULAS))
+    def test_slope_without_labels_leaves_z_alone(self, link):
+        z = np.linspace(-3.0, 3.0, 41)
+        before = z.copy()
+        s = FORMULAS[link][0]().slope(z, None)
+        assert np.array_equal(z, before)
+        assert not np.shares_memory(s, z)
+
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_batch_kernels_same_bits_as_allocating_formulas(self, labelled):
+        rng = np.random.default_rng(labelled)
+        loss = synthetic_nonconvex_loss(5)
+        X = rng.standard_normal((3, 11, 5)) / 3.0
+        Y = rng.standard_normal((3, 11)) if labelled else None
+        W, W_prev = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
+        WW = np.stack([W, W_prev], axis=2)
+        r = X @ WW if Y is None else X @ WW - Y[:, :, None]
+        s = rational_slope(r)
+        want = ((s[:, :, 0] - s[:, :, 1])[:, None, :] @ X)[:, 0, :] / 11
+        assert loss.grad_var(W, W_prev, X, Y).tobytes() == want.tobytes()
+        r = (X @ W[:, :, None])[:, :, 0]
+        s = rational_slope(r if Y is None else r - Y)
+        want = (s[:, None, :] @ X)[:, 0, :] / 11
+        assert loss.grad_mean_rows(W, X, Y).tobytes() == want.tobytes()
+        y = None if Y is None else Y[0]
+        s = rational_slope(X[0] @ W[0] if y is None else X[0] @ W[0] - y)
+        want = (X[0].T @ s) / 11
+        assert loss.grad_mean(W[0], X[0], y).tobytes() == want.tobytes()
+
+
 class TestSyntheticNonconvex:
     def test_declared_constants_match_numeric_maximization(self):
         # the hard-coded sup |phi'| and sup |phi''| are re-derived numerically
@@ -297,6 +376,26 @@ class TestErmGrad:
         for w, g in zip(W, got):
             want = erm_grad(loss, w, S)
             assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("link", ["rational", "tanh"])
+    @pytest.mark.parametrize("labelled", [True, False])
+    @pytest.mark.parametrize("n,P", [(4096, 19), (100, 3), (2 ** 15 + 3, 2)])
+    def test_glm_blocks_same_bits_as_blockwise_formula(self, link, labelled, n, P):
+        # blocks of 8 (two full, one partial), 327 (one partial) and 1; at
+        # d = 16 the bits depend on the block size
+        make, formula = FORMULAS[link]
+        loss = glm_loss(make(), 1.0, 1.0, 1.0, 16)
+        S = gen_synthetic("glm_fullrank", n, 16, seed=n,
+                          **({"label_scale": 0.5} if labelled else {}))
+        assert (S.y is not None) == labelled
+        W = np.random.default_rng(P).standard_normal((P, 16))
+        Y = None if S.y is None else S.y[:, None]
+        block = max(1, 2 ** 15 // n)
+        want = np.empty_like(W)
+        for i in range(0, P, block):
+            r = S.X @ W[i:i + block].T
+            want[i:i + block] = (S.X.T @ formula(r if Y is None else r - Y)).T / n
+        assert loss.erm_grads(W, S).tobytes() == want.tobytes()
 
     def test_glm_blocks_check_shapes_and_domain(self):
         loss = synthetic_nonconvex_loss(3)

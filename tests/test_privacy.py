@@ -7,7 +7,7 @@ import pytest
 
 from dpopt.privacy import (NoiseLedger, NoiseLedgerEntry, PrivacyBudget,
                            accountant_sigma, draw_gaussian, gaussian_sigma,
-                           scale_gaussian_rows, spider_gv_sensitivity,
+                           record_draws, spider_gv_sensitivity,
                            tree_gv_sensitivity)
 
 
@@ -193,31 +193,54 @@ class TestNoiseLedgerColumns:
         assert back._sigma.typecode == "d" and back._count.typecode == "q"
 
 
-class TestScaleGaussianRows:
-    def test_scales_rows_and_records_each_run(self):
-        z = np.random.default_rng(5).standard_normal((3, 4))
-        sigmas = np.array([0.5, 0.0, 2.0])
+class TestRecordDraws:
+    def test_records_each_run_in_row_order(self):
+        # one row per draw, one column per run
+        sigmas = np.array([[0.5, 0.0, 2.0]])
         ledgers = [NoiseLedger() for _ in range(3)]
-        g = scale_gaussian_rows(z, sigmas, ledgers, "site-a")
+        record_draws(ledgers, sigmas, 4, "site-a")
         for r in range(3):
-            assert np.array_equal(g[r], z[r] * sigmas[r])
-            assert ledgers[r].rows() == [("site-a", float(sigmas[r]), 4, 1)]
+            assert ledgers[r].rows() == [("site-a", float(sigmas[0, r]), 4, 1)]
             assert type(ledgers[r].rows()[0][1]) is float
-        scale_gaussian_rows(z, sigmas, ledgers, "site-a")
+        record_draws(ledgers, sigmas, 4, "site-a")
         assert [l.total_draws() for l in ledgers] == [2, 2, 2]
         assert len(ledgers[0].entries) == 1  # repeats coalesce as in draw_gaussian
+        # a block of rows goes into each run's ledger in row order, one
+        # record per draw
+        block = np.array([[0.25, 1.0], [0.25, math.nan], [0.75, math.nan]])
+        got = [NoiseLedger() for _ in range(2)]
+        record_draws(got, block, 3, "site-b")
+        for r in range(2):
+            want = NoiseLedger()
+            for sigma in block[:, r].tolist():
+                want.record("site-b", sigma, 3)
+            assert got[r] == want
+        assert got[0].rows() == [("site-b", 0.25, 3, 2), ("site-b", 0.75, 3, 1)]
+        assert len(got[1].entries) == 3  # a NaN sigma never coalesces
 
     def test_matches_draw_gaussian_stream(self):
-        # a row of normals drawn ahead, scaled, is draw_gaussian's draw
-        a = draw_gaussian(6, 0.7, np.random.default_rng(9))
+        # a row of normals drawn ahead and scaled, then recorded, is
+        # draw_gaussian's draw and ledger entry
+        ledger = NoiseLedger()
+        a = draw_gaussian(6, 0.7, np.random.default_rng(9), ledger, "s")
         z = np.random.default_rng(9).standard_normal((1, 6))
-        assert np.array_equal(scale_gaussian_rows(z, np.array([0.7]))[0], a)
+        sigmas = np.array([[0.7]])
+        assert np.array_equal((z * sigmas[0][:, None])[0], a)
+        got = [NoiseLedger()]
+        record_draws(got, sigmas, 6, "s")
+        assert got[0] == ledger
 
     def test_keeps_draw_gaussian_checks(self):
+        ledger = NoiseLedger()
         with pytest.raises(ValueError, match="sigma"):
-            scale_gaussian_rows(np.zeros((2, 3)), np.array([0.1, -0.1]))
+            record_draws([ledger, ledger], np.array([[0.1, -0.1]]), 3)
         with pytest.raises(ValueError, match="dim"):
-            scale_gaussian_rows(np.zeros((2, 0)), np.array([0.1, 0.1]))
+            record_draws([ledger, ledger], np.array([[0.1, 0.1]]), 0)
+        assert ledger.total_draws() == 0  # a failed check records nothing
+        # without ledgers the block is still checked, and nothing is recorded
+        record_draws(None, np.array([[0.1, math.nan]]), 3)
+        with pytest.raises(ValueError, match="sigma"):
+            record_draws(None, np.array([[0.1], [-0.1]]), 3)
 
 
 class TestPrivacyBudget:

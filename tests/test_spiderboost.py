@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from dpopt import spiderboost
 from dpopt.core import (Dataset, erm_grad, glm_loss, huber_mean_loss,
-                        synthetic_nonconvex_loss, tanh_link)
+                        square_link, synthetic_nonconvex_loss, tanh_link)
 from dpopt.core.data import Runs
 from dpopt.harness import gen_synthetic
-from dpopt.privacy import PrivacyBudget
+from dpopt.privacy import NoiseLedger, PrivacyBudget
 from dpopt.spiderboost import (SpiderParams, _spider_path, derive_spider_params,
                                run_spiderboost, spider_oracle_count,
                                validate_spider_error_bound, SITE_GRAD, SITE_GV)
@@ -291,6 +292,68 @@ class TestLockstep:
         rngs = [np.random.default_rng(0), np.random.default_rng(1)]
         with pytest.raises(ValueError, match="must share n, d and labelling"):
             run_spiderboost(loss, [a, b], params, rngs)
+
+
+def per_draw_ledger(rep, params, d):
+    """The ledger that one record per draw, in step order, gives a run."""
+    want = NoiseLedger()
+    gv = iter(rep.gv_records)
+    for t in range(params.T):
+        if t % params.q == 0:
+            want.record(SITE_GRAD, params.sigma1, d)
+        else:
+            t_gv, sigma, _ = next(gv)
+            assert t_gv == t
+            want.record(SITE_GV, sigma, d)
+    return want
+
+
+class TestLedger:
+    """Variation draws are recorded after each block of a phase; the ledger
+    equals one recorded draw by draw, alone and in a group."""
+
+    def group_and_alone(self, loss, params, label_scale):
+        data = [gen_synthetic("glm_fullrank", 64, 4, seed=80 + r,
+                              label_scale=label_scale) for r in range(5)]
+        rngs = [np.random.default_rng(90 + r) for r in range(5)]
+        with np.errstate(all="ignore"):
+            group = run_spiderboost(loss, data, params, rngs)
+            alone = [run_spiderboost(loss, data[r], params, np.random.default_rng(90 + r))
+                     for r in range(5)]
+        for r in range(5):
+            assert group[r].noise_ledger == alone[r].noise_ledger
+            assert group[r].noise_ledger == per_draw_ledger(group[r], params, 4)
+        return group
+
+    @pytest.mark.parametrize("block", [None, 3], ids=["one_block", "blocks_of_3"])
+    def test_zero_sigma2_coalesces_within_each_phase(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(spiderboost, "BLOCK_ENTRIES", block * (9 + 4))
+        params = SpiderParams(eta=0.3, q=7, b1=64, b2=9, T=40,
+                              sigma1=0.05, sigma2=0.0, sigma2_hat=0.08)
+        group = self.group_and_alone(synthetic_nonconvex_loss(4), params, 0.6)
+        # phases of 7 steps, the last of 5: one fresh entry, then one
+        # entry for the phase's variation draws at sigma 0
+        want = []
+        for t0 in range(0, 40, 7):
+            want += [(SITE_GRAD, 0.05, 4, 1), (SITE_GV, 0.0, 4, min(7, 40 - t0) - 1)]
+        for rep in group:
+            assert rep.noise_ledger.rows() == want
+
+    def test_nan_sigma_of_a_diverging_run_never_coalesces(self):
+        # the square link's slope grows with w, so eta = 1e6 overflows the
+        # iterates to inf within a few phases; their differences are NaN
+        params = SpiderParams(eta=1e6, q=7, b1=64, b2=9, T=120,
+                              sigma1=0.05, sigma2=0.4, sigma2_hat=0.08)
+        loss = glm_loss(square_link(), 4.0, 1.0, 1.0, 4)
+        group = self.group_and_alone(loss, params, 0.6)
+        for rep in group:
+            nan = np.isnan(rep.gv_records.sigma)
+            assert nan[-6:].all() and not nan[0]
+            rows = rep.noise_ledger.rows()
+            gv = [row for row in rows if row[0] == SITE_GV]
+            # the last full phase's six NaN draws are six entries
+            assert [row[3] for row in gv if math.isnan(row[1])] == [1] * int(nan.sum())
 
 
 class TestTrace:
