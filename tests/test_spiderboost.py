@@ -312,9 +312,9 @@ class TestLedger:
     """Variation draws are recorded after each block of a phase; the ledger
     equals one recorded draw by draw, alone and in a group."""
 
-    def group_and_alone(self, loss, params, label_scale):
-        data = [gen_synthetic("glm_fullrank", 64, 4, seed=80 + r,
-                              label_scale=label_scale) for r in range(5)]
+    def group_and_alone(self, loss, params):
+        data = [gen_synthetic("glm_fullrank", 64, 4, seed=80 + r, label_scale=0.6)
+                for r in range(5)]
         rngs = [np.random.default_rng(90 + r) for r in range(5)]
         with np.errstate(all="ignore"):
             group = run_spiderboost(loss, data, params, rngs)
@@ -331,7 +331,7 @@ class TestLedger:
             monkeypatch.setattr(spiderboost, "BLOCK_ENTRIES", block * (9 + 4))
         params = SpiderParams(eta=0.3, q=7, b1=64, b2=9, T=40,
                               sigma1=0.05, sigma2=0.0, sigma2_hat=0.08)
-        group = self.group_and_alone(synthetic_nonconvex_loss(4), params, 0.6)
+        group = self.group_and_alone(synthetic_nonconvex_loss(4), params)
         # phases of 7 steps, the last of 5: one fresh entry, then one
         # entry for the phase's variation draws at sigma 0
         want = []
@@ -346,13 +346,13 @@ class TestLedger:
         params = SpiderParams(eta=1e6, q=7, b1=64, b2=9, T=120,
                               sigma1=0.05, sigma2=0.4, sigma2_hat=0.08)
         loss = glm_loss(square_link(), 4.0, 1.0, 1.0, 4)
-        group = self.group_and_alone(loss, params, 0.6)
+        group = self.group_and_alone(loss, params)
         for rep in group:
             nan = np.isnan(rep.gv_records.sigma)
             assert nan[-6:].all() and not nan[0]
             rows = rep.noise_ledger.rows()
             gv = [row for row in rows if row[0] == SITE_GV]
-            # the last full phase's six NaN draws are six entries
+            # each NaN draw, six in a row in the last full phase, is its own entry
             assert [row[3] for row in gv if math.isnan(row[1])] == [1] * int(nan.sum())
 
 
