@@ -123,8 +123,14 @@ def erm_grad(loss: LossSpec, w: np.ndarray, S: Dataset) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (S.dim,):
         raise ValueError(f"w has shape {w.shape}, expected ({S.dim},)")
-    loss.validate_dataset(S)
+    _check_erm_data(loss, S)
     return loss.grad_mean(w, S.X, S.y)
+
+
+def _check_erm_data(loss: LossSpec, S: Dataset) -> None:
+    if S.n == 0:
+        raise ValueError("the empirical risk of a dataset with no rows is undefined")
+    loss.validate_dataset(S)
 
 
 def erm_value(loss: LossSpec, w: np.ndarray, S: Dataset) -> float:
@@ -356,6 +362,10 @@ def rational_link() -> LinkFamily:
     return LinkFamily("rational", value, slope_into, convex=False)
 
 
+# GLMLoss.erm_grads evaluates at most this many points per pass over X
+ERM_POINT_BLOCK = 256
+
+
 class GLMLoss(LossSpec):
     """GLM loss with gradient phi'_y(<w, x>) x.
 
@@ -414,23 +424,30 @@ class GLMLoss(LossSpec):
     def erm_grads(self, W: np.ndarray, S: Dataset) -> np.ndarray:
         """Exact empirical-risk gradients at the rows of W, shape (P, d).
 
-        The points go in blocks of at most 2**15 // n, each one X @ W_block^T
-        and one X^T @ slopes, so temporaries stay within 256 KB and X is read
-        twice per block instead of twice per point. The products, residuals
-        and slopes of every block share one n x block workspace.
+        The points go in blocks of at most ERM_POINT_BLOCK. For a block of p
+        points, X is read once, in row chunks of 2**15 // p rows: each chunk
+        gives X_c @ W_block^T and its slopes in one 2**15-entry (256 KB)
+        workspace, and X_c^T @ slopes is added, in chunk order, to a (d, p)
+        sum that starts at zero. The sum is divided by n at the end.
         """
         W = np.asarray(W, dtype=np.float64)
         if W.ndim != 2 or W.shape[1] != S.dim:
             raise ValueError(f"W has shape {W.shape}, expected (P, {S.dim})")
-        self.validate_dataset(S)
+        _check_erm_data(self, S)
         X, Y, n = S.X, None if S.y is None else S.y[:, None], S.n
-        block = max(1, 2 ** 15 // n)
-        work = np.empty(n * min(block, len(W)))
+        work = np.empty(min(2 ** 15, n * min(ERM_POINT_BLOCK, len(W))))
         out = np.empty_like(W)
-        for i in range(0, len(W), block):
-            Wb = W[i:i + block]
-            z = np.matmul(X, Wb.T, out=work[:n * len(Wb)].reshape(n, len(Wb)))
-            out[i:i + block] = (X.T @ self.link.slope_into(z, Y)).T / n
+        for i in range(0, len(W), ERM_POINT_BLOCK):
+            Wt = W[i:i + ERM_POINT_BLOCK].T
+            p = Wt.shape[1]
+            rows = 2 ** 15 // p  # at least 128, as p <= ERM_POINT_BLOCK
+            total, part = np.zeros((S.dim, p)), np.empty((S.dim, p))
+            for c in range(0, n, rows):
+                Xc = X[c:c + rows]
+                z = np.matmul(Xc, Wt, out=work[:len(Xc) * p].reshape(len(Xc), p))
+                total += np.matmul(Xc.T, self.link.slope_into(
+                    z, None if Y is None else Y[c:c + rows]), out=part)
+            out[i:i + ERM_POINT_BLOCK] = (total / n).T
         return out
 
     def grad_var(self, W, W_prev, X, Y=None):

@@ -98,11 +98,12 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
 
     A failed sample-size hypothesis tags every row `precondition:`, any other
     exception `error:`; a returned point, exact gradient norm or entry of
-    the exact gradient-norm trace that is not finite is `diverged`. A tree
-    Spider or recursive-regularization seed whose population sample fails
-    the loss's dataset check is tagged `error:` alone, and the other seeds
-    run as a smaller group. Under `timing`, each row gets the call's wall time
-    divided by the number of seeds.
+    the exact gradient-norm trace (for JL, its base run's) that is not
+    finite is `diverged`. A tree Spider or recursive-regularization seed
+    whose population sample fails the loss's dataset check is tagged
+    `error:` alone, and the other seeds run as a smaller group. Under
+    `timing`, each row gets the call's wall time divided by the number of
+    seeds.
     """
     if len(seeds) != 1 and config.algorithm not in LOCKSTEP:
         raise ValueError(f"{config.algorithm} takes one seed per call, got {len(seeds)}")
@@ -228,7 +229,9 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
                       "max_feature_norm_ratio": rep.max_feature_norm_ratio,
                       "clamped": rep.clamped,
                       "base_eps": rep.base_eps, "base_delta": rep.base_delta,
-                      "base_selected_index": rep.base_report.selected_index})]
+                      "base_selected_index": rep.base_report.selected_index,
+                      "base_trace_steps": rep.base_report.trace_steps,
+                      "base_grad_norm_trace": rep.base_report.grad_norm_trace})]
         else:
             raise ValueError(f"unknown algorithm {config.algorithm!r}")
         for i, (row, out) in enumerate(zip(rows, outs)):
@@ -237,8 +240,9 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
             w_out, g, oracle_calls, ledger, extras = out
             row["grad_norm"] = float(np.linalg.norm(g))
             row["oracle_calls"] = oracle_calls
+            traces = (extras.get(k, ()) for k in ("grad_norm_trace", "base_grad_norm_trace"))
             if not (math.isfinite(row["grad_norm"]) and np.isfinite(w_out).all()
-                    and np.isfinite(extras.get("grad_norm_trace", ())).all()):
+                    and all(np.isfinite(t).all() for t in traces)):
                 row["status"] = "diverged"
             if config.write_reports:
                 docs[i] = {

@@ -473,20 +473,24 @@ class TestRunExperiment:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_when_only_the_trace_overflows(self, tmp_path):
-        # eta = 1e6: the exact gradient-norm trace reaches inf, while the
-        # uniformly selected iterate and its gradient norm stay finite
-        raw = {"algorithm": "spiderboost",
-               "grid": {"n": [64], "eps": [1.0], "d": [4]},
-               "delta": 1e-4, "seeds": [0], "out": str(tmp_path / "h"),
-               "loss": {"kind": "glm_square"},
-               "data": {"kind": "glm_fullrank", "label_scale": 0.5},
-               "overrides": {"T": 40, "eta": 1e6}}
-        csv = run_experiment(ExperimentConfig.from_dict(raw))
-        (row,) = read_csv_rows(csv)
-        report = json.loads((csv.parent / "reports" / "run_g0_s0.json").read_text())
-        assert np.isfinite(float(row["grad_norm"]))
-        assert not np.isfinite(report["grad_norm_trace"]).all()
-        assert row["status"] == "diverged"
+        # eta = 1e6: the exact gradient-norm trace (for JL, its base run's)
+        # reaches inf, while the returned point and its gradient norm stay
+        # finite
+        cases = [("spiderboost", "grad_norm_trace", {"d": [4]},
+                  {"kind": "glm_fullrank", "label_scale": 0.5}, {}),
+                 ("jl_spiderboost", "base_grad_norm_trace", {"d": [8]},
+                  {"kind": "glm_lowrank", "rank": 2, "label_scale": 0.5}, {"k": 4})]
+        for algorithm, key, grid, data, overrides in cases:
+            raw = {"algorithm": algorithm, "grid": {"n": [64], "eps": [1.0], **grid},
+                   "delta": 1e-4, "seeds": [0], "out": str(tmp_path / algorithm),
+                   "loss": {"kind": "glm_square"}, "data": data,
+                   "overrides": {"T": 40, "eta": 1e6, **overrides}}
+            csv = run_experiment(ExperimentConfig.from_dict(raw))
+            (row,) = read_csv_rows(csv)
+            report = json.loads((csv.parent / "reports" / "run_g0_s0.json").read_text())
+            assert np.isfinite(float(row["grad_norm"]))
+            assert len(report[key]) == 40 and not np.isfinite(report[key]).all()
+            assert row["status"] == "diverged"
 
     def test_workers_match_serial(self, tmp_path):
         # the pool takes jobs largest n first; runs.csv and every report
