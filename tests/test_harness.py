@@ -476,12 +476,12 @@ class TestRunExperiment:
         # eta = 1e6: the exact gradient-norm trace (for JL, its base run's)
         # reaches inf, while the returned point and its gradient norm stay
         # finite
-        cases = [("spiderboost", "grad_norm_trace", {"d": [4]},
+        cases = [("spiderboost", "grad_norm_trace", 4,
                   {"kind": "glm_fullrank", "label_scale": 0.5}, {}),
-                 ("jl_spiderboost", "base_grad_norm_trace", {"d": [8]},
+                 ("jl_spiderboost", "base_grad_norm_trace", 8,
                   {"kind": "glm_lowrank", "rank": 2, "label_scale": 0.5}, {"k": 4})]
-        for algorithm, key, grid, data, overrides in cases:
-            raw = {"algorithm": algorithm, "grid": {"n": [64], "eps": [1.0], **grid},
+        for algorithm, key, d, data, overrides in cases:
+            raw = {"algorithm": algorithm, "grid": {"n": [64], "eps": [1.0], "d": [d]},
                    "delta": 1e-4, "seeds": [0], "out": str(tmp_path / algorithm),
                    "loss": {"kind": "glm_square"}, "data": data,
                    "overrides": {"T": 40, "eta": 1e6, **overrides}}
