@@ -394,7 +394,7 @@ class GLMLoss(LossSpec):
         """phi'_y(<w, x>) x for one sample; for w and x of shape (R, d), and
         y of shape (R,) or None, row-wise with one sample per run."""
         if isinstance(w, np.ndarray) and w.ndim == 2:
-            s = self.link.slope_into(np.add.reduce(w * x, axis=1), y)
+            s = self.link.slope_into(np.vecdot(w, x), y)
             return s[:, None] * x
         z = float(np.dot(w, x))
         s = float(self.link.slope_into(np.float64(z), None if y is None else np.float64(y)))

@@ -40,8 +40,9 @@ class RegularizedLoss(LossSpec):
     regularizer is data-independent, so per-sample sensitivity (and hence
     noise calibration) keeps the base Lipschitz constant.
 
-    Centers of shape (R, d) give each of R runs its own objective; such a
-    loss is evaluated through `grad_rows` and `grad_mean_rows`.
+    Centers of shape (R, d) give each of R runs its own objective; the
+    solvers take such a loss's step through `_affine_terms`, as the base
+    loss's gradient plus one affine update.
     """
 
     name = "regularized"
@@ -75,17 +76,11 @@ class RegularizedLoss(LossSpec):
     def grad(self, w, x, y=None):
         return self.base.grad(w, x, y) + self._reg_grad(np.asarray(w, dtype=np.float64))
 
-    def grad_rows(self, W, X, Y=None):
-        return self.base.grad_rows(W, X, Y) + self._reg_grad(W)
-
     def eval_mean(self, w, X, Y=None, weights=None):
         return self.base.eval_mean(w, X, Y, weights) + self._reg_value(w)
 
     def grad_mean(self, w, X, Y=None, weights=None):
         return self.base.grad_mean(w, X, Y, weights) + self._reg_grad(w)
-
-    def grad_mean_rows(self, W, X, Y=None):
-        return self.base.grad_mean_rows(W, X, Y) + self._reg_grad(W)
 
     def probe_sample(self, rng):
         return self.base.probe_sample(rng)
@@ -145,16 +140,49 @@ def make_selector(lam: float):
 
 def project_ball(w: np.ndarray, R: float) -> np.ndarray:
     """Euclidean projection onto the centered ball of radius R; row-wise
-    for iterates of shape (runs, d)."""
+    for iterates of shape (runs, d).
+
+    Each row's decision (||w||^2 > R^2) and its scale R / ||w|| come from
+    that row's own squared norm, so a row gets the same bits alone or in a
+    block. A row holding a NaN comes back as it is and does not touch the
+    other rows.
+    """
     if R < 0:
         raise ValueError("R must be non-negative")
-    if R == 0:
-        return w * 0.0
-    nw = np.sqrt(np.add.reduce(w * w, axis=-1, keepdims=True))
-    if np.maximum.reduce(nw, axis=None) <= R:  # the common case: every row inside
+    sq = np.vecdot(w, w)
+    R2 = R * R
+    # the common case: every row inside
+    if (sq if w.ndim == 1 else max(sq.tolist())) <= R2:
         return w
-    # R / max(||w||, R) is exactly 1.0 for the rows inside
-    return w * (R / np.maximum(nw, R))
+    # R / ||w|| on the rows outside, exactly 1.0 on the rest
+    scale = np.divide(R, np.sqrt(sq), out=np.ones(np.shape(sq)), where=sq > R2)
+    return w * scale[..., None]
+
+
+def _affine_terms(loss: LossSpec, eta: float):
+    """(base, a, c) such that w - eta grad loss(w) = a w + c - eta grad base(w).
+
+    A regularized loss adds sum_i lambda_i (w - c_i) to its base's gradient,
+    so a = 1 - eta sum_i lambda_i and c = eta sum_i lambda_i c_i (of shape
+    (R, d) for per-run centers). A plain loss gives a = 1 and c = None.
+    """
+    if isinstance(loss, RegularizedLoss):
+        return loss.base, 1.0 - eta * loss._lam_total, eta * loss._offset
+    return loss, 1.0, None
+
+
+def _affine_step(W: np.ndarray, G: np.ndarray, a: float, c: np.ndarray | None,
+                 eta: float, R: float, out: np.ndarray) -> np.ndarray:
+    """Proj_R(a W + c - eta G), computed in `out`; G is overwritten.
+
+    Returns `out`, or a new array when some row is projected.
+    """
+    np.multiply(W, a, out=out)
+    if c is not None:
+        out += c
+    G *= eta
+    out -= G
+    return project_ball(out, R)
 
 
 def noisy_gd(S: Dataset | Sequence[Dataset], loss: LossSpec, R: float, T: int,
@@ -165,19 +193,22 @@ def noisy_gd(S: Dataset | Sequence[Dataset], loss: LossSpec, R: float, T: int,
     """Projected noisy full-batch GD from 0; returns selector of all iterates.
 
     w_{t+1} = Proj_R(w_t - eta (grad F(w_t; S) + xi_t)), xi_t ~ N(0, sigma^2 I),
-    for t = 1..T-1. Given a generator (and a dataset and ledger) per run,
-    the runs go in lockstep and the (R, d) outputs come back; each run draws
-    its own noise vector per step. The iterates reach `selector(block, eta)`
-    as blocks of shape (K, R, d) of at most ITERATE_BLOCK; every block after
-    the first comes with `prior=(average so far, iterates so far)`.
+    for t = 1..T-1, taken as the base loss's batch gradient plus noise and
+    one affine update (`_affine_step`). Given a generator (and a dataset and
+    ledger) per run, the runs go in lockstep and the (R, d) outputs come
+    back; each run draws its own noise vector per step. The iterates reach
+    `selector(block, eta)` as blocks of shape (K, R, d) of at most
+    ITERATE_BLOCK; every block after the first comes with
+    `prior=(average so far, iterates so far)`.
     """
     if getattr(loss, "strong_convexity", 0.0) <= 0.0:
         raise ValueError("noisy_gd requires a strongly convex (regularized) loss")
     data, rngs, ledgers, single = lockstep(S, rng, ledger)
     X, Y = data.stack(axis=0)
     runs, d = X.shape[0], X.shape[2]
+    base, a, c = _affine_terms(loss, eta)
     store = np.empty((runs, min(max(T, 1), ITERATE_BLOCK), d))
-    W = np.zeros((runs, d))
+    W, nxt = np.zeros((runs, d)), np.empty((runs, d))
     store[:, 0] = W
     k, avg, done = 1, None, 0
 
@@ -188,9 +219,10 @@ def noisy_gd(S: Dataset | Sequence[Dataset], loss: LossSpec, R: float, T: int,
     for _ in range(1, T):
         if k == store.shape[1]:
             avg, done, k = fold(), done + k, 0
-        xi = np.array([draw_gaussian(d, sigma, g, None if ledgers is None else ledgers[r],
-                                     site) for r, g in enumerate(rngs)])
-        W = project_ball(W - eta * (loss.grad_mean_rows(W, X, Y) + xi), R)
+        G = np.array([draw_gaussian(d, sigma, g, None if ledgers is None else ledgers[r],
+                                    site) for r, g in enumerate(rngs)])
+        G += base.grad_mean_rows(W, X, Y)
+        W, nxt = _affine_step(W, G, a, c, eta, R, nxt), W
         store[:, k] = W
         k += 1
     out = fold()
@@ -208,20 +240,24 @@ def output_perturbed_sgd(w1: np.ndarray, S: Dataset | Sequence[Dataset],
     w_{t+1} = Proj_R(w_t - eta grad f(w_t; x_t)) for t = 1..|S|-1; the output
     is selector({w_t}) + N(0, sigma^2 I). Given a generator (and a dataset,
     ledger and start row of w1) per run, the runs go in lockstep: each step
-    is one `grad_rows` over the runs' t-th samples and one row-wise
-    projection, and the selector gets the (|S|, R, d) iterate block.
+    is one base-loss `grad_rows` over the runs' t-th samples and one affine
+    update (`_affine_step`) in two reused (R, d) buffers, and each iterate
+    is copied once into a run-major (R, |S|, d) store, which the selector
+    gets as the (|S|, R, d) iterate block.
     """
     data, rngs, ledgers, single = lockstep(S, rng, ledger)
     if data.n < 1:
         raise ValueError("need at least one sample")
     X, Y = data.stack(axis=1)
     n, runs, d = X.shape
+    base, a, c = _affine_terms(loss, eta)
     store = np.empty((runs, n, d))
-    store[:, 0] = w1
-    W = store[:, 0]
+    W, nxt = np.empty((runs, d)), np.empty((runs, d))
+    W[...] = w1
+    store[:, 0] = W
     for t in range(n - 1):
-        G = loss.grad_rows(W, X[t], None if Y is None else Y[t])
-        W = project_ball(W - eta * G, R)
+        G = base.grad_rows(W, X[t], None if Y is None else Y[t])
+        W, nxt = _affine_step(W, G, a, c, eta, R, nxt), W
         store[:, t + 1] = W
     tilde = selector(store.transpose(1, 0, 2), eta)
     xi = np.array([draw_gaussian(d, sigma, g, None if ledgers is None else ledgers[r], site)

@@ -197,6 +197,27 @@ class TestGradVar:
                                   - loss.grad_mean(W_prev[r], X[r]))
 
 
+class TestRunAxisGrad:
+    """GLMLoss.grad on a run axis: row r is grad(W[r], X[r], Y[r]), and a
+    row's bits do not depend on the rows beside it."""
+
+    @pytest.mark.parametrize("link", ["tanh", "square", "rational"])
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_rows_match_single_sample_grad(self, link, labelled):
+        rng = np.random.default_rng(len(link) + 10 * labelled)
+        loss = glm_loss(FORMULAS[link][0](), 1.0, 1.0, 1.0, 16)
+        W = rng.standard_normal((5, 16))
+        X = rng.standard_normal((5, 16)) / 5.0
+        Y = rng.standard_normal(5) if labelled else None
+        got = loss.grad(W, X, Y)
+        assert got.shape == (5, 16)
+        for r in range(5):
+            want = loss.grad(W[r], X[r], None if Y is None else Y[r])
+            assert np.max(np.abs(got[r] - want)) <= 1e-15 * np.max(np.abs(want))
+            alone = loss.grad(W[r:r + 1], X[r:r + 1], None if Y is None else Y[r:r + 1])
+            assert alone.tobytes() == got[r:r + 1].tobytes()
+
+
 def rational_slope(r):
     d = 1.0 + r * r
     return 2.0 * r / (d * d)

@@ -119,6 +119,64 @@ class TestProjectBall:
             pa, pb = project_ball(a, 1.0), project_ball(b, 1.0)
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
+    R = 0.7
+
+    def edge_rows(self):
+        """Rows exactly at R, one ulp inside and one ulp outside."""
+        at = e(1, 3) * self.R
+        inside = e(1, 3) * np.nextafter(self.R, 0.0)
+        outside = e(1, 3) * np.nextafter(self.R, np.inf)
+        return at, inside, outside
+
+    def test_rows_at_and_one_ulp_from_the_radius(self):
+        at, inside, outside = self.edge_rows()
+        for w in (at, inside):
+            assert project_ball(w[None], self.R).tobytes() == w[None].tobytes()
+        got = project_ball(outside[None], self.R)
+        assert not np.array_equal(got[0], outside)
+        assert got[0] @ got[0] <= self.R ** 2
+
+    def test_vector_is_its_row_in_a_block(self):
+        # `dpopt check` projects 1-D vectors
+        rng = np.random.default_rng(4)
+        for w in (*self.edge_rows(), rng.standard_normal(3) * 0.1,
+                  rng.standard_normal(3) * 5.0):
+            got = project_ball(w, self.R)
+            assert got.shape == (3,)
+            assert got.tobytes() == project_ball(w[None], self.R)[0].tobytes()
+
+    def test_zero_radius(self):
+        W = np.array([[0.3, -0.4], [0.0, 0.0], [2.0, 1.0]])
+        assert np.array_equal(project_ball(W, 0.0), np.zeros((3, 2)))
+        assert np.array_equal(project_ball(W[0], 0.0), np.zeros(2))
+        with pytest.raises(ValueError, match="non-negative"):
+            project_ball(W, -1.0)
+
+    @pytest.mark.parametrize("nan_row", [0, 2])
+    @pytest.mark.parametrize("others", ["inside", "one_projected"])
+    def test_nan_row_comes_back_as_it_is(self, nan_row, others):
+        W = np.array([[0.3, 0.4], [0.1, -0.2], [0.5, 0.0]])
+        if others == "one_projected":
+            W[1] = [3.0, 4.0]
+        W[nan_row] = [np.nan, 0.1]
+        got = project_ball(W, 1.0)
+        assert got[nan_row].tobytes() == W[nan_row].tobytes()
+        for r in {0, 1, 2} - {nan_row}:
+            assert got[r].tobytes() == project_ball(W[r], 1.0).tobytes()
+        if others == "one_projected":
+            assert np.allclose(got[1], [0.6, 0.8], rtol=1e-15)
+
+    def test_block_rows_get_their_single_row_bits(self):
+        # one row projected, others within an ulp of R: each row's decision
+        # and scale come from its own squared norm
+        rng = np.random.default_rng(5)
+        W = np.array([*self.edge_rows(), rng.standard_normal(3) * 3.0,
+                      rng.standard_normal(3) * 0.1])
+        got = project_ball(W, self.R)
+        assert not np.array_equal(got, W)
+        for r in range(len(W)):
+            assert got[r].tobytes() == project_ball(W[r:r + 1], self.R)[0].tobytes()
+
 
 class TestNoisyGD:
     def quadratic(self, c, lam=1.0):
@@ -249,6 +307,43 @@ class TestOutputPerturbedSGD:
                 + np.random.default_rng(42).standard_normal(3) * sigma)
         assert projected > 0
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("kind,centers", [("tanh", 3), ("zero", 3), ("tanh", 0)],
+                             ids=["three_centers", "zero_base", "unregularized"])
+    def test_folded_step_matches_plain_update(self, kind, centers):
+        # R = 5 runs with per-run centers: the affine step a W + c - eta G
+        # against a per-run loop of w - eta grad(w; x) and the projection
+        runs, n, d = 5, 40, 3
+        eta, R, sigma, lam = 0.2, 0.3, 0.2, 1.0
+        rng = np.random.default_rng(18)
+        base = ZeroLoss(d) if kind == "zero" else glm_loss(tanh_link(), 1.0, 1.0, 0.5, d)
+        cs = [rng.standard_normal((runs, d)) * 0.6 for _ in range(centers)]
+        lambdas = [0.5, 1.0, 2.0][:centers]
+        samples = []
+        for _ in range(runs):
+            X = rng.standard_normal((n, d))
+            X = 0.5 * X / np.linalg.norm(X, axis=1, keepdims=True)
+            samples.append(Dataset(X, 0.2 * X[:, 0] + 0.1))
+        w1 = rng.standard_normal((runs, d)) * 0.4
+        start = w1.copy()
+        got = output_perturbed_sgd(w1, samples, regularize(base, cs, lambdas), R, eta,
+                                   sigma, make_selector(lam),
+                                   [np.random.default_rng(60 + r) for r in range(runs)])
+        assert np.array_equal(w1, start)
+        weights = [(1 - eta * lam) ** (n - k) for k in range(1, n + 1)]
+        projected = 0
+        for r, S in enumerate(samples):
+            loss = regularize(base, [c[r] for c in cs], lambdas)
+            w, ws = start[r], [start[r]]
+            for t in range(n - 1):
+                w = w - eta * loss.grad(w, S.X[t], S.y[t])
+                nw = math.sqrt(w @ w)
+                w, projected = (w, projected) if nw <= R else (w * (R / nw), projected + 1)
+                ws.append(w)
+            want = (sum(g * v for g, v in zip(weights, ws)) / sum(weights)
+                    + np.random.default_rng(60 + r).standard_normal(d) * sigma)
+            assert np.max(np.abs(got[r] - want)) <= 1e-12
+        assert projected > 0
 
     def test_neighbor_stability_bound(self):
         # Lemma-style bound: ||out(S) - out(S')|| <= 2 L0 log(n) / (lam n)
