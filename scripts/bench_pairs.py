@@ -13,8 +13,8 @@ better in the metric's direction). Each workload's entry also records the
 two trees' `git describe`, the command and the host's Python, numpy, BLAS
 and CPU count, so an existing output file keeps its other workloads with
 their own labels. At least two seeds are needed for quartiles; fewer are
-rejected before any run. Standard library only; numpy is queried in a
-child process.
+rejected before any run, as is a --base that resolves to the --change
+directory. Standard library only; numpy is queried in a child process.
 """
 from __future__ import annotations
 
@@ -97,6 +97,8 @@ def main() -> int:
     args = ap.parse_args()
     if len(args.seeds) < 2:
         ap.error(f"--seeds needs at least 2 values for quartiles, got {args.seeds}")
+    if args.base.resolve() == args.change.resolve():
+        ap.error(f"--base and --change are the same tree: {args.base.resolve()}")
     declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
 

@@ -42,7 +42,8 @@ class RegularizedLoss(LossSpec):
 
     Centers of shape (R, d) give each of R runs its own objective; the
     solvers take such a loss's step through `_affine_terms`, as the base
-    loss's gradient plus one affine update.
+    loss's gradient plus one affine update, and its single-run `eval`,
+    `grad`, `eval_mean` and `grad_mean` raise `ValueError`.
     """
 
     name = "regularized"
@@ -63,6 +64,13 @@ class RegularizedLoss(LossSpec):
         self._offset = sum((l * c for l, c in zip(self.lambdas, self.centers)),
                            np.zeros(base.dim))
 
+    def _one_objective(self) -> None:
+        if self._offset.ndim > 1:
+            raise ValueError(
+                f"centers of shape {self._offset.shape} give each run its own "
+                "objective; the solvers take this loss through _affine_terms, "
+                "not through its single-run methods")
+
     def _reg_value(self, w: np.ndarray) -> float:
         const = 0.5 * sum(l * float(c @ c) for l, c in zip(self.lambdas, self.centers))
         return float(0.5 * self._lam_total * (w @ w) - w @ self._offset + const)
@@ -71,15 +79,19 @@ class RegularizedLoss(LossSpec):
         return self._lam_total * w - self._offset
 
     def eval(self, w, x, y=None):
+        self._one_objective()
         return self.base.eval(w, x, y) + self._reg_value(np.asarray(w, dtype=np.float64))
 
     def grad(self, w, x, y=None):
+        self._one_objective()
         return self.base.grad(w, x, y) + self._reg_grad(np.asarray(w, dtype=np.float64))
 
     def eval_mean(self, w, X, Y=None, weights=None):
+        self._one_objective()
         return self.base.eval_mean(w, X, Y, weights) + self._reg_value(w)
 
     def grad_mean(self, w, X, Y=None, weights=None):
+        self._one_objective()
         return self.base.grad_mean(w, X, Y, weights) + self._reg_grad(w)
 
     def probe_sample(self, rng):

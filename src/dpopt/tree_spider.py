@@ -225,17 +225,34 @@ class TreeRuns(list):
 def _grad_means(loss: LossSpec, batches: Sequence[Dataset],
                 *Ws: np.ndarray) -> list[np.ndarray]:
     """For each W of shape (A, d), row i the batch-mean gradient at W[i] on
-    batches[i]. The batches' rows are gathered (one `take` when they index
-    one source) for at most GATHER_ENTRIES entries of runs at a time."""
+    batches[i]. The batches' rows are gathered for at most GATHER_ENTRIES
+    entries of runs at a time: straight from their source by their
+    concatenated index slices when they all index one, by `Runs.stack`
+    otherwise."""
     size, d = batches[0].n, batches[0].dim
     outs = [np.empty_like(W) for W in Ws]
     step = max(1, GATHER_ENTRIES // (size * d))
+    src = batches[0]._source
+    if src is not None and all(S._source is src for S in batches):
+        idx = np.concatenate([S._idx for S in batches]).reshape(len(batches), size)
+    else:
+        src = None
     for i in range(0, len(batches), step):
-        X, Y = Runs(batches[i:i + step]).stack(axis=0)
+        if src is None:
+            X, Y = Runs(batches[i:i + step]).stack(axis=0)
+        else:
+            X = src.X.take(idx[i:i + step], axis=0)
+            Y = None if src.y is None else src.y.take(idx[i:i + step])
         for W, out in zip(Ws, outs):
             out[i:i + step] = loss.grad_mean_rows(W[i:i + step], X, Y)
         del X, Y  # one sub-group's rows at a time
     return outs
+
+
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row v of V, bit for bit `math.sqrt(v @ v)`
+    (`np.linalg.norm`'s result on a contiguous row), in one call."""
+    return np.sqrt(np.vecdot(V, V))
 
 
 def _tree_path(loss: LossSpec, params: TreeParams,
@@ -252,16 +269,19 @@ def _tree_path(loss: LossSpec, params: TreeParams,
     parent; at a right child of depth k each run draws its batch of b/2^k,
     then its noise, for Delta = (2^k/b) sum (grad(w_s) - grad(w_parent)) +
     N(0, sigma_delta^2) and the estimate nabla_parent + Delta. Roots and
-    right children sit at the pending iterates. `leaf(r, t, s, w_s,
-    nabla_s)` returns run r's next pending iterate, or None to stop it: a
-    stopped run leaves the group, and the others go on as before.
-    `node(r, t, s, w_s, nabla_s, delta)`, when given, sees every node of
-    every active run before its leaf hook.
+    right children sit at the pending iterates.
 
-    Iterates and estimates are (A, d) arrays over the A active runs, and
-    every operation is row-wise, so a run gets the same bits alone as in a
-    group. The schedule (s, depth, is-right, batch size, 2^depth/b) is built
-    once per call; `path[k]` holds the (W, Nabla) of the depth-k nodes on the
+    Iterates and estimates are (A, d) arrays over the A active runs, whose
+    indices `runs` lists in run order, and every operation is row-wise, so a
+    run gets the same bits alone as in a group. The hooks see a node once,
+    with every active run's row. At each leaf, `leaf(runs, t, s, W, Nabla)`
+    returns (keep, W_next): the positions of the rows that go on and their
+    next pending iterates, of shape (len(keep), d). A run left out stops and
+    leaves the group, and the others go on as before. `node(runs, t, s, W,
+    Nabla, Delta)`, when given, sees every node before the leaf hook.
+
+    The schedule (s, depth, is-right, batch size, 2^depth/b) is built once
+    per call; `path[k]` holds the (W, Nabla) of the depth-k nodes on the
     current root-to-node path.
     """
     d, D = loss.dim, params.D
@@ -269,8 +289,8 @@ def _tree_path(loss: LossSpec, params: TreeParams,
         (s, len(s), s[-1] == "1", params.batch_size(len(s)), 2 ** len(s) / params.b)
         for s in dfs_order(D)]
     path: list[tuple[np.ndarray, np.ndarray] | None] = [None] * (D + 1)
-    active = list(range(len(rngs)))
-    pending = np.zeros((len(active), d))
+    runs = list(range(len(rngs)))
+    pending = np.zeros((len(runs), d))
     for t in range(1, params.T + 1):
         for s, k, right, size, scale in schedule:
             delta = None
@@ -280,7 +300,7 @@ def _tree_path(loss: LossSpec, params: TreeParams,
                 sigma, site = ((params.sigma_delta, SITE_DELTA) if k
                                else (params.sigma_root, SITE_ROOT))
                 batches, noise = [], []
-                for r in active:
+                for r in runs:
                     batches.append(takes[r](size))
                     noise.append(draw_gaussian(d, sigma, rngs[r],
                                                None if ledgers is None else ledgers[r],
@@ -296,18 +316,14 @@ def _tree_path(loss: LossSpec, params: TreeParams,
                     nabla = nabla_par + delta
             path[k] = (W, nabla)
             if node is not None:
-                for i, r in enumerate(active):
-                    node(r, t, s, W[i], nabla[i], None if delta is None else delta[i])
+                node(runs, t, s, W, nabla, delta)
             if k == D:
-                handed = [leaf(r, t, s, W[i], nabla[i]) for i, r in enumerate(active)]
-                keep = [i for i, w in enumerate(handed) if w is not None]
-                if len(keep) < len(active):
-                    if not keep:
+                keep, pending = leaf(runs, t, s, W, nabla)
+                if len(keep) < len(runs):
+                    if not len(keep):
                         return
-                    active = [active[i] for i in keep]
-                    handed = [handed[i] for i in keep]
+                    runs = [runs[i] for i in keep]
                     path = [p if p is None else (p[0][keep], p[1][keep]) for p in path]
-                pending = np.array(handed)
 
 
 def run_tree_spider(loss: LossSpec, stream: DatasetCursor | Sequence[DatasetCursor],
@@ -336,66 +352,84 @@ def run_tree_spider(loss: LossSpec, stream: DatasetCursor | Sequence[DatasetCurs
     for D in dict.fromkeys(data):
         loss.validate_dataset(D)
 
-    R, d = len(rngs), loss.dim
+    R, d, leaves = len(rngs), loss.dim, 2 ** params.D
     ledgers = [NoiseLedger() for _ in rngs]
     step_len = params.beta_par / (2 ** (params.D / 2.0) * loss.L1)
+    threshold, row_bytes = 2.0 * params.alpha_tilde, 8 * d
     last_leaf = "1" * params.D
     consumed0 = [c.consumed for c in streams]
     round_start, batch_start = list(consumed0), list(consumed0)
     # each running run's leaf iterates, copied into a compact array so that
     # no view keeps a group array alive; a stopped run keeps only its last
     leaf_ws = [array("d") for _ in rngs]
-    leaf_counts = [0] * R
     records: list[list[NodeRecord]] = [[] for _ in rngs]
     round_consumption: list[list[int]] = [[] for _ in rngs]
     stops: list[NodeAddress | None] = [None] * R
 
-    def leaf(r, t, s, w_s, nabla_s):
-        leaf_counts[r] += 1
-        norm = math.sqrt(nabla_s @ nabla_s)  # np.linalg.norm's bits
-        if norm <= 2.0 * params.alpha_tilde:
-            stops[r] = NodeAddress(t, s)
-            leaf_ws[r] = array("d", w_s.tobytes())
-        else:
-            leaf_ws[r].frombytes(w_s.tobytes())
-        if stops[r] is not None or s == last_leaf:
-            round_consumption[r].append(streams[r].consumed - round_start[r])
-            round_start[r] = streams[r].consumed
-        return None if stops[r] is not None else w_s - (step_len / norm) * nabla_s
+    def close_round(r):
+        round_consumption[r].append(streams[r].consumed - round_start[r])
+        round_start[r] = streams[r].consumed
 
-    def record(r, t, s, w_s, nabla_s, delta):
-        span = None
-        if not s.endswith("0"):  # the root and right children take a batch
-            span, batch_start[r] = (batch_start[r], streams[r].consumed), streams[r].consumed
-        records[r].append(NodeRecord(NodeAddress(t, s), w_s, nabla_s, delta, span))
+    def leaf(runs, t, s, W, nabla):
+        norms = _row_norms(nabla)
+        near = norms <= threshold
+        if near.any():
+            for i in np.flatnonzero(near).tolist():
+                r = runs[i]
+                stops[r], leaf_ws[r] = NodeAddress(t, s), array("d", W[i].tobytes())
+                close_round(r)
+            keep = np.flatnonzero(~near)  # a NaN norm steps on, as it does alone
+            runs, W, nabla, norms = [runs[i] for i in keep], W[keep], nabla[keep], norms[keep]
+        else:
+            keep = range(len(runs))
+        rows = W.tobytes()
+        for i, r in enumerate(runs):
+            leaf_ws[r].frombytes(rows[i * row_bytes:(i + 1) * row_bytes])
+        if s == last_leaf:
+            for r in runs:
+                close_round(r)
+        return keep, W - (step_len / norms)[:, None] * nabla
+
+    def record(runs, t, s, W, nabla, delta):
+        for i, r in enumerate(runs):
+            span = None
+            if not s.endswith("0"):  # the root and right children take a batch
+                span, batch_start[r] = (batch_start[r], streams[r].consumed), streams[r].consumed
+            records[r].append(NodeRecord(NodeAddress(t, s), W[i], nabla[i],
+                                         None if delta is None else delta[i], span))
 
     _tree_path(loss, params, [c.take for c in streams], rngs, ledgers, leaf,
                record if record_nodes else None)
     reports = TreeRuns()
     for r, (rng_r, stop) in enumerate(zip(rngs, stops)):
         ws = np.frombuffer(leaf_ws[r]).reshape(-1, d)
-        selected = None if stop is not None else int(rng_r.integers(leaf_counts[r]))
+        if stop is None:
+            count = params.T * leaves
+            selected = int(rng_r.integers(count))
+        else:
+            count, selected = (stop.t - 1) * leaves + int(stop.s or "0", 2) + 1, None
         reports.append(TreeRunReport(
             w_out=ws[-1 if selected is None else selected].copy(),
             stopped_early=stop is not None, stop_address=stop,
             samples_consumed=streams[r].consumed - consumed0[r],
-            leaf_count_visited=leaf_counts[r], noise_ledger=ledgers[r],
+            leaf_count_visited=count, noise_ledger=ledgers[r],
             rounds_completed=params.T if stop is None else stop.t - 1,
-            leaves_per_round=2 ** params.D, round_consumption=round_consumption[r],
+            leaves_per_round=leaves, round_consumption=round_consumption[r],
             selected_leaf=selected, nodes=records[r]))
     return reports[0] if single else reports
 
 
 def _pinned_leaf(ref: TreeRunReport, visit):
-    """A leaf hook for one run that holds it to the path of `ref`, a run
-    with recorded nodes: each leaf calls visit(t, s, w_s, nabla_s) and hands
-    on the iterate `ref` handed on there (the w of its next root or right
-    child), and the hook stops where `ref` stopped."""
+    """A leaf hook for one run (R = 1) that holds it to the path of `ref`, a
+    run with recorded nodes: each leaf calls visit(t, s, w_s, nabla_s) and
+    hands on the iterate `ref` handed on there (the w of its next root or
+    right child), and the hook stops where `ref` stopped."""
     handed = iter([r.w for r in ref.nodes if not r.address.s.endswith("0")][1:])
 
-    def leaf(r, t, s, w_s, nabla_s):
-        visit(t, s, w_s, nabla_s)
-        return next(handed, None)
+    def leaf(runs, t, s, W, nabla):
+        visit(t, s, W[0], nabla[0])
+        w = next(handed, None)
+        return ((), None) if w is None else ((0,), w[None])
     return leaf
 
 

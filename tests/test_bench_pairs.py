@@ -30,6 +30,17 @@ def test_one_seed_is_rejected_before_any_run(tmp_path):
     assert not out.exists()
 
 
+def test_one_tree_on_both_sides_is_rejected_before_any_run(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--base", str(ROOT / "scripts" / ".."),
+                           "--change", str(ROOT), "--workload", "w",
+                           "--seeds", "301-302", "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "same tree" in proc.stderr
+    assert not out.exists()
+
+
 def test_each_workload_keeps_its_own_labels(bench_pairs, tmp_path, monkeypatch):
     names = [m["name"] for m in json.loads(
         (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]]

@@ -63,6 +63,26 @@ class TestRegularize:
         with pytest.raises(ValueError):
             regularize(ZeroLoss(2), [np.zeros(2)], [1.0, 2.0])
 
+    def test_per_run_centers_refuse_single_run_calls(self):
+        # a 1-D w would broadcast against every run's offset (grad) or fail
+        # inside the regularizer's matmul (eval); the solvers go through
+        # _affine_terms, which still takes the per-run offsets
+        base = glm_loss(tanh_link(), 1, 1, 1, 3)
+        reg = regularize(base, [np.zeros((5, 3)), np.ones((5, 3))], [0.5, 1.0])
+        w, x, X, Y = np.full(3, 0.1), np.full(3, 0.2), np.full((4, 3), 0.2), np.zeros(4)
+        for call in (lambda: reg.eval(w, x, 0.5), lambda: reg.grad(w, x, 0.5),
+                     lambda: reg.eval_mean(w, X, Y), lambda: reg.grad_mean(w, X, Y)):
+            with pytest.raises(ValueError, match="_affine_terms"):
+                call()
+        _, a, c = rr._affine_terms(reg, 0.1)
+        assert a == 1.0 - 0.1 * 1.5 and np.array_equal(c, 0.1 * np.ones((5, 3)))
+        one = regularize(base, [np.zeros(3), np.ones(3)], [0.5, 1.0])
+        assert np.array_equal(one.grad(w, x, 0.5), base.grad(w, x, 0.5) + (1.5 * w - 1.0))
+        assert np.array_equal(one.grad_mean(w, X, Y),
+                              base.grad_mean(w, X, Y) + (1.5 * w - 1.0))
+        assert one.eval(w, x, 0.5) == pytest.approx(
+            base.eval(w, x, 0.5) + 0.75 * (w @ w) - w.sum() + 1.5, rel=1e-15)
+
 
 class TestSelector:
     def test_hand_computed_K2(self):

@@ -424,6 +424,130 @@ class TestSharedTraversal:
         assert ledger.rows() == ref.noise_ledger.rows()
 
 
+class TestGroupHooks:
+    """`_tree_path` calls its hooks once per node with every active run's
+    row; a run that a group leaf hook stops leaves the group, and the others
+    keep the rows, batches and draws they get alone."""
+
+    # (t, s) of the leaf where each run stops; run 1 never stops
+    STOPS = {0: (2, "01"), 2: (3, "10"), 3: (1, "11")}
+    PARAMS = TreeParams(b=16, D=2, T=4, alpha=0.1, alpha_tilde=0.1, beta_par=0.2,
+                        C_tilde=1.0, sigma_root=0.05, sigma_delta=0.02, p=0.1)
+
+    def walk(self, ids):
+        """One `_tree_path` call over the runs `ids`: each run's leaf and node
+        rows, the stream spans it took, its ledger rows, and the group's
+        (t, s, runs) of every node-hook call."""
+        loss = synthetic_nonconvex_loss(3)
+        dist = gen_support("glm_fullrank", 64, 3, seed=13, label_scale=0.5)
+        leaves = {r: [] for r in ids}
+        nodes = {r: [] for r in ids}
+        spans = {r: [] for r in ids}
+        calls = []
+
+        def take_of(r):
+            cursor = DatasetCursor(dist.sample(200, np.random.default_rng(30 + r)))
+
+            def take(k):
+                spans[r].append((cursor.consumed, k))
+                return cursor.take(k)
+            return take
+
+        def leaf(runs, t, s, W, nabla):
+            assert W.shape == nabla.shape == (len(runs), 3)
+            for i, pos in enumerate(runs):
+                leaves[ids[pos]].append((t, s, W[i].tobytes(), nabla[i].tobytes()))
+            keep = [i for i, pos in enumerate(runs) if self.STOPS.get(ids[pos]) != (t, s)]
+            return keep, W[keep] - 0.5 * nabla[keep]
+
+        def node(runs, t, s, W, nabla, delta):
+            calls.append((t, s, [ids[pos] for pos in runs]))
+            for i, pos in enumerate(runs):
+                nodes[ids[pos]].append((t, s, W[i].tobytes(), nabla[i].tobytes(),
+                                        None if delta is None else delta[i].tobytes()))
+
+        ledgers = [NoiseLedger() for _ in ids]
+        _tree_path(loss, self.PARAMS, [take_of(r) for r in ids],
+                   [np.random.default_rng(50 + r) for r in ids], ledgers, leaf, node)
+        return leaves, nodes, spans, {r: l.rows() for r, l in zip(ids, ledgers)}, calls
+
+    def test_stopped_runs_leave_the_others_as_they_are_alone(self):
+        ids = [0, 1, 2, 3]
+        group = self.walk(ids)
+        for r in ids:
+            alone = self.walk([r])
+            for got, want in zip(group[:4], alone[:4]):
+                assert got[r] == want[r]
+            last = group[0][r][-1][:2]
+            assert last == self.STOPS.get(r, (self.PARAMS.T, "11"))
+        # 16 leaves per run when it never stops; stop leaves count
+        assert [len(group[0][r]) for r in ids] == [6, 16, 11, 4]
+
+    def test_node_hook_sees_each_node_once_in_run_order(self):
+        ids = [0, 1, 2, 3]
+        *_, calls = self.walk(ids)
+        order = [""] + dfs_order(self.PARAMS.D)
+        assert [(t, s) for t, s, _ in calls] == [(t, s) for t in range(1, 5) for s in order]
+        # a run is active up to and including its stop leaf
+        end = {r: (5, 0) if r not in self.STOPS else
+               (self.STOPS[r][0], order.index(self.STOPS[r][1])) for r in ids}
+        for t, s, runs in calls:
+            assert runs == [r for r in ids if (t, order.index(s)) <= end[r]]
+
+    @pytest.mark.parametrize("d", [1, 3, 16, 95])
+    def test_row_norms_are_a_lone_rows_norm(self, d):
+        rng = np.random.default_rng(d)
+        rows = [rng.standard_normal(d) * scale for scale in (1.0, 1e-160, 1e-300, 1e150, 1e200)]
+        rows += [rng.integers(-3, 4, d) * 5e-324,                      # subnormal
+                 rng.standard_normal(d) * np.exp(rng.uniform(-300, 300, d)),
+                 np.zeros(d), np.full(d, 2.2250738585072014e-308)]     # smallest normal
+        # plain rows, on which a pairwise row sum misses the dot's bits
+        V = np.concatenate([rows, rng.standard_normal((64, d))])
+        with np.errstate(over="ignore"):
+            got = tree_spider._row_norms(V)
+            for v, norm in zip(V, got):
+                assert np.float64(math.sqrt(v @ v)).tobytes() == norm.tobytes()
+                assert np.linalg.norm(v).tobytes() == norm.tobytes()
+
+
+class TestBoundaryCounts:
+    def test_group_calls_are_the_sum_of_lone_runs(self, monkeypatch):
+        # perfbench counts core.data, privacy.draw and privacy.ledger at these
+        # four boundaries: runs stopping at other leaves must not move them
+        from dpopt.core import data
+        from dpopt import privacy
+        counts = dict.fromkeys(("take", "slice", "draw", "record"), 0)
+        for owner, attr, key in ((data.DatasetCursor, "take", "take"),
+                                 (data.Dataset, "slice", "slice"),
+                                 (tree_spider, "draw_gaussian", "draw"),
+                                 (privacy.NoiseLedger, "record", "record")):
+            def counted(*args, _orig=getattr(owner, attr), _key=key, **kwargs):
+                counts[_key] += 1
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, counted)
+
+        loss = synthetic_nonconvex_loss(3)
+        dist = gen_support("glm_fullrank", 64, 3, seed=13, label_scale=0.5)
+        params = TreeParams(b=16, D=2, T=4, alpha=0.06, alpha_tilde=0.06, beta_par=0.12,
+                            C_tilde=1.0, sigma_root=0.05, sigma_delta=0.02, p=0.1)
+        seeds = [0, 1, 3]
+
+        def run(rs):
+            for key in counts:
+                counts[key] = 0
+            reps = run_tree_spider(loss, [DatasetCursor(dist.sample(
+                200, np.random.default_rng(30 + r))) for r in rs], params,
+                [np.random.default_rng(50 + r) for r in rs])
+            return dict(counts), reps
+
+        group, reps = run(seeds)
+        assert len({rep.leaf_count_visited for rep in reps}) == 3
+        alone = [run([r])[0] for r in seeds]
+        assert group == {key: sum(c[key] for c in alone) for key in counts}
+        # one batch, one draw and one entry per leaf visited
+        assert set(group.values()) == {reps.leaf_count_visited}
+
+
 class TestEstimationErrorValidator:
     def test_results_are_pinned(self):
         # (violation_rate, leaf_checks, worst_sq_err) of the three tests
