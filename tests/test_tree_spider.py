@@ -514,13 +514,10 @@ class TestBoundaryCounts:
     def test_group_calls_are_the_sum_of_lone_runs(self, monkeypatch):
         # perfbench counts core.data, privacy.draw and privacy.ledger at these
         # four boundaries: runs stopping at other leaves must not move them
-        from dpopt.core import data
-        from dpopt import privacy
         counts = dict.fromkeys(("take", "slice", "draw", "record"), 0)
-        for owner, attr, key in ((data.DatasetCursor, "take", "take"),
-                                 (data.Dataset, "slice", "slice"),
+        for owner, attr, key in ((DatasetCursor, "take", "take"), (Dataset, "slice", "slice"),
                                  (tree_spider, "draw_gaussian", "draw"),
-                                 (privacy.NoiseLedger, "record", "record")):
+                                 (NoiseLedger, "record", "record")):
             def counted(*args, _orig=getattr(owner, attr), _key=key, **kwargs):
                 counts[_key] += 1
                 return _orig(*args, **kwargs)
@@ -544,7 +541,7 @@ class TestBoundaryCounts:
         assert len({rep.leaf_count_visited for rep in reps}) == 3
         alone = [run([r])[0] for r in seeds]
         assert group == {key: sum(c[key] for c in alone) for key in counts}
-        # one batch, one draw and one entry per leaf visited
+        # one take, slice, draw and ledger record per leaf visited
         assert set(group.values()) == {reps.leaf_count_visited}
 
 
