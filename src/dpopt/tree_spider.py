@@ -225,24 +225,13 @@ class TreeRuns(list):
 def _grad_means(loss: LossSpec, batches: Sequence[Dataset],
                 *Ws: np.ndarray) -> list[np.ndarray]:
     """For each W of shape (A, d), row i the batch-mean gradient at W[i] on
-    batches[i]. The batches' rows are gathered for at most GATHER_ENTRIES
-    entries of runs at a time: straight from their source by their
-    concatenated index slices when they all index one, by `Runs.stack`
-    otherwise."""
+    batches[i]. The batches' rows are gathered (one `take` when they index
+    one source) for at most GATHER_ENTRIES entries of runs at a time."""
     size, d = batches[0].n, batches[0].dim
     outs = [np.empty_like(W) for W in Ws]
     step = max(1, GATHER_ENTRIES // (size * d))
-    src = batches[0]._source
-    if src is not None and all(S._source is src for S in batches):
-        idx = np.concatenate([S._idx for S in batches]).reshape(len(batches), size)
-    else:
-        src = None
     for i in range(0, len(batches), step):
-        if src is None:
-            X, Y = Runs(batches[i:i + step]).stack(axis=0)
-        else:
-            X = src.X.take(idx[i:i + step], axis=0)
-            Y = None if src.y is None else src.y.take(idx[i:i + step])
+        X, Y = Runs(batches[i:i + step]).stack(axis=0)
         for W, out in zip(Ws, outs):
             out[i:i + step] = loss.grad_mean_rows(W[i:i + step], X, Y)
         del X, Y  # one sub-group's rows at a time
@@ -362,6 +351,7 @@ def run_tree_spider(loss: LossSpec, stream: DatasetCursor | Sequence[DatasetCurs
     # each running run's leaf iterates, copied into a compact array so that
     # no view keeps a group array alive; a stopped run keeps only its last
     leaf_ws = [array("d") for _ in rngs]
+    leaf_counts = [0] * R
     records: list[list[NodeRecord]] = [[] for _ in rngs]
     round_consumption: list[list[int]] = [[] for _ in rngs]
     stops: list[NodeAddress | None] = [None] * R
@@ -377,6 +367,7 @@ def run_tree_spider(loss: LossSpec, stream: DatasetCursor | Sequence[DatasetCurs
             for i in np.flatnonzero(near).tolist():
                 r = runs[i]
                 stops[r], leaf_ws[r] = NodeAddress(t, s), array("d", W[i].tobytes())
+                leaf_counts[r] += 1
                 close_round(r)
             keep = np.flatnonzero(~near)  # a NaN norm steps on, as it does alone
             runs, W, nabla, norms = [runs[i] for i in keep], W[keep], nabla[keep], norms[keep]
@@ -385,6 +376,7 @@ def run_tree_spider(loss: LossSpec, stream: DatasetCursor | Sequence[DatasetCurs
         rows = W.tobytes()
         for i, r in enumerate(runs):
             leaf_ws[r].frombytes(rows[i * row_bytes:(i + 1) * row_bytes])
+            leaf_counts[r] += 1
         if s == last_leaf:
             for r in runs:
                 close_round(r)
@@ -403,16 +395,12 @@ def run_tree_spider(loss: LossSpec, stream: DatasetCursor | Sequence[DatasetCurs
     reports = TreeRuns()
     for r, (rng_r, stop) in enumerate(zip(rngs, stops)):
         ws = np.frombuffer(leaf_ws[r]).reshape(-1, d)
-        if stop is None:
-            count = params.T * leaves
-            selected = int(rng_r.integers(count))
-        else:
-            count, selected = (stop.t - 1) * leaves + int(stop.s or "0", 2) + 1, None
+        selected = None if stop is not None else int(rng_r.integers(leaf_counts[r]))
         reports.append(TreeRunReport(
             w_out=ws[-1 if selected is None else selected].copy(),
             stopped_early=stop is not None, stop_address=stop,
             samples_consumed=streams[r].consumed - consumed0[r],
-            leaf_count_visited=count, noise_ledger=ledgers[r],
+            leaf_count_visited=leaf_counts[r], noise_ledger=ledgers[r],
             rounds_completed=params.T if stop is None else stop.t - 1,
             leaves_per_round=leaves, round_consumption=round_consumption[r],
             selected_leaf=selected, nodes=records[r]))
