@@ -223,10 +223,12 @@ class DatasetCursor:
     def take(self, k: int) -> Dataset:
         if k < 0:
             raise ValueError("k must be non-negative")
-        if k > self.remaining:
-            raise StreamExhausted(f"requested {k} samples, {self.remaining} remain")
-        out = self._dataset.slice(self._pos, self._pos + k)
-        self._pos += k
+        pos = self._pos
+        left = self._dataset.n - pos
+        if k > left:
+            raise StreamExhausted(f"requested {k} samples, {left} remain")
+        out = self._dataset.slice(pos, pos + k)
+        self._pos = pos + k
         return out
 
 

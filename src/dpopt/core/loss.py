@@ -75,10 +75,14 @@ class LossSpec:
                          for r, (w, x) in enumerate(zip(W, X))])
 
     def grad_var(self, W: np.ndarray, W_prev: np.ndarray, X: np.ndarray,
-                 Y: np.ndarray | None = None) -> np.ndarray:
+                 Y: np.ndarray | None = None,
+                 work: "VarWork | None" = None) -> np.ndarray:
         """Batch-mean gradient variations on a run axis: row r is
         grad_mean(W[r], X[r], Y[r]) - grad_mean(W_prev[r], X[r], Y[r]) for
-        iterates W, W_prev of shape (R, d) and batches X of shape (R, b, d)."""
+        iterates W, W_prev of shape (R, d) and batches X of shape (R, b, d).
+        A loss with a batched kernel computes it in `work`'s buffers when
+        given them and returns `work.out`, which the next such call
+        overwrites; this row-by-row default ignores `work`."""
         return np.stack([self.grad_mean(w, x, None if Y is None else Y[r])
                          - self.grad_mean(v, x, None if Y is None else Y[r])
                          for r, (w, v, x) in enumerate(zip(W, W_prev, X))])
@@ -287,11 +291,14 @@ class LinkFamily:
     """A scalar link z -> phi_y(z), acting on the residual z - y (y defaults
     to 0 when the dataset carries no labels).
 
-    `slope_into(z, y)` is phi'_y(z) computed in z's own buffer: the residual
-    is taken in place and then overwritten by the slope, with the operations
-    of the allocating formula in the same order (a numpy scalar z is simply
-    rebound). The caller must own z and give it up. Each link's is bound
-    once, when the link is built, so a call is one Python frame.
+    `slope_into(z, y, den=None)` is phi'_y(z) computed in z's own buffer:
+    the residual is taken in place and then overwritten by the slope, with
+    the operations of the allocating formula in the same order (a numpy
+    scalar z is simply rebound). The caller must own z and give it up. A
+    link whose slope needs a second array of z's shape (the rational link's
+    denominator) writes it to `den` when given one, and allocates it
+    otherwise; the other links ignore `den`. Each link's is bound once, when
+    the link is built, so a call is one Python frame.
     """
 
     def __init__(self, name: str, value, slope_into, convex: bool):
@@ -309,7 +316,7 @@ class LinkFamily:
         return self.slope_into(z.copy() if y is None else z - y, None)
 
 
-def _square_slope_into(z, y):
+def _square_slope_into(z, y, den=None):
     if y is not None:
         z -= y
     return z
@@ -325,7 +332,7 @@ def _logcosh(r):
     return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
 
 
-def _tanh_slope_into(z, y):
+def _tanh_slope_into(z, y, den=None):
     if y is not None:
         z -= y
     return np.tanh(z, out=z) if z.ndim else np.tanh(z)
@@ -348,11 +355,11 @@ def rational_link() -> LinkFamily:
         r2 = r * r
         return r2 / (1.0 + r2)
 
-    def slope_into(z, y):
-        # 2 r / (1 + r^2)^2, operation for operation, with one temporary
+    def slope_into(z, y, den=None):
+        # 2 r / (1 + r^2)^2, operation for operation, the denominator in den
         if y is not None:
             z -= y
-        d = z * z
+        d = np.multiply(z, z, out=den)
         d += 1.0
         d *= d
         z *= 2.0
@@ -360,6 +367,23 @@ def rational_link() -> LinkFamily:
         return z
 
     return LinkFamily("rational", value, slope_into, convex=False)
+
+
+class VarWork:
+    """`GLMLoss.grad_var`'s buffers for R runs, batches of b rows and
+    dimension d: the iterate pair [w, w_prev] (R, d, 2); the product, the
+    label pair and the slope's denominator (R, b, 2); the slope difference
+    (R, 1, b); its product with the batch (R, 1, d) and the result (R, d).
+    Every call that is given them overwrites them."""
+
+    __slots__ = ("pair", "z", "y", "den", "diff", "prod", "out")
+
+    def __init__(self, R: int, b: int, d: int):
+        self.pair = np.empty((R, d, 2))
+        self.z, self.y, self.den = (np.empty((R, b, 2)) for _ in range(3))
+        self.diff = np.empty((R, 1, b))
+        self.prod = np.empty((R, 1, d))
+        self.out = np.empty((R, d))
 
 
 # GLMLoss.erm_grads evaluates at most this many points per pass over X
@@ -428,14 +452,16 @@ class GLMLoss(LossSpec):
         points, X is read once, in row chunks of 2**15 // p rows: each chunk
         gives X_c @ W_block^T and its slopes in one 2**15-entry (256 KB)
         workspace, and X_c^T @ slopes is added, in chunk order, to a (d, p)
-        sum that starts at zero. The sum is divided by n at the end.
+        sum that starts at zero. The sum is divided by n at the end. The
+        link's slope keeps its temporary in a second 2**15-entry slice of
+        the workspace, so no chunk allocates.
         """
         W = np.asarray(W, dtype=np.float64)
         if W.ndim != 2 or W.shape[1] != S.dim:
             raise ValueError(f"W has shape {W.shape}, expected (P, {S.dim})")
         _check_erm_data(self, S)
         X, Y, n = S.X, None if S.y is None else S.y[:, None], S.n
-        work = np.empty(min(2 ** 15, n * min(ERM_POINT_BLOCK, len(W))))
+        work = np.empty((2, min(2 ** 15, n * min(ERM_POINT_BLOCK, len(W)))))
         out = np.empty_like(W)
         for i in range(0, len(W), ERM_POINT_BLOCK):
             Wt = W[i:i + ERM_POINT_BLOCK].T
@@ -444,18 +470,26 @@ class GLMLoss(LossSpec):
             total, part = np.zeros((S.dim, p)), np.empty((S.dim, p))
             for c in range(0, n, rows):
                 Xc = X[c:c + rows]
-                z = np.matmul(Xc, Wt, out=work[:len(Xc) * p].reshape(len(Xc), p))
+                z, den = work[:, :len(Xc) * p].reshape(2, len(Xc), p)
+                np.matmul(Xc, Wt, out=z)
                 total += np.matmul(Xc.T, self.link.slope_into(
-                    z, None if Y is None else Y[c:c + rows]), out=part)
+                    z, None if Y is None else Y[c:c + rows], den), out=part)
             out[i:i + ERM_POINT_BLOCK] = (total / n).T
         return out
 
-    def grad_var(self, W, W_prev, X, Y=None):
-        # one batched X @ [w, w_prev], one slope call, one X^T @ slope difference
-        WW = np.empty(W.shape + (2,))
-        WW[:, :, 0], WW[:, :, 1] = W, W_prev
-        s = self.link.slope_into(X @ WW, None if Y is None else Y[:, :, None])
-        return ((s[:, :, 0] - s[:, :, 1])[:, None, :] @ X)[:, 0, :] / X.shape[1]
+    def grad_var(self, W, W_prev, X, Y=None, work=None):
+        # one batched X @ [w, w_prev], one slope call, one X^T @ slope
+        # difference, each written into a buffer of `work`
+        if work is None:
+            work = VarWork(*X.shape)
+        work.pair[:, :, 0], work.pair[:, :, 1] = W, W_prev
+        z = np.matmul(X, work.pair, out=work.z)
+        if Y is not None:
+            work.y[:, :, 0], work.y[:, :, 1] = Y, Y
+        s = self.link.slope_into(z, None if Y is None else work.y, work.den)
+        np.subtract(s[:, :, 0], s[:, :, 1], out=work.diff[:, 0, :])
+        np.matmul(work.diff, X, out=work.prod)
+        return np.divide(work.prod[:, 0, :], X.shape[1], out=work.out)
 
     def probe_sample(self, rng):
         z = rng.standard_normal(self.dim)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core.data import Dataset, Runs, lockstep
-from .core.loss import GLMLoss, LossSpec, erm_grad
+from .core.loss import GLMLoss, LossSpec, VarWork, erm_grad
 from .privacy import (NoiseLedger, PrivacyBudget, accountant_sigma,
                       draw_gaussian, record_draws)
 from .util import PreconditionError, floori
@@ -177,7 +177,10 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
     per generator (in blocks of at most BLOCK_ENTRIES entries; without
     replacement, a `choice` per step; b2 = n takes the full dataset and draws
     no indices). A block's variation draws go into the ledgers after its
-    last step, run by run in step order, through `record_draws`.
+    last step, run by run in step order, through `record_draws`. The
+    block's draws and the steps' arrays live in buffers allocated once per
+    call, which every block and step overwrites in the allocating order of
+    operations; the estimate is extended as (nabla + grad_var) + noise.
     `advance(t, W_t, nabla_t)` returns W_{t+1}. Returns the (R, G) sigma_t
     and step norms of the G variation steps.
     """
@@ -185,18 +188,26 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
     labelled = data[0].y is not None
     shared = all(S is data[0] for S in data)
     if shared:
-        X, Y, offset = data[0].X, data[0].y, 0
+        X, Y, offsets = data[0].X, data[0].y, [0] * R
         X_full = np.broadcast_to(X, (R, n, d))
         Y_full = np.broadcast_to(Y, (R, n)) if labelled else None
     else:
         X, Y = (data if isinstance(data, Runs) else Runs(data)).block()
-        offset = n * np.arange(R)[:, None]
+        offsets = [n * r for r in range(R)]
         X_full, Y_full = X.reshape(R, n, d), Y.reshape(R, n) if labelled else None
     b2, q = params.b2, params.q
     draw = replace and b2 < n
     block = max(1, BLOCK_ENTRIES // (b2 + d))
     G = steps - -(-steps // q)
     sigmas, norms = np.empty((G, R)), np.empty((G, R))
+    # the variation steps' working set, written in place: a block's batch
+    # indices (run offsets added) and normals, run r's normals contiguous
+    # in z[r] as standard_normal writes only there; the step difference,
+    # the noise and grad_var's buffers
+    m_max = min(block, q - 1)
+    idx = np.empty((m_max, R, b2), dtype=np.int64) if b2 < n else None
+    z = np.empty((R, m_max, d))
+    dW, scaled, work = np.empty((R, d)), np.empty((R, d)), VarWork(R, b2, d)
     g = 0
     W = np.zeros((R, d))
     for t0 in range(0, steps, q):
@@ -215,23 +226,27 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
         for t1 in range(t0 + 1, phase_end, block):
             m = min(block, phase_end - t1)
             if draw:
-                idx = np.stack([rng.integers(0, n, (m, b2)) for rng in rngs], axis=1)
-                idx += offset
-            z = np.stack([rng.standard_normal((m, d)) for rng in rngs], axis=1)
+                for r, rng in enumerate(rngs):
+                    np.add(rng.integers(0, n, (m, b2)), offsets[r], out=idx[:m, r])
+            for r, rng in enumerate(rngs):
+                rng.standard_normal(out=z[r, :m])
             g0 = g
             for j in range(m):
-                if b2 == n:  # the full dataset, exactly, as in _batch
+                if idx is None:  # b2 = n: the full dataset, exactly, as in _batch
                     Xb, Yb = X_full, Y_full
                 else:
-                    rows = idx[j] if draw else offset + np.stack(
-                        [rng.choice(n, b2, replace=False) for rng in rngs])
-                    Xb, Yb = X.take(rows, axis=0), Y.take(rows) if labelled else None
-                dW = W - W_prev
+                    if not replace:
+                        for r, rng in enumerate(rngs):
+                            np.add(rng.choice(n, b2, replace=False), offsets[r],
+                                   out=idx[j, r])
+                    Xb, Yb = X.take(idx[j], axis=0), Y.take(idx[j]) if labelled else None
                 step, sigma = norms[g], sigmas[g]
+                np.subtract(W, W_prev, out=dW)
                 np.sqrt(np.add.reduce(np.multiply(dW, dW, out=dW), axis=1), out=step)
                 np.minimum(np.multiply(step, params.sigma2, out=sigma),
                            params.sigma2_hat, out=sigma)
-                nabla = nabla + loss.grad_var(W, W_prev, Xb, Yb) + z[j] * sigma[:, None]
+                nabla = nabla + loss.grad_var(W, W_prev, Xb, Yb, work)
+                nabla += np.multiply(z[:, j], sigma[:, None], out=scaled)
                 g += 1
                 W_prev, W = W, advance(t1 + j, W, nabla)
             record_draws(ledgers, sigmas[g0:g], d, SITE_GV)

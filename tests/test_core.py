@@ -268,6 +268,39 @@ class TestOwnedSlopes:
             assert np.asarray(out).tobytes() == np.asarray(want).tobytes()
 
     @pytest.mark.parametrize("link", list(FORMULAS))
+    @pytest.mark.parametrize("shape", [(5, 9, 2), (37,), ()], ids=["runs", "n", "scalar"])
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_den_buffer_gives_the_allocating_bits(self, link, shape, labelled):
+        # a caller-owned denominator buffer of z's shape changes no bit
+        make, formula = FORMULAS[link]
+        rng = np.random.default_rng(7 + len(shape) + 10 * labelled)
+        if shape:
+            z = rng.standard_normal(shape) * 3.0
+            z.flat[:7] = [0.0, -0.0, 1e200, 1e308, 1e-310, math.nan, -math.inf]
+        else:
+            z = np.float64(rng.standard_normal() * 3.0)
+        y = labels_for(z, rng) if labelled else None
+        with np.errstate(all="ignore"):
+            want = formula(z if y is None else z - y)
+            got = make().slope_into(np.array(z, copy=True) if shape else z, y,
+                                    np.full(shape, np.nan))
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_den_buffer_makes_no_temporary(self):
+        import tracemalloc
+        slope_into = rational_link().slope_into
+        z, den = np.linspace(-3.0, 3.0, 2 ** 15), np.empty(2 ** 15)
+        slope_into(z.copy(), None, den)  # warm
+        tracemalloc.start()
+        try:
+            slope_into(z, None, den)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < z.nbytes / 2
+
+    @pytest.mark.parametrize("link", list(FORMULAS))
     def test_slope_without_labels_leaves_z_alone(self, link):
         z = np.linspace(-3.0, 3.0, 41)
         before = z.copy()
@@ -428,7 +461,8 @@ class TestErmGrad:
         assert loss.erm_grads(W, S).tobytes() == want.tobytes()
 
     def test_glm_blocks_python_peak_memory(self):
-        # a 256 KB workspace and (d, P) sums; an n x P product would be 52 MB
+        # a 512 KB workspace (product and slope denominator) and (d, P)
+        # sums; an n x P product would be 52 MB
         import tracemalloc
         loss = glm_loss(rational_link(), 1.0, 1.0, 1.0, 16)
         S = gen_synthetic("glm_fullrank", 2 ** 15 + 3, 16, seed=3, label_scale=0.5)
@@ -476,8 +510,17 @@ class TestDataset:
             seen.extend(cur.take(k).X[:, 0].tolist())
         assert seen == list(range(10))
         assert cur.remaining == 0
-        with pytest.raises(StreamExhausted):
+        with pytest.raises(StreamExhausted, match="requested 1 samples, 0 remain"):
             cur.take(1)
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            cur.take(-1)
+        # a refused take consumes nothing
+        cur = DatasetCursor(ds, start=4)
+        with pytest.raises(StreamExhausted, match="requested 7 samples, 6 remain"):
+            cur.take(7)
+        with pytest.raises(ValueError):
+            cur.take(-1)
+        assert cur.consumed == 4 and cur.take(6).X[:, 0].tolist() == list(range(4, 10))
 
     def test_immutable(self):
         ds = Dataset(np.ones((2, 2)))

@@ -9,7 +9,7 @@ from dpopt.core import (Dataset, erm_grad, glm_loss, huber_mean_loss,
                         square_link, synthetic_nonconvex_loss, tanh_link)
 from dpopt.core.data import Runs
 from dpopt.harness import gen_synthetic
-from dpopt.privacy import NoiseLedger, PrivacyBudget
+from dpopt.privacy import NoiseLedger, PrivacyBudget, draw_gaussian, record_draws
 from dpopt.spiderboost import (SpiderParams, _spider_path, derive_spider_params,
                                run_spiderboost, spider_oracle_count,
                                validate_spider_error_bound, SITE_GRAD, SITE_GV)
@@ -354,6 +354,121 @@ class TestLedger:
             gv = [row for row in rows if row[0] == SITE_GV]
             # each NaN draw, six in a row in the last full phase, is its own entry
             assert [row[3] for row in gv if math.isnan(row[1])] == [1] * int(nan.sum())
+
+
+def allocating_grad_var(loss, W, W_prev, X, Y):
+    """The GLM variation kernel with a fresh array for every result."""
+    s = loss.link.slope_into(X @ np.stack([W, W_prev], axis=2),
+                             None if Y is None else Y[:, :, None])
+    return ((s[:, :, 0] - s[:, :, 1])[:, None, :] @ X)[:, 0, :] / X.shape[1]
+
+
+def reference_spider_path(loss, params, steps, data, rngs, ledgers, replace, advance):
+    """`_spider_path` written with fresh arrays at every step: each block's
+    draws stacked run by run with the offsets added after, a gather of rows
+    and labels per step, the allocating kernel, and the estimate extended
+    as nabla + grad_var + z[j] * sigma."""
+    R, n, d = len(rngs), data[0].n, data[0].dim
+    labelled = data[0].y is not None
+    shared = all(S is data[0] for S in data)
+    if shared:
+        X, Y, offset = data[0].X, data[0].y, 0
+        X_full = np.broadcast_to(X, (R, n, d))
+        Y_full = np.broadcast_to(Y, (R, n)) if labelled else None
+    else:
+        X, Y = (data if isinstance(data, Runs) else Runs(data)).block()
+        offset = n * np.arange(R)[:, None]
+        X_full, Y_full = X.reshape(R, n, d), Y.reshape(R, n) if labelled else None
+    b2, q = params.b2, params.q
+    block = max(1, spiderboost.BLOCK_ENTRIES // (b2 + d))
+    sigmas, norms = [], []
+    W = np.zeros((R, d))
+    for t0 in range(0, steps, q):
+        nabla = np.empty((R, d))
+        for r, (S, rng) in enumerate(zip(data, rngs)):
+            Xb, Yb = spiderboost._batch(S, params.b1, rng, replace)
+            noise = draw_gaussian(d, params.sigma1, rng,
+                                  None if ledgers is None else ledgers[r], SITE_GRAD)
+            nabla[r] = loss.grad_mean(W[r], Xb, Yb) + noise
+        W_prev, W = W, advance(t0, W, nabla)
+        phase_end = min(t0 + q, steps)
+        for t1 in range(t0 + 1, phase_end, block):
+            m = min(block, phase_end - t1)
+            if replace and b2 < n:
+                idx = np.stack([rng.integers(0, n, (m, b2)) for rng in rngs], axis=1)
+                idx += offset
+            z = np.stack([rng.standard_normal((m, d)) for rng in rngs], axis=1)
+            g0 = len(sigmas)
+            for j in range(m):
+                if b2 == n:
+                    Xb, Yb = X_full, Y_full
+                else:
+                    rows = idx[j] if replace else offset + np.stack(
+                        [rng.choice(n, b2, replace=False) for rng in rngs])
+                    Xb, Yb = X.take(rows, axis=0), Y.take(rows) if labelled else None
+                dW = W - W_prev
+                step = np.sqrt(np.add.reduce(dW * dW, axis=1))
+                sigma = np.minimum(step * params.sigma2, params.sigma2_hat)
+                norms.append(step)
+                sigmas.append(sigma)
+                nabla = (nabla + allocating_grad_var(loss, W, W_prev, Xb, Yb)
+                         + z[j] * sigma[:, None])
+                W_prev, W = W, advance(t1 + j, W, nabla)
+            record_draws(ledgers, np.array(sigmas[g0:]).reshape(-1, R), d, SITE_GV)
+    return (np.array(sigmas).reshape(-1, R).T.copy(),
+            np.array(norms).reshape(-1, R).T.copy())
+
+
+class TestStepBits:
+    """The step loop, written into buffers allocated once per call, gives
+    the bits of the reference that allocates at every step."""
+
+    def reports(self, monkeypatch, path, data, R, params, replace):
+        monkeypatch.setattr(spiderboost, "_spider_path", path)
+        rngs = [np.random.default_rng(50 + r) for r in range(R)]
+        with np.errstate(all="ignore"):
+            reps = run_spiderboost(synthetic_nonconvex_loss(3), data, params,
+                                   rngs[0] if R == 1 else rngs,
+                                   replace_within_batch=replace, trace_points=9)
+        return [reps] if R == 1 else reps
+
+    @pytest.mark.parametrize("group", ["single", "packed", "shared"])
+    @pytest.mark.parametrize("replace", [True, False], ids=["replace", "choice"])
+    @pytest.mark.parametrize("b2", [7, 40], ids=["b2_lt_n", "b2_eq_n"])
+    @pytest.mark.parametrize("labelled", [True, False])
+    @pytest.mark.parametrize("block", [None, 4], ids=["one_block", "blocks_of_4"])
+    def test_same_bits_as_allocating_reference(self, group, replace, b2, labelled,
+                                               block, monkeypatch):
+        if block is not None:
+            # 12 variation steps a phase: three blocks of four
+            monkeypatch.setattr(spiderboost, "BLOCK_ENTRIES", block * (b2 + 3))
+        data = [gen_synthetic("glm_fullrank", 40, 3, seed=20 + r,
+                              label_scale=0.6 if labelled else 0.0) for r in range(5)]
+        assert data[0].labelled == labelled
+        R, data = {"single": (1, data[0]), "packed": (5, Runs.pack(5, iter(data))),
+                   "shared": (5, data[0])}[group]
+        params = SpiderParams(eta=0.3, q=13, b1=40, b2=b2, T=30,
+                              sigma1=0.05, sigma2=0.4, sigma2_hat=0.08)
+        got = self.reports(monkeypatch, _spider_path, data, R, params, replace)
+        want = self.reports(monkeypatch, reference_spider_path, data, R, params, replace)
+        for a, b in zip(got, want, strict=True):
+            assert a.w_out.tobytes() == b.w_out.tobytes()
+            for field in ("t", "sigma", "step"):
+                assert (getattr(a.gv_records, field).tobytes()
+                        == getattr(b.gv_records, field).tobytes())
+            assert (np.array(a.grad_norm_trace).tobytes()
+                    == np.array(b.grad_norm_trace).tobytes())
+            assert a.noise_ledger == b.noise_ledger
+
+    def test_validator_gives_the_reference_numbers(self, monkeypatch):
+        loss = synthetic_nonconvex_loss(3)
+        S = gen_synthetic("glm_fullrank", 40, 3, seed=5, label_scale=0.6)
+        params = SpiderParams(eta=0.3, q=4, b1=40, b2=6, T=10,
+                              sigma1=0.05, sigma2=0.4, sigma2_hat=0.08)
+        got = validate_spider_error_bound(loss, S, params, 200, np.random.default_rng(3))
+        monkeypatch.setattr(spiderboost, "_spider_path", reference_spider_path)
+        want = validate_spider_error_bound(loss, S, params, 200, np.random.default_rng(3))
+        assert got == want
 
 
 class TestTrace:
