@@ -374,9 +374,10 @@ class VarWork:
     dimension d: the iterate pair [w, w_prev] (R, d, 2); the product, the
     label pair and the slope's denominator (R, b, 2); the slope difference
     (R, 1, b); its product with the batch (R, 1, d) and the result (R, d).
-    Every call that is given them overwrites them."""
+    Every call that is given them overwrites them, through the column views
+    in `cols`, made once here."""
 
-    __slots__ = ("pair", "z", "y", "den", "diff", "prod", "out")
+    __slots__ = ("pair", "z", "y", "den", "diff", "prod", "out", "cols")
 
     def __init__(self, R: int, b: int, d: int):
         self.pair = np.empty((R, d, 2))
@@ -384,6 +385,9 @@ class VarWork:
         self.diff = np.empty((R, 1, b))
         self.prod = np.empty((R, 1, d))
         self.out = np.empty((R, d))
+        self.cols = (self.pair[:, :, 0], self.pair[:, :, 1], self.y[:, :, 0],
+                     self.y[:, :, 1], self.z[:, :, 0], self.z[:, :, 1],
+                     self.diff[:, 0, :], self.prod[:, 0, :])
 
 
 # GLMLoss.erm_grads evaluates at most this many points per pass over X
@@ -450,11 +454,11 @@ class GLMLoss(LossSpec):
 
         The points go in blocks of at most ERM_POINT_BLOCK. For a block of p
         points, X is read once, in row chunks of 2**15 // p rows: each chunk
-        gives X_c @ W_block^T and its slopes in one 2**15-entry (256 KB)
-        workspace, and X_c^T @ slopes is added, in chunk order, to a (d, p)
-        sum that starts at zero. The sum is divided by n at the end. The
-        link's slope keeps its temporary in a second 2**15-entry slice of
-        the workspace, so no chunk allocates.
+        gives X_c @ W_block^T and its slopes in the first 2**15-entry
+        (256 KB) half of one workspace, the slope's denominator going to the
+        second half, so no chunk allocates; X_c^T @ slopes is added, in
+        chunk order, to a (d, p) sum that starts at zero. The sum is divided
+        by n at the end.
         """
         W = np.asarray(W, dtype=np.float64)
         if W.ndim != 2 or W.shape[1] != S.dim:
@@ -482,14 +486,16 @@ class GLMLoss(LossSpec):
         # difference, each written into a buffer of `work`
         if work is None:
             work = VarWork(*X.shape)
-        work.pair[:, :, 0], work.pair[:, :, 1] = W, W_prev
-        z = np.matmul(X, work.pair, out=work.z)
+        w, w_prev, y0, y1, s, s_prev, diff, prod = work.cols
+        w[...], w_prev[...] = W, W_prev
+        np.matmul(X, work.pair, out=work.z)
         if Y is not None:
-            work.y[:, :, 0], work.y[:, :, 1] = Y, Y
-        s = self.link.slope_into(z, None if Y is None else work.y, work.den)
-        np.subtract(s[:, :, 0], s[:, :, 1], out=work.diff[:, 0, :])
+            y0[...], y1[...] = Y, Y
+        # the slope overwrites work.z, which s and s_prev view
+        self.link.slope_into(work.z, None if Y is None else work.y, work.den)
+        np.subtract(s, s_prev, out=diff)
         np.matmul(work.diff, X, out=work.prod)
-        return np.divide(work.prod[:, 0, :], X.shape[1], out=work.out)
+        return np.divide(prod, X.shape[1], out=work.out)
 
     def probe_sample(self, rng):
         z = rng.standard_normal(self.dim)

@@ -207,6 +207,7 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
     m_max = min(block, q - 1)
     idx = np.empty((m_max, R, b2), dtype=np.int64) if b2 < n else None
     z = np.empty((R, m_max, d))
+    z_steps = z.transpose(1, 0, 2)  # step j's (R, d) normals are z_steps[j]
     dW, scaled, work = np.empty((R, d)), np.empty((R, d)), VarWork(R, b2, d)
     g = 0
     W = np.zeros((R, d))
@@ -239,14 +240,15 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
                         for r, rng in enumerate(rngs):
                             np.add(rng.choice(n, b2, replace=False), offsets[r],
                                    out=idx[j, r])
-                    Xb, Yb = X.take(idx[j], axis=0), Y.take(idx[j]) if labelled else None
+                    rows = idx[j]
+                    Xb, Yb = X.take(rows, axis=0), Y.take(rows) if labelled else None
                 step, sigma = norms[g], sigmas[g]
                 np.subtract(W, W_prev, out=dW)
                 np.sqrt(np.add.reduce(np.multiply(dW, dW, out=dW), axis=1), out=step)
                 np.minimum(np.multiply(step, params.sigma2, out=sigma),
                            params.sigma2_hat, out=sigma)
                 nabla = nabla + loss.grad_var(W, W_prev, Xb, Yb, work)
-                nabla += np.multiply(z[:, j], sigma[:, None], out=scaled)
+                nabla += np.multiply(z_steps[j], sigma[:, None], out=scaled)
                 g += 1
                 W_prev, W = W, advance(t1 + j, W, nabla)
             record_draws(ledgers, sigmas[g0:g], d, SITE_GV)
