@@ -200,10 +200,10 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
     block = max(1, BLOCK_ENTRIES // (b2 + d))
     G = steps - -(-steps // q)
     sigmas, norms = np.empty((G, R)), np.empty((G, R))
-    # the variation steps' working set, written in place: a block's batch
-    # indices (run offsets added) and normals, run r's normals contiguous
-    # in z[r] as standard_normal writes only there; the step difference,
-    # the noise and grad_var's buffers
+    # the variation steps' working set, allocated once and overwritten: a
+    # block's batch indices (run offsets added) and normals (run r's in
+    # z[r], as standard_normal writes only to contiguous memory), the step
+    # difference, the scaled noise and grad_var's buffers
     m_max = min(block, q - 1)
     idx = np.empty((m_max, R, b2), dtype=np.int64) if b2 < n else None
     z = np.empty((R, m_max, d))
