@@ -10,8 +10,9 @@ dpopt from that tree's src/, and compares the two output directories:
 is only read; a --config file (a path from the current directory) is run
 as it is in both trees, with only its `out` replaced. For each file that
 differs, or exists on one side only, prints the file, the first differing
-key (a JSON path, or a CSV row and column) and the largest relative
-difference among the numeric leaves at equal paths, then exits 1. A --base
+key (a JSON path, or a CSV row and column), the largest relative
+difference among the numeric leaves at equal paths and every key whose
+value differs (list indices shown as [*]), then exits 1. A --base
 that resolves to the --change directory is rejected before any run. The
 outputs go to a temporary directory, removed at the end. Standard library
 only.
@@ -25,6 +26,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -97,8 +99,11 @@ def describe_difference(name: str, base: bytes, change: bytes) -> str:
             if rel > worst:
                 worst, where = rel, pa
     at = f" at {where}" if where is not None else ""
+    keys = dict.fromkeys(re.sub(r"\[\d+\]", "[*]", pa) for (pa, va), (pb, vb) in zip(a, b)
+                         if pa == pb and repr(va) != repr(vb))
     return (f"{name}: first difference at {first}; "
-            f"largest relative difference {worst:.3g}{at}")
+            f"largest relative difference {worst:.3g}{at}; "
+            f"keys whose values differ: {', '.join(keys) or 'none'}")
 
 
 def compare_dirs(base: Path, change: Path) -> list[str]:

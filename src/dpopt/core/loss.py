@@ -80,9 +80,12 @@ class LossSpec:
         """Batch-mean gradient variations on a run axis: row r is
         grad_mean(W[r], X[r], Y[r]) - grad_mean(W_prev[r], X[r], Y[r]) for
         iterates W, W_prev of shape (R, d) and batches X of shape (R, b, d).
-        A loss with a batched kernel computes it in `work`'s buffers when
-        given them and returns `work.out`, which the next such call
-        overwrites; this row-by-row default ignores `work`."""
+        SpiderBoost's variation steps and tree Spider's right children both
+        call it. A loss with a batched kernel computes it in `work`'s buffers
+        when given them and returns `work.out`, which the next call on those
+        buffers (or on another `VarWork` carved from the same flat buffer)
+        overwrites, so a caller that keeps the result copies it first; this
+        row-by-row default ignores `work` and returns a fresh array."""
         return np.stack([self.grad_mean(w, x, None if Y is None else Y[r])
                          - self.grad_mean(v, x, None if Y is None else Y[r])
                          for r, (w, v, x) in enumerate(zip(W, W_prev, X))])
@@ -374,17 +377,32 @@ class VarWork:
     dimension d: the iterate pair [w, w_prev] (R, d, 2); the product, the
     label pair and the slope's denominator (R, b, 2); the slope difference
     (R, 1, b); its product with the batch (R, 1, d) and the result (R, d).
-    Every call that is given them overwrites them, through the column views
-    in `cols`, made once here."""
+    They are carved, in that order, from the front of `buf`, a flat float64
+    array of at least `entries(R, b, d)` that the caller may share between
+    the shapes it uses one at a time, or from a fresh one. Every call that
+    is given them overwrites them, through the column views in `cols`, made
+    once here."""
 
     __slots__ = ("pair", "z", "y", "den", "diff", "prod", "out", "cols")
 
-    def __init__(self, R: int, b: int, d: int):
-        self.pair = np.empty((R, d, 2))
-        self.z, self.y, self.den = (np.empty((R, b, 2)) for _ in range(3))
-        self.diff = np.empty((R, 1, b))
-        self.prod = np.empty((R, 1, d))
-        self.out = np.empty((R, d))
+    @staticmethod
+    def entries(R: int, b: int, d: int) -> int:
+        return R * (7 * b + 4 * d)
+
+    def __init__(self, R: int, b: int, d: int, buf: np.ndarray | None = None):
+        need = self.entries(R, b, d)
+        if buf is None:
+            buf = np.empty(need)
+        elif buf.dtype != np.float64 or buf.ndim != 1 or len(buf) < need:
+            raise ValueError(f"VarWork({R}, {b}, {d}) needs a flat float64 buffer "
+                             f"of {need} entries")
+        parts, at = [], 0
+        for shape in ((R, d, 2), (R, b, 2), (R, b, 2), (R, b, 2), (R, 1, b), (R, 1, d),
+                      (R, d)):
+            size = math.prod(shape)
+            parts.append(buf[at:at + size].reshape(shape))
+            at += size
+        self.pair, self.z, self.y, self.den, self.diff, self.prod, self.out = parts
         self.cols = (self.pair[:, :, 0], self.pair[:, :, 1], self.y[:, :, 0],
                      self.y[:, :, 1], self.z[:, :, 0], self.z[:, :, 1],
                      self.diff[:, 0, :], self.prod[:, 0, :])

@@ -178,13 +178,21 @@ def tree_gv_sensitivity(beta_par: float, D: int, b: int) -> float:
 
 def draw_gaussian(dim: int, sigma: float, rng: np.random.Generator,
                   ledger: NoiseLedger | None = None,
-                  site: str = "gauss") -> np.ndarray:
-    """Isotropic N(0, I_d sigma^2) draw; records a ledger entry when given one."""
+                  site: str = "gauss", out: np.ndarray | None = None) -> np.ndarray:
+    """Isotropic N(0, I_d sigma^2) draw; records a ledger entry when given one.
+    Given `out`, a contiguous float64 array of shape (dim,), the draw is
+    written there, with the bits of a fresh draw, and `out` is returned."""
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    g = rng.standard_normal(dim) * sigma
+    if out is None:
+        g = rng.standard_normal(dim)
+    elif out.shape == (dim,):
+        g = rng.standard_normal(out=out)  # its size from out: faster than passing dim
+    else:
+        raise ValueError(f"out has shape {out.shape}, expected ({dim},)")
+    g *= sigma
     if ledger is not None:
         ledger.record(site, sigma, dim)
     return g

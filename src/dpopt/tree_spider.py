@@ -11,6 +11,10 @@ The traversal is written once, in `_tree_path`, over a leading run axis:
 each run keeps its own stream, generator, ledger and early stop, so a run's
 output is bit-identical alone or in a group. The optimizer uses it with
 R = 1 or with R seeds in lockstep, and the Monte Carlo validator with R = 1.
+A right child's variation is `LossSpec.grad_var`, SpiderBoost's kernel: for
+a GLM one batched X @ [w, w_parent], one slope call and one
+(s - s_parent)^T X per gathered sub-group of runs, in views of one flat
+workspace allocated per traversal.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core.data import Dataset, DatasetCursor, Runs, lockstep
-from .core.loss import LossSpec
+from .core.loss import LossSpec, VarWork
 from .privacy import (NoiseLedger, PrivacyBudget, draw_gaussian,
                       gaussian_sigma, tree_gv_sensitivity)
 from .util import PreconditionError, floori
@@ -222,20 +226,30 @@ class TreeRuns(list):
         return sum(rep.samples_consumed for rep in self)
 
 
-def _grad_means(loss: LossSpec, batches: Sequence[Dataset],
-                *Ws: np.ndarray) -> list[np.ndarray]:
-    """For each W of shape (A, d), row i the batch-mean gradient at W[i] on
-    batches[i]. The batches' rows are gathered (one `take` when they index
-    one source) for at most GATHER_ENTRIES entries of runs at a time."""
+def _gathered_runs(size: int, d: int) -> int:
+    """How many runs' batches of `size` rows a node gathers at a time."""
+    return max(1, GATHER_ENTRIES // (size * d))
+
+
+def _grad_means(loss: LossSpec, batches: Sequence[Dataset], W: np.ndarray,
+                W_par: np.ndarray | None = None,
+                work: Callable[[int, int], VarWork] | None = None) -> np.ndarray:
+    """Row i the batch-mean gradient at W[i] on batches[i] or, given W_par,
+    its variation from W_par[i], `loss.grad_var` in the buffers `work(A,
+    size)` gives for a sub-group of A runs' batches of `size` rows; each
+    sub-group's result is copied out before the next call overwrites it.
+    The batches' rows are gathered (one `take` when they index one source)
+    for at most GATHER_ENTRIES entries of runs at a time."""
     size, d = batches[0].n, batches[0].dim
-    outs = [np.empty_like(W) for W in Ws]
-    step = max(1, GATHER_ENTRIES // (size * d))
+    out = np.empty_like(W)
+    step = _gathered_runs(size, d)
     for i in range(0, len(batches), step):
         X, Y = Runs(batches[i:i + step]).stack(axis=0)
-        for W, out in zip(Ws, outs):
-            out[i:i + step] = loss.grad_mean_rows(W[i:i + step], X, Y)
+        rows = slice(i, i + step)
+        out[rows] = (loss.grad_mean_rows(W[rows], X, Y) if W_par is None else
+                     loss.grad_var(W[rows], W_par[rows], X, Y, work(len(X), size)))
         del X, Y  # one sub-group's rows at a time
-    return outs
+    return out
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:
@@ -260,6 +274,15 @@ def _tree_path(loss: LossSpec, params: TreeParams,
     N(0, sigma_delta^2) and the estimate nabla_parent + Delta. Roots and
     right children sit at the pending iterates.
 
+    The sum is b/2^k times `loss.grad_var(W, W_par, X, Y, work)` on each
+    sub-group of runs whose batches are gathered together (see
+    `_grad_means`). Its buffers are `VarWork` views of the front of one
+    flat array, allocated here for the largest sub-group a right child
+    gathers (R (7 size + 4 d) entries at most, with size the depth-1 batch)
+    and made once per (runs, size) shape, smaller groups left after runs
+    stop included. Each node's noise rows go into one (R, d) block, one
+    `draw_gaussian(..., out=row)` per run.
+
     Iterates and estimates are (A, d) arrays over the A active runs, whose
     indices `runs` lists in run order, and every operation is row-wise, so a
     run gets the same bits alone as in a group. The hooks see a node once,
@@ -278,8 +301,21 @@ def _tree_path(loss: LossSpec, params: TreeParams,
         (s, len(s), s[-1] == "1", params.batch_size(len(s)), 2 ** len(s) / params.b)
         for s in dfs_order(D)]
     path: list[tuple[np.ndarray, np.ndarray] | None] = [None] * (D + 1)
-    runs = list(range(len(rngs)))
-    pending = np.zeros((len(runs), d))
+    R = len(rngs)
+    runs = list(range(R))
+    pending = np.zeros((R, d))
+    # one flat workspace for the largest sub-group a right child gathers;
+    # each (runs, size) shape gets views of its front, made once
+    buf = np.empty(max((VarWork.entries(min(R, _gathered_runs(size, d)), size, d)
+                        for size in map(params.batch_size, range(1, D + 1))), default=0))
+    works: dict[tuple[int, int], VarWork] = {}
+
+    def work(A: int, size: int) -> VarWork:
+        if (A, size) not in works:
+            works[A, size] = VarWork(A, size, d, buf)
+        return works[A, size]
+
+    noise_rows = np.empty((R, d))
     for t in range(1, params.T + 1):
         for s, k, right, size, scale in schedule:
             delta = None
@@ -288,20 +324,18 @@ def _tree_path(loss: LossSpec, params: TreeParams,
             else:
                 sigma, site = ((params.sigma_delta, SITE_DELTA) if k
                                else (params.sigma_root, SITE_ROOT))
-                batches, noise = [], []
-                for r in runs:
+                batches, noise = [], noise_rows[:len(runs)]
+                for i, r in enumerate(runs):
                     batches.append(takes[r](size))
-                    noise.append(draw_gaussian(d, sigma, rngs[r],
-                                               None if ledgers is None else ledgers[r],
-                                               site))
+                    draw_gaussian(d, sigma, rngs[r], None if ledgers is None else ledgers[r],
+                                  site, out=noise[i])
                 W = pending
                 if not k:
-                    nabla = _grad_means(loss, batches, W)[0] + np.array(noise)
+                    nabla = _grad_means(loss, batches, W) + noise
                 else:
                     W_par, nabla_par = path[k - 1]
                     # (2^|s|/b) * sum over the batch of per-sample variations
-                    g_s, g_par = _grad_means(loss, batches, W, W_par)
-                    delta = scale * (size * (g_s - g_par)) + np.array(noise)
+                    delta = scale * (size * _grad_means(loss, batches, W, W_par, work)) + noise
                     nabla = nabla_par + delta
             path[k] = (W, nabla)
             if node is not None:

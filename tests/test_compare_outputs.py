@@ -60,6 +60,7 @@ def test_one_byte_is_reported_with_its_key(compare_outputs, tmp_path):
     assert problems[0].startswith("reports/run_g0_s0.json: ")
     assert "first difference at noise_ledger[0].sigma" in problems[0]
     assert "largest relative difference 0.0385" in problems[0]
+    assert problems[0].endswith("keys whose values differ: noise_ledger[*].sigma")
 
 
 def test_csv_cell_and_missing_file_are_reported(compare_outputs, tmp_path):
@@ -71,4 +72,5 @@ def test_csv_cell_and_missing_file_are_reported(compare_outputs, tmp_path):
     assert problems == [
         "reports/run_g0_s1.json: only in base",
         "runs.csv: first difference at [0].grad_norm; "
-        "largest relative difference 0.2 at [0].grad_norm"]
+        "largest relative difference 0.2 at [0].grad_norm; "
+        "keys whose values differ: [*].grad_norm"]

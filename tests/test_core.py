@@ -12,6 +12,7 @@ from dpopt.core import (Dataset, DatasetCursor, StreamExhausted, ZeroLoss,
                         tanh_link, RATIONAL_L0, RATIONAL_L1)
 from dpopt.core import data as data_module
 from dpopt.core.data import Runs, row_norms
+from dpopt.core.loss import VarWork
 from dpopt.harness import gen_synthetic, synthetic
 
 
@@ -185,6 +186,23 @@ class TestGradVar:
             y = None if Y is None else Y[r]
             want = loss.grad_mean(W[r], X[r], y) - loss.grad_mean(W_prev[r], X[r], y)
             assert np.max(np.abs(got[r] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_work_carved_from_one_buffer_for_two_shapes(self):
+        # tree Spider's right children: sub-groups of other shapes take their
+        # buffers from the front of one flat array, one call at a time
+        rng = np.random.default_rng(5)
+        loss = synthetic_nonconvex_loss(4)
+        buf = np.empty(VarWork.entries(3, 9, 4))
+        for R, b in ((3, 9), (2, 5), (3, 9)):
+            X = rng.standard_normal((R, b, 4)) / 3.0
+            Y = rng.standard_normal((R, b))
+            W, W_prev = rng.standard_normal((R, 4)), rng.standard_normal((R, 4))
+            work = VarWork(R, b, 4, buf)
+            got = loss.grad_var(W, W_prev, X, Y, work)
+            assert got is work.out and np.shares_memory(got, buf)
+            assert got.tobytes() == loss.grad_var(W, W_prev, X, Y).tobytes()
+        with pytest.raises(ValueError, match="flat float64 buffer of 237 entries"):
+            VarWork(3, 9, 4, buf[:-1])
 
     def test_default_is_the_two_grad_means(self):
         rng = np.random.default_rng(4)

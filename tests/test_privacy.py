@@ -120,6 +120,19 @@ class TestDrawGaussian:
         b = draw_gaussian(16, 0.7, np.random.default_rng(33))
         assert np.array_equal(a, b)
 
+    def test_out_row_gets_the_allocating_draw_and_ledger_entry(self):
+        # tree Spider draws each run's noise into a row of one block
+        want_ledger, got_ledger = NoiseLedger(), NoiseLedger()
+        want = draw_gaussian(6, 0.7, np.random.default_rng(9), want_ledger, "s")
+        block = np.full((3, 6), np.nan)
+        got = draw_gaussian(6, 0.7, np.random.default_rng(9), got_ledger, "s", out=block[1])
+        assert np.shares_memory(got, block[1])
+        assert block[1].tobytes() == want.tobytes()
+        assert np.isnan(block[[0, 2]]).all()
+        assert got_ledger == want_ledger
+        with pytest.raises(ValueError, match=r"out has shape \(6,\), expected \(5,\)"):
+            draw_gaussian(5, 0.7, np.random.default_rng(9), out=block[1])
+
     def test_ledger_records_and_coalesces(self):
         ledger = NoiseLedger()
         rng = np.random.default_rng(0)

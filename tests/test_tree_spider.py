@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dpopt.core import Dataset, DatasetCursor, LossSpec, synthetic_nonconvex_loss
-from dpopt.core.loss import huber_mean_loss
+from dpopt.core.loss import glm_loss, huber_mean_loss, tanh_link
 from dpopt.harness import FiniteSupportDistribution, gen_support
 from dpopt.privacy import NoiseLedger, PrivacyBudget
 from dpopt import tree_spider
@@ -364,6 +364,72 @@ class TestLockstep:
                             [np.random.default_rng(1), np.random.default_rng(2)])
 
 
+def right_children(rep):
+    """(record, its parent's record) for each right child of a recorded run."""
+    at = {(rec.address.t, rec.address.s): rec for rec in rep.nodes}
+    return [(rec, at[rec.address.t, rec.address.s[:-1]]) for rec in rep.nodes
+            if rec.address.s.endswith("1")]
+
+
+class TestRightChildDelta:
+    """A right child's Delta is (2^k/b) sum_i (grad(w_s; x_i) - grad(w_par; x_i))
+    over its batch, from `loss.grad_var`; noise is off so Delta is that sum."""
+
+    @staticmethod
+    def group(loss, datasets, params):
+        return run_tree_spider(loss, [DatasetCursor(S) for S in datasets], params,
+                               [np.random.default_rng(60 + r) for r in range(len(datasets))],
+                               record_nodes=True)
+
+    @pytest.mark.parametrize("gather", [None, 48], ids=["one_gather", "sub_groups"])
+    @pytest.mark.parametrize("label_scale", [0.5, 0.0], ids=["labelled", "unlabelled"])
+    @pytest.mark.parametrize("make", [synthetic_nonconvex_loss,
+                                      lambda d: glm_loss(tanh_link(), 1.0, 1.0, 1.0, d)],
+                             ids=["rational", "tanh"])
+    def test_matches_the_per_sample_sum(self, monkeypatch, gather, label_scale, make):
+        # with 48 entries a depth-1 node gathers two runs at a time, so the
+        # three runs take two sub-groups of different shapes from one buffer
+        if gather is not None:
+            monkeypatch.setattr(tree_spider, "GATHER_ENTRIES", gather)
+        loss = make(3)
+        dist = gen_support("glm_fullrank", 64, 3, seed=13, label_scale=label_scale)
+        data = [dist.sample(200, np.random.default_rng(30 + r)) for r in range(3)]
+        params = TreeParams(b=16, D=2, T=4, alpha=1e-3, alpha_tilde=0.02, beta_par=0.04,
+                            C_tilde=20.0, sigma_root=0.1, sigma_delta=0.0, p=0.1)
+        checked = 0
+        for S, rep in zip(data, self.group(loss, data, params)):
+            for rec, par in right_children(rep):
+                lo, hi = rec.batch_range
+                k = len(rec.address.s)
+                want = 2 ** k / params.b * sum(
+                    loss.grad(rec.w, S.X[i], None if S.y is None else S.y[i])
+                    - loss.grad(par.w, S.X[i], None if S.y is None else S.y[i])
+                    for i in range(lo, hi))
+                assert hi - lo == params.batch_size(k)
+                assert np.max(np.abs(rec.delta - want)) <= 1e-13 * np.max(np.abs(want))
+                checked += 1
+        assert checked >= 24  # of 36: three right children a round, some runs stop early
+
+    def test_a_loss_without_a_batched_kernel_keeps_its_two_grad_means(self):
+        # LossSpec.grad_var's default: Delta row for row, bit for bit, as the
+        # two batch means' difference the tree took before grad_var
+        loss = huber_mean_loss(1.0, 1.0, dim=3)
+        rngs = [np.random.default_rng(80 + r) for r in range(5)]
+        data = [Dataset(0.2 * rng.standard_normal((300, 3)) + np.array([1.5, 1.0, 0.0]))
+                for rng in rngs]
+        params = TreeParams(b=16, D=2, T=4, alpha=0.35, alpha_tilde=0.35, beta_par=0.3,
+                            C_tilde=1.0, sigma_root=0.0, sigma_delta=0.0, p=0.1)
+        checked = 0
+        for S, rep in zip(data, self.group(loss, data, params)):
+            for rec, par in right_children(rep):
+                X = S.X[slice(*rec.batch_range)]
+                size, scale = len(X), 2 ** len(rec.address.s) / params.b
+                want = scale * (size * (loss.grad_mean(rec.w, X) - loss.grad_mean(par.w, X)))
+                assert rec.delta.tobytes() == want.tobytes()
+                checked += 1
+        assert checked > 10
+
+
 class TestTreeSensitivityRealization:
     def test_delta_differences_bounded_under_sample_swap(self):
         # huber loss far from its data: gradients have unit norm, no early stop
@@ -548,8 +614,9 @@ class TestBoundaryCounts:
 class TestEstimationErrorValidator:
     def test_results_are_pinned(self):
         # (violation_rate, leaf_checks, worst_sq_err) of the three tests
-        # below, bit for bit as the validator has given them since its trials
-        # first shared the optimizer's traversal
+        # below, bit for bit as the validator gives them since right children
+        # take their variation from grad_var: on the single-point support,
+        # sum (s - s_par) x / b leaves 3.85e-33 where two batch means cancelled
         loss = synthetic_nonconvex_loss(2)
         single = FiniteSupportDistribution(Dataset(np.array([[0.6, 0.3]]), np.array([0.4])))
         loss3 = synthetic_nonconvex_loss(3)
@@ -571,12 +638,13 @@ class TestEstimationErrorValidator:
             chk = validate_tree_estimation_error(loss_, dist, params, trials=trials,
                                                  rng=np.random.default_rng(seed))
             got.append((chk.violation_rate, chk.leaf_checks, chk.worst_sq_err))
-        assert got == [(0.0, 400, 0.0), (0.0, 500, 0.13485345178389155),
+        assert got == [(0.0, 400, 3.851859888774472e-33), (0.0, 500, 0.13485345178389155),
                        (0.93875, 800, 0.13658052323188377),
                        (0.19, 200, 0.1021883286197732)]
 
     def test_exact_population_batches_never_violate(self):
-        # single-point support: every batch mean is the population mean exactly
+        # single-point support: every batch mean is the population mean, and
+        # every estimate is the population gradient up to rounding
         loss = synthetic_nonconvex_loss(2)
         x0 = np.array([[0.6, 0.3]])
         dist = FiniteSupportDistribution(Dataset(x0, np.array([0.4])))
