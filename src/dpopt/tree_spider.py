@@ -304,8 +304,6 @@ def _tree_path(loss: LossSpec, params: TreeParams,
     R = len(rngs)
     runs = list(range(R))
     pending = np.zeros((R, d))
-    # one flat workspace for the largest sub-group a right child gathers;
-    # each (runs, size) shape gets views of its front, made once
     buf = np.empty(max((VarWork.entries(min(R, _gathered_runs(size, d)), size, d)
                         for size in map(params.batch_size, range(1, D + 1))), default=0))
     works: dict[tuple[int, int], VarWork] = {}

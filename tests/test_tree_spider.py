@@ -373,7 +373,7 @@ def right_children(rep):
 
 class TestRightChildDelta:
     """A right child's Delta is (2^k/b) sum_i (grad(w_s; x_i) - grad(w_par; x_i))
-    over its batch, from `loss.grad_var`; noise is off so Delta is that sum."""
+    over its batch, from `loss.grad_var`; sigma_delta = 0, so Delta is that sum."""
 
     @staticmethod
     def group(loss, datasets, params):
@@ -387,13 +387,13 @@ class TestRightChildDelta:
                                       lambda d: glm_loss(tanh_link(), 1.0, 1.0, 1.0, d)],
                              ids=["rational", "tanh"])
     def test_matches_the_per_sample_sum(self, monkeypatch, gather, label_scale, make):
-        # with 48 entries a depth-1 node gathers two runs at a time, so the
-        # three runs take two sub-groups of different shapes from one buffer
+        # with 48 entries a depth-1 node gathers two runs at a time: its
+        # sub-groups of 2, 2 and 1 runs take their buffers from one array
         if gather is not None:
             monkeypatch.setattr(tree_spider, "GATHER_ENTRIES", gather)
         loss = make(3)
         dist = gen_support("glm_fullrank", 64, 3, seed=13, label_scale=label_scale)
-        data = [dist.sample(200, np.random.default_rng(30 + r)) for r in range(3)]
+        data = [dist.sample(200, np.random.default_rng(30 + r)) for r in range(5)]
         params = TreeParams(b=16, D=2, T=4, alpha=1e-3, alpha_tilde=0.02, beta_par=0.04,
                             C_tilde=20.0, sigma_root=0.1, sigma_delta=0.0, p=0.1)
         checked = 0
@@ -408,11 +408,11 @@ class TestRightChildDelta:
                 assert hi - lo == params.batch_size(k)
                 assert np.max(np.abs(rec.delta - want)) <= 1e-13 * np.max(np.abs(want))
                 checked += 1
-        assert checked >= 24  # of 36: three right children a round, some runs stop early
+        assert checked >= 48  # of 60: three right children a round, some runs stop early
 
     def test_a_loss_without_a_batched_kernel_keeps_its_two_grad_means(self):
-        # LossSpec.grad_var's default: Delta row for row, bit for bit, as the
-        # two batch means' difference the tree took before grad_var
+        # LossSpec.grad_var's default: Delta is, row for row and bit for bit,
+        # scale * (size * (grad_mean(w_s) - grad_mean(w_par)))
         loss = huber_mean_loss(1.0, 1.0, dim=3)
         rngs = [np.random.default_rng(80 + r) for r in range(5)]
         data = [Dataset(0.2 * rng.standard_normal((300, 3)) + np.array([1.5, 1.0, 0.0]))
@@ -614,9 +614,9 @@ class TestBoundaryCounts:
 class TestEstimationErrorValidator:
     def test_results_are_pinned(self):
         # (violation_rate, leaf_checks, worst_sq_err) of the three tests
-        # below, bit for bit as the validator gives them since right children
-        # take their variation from grad_var: on the single-point support,
-        # sum (s - s_par) x / b leaves 3.85e-33 where two batch means cancelled
+        # below, bit for bit; right children take their variation from
+        # grad_var, so on the single-point support sum (s - s_par) x / b
+        # leaves a rounding residue of 3.85e-33
         loss = synthetic_nonconvex_loss(2)
         single = FiniteSupportDistribution(Dataset(np.array([[0.6, 0.3]]), np.array([0.4])))
         loss3 = synthetic_nonconvex_loss(3)
