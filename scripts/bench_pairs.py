@@ -9,7 +9,12 @@ pair indices and the change first on odd ones, so drift on a shared host
 falls on both sides. Each end-to-end metric of BENCHMARK.json gets both
 sides' values, medians and quartiles, the median difference, the base's
 interquartile range and the number of pairs the change won (strictly
-better in the metric's direction). Each workload's entry also records the
+better in the metric's direction). Two verdicts go with them: `claim_met`,
+a gain may be claimed (the change won at least nine tenths of the pairs
+and its median is better than the base's by more than the base's
+interquartile range), and `within_bound`, the change's median is no worse
+than the base's by more than the metric's relative bound in
+BENCHMARK.json. Each workload's entry also records the
 two trees' `git describe`, the command and the host's Python, numpy, BLAS
 and CPU count, so an existing output file keeps its other workloads with
 their own labels. At least two seeds are needed for quartiles; fewer are
@@ -57,18 +62,24 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def summarise(base: list[float], change: list[float], better: str) -> dict:
+def summarise(base: list[float], change: list[float], better: str,
+              bound: float) -> dict:
     def quartiles(v):
         q1, q2, q3 = statistics.quantiles(v, n=4, method="inclusive")
         return {"median": q2, "q1": q1, "q3": q3}
     sign = -1.0 if better == "lower" else 1.0
     b, c = quartiles(base), quartiles(change)
+    gain = sign * (c["median"] - b["median"])  # > 0: the change is better
+    base_iqr = b["q3"] - b["q1"]
+    wins = sum(sign * (y - x) > 0 for x, y in zip(base, change))
     return {"base": base, "change": change,
             "base_quartiles": b, "change_quartiles": c,
             "median_diff": c["median"] - b["median"],
-            "base_iqr": b["q3"] - b["q1"],
-            "wins": sum(sign * (y - x) > 0 for x, y in zip(base, change)),
-            "pairs": len(base)}
+            "base_iqr": base_iqr,
+            "wins": wins,
+            "pairs": len(base),
+            "claim_met": 10 * wins >= 9 * len(base) and gain > base_iqr,
+            "within_bound": -gain <= bound * abs(b["median"])}
 
 
 def host_info() -> dict:
@@ -100,7 +111,7 @@ def main() -> int:
     if args.base.resolve() == args.change.resolve():
         ap.error(f"--base and --change are the same tree: {args.base.resolve()}")
     declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in declared["end_to_end"]}
 
     doc = (json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists()
            else {"workloads": {}})
@@ -123,8 +134,8 @@ def main() -> int:
         doc["workloads"][workload] = {
             **labels, "seeds": args.seeds, "first": order,
             "metrics": {name: summarise([r[name] for r in runs["base"]],
-                                        [r[name] for r in runs["change"]], better[name])
-                        for name in better}}
+                                        [r[name] for r in runs["change"]], better, bound)
+                        for name, (better, bound) in metrics.items()}}
         args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -338,7 +338,7 @@ def _logcosh(r):
 def _tanh_slope_into(z, y, den=None):
     if y is not None:
         z -= y
-    return np.tanh(z, out=z) if z.ndim else np.tanh(z)
+    return np.tanh(z, z) if z.ndim else np.tanh(z)
 
 
 def tanh_link() -> LinkFamily:

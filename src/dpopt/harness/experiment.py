@@ -213,15 +213,22 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
                                  force_identity=bool(config.overrides.get(
                                      "force_identity", False)))
 
+            base_params = []
+
             def base(S_proj, loss_proj, L0b, L1b, sub_budget, rng):
                 sp = derive_spider_params(S_proj.n, S_proj.dim, L0b, L1b,
                                           loss.F0_hint, sub_budget,
                                           {kk: vv for kk, vv in config.overrides.items()
                                            if kk in ("eta", "q", "b1", "b2", "T")})
+                base_params.append(sp)
                 return run_spiderboost(loss_proj, S_proj, sp, rng)
 
             rep = run_jl(base, loss, S, jl_params, budget, run_rng)
-            set_hash({"k": k, "rank": rank, "normX": loss.normX})
+            # the base run's derived parameters too, so rows whose base
+            # overrides differ get different hashes
+            set_hash({"k": k, "rank": rank, "normX": loss.normX,
+                      **{f"base_{f}": v for f, v in
+                         dataclasses.asdict(base_params[0]).items()}})
             outs = [(rep.w_out, erm_grad(loss, rep.w_out, S), rep.base_report.oracle_calls,
                      rep.base_report.noise_ledger,
                      {"k": rep.k, "rank": rep.rank,

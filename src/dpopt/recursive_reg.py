@@ -118,10 +118,12 @@ def selector_weighted_avg(iterates, eta: float, lam: float,
     Weights are normalized by the largest weight before summing for
     numerical stability. Late iterates receive the most weight. `iterates`
     is a list of points or an array whose leading axis runs over them; a
-    block of shape (K, R, d) averages each of R runs, with one
-    weights-times-block product. `prior = (avg, k0)` continues a sequence
-    whose first k0 iterates average to `avg`, so a long run can be averaged
-    block by block.
+    block of shape (K, R, d) averages each of R runs. Each run's (K, d) slab
+    is copied into one contiguous scratch buffer and averaged there with one
+    weights-times-slab product, so a run's bits depend neither on the runs
+    beside it nor on the block's layout. `prior = (avg, k0)` continues a
+    sequence whose first k0 iterates average to `avg`, so a long run can be
+    averaged block by block.
     """
     K = len(iterates)
     if K < 1:
@@ -131,9 +133,14 @@ def selector_weighted_avg(iterates, eta: float, lam: float,
         raise ValueError(f"need 0 <= eta*lam < 1, got {r}")
     base = 1.0 - r
     g = base ** np.arange(K - 1, -1, -1.0)  # (1-r)^(-k) / (1-r)^(-K)
-    # (K,) @ (R, K, d): one product per run on its own (K, d) slab, so a
-    # run's average does not depend on the runs beside it
-    acc = np.matmul(g, np.moveaxis(np.asarray(iterates, dtype=np.float64), 0, -2))
+    block = np.asarray(iterates, dtype=np.float64)
+    runs = block.reshape(K, -1, block.shape[-1])  # (K, R, d), a view
+    slab = np.empty((K, runs.shape[2]))
+    acc = np.empty(runs.shape[1:])
+    for j in range(runs.shape[1]):
+        np.copyto(slab, runs[:, j])
+        np.matmul(g, slab, out=acc[j])
+    acc = acc.reshape(block.shape[1:])
     total = float(g.sum())
     if prior is not None:
         avg, k0 = prior
@@ -183,18 +190,22 @@ def _affine_terms(loss: LossSpec, eta: float):
     return loss, 1.0, None
 
 
-def _affine_step(W: np.ndarray, G: np.ndarray, a: float, c: np.ndarray | None,
-                 eta: float, R: float, out: np.ndarray) -> np.ndarray:
-    """Proj_R(a W + c - eta G), computed in `out`; G is overwritten.
+def _affine_step(W: np.ndarray, G: np.ndarray, a: np.ndarray, c: np.ndarray | None,
+                 eta: np.ndarray, R: float, out: np.ndarray) -> None:
+    """out <- Proj_R(a W + c - eta G), in place; G is overwritten.
 
-    Returns `out`, or a new array when some row is projected.
+    a and eta are 0-d float64 arrays, bound once per call of a solver, so no
+    step converts a Python float. Only when `project_ball` projects a row is
+    its result copied back into `out`.
     """
-    np.multiply(W, a, out=out)
+    np.multiply(W, a, out)
     if c is not None:
         out += c
     G *= eta
     out -= G
-    return project_ball(out, R)
+    projected = project_ball(out, R)
+    if projected is not out:
+        np.copyto(out, projected)
 
 
 def noisy_gd(S: Dataset | Sequence[Dataset], loss: LossSpec, R: float, T: int,
@@ -219,23 +230,26 @@ def noisy_gd(S: Dataset | Sequence[Dataset], loss: LossSpec, R: float, T: int,
     X, Y = data.stack(axis=0)
     runs, d = X.shape[0], X.shape[2]
     base, a, c = _affine_terms(loss, eta)
-    store = np.empty((runs, min(max(T, 1), ITERATE_BLOCK), d))
-    W, nxt = np.zeros((runs, d)), np.empty((runs, d))
-    store[:, 0] = W
+    a, step = np.array(a), np.array(eta)
+    # iterate-major: step t writes iterate t + 1 into store[k] from store[k - 1]
+    # (store[-1] right after a fold)
+    store = np.empty((min(max(T, 1), ITERATE_BLOCK), runs, d))
+    store[0] = 0.0
+    G = np.empty((runs, d))
     k, avg, done = 1, None, 0
 
     def fold():
-        block = store[:, :k].transpose(1, 0, 2)
+        block = store[:k]
         return selector(block, eta) if avg is None else selector(block, eta, (avg, done))
 
     for _ in range(1, T):
-        if k == store.shape[1]:
+        if k == len(store):
             avg, done, k = fold(), done + k, 0
-        G = np.array([draw_gaussian(d, sigma, g, None if ledgers is None else ledgers[r],
-                                    site) for r, g in enumerate(rngs)])
-        G += base.grad_mean_rows(W, X, Y)
-        W, nxt = _affine_step(W, G, a, c, eta, R, nxt), W
-        store[:, k] = W
+        for r, g in enumerate(rngs):
+            draw_gaussian(d, sigma, g, None if ledgers is None else ledgers[r], site,
+                          out=G[r])
+        G += base.grad_mean_rows(store[k - 1], X, Y)
+        _affine_step(store[k - 1], G, a, c, step, R, store[k])
         k += 1
     out = fold()
     return out[0] if single else out
@@ -253,9 +267,8 @@ def output_perturbed_sgd(w1: np.ndarray, S: Dataset | Sequence[Dataset],
     is selector({w_t}) + N(0, sigma^2 I). Given a generator (and a dataset,
     ledger and start row of w1) per run, the runs go in lockstep: each step
     is one base-loss `grad_rows` over the runs' t-th samples and one affine
-    update (`_affine_step`) in two reused (R, d) buffers, and each iterate
-    is copied once into a run-major (R, |S|, d) store, which the selector
-    gets as the (|S|, R, d) iterate block.
+    update (`_affine_step`) written in place into the next slot of an
+    iterate-major (|S|, R, d) store, which the selector gets as it is.
     """
     data, rngs, ledgers, single = lockstep(S, rng, ledger)
     if data.n < 1:
@@ -263,15 +276,13 @@ def output_perturbed_sgd(w1: np.ndarray, S: Dataset | Sequence[Dataset],
     X, Y = data.stack(axis=1)
     n, runs, d = X.shape
     base, a, c = _affine_terms(loss, eta)
-    store = np.empty((runs, n, d))
-    W, nxt = np.empty((runs, d)), np.empty((runs, d))
-    W[...] = w1
-    store[:, 0] = W
-    for t in range(n - 1):
-        G = base.grad_rows(W, X[t], None if Y is None else Y[t])
-        W, nxt = _affine_step(W, G, a, c, eta, R, nxt), W
-        store[:, t + 1] = W
-    tilde = selector(store.transpose(1, 0, 2), eta)
+    a, step = np.array(a), np.array(eta)
+    grad_rows = base.grad_rows
+    store = np.empty((n, runs, d))
+    store[0] = w1
+    for W, nxt, x, y in zip(store, store[1:], X, [None] * n if Y is None else Y):
+        _affine_step(W, grad_rows(W, x, y), a, c, step, R, nxt)
+    tilde = selector(store, eta)
     xi = np.array([draw_gaussian(d, sigma, g, None if ledgers is None else ledgers[r], site)
                    for r, g in enumerate(rngs)])
     out = tilde + xi

@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, nothing is deferred.
 """
+import dataclasses
 import math
 import time
 
@@ -486,7 +487,14 @@ def test_criterion_12c_jl_beats_full_dimension(tmp_path):
         k = choose_k("spiderboost", n, rank, d, loss.L0_phi, loss.L1_phi,
                      loss.normX, budget)
         assert k == math.ceil(rank * math.log(2 * n / budget.delta)) < d, k
-        jl_hash = param_hash({"k": k, "rank": rank, "normX": loss.normX})
+        # the hash covers the base SpiderBoost run's parameters, re-derived
+        # here at k with the rebound constants and budget (eps, delta/2)
+        base_params = derive_spider_params(
+            n, k, 2.0 * loss.L0_phi * loss.normX, 2.0 * loss.L1_phi * loss.normX ** 2,
+            loss.F0_hint, budget.halve_delta())
+        jl_hash = param_hash({"k": k, "rank": rank, "normX": loss.normX,
+                              **{f"base_{f}": v for f, v in
+                                 dataclasses.asdict(base_params).items()}})
         for r in jl_rows:
             assert r["status"] == "ok", r["status"]
             assert r["param_hash"] == jl_hash, (r["param_hash"], jl_hash)

@@ -70,5 +70,51 @@ def test_each_workload_keeps_its_own_labels(bench_pairs, tmp_path, monkeypatch):
     assert (b["base"], b["change"], b["host"]) == ("base@4", "change@4", {"nproc": 4})
     assert a["seeds"] == [1, 2] and a["first"] == ["base", "change"]
     assert b["metrics"]["sweep_s"]["pairs"] == 3
+    # the change reads one more than the base in every pair: worse in
+    # sweep_s by 67% of its base median, better in oracle_calls_per_s by
+    # twice the base's interquartile range of 0.5
+    sweep, calls = a["metrics"]["sweep_s"], a["metrics"]["oracle_calls_per_s"]
+    assert (sweep["claim_met"], sweep["within_bound"]) == (False, False)
+    assert (calls["wins"], calls["base_iqr"]) == (2, 0.5)
+    assert (calls["claim_met"], calls["within_bound"]) == (True, True)
     assert runs[4:6] == [("base", "b", 5), ("change", "b", 5)]
     assert runs[6:8] == [("change", "b", 7), ("base", "b", 7)]
+
+
+BASE = [10.0 + 0.1 * i for i in range(10)]  # median 10.45, quartiles 10.225 and 10.675
+
+
+@pytest.mark.parametrize("ties,step,claim", [
+    (0, 1.0, True),    # 10 of 10 pairs, 1.0 beyond an IQR of 0.45
+    (1, 1.0, True),    # 9 of 10 pairs; the tie counts for neither side
+    (2, 1.0, False),   # 8 of 10 pairs
+    (0, 0.3, False),   # 10 of 10 pairs, but within the base's IQR
+], ids=["all_pairs", "nine_pairs", "eight_pairs", "within_iqr"])
+def test_claim_needs_nine_tenths_of_the_pairs_and_the_base_iqr(bench_pairs, ties, step,
+                                                               claim):
+    change = [x - step for x in BASE[:10 - ties]] + BASE[10 - ties:]
+    got = bench_pairs.summarise(BASE, change, "lower", 0.25)
+    assert got["wins"] == 10 - ties
+    assert got["base_iqr"] == pytest.approx(0.45)
+    assert got["claim_met"] is claim
+    assert got["within_bound"] is True
+
+
+@pytest.mark.parametrize("better,factor,within", [
+    ("lower", 1.2, True), ("lower", 1.3, False),
+    ("higher", 0.8, True), ("higher", 0.7, False), ("higher", 1.3, True),
+])
+def test_within_bound_compares_medians_to_the_relative_bound(bench_pairs, better, factor,
+                                                             within):
+    got = bench_pairs.summarise(BASE, [x * factor for x in BASE], better, 0.25)
+    assert got["within_bound"] is within
+    assert got["claim_met"] is (better == "higher" and factor > 1)
+
+
+def test_existing_fields_keep_their_names(bench_pairs):
+    got = bench_pairs.summarise(BASE, BASE, "lower", 0.1)
+    assert set(got) == {"base", "change", "base_quartiles", "change_quartiles",
+                        "median_diff", "base_iqr", "wins", "pairs", "claim_met",
+                        "within_bound"}
+    assert (got["wins"], got["median_diff"], got["claim_met"], got["within_bound"]) == (
+        0, 0.0, False, True)

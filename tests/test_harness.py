@@ -446,6 +446,21 @@ class TestRunExperiment:
         assert a == b
         assert a != c
 
+    def test_jl_param_hash_covers_base_overrides(self, tmp_path):
+        # k, rank and normX are equal in both sweeps; only the base
+        # SpiderBoost run's T differs, and with it the hash
+        hashes = []
+        for T in (20, 30):
+            raw = {"algorithm": "jl_spiderboost",
+                   "grid": {"n": [128], "eps": [1.0], "d": [8]},
+                   "delta": 1e-4, "seeds": [0], "out": str(tmp_path / f"T{T}"),
+                   "data": {"kind": "glm_lowrank", "rank": 2, "label_scale": 0.5},
+                   "overrides": {"k": 4, "T": T}, "write_reports": False}
+            row, = read_csv_rows(run_experiment(ExperimentConfig.from_dict(raw)))
+            assert row["status"] == "ok", row["status"]
+            hashes.append(row["param_hash"])
+        assert hashes[0] != hashes[1]
+
     def test_unwritable_output_aborts(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")

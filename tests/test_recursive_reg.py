@@ -123,6 +123,27 @@ class TestSelector:
         with pytest.raises(ValueError):
             selector_weighted_avg([np.zeros(2)], 1.0, 1.0)
 
+    @pytest.mark.parametrize("with_prior", [False, True], ids=["no_prior", "prior"])
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_a_run_gets_its_own_slabs_bits_in_every_layout(self, runs, with_prior):
+        # an iterate-major block, its run-major transposed view and a list of
+        # (R, d) points all give run r the bits of run r's own contiguous
+        # (K, d) slab; at d = 3, a product on the strided slabs of an
+        # iterate-major block gave a run other last bits in a group than alone
+        rng = np.random.default_rng(5)
+        K, d, eta, lam = 57, 3, 0.05, 0.9
+        block = rng.standard_normal((K, runs, d))
+        run_major = np.ascontiguousarray(block.transpose(1, 0, 2))
+        prior = (rng.standard_normal((runs, d)), 37) if with_prior else None
+        want = [selector_weighted_avg(run_major[r], eta, lam,
+                                      None if prior is None else (prior[0][r], prior[1]))
+                for r in range(runs)]
+        for layout in (block, run_major.transpose(1, 0, 2), list(block)):
+            got = selector_weighted_avg(layout, eta, lam, prior)
+            assert got.shape == (runs, d)
+            for r in range(runs):
+                assert np.array_equal(got[r], want[r]), (type(layout), r)
+
 
 class TestProjectBall:
     def test_inside_unchanged(self):
@@ -364,6 +385,32 @@ class TestOutputPerturbedSGD:
                     + np.random.default_rng(60 + r).standard_normal(d) * sigma)
             assert np.max(np.abs(got[r] - want)) <= 1e-12
         assert projected > 0
+
+    def test_peak_memory_is_the_store_and_one_slab(self):
+        # the (K, R, d) iterate store is written in place and never copied
+        # whole: the call's peak is the stacked samples (the other
+        # store-sized block), the store, the selector's one (K, d) slab and
+        # a small constant, whose 128 KiB is far below the store's 2.6 MB
+        import tracemalloc
+        runs, K, d = 5, 4096, 16
+        rng = np.random.default_rng(21)
+        base = glm_loss(tanh_link(), 1.0, 1.0, 0.5, d)
+        loss = regularize(base, [rng.standard_normal((runs, d)) * 0.1], [1.0])
+        samples = []
+        for _ in range(runs):
+            X = rng.standard_normal((K, d))
+            samples.append(Dataset(0.5 * X / np.linalg.norm(X, axis=1, keepdims=True)))
+        rngs = [np.random.default_rng(90 + r) for r in range(runs)]
+        store, slab = K * runs * d * 8, K * d * 8
+        tracemalloc.start()
+        try:
+            out = output_perturbed_sgd(np.zeros((runs, d)), samples, loss, 1.0, 0.01, 0.1,
+                                       make_selector(1.0), rngs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (runs, d) and np.isfinite(out).all()
+        assert peak < 2 * store + slab + 128 * 1024, (peak, store, slab)
 
     def test_neighbor_stability_bound(self):
         # Lemma-style bound: ||out(S) - out(S')|| <= 2 L0 log(n) / (lam n)
