@@ -1,11 +1,12 @@
 """Check that two source trees write byte-identical sweep outputs.
 
     python3 scripts/compare_outputs.py --base TREE --change TREE \
-        (--workload W --seeds 101,107 | --config configs/X.json)
+        (--workload W[,W...] --seeds 101,107 | --config configs/X.json)
 
-Runs each sweep once in each tree, in a fresh interpreter that imports
-dpopt from that tree's src/, and compares the two output directories:
-`runs.csv` and every report, byte for byte. A workload's config is
+Runs each sweep (each listed workload at each seed) once in each tree, in
+a fresh interpreter that imports dpopt from that tree's src/, and compares
+the two output directories: `runs.csv` and every report, byte for byte. An
+unknown workload name is rejected before any run. A workload's config is
 `make_config(seed, out)` of the change tree's perfbench/workloads.py, which
 is only read; a --config file (a path from the current directory) is run
 as it is in both trees, with only its `out` replaced. For each file that
@@ -132,6 +133,12 @@ def load_workloads(tree: Path):
     return module.WORKLOADS
 
 
+def workload_cases(workloads: dict, names: list[str], seeds: list[int]) -> dict:
+    """{label: config} for each named workload at each seed, in that order."""
+    return {f"{name}_{seed}": workloads[name].make_config(seed, "")
+            for name in names for seed in seeds}
+
+
 def run_sweep(tree: Path, config: dict, out: Path) -> None:
     """One sweep in a fresh interpreter on tree/src, writing to out."""
     out.mkdir(parents=True)
@@ -160,11 +167,11 @@ def main() -> int:
         if not args.seeds:
             ap.error("--workload needs --seeds")
         workloads = load_workloads(args.change)
-        if args.workload not in workloads:
-            ap.error(f"unknown workload {args.workload!r}; one of {sorted(workloads)}")
-        workload = workloads[args.workload]
-        cases = {f"{args.workload}_{seed}": workload.make_config(seed, "")
-                 for seed in args.seeds}
+        names = args.workload.split(",")
+        unknown = [name for name in names if name not in workloads]
+        if unknown:
+            ap.error(f"unknown workload {unknown[0]!r}; one of {sorted(workloads)}")
+        cases = workload_cases(workloads, names, args.seeds)
     else:
         if args.seeds:
             ap.error("--seeds goes with --workload, not --config")

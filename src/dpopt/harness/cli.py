@@ -15,8 +15,8 @@ from ..privacy import PrivacyBudget, accountant_sigma, gaussian_sigma
 from ..recursive_reg import project_ball, selector_weighted_avg
 from ..spiderboost import run_spiderboost, spider_oracle_count
 from ..tree_spider import dfs_order
-from .config import ALGORITHMS, ExperimentConfig
-from .experiment import read_csv_rows, run_experiment
+from .config import ExperimentConfig
+from .experiment import ALGORITHMS, read_csv_rows, run_experiment
 from .fitting import median_by_x, scaling_fit
 from .synthetic import KINDS, gen_synthetic
 

@@ -8,7 +8,17 @@ from pathlib import Path
 from ..core.loss import (LossSpec, glm_loss, huber_mean_loss, square_link,
                          synthetic_nonconvex_loss, tanh_link)
 
-ALGORITHMS = ("spiderboost", "tree_spider", "recursive_reg", "jl_spiderboost")
+# the keys a config may hold: at its top level (where n, d and eps are the
+# legacy spelling of the grid's), and in each block that the harness reads
+CONFIG_KEYS = {
+    "config": ("algorithm", "grid", "n", "d", "eps", "delta", "seeds", "out",
+               "master_seed", "loss", "data", "rr", "overrides", "accountant_c",
+               "workers", "timing", "write_reports"),
+    "grid": ("n", "d", "eps"),
+    "rr": ("mode", "subroutine", "R_bar"),
+    "loss": ("kind", "normX", "F0", "zmax", "L0", "L1"),
+    "data": ("kind", "rank", "B", "label_scale", "spectrum_decay", "support_size"),
+}
 
 
 @dataclass
@@ -31,6 +41,7 @@ class ExperimentConfig:
     write_reports: bool = True
 
     def validate(self) -> None:
+        from .experiment import ALGORITHMS  # experiment imports this module
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if not (self.grid_n and self.grid_d and self.grid_eps):
@@ -55,6 +66,11 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
+        for block, known in CONFIG_KEYS.items():
+            keys = raw if block == "config" else raw.get(block) or {}
+            unknown = sorted(set(keys) - set(known))
+            if unknown:
+                raise ValueError(f"unknown {block} keys: {unknown}")
         grid = raw.get("grid", {})
         cfg = ExperimentConfig(
             algorithm=raw["algorithm"],

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.data import Dataset, DatasetCursor, Runs
-from ..core.loss import erm_grad
+from ..core.loss import LossSpec, erm_grad
 from ..glm_jl import JLParams, choose_k, run_jl
 from ..privacy import NoiseLedger, PrivacyBudget
 from ..recursive_reg import derive_rr_params, run_recursive_regularization
@@ -38,10 +38,6 @@ CSV_COLUMNS = ("algorithm", "n", "d", "eps", "delta", "seed", "grad_norm",
                "oracle_calls", "wall_ms", "param_hash", "status")
 
 DEFAULT_SUPPORT_SIZE = 256
-
-# algorithms whose seeds at one grid point share n, d and the derived
-# parameters, and so run in lockstep in one job
-LOCKSTEP = ("spiderboost", "tree_spider", "recursive_reg")
 
 
 def _fmt(v) -> str:
@@ -58,11 +54,32 @@ def param_hash(params) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
-def _gen_dataset(config: ExperimentConfig, n: int, d: int,
-                 grid_index: int, seed_index: int) -> Dataset:
-    data = config.data
-    seed = stream_seed(config.master_seed, "data", grid_index, seed_index)
-    return gen_synthetic(data.get("kind", "glm_fullrank"), n, d,
+@dataclasses.dataclass
+class GridPoint:
+    """One grid point as an algorithm entry sees it: its (seed_index, seed)
+    pairs and one CSV row per seed. The entry sets the rows' param_hash, and
+    the status of a seed that fails on its own."""
+    config: ExperimentConfig
+    grid_index: int
+    n: int
+    d: int
+    seeds: list[tuple[int, int]]
+    rows: list[dict]
+    loss: LossSpec
+    budget: PrivacyBudget
+
+    def rng(self, seed_index: int, purpose: str = "run") -> np.random.Generator:
+        return stream(self.config.master_seed, purpose, self.grid_index, seed_index)
+
+    def set_hash(self, params) -> None:
+        for row in self.rows:
+            row["param_hash"] = param_hash(params)
+
+
+def _gen_dataset(p: GridPoint, seed_index: int) -> Dataset:
+    data = p.config.data
+    seed = stream_seed(p.config.master_seed, "data", p.grid_index, seed_index)
+    return gen_synthetic(data.get("kind", "glm_fullrank"), p.n, p.d,
                          rank=data.get("rank"), seed=seed,
                          B=float(data.get("B", 1.0)),
                          label_scale=float(data.get("label_scale", 0.0)),
@@ -88,160 +105,153 @@ def _failed(exc: Exception) -> str:
     return f"error: {type(exc).__name__}: {exc}"
 
 
+# An entry of ALGORITHMS runs all of a GridPoint's seeds as one job and gives,
+# per seed, (w_out, exact gradient, oracle calls, noise ledger, report extras),
+# or None for a seed that failed on its own. It calls the optimizers,
+# derivations, data generators and erm_grad through this module's globals,
+# so a wrapper set on this module sees every call.
+
+def _spiderboost(p: GridPoint) -> list:
+    loss = p.loss
+    params = derive_spider_params(p.n, p.d, loss.L0, loss.L1, loss.F0_hint, p.budget,
+                                  p.config.overrides)
+    p.set_hash(params)
+    # one seed's dataset at a time, into one block that the lockstep group
+    # samples from
+    data = Runs.pack(len(p.seeds), (_gen_dataset(p, s) for s, _ in p.seeds))
+    reps = run_spiderboost(loss, data, params, [p.rng(s) for s, _ in p.seeds])
+    return [(rep.w_out, erm_grad(loss, rep.w_out, S), rep.oracle_calls, rep.noise_ledger,
+             {"selected_index": rep.selected_index, "trace_steps": rep.trace_steps,
+              "grad_norm_trace": rep.grad_norm_trace})
+            for rep, S in zip(reps, data)]
+
+
+def _population(p: GridPoint, params, run) -> list:
+    """A population algorithm's outputs: each seed draws its own sample, and
+    one that fails the loss's dataset check (a support row above the norm
+    bound) fails alone. `run(samples, rngs)` runs the others in lockstep and
+    gives (w_out, oracle calls, noise ledger, report extras) per run."""
+    p.set_hash(params)
+    dist = _gen_population(p.config, p.d)
+    samples = [dist.sample(p.n, p.rng(s, "sample")) for s, _ in p.seeds]
+    live = []
+    for i, S in enumerate(samples):
+        try:
+            p.loss.validate_dataset(S)
+            live.append(i)
+        except ValueError as exc:
+            p.rows[i]["status"] = _failed(exc)
+    outs = [None] * len(p.seeds)
+    if live:
+        runs = run([samples[i] for i in live], [p.rng(p.seeds[i][0]) for i in live])
+        for i, (w_out, calls, ledger, extras) in zip(live, runs):
+            outs[i] = (w_out, dist.population_grad(p.loss, w_out), calls, ledger, extras)
+    return outs
+
+
+def _tree_spider(p: GridPoint) -> list:
+    loss, ov = p.loss, dict(p.config.overrides)
+    params = derive_tree_params(p.n, p.d, loss.L0, loss.L1, loss.F0_hint, p.budget,
+                                float(ov.pop("p", 0.1)), ov)
+    return _population(p, params, lambda samples, rngs: [
+        (rep.w_out, rep.oracle_calls, rep.noise_ledger,
+         {"stopped_early": rep.stopped_early,
+          "stop_address": (None if rep.stop_address is None else
+                           [rep.stop_address.t, rep.stop_address.s]),
+          "samples_consumed": rep.samples_consumed,
+          "leaf_count_visited": rep.leaf_count_visited,
+          "leaves_per_round": rep.leaves_per_round,
+          "rounds_completed": rep.rounds_completed})
+        for rep in run_tree_spider(loss, [DatasetCursor(S) for S in samples], params, rngs)])
+
+
+def _recursive_reg(p: GridPoint) -> list:
+    loss, rr = p.loss, p.config.rr
+    params = derive_rr_params(rr.get("mode", "linear_time"), p.n, p.d, loss.L0, loss.L1,
+                              float(rr.get("R_bar", 1.0)), p.budget, p.config.overrides)
+    # n oracle calls: a single pass over disjoint slices
+    return _population(p, params, lambda samples, rngs: [
+        (rep.w_out, p.n, rep.noise_ledger,
+         {"rounds": rep.rounds, "t1_edge": rep.t1_edge, "kt_capped": rep.kt_capped})
+        for rep in run_recursive_regularization(samples, loss, params,
+                                                rr.get("subroutine", "phased_sgd"), rngs)])
+
+
+def _jl_spiderboost(p: GridPoint) -> list:
+    overrides, loss = p.config.overrides, p.loss
+    base_ov = {k: v for k, v in overrides.items() if k in ("eta", "q", "b1", "b2", "T")}
+    unknown = sorted(set(overrides) - {*base_ov, "k", "force_identity"})
+    if unknown:
+        raise ValueError(f"unknown jl overrides: {unknown}")
+    rank = p.config.data.get("rank") or p.d
+    k = int(overrides.get("k", choose_k("spiderboost", p.n, rank, p.d, loss.L0_phi,
+                                        loss.L1_phi, loss.normX, p.budget)))
+    params = JLParams(k=k, rank=rank, normX=loss.normX, base_kind="spiderboost",
+                      force_identity=bool(overrides.get("force_identity", False)))
+    return [_jl_seed(p, params, base_ov, s, row) for (s, _), row in zip(p.seeds, p.rows)]
+
+
+def _jl_seed(p: GridPoint, params: JLParams, base_ov: dict, seed_index: int, row: dict):
+    """One JL seed; its dataset and report are dropped on return, before the
+    next seed's data is generated. A seed whose run raises is tagged alone,
+    and its row has no param_hash."""
+    base_params = []
+
+    def base(S_proj, loss_proj, L0b, L1b, sub_budget, rng):
+        base_params.append(derive_spider_params(S_proj.n, S_proj.dim, L0b, L1b,
+                                                p.loss.F0_hint, sub_budget, base_ov))
+        return run_spiderboost(loss_proj, S_proj, base_params[0], rng)
+
+    try:
+        S = _gen_dataset(p, seed_index)
+        rep = run_jl(base, p.loss, S, params, p.budget, p.rng(seed_index))
+        # the base run's derived parameters too, so rows whose base overrides
+        # differ get different hashes
+        row["param_hash"] = param_hash(
+            {"k": params.k, "rank": params.rank, "normX": params.normX,
+             **{f"base_{f}": v for f, v in dataclasses.asdict(base_params[0]).items()}})
+        base_rep = rep.base_report
+        return (rep.w_out, erm_grad(p.loss, rep.w_out, S), base_rep.oracle_calls,
+                base_rep.noise_ledger,
+                {"k": rep.k, "rank": rep.rank, "matrix_seed": rep.matrix_seed,
+                 "max_feature_norm_ratio": rep.max_feature_norm_ratio,
+                 "clamped": rep.clamped, "base_eps": rep.base_eps,
+                 "base_delta": rep.base_delta,
+                 "base_selected_index": base_rep.selected_index,
+                 "base_trace_steps": base_rep.trace_steps,
+                 "base_grad_norm_trace": base_rep.grad_norm_trace})
+    except Exception as exc:
+        row["status"] = _failed(exc)
+        return None
+
+
+ALGORITHMS = {"spiderboost": _spiderboost, "tree_spider": _tree_spider,
+              "recursive_reg": _recursive_reg, "jl_spiderboost": _jl_spiderboost}
+
+
 def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
                eps: float, seeds: list[tuple[int, int]]) -> list[tuple[dict, dict | None]]:
-    """One grid point for the given (seed_index, seed) pairs: one (row,
-    report) per seed, in order. SpiderBoost, tree Spider and recursive
-    regularization (the algorithms in LOCKSTEP) run all of a grid point's
-    seeds in lockstep, each seed on its own data or population sample and its
-    own generator; the other algorithms take one seed per call.
+    """One grid point for the given (seed_index, seed) pairs, run as one job
+    by the algorithm's entry in ALGORITHMS: one (row, report) per seed, in
+    order, each seed on its own data or sample and its own generator.
 
     A failed sample-size hypothesis tags every row `precondition:`, any other
-    exception `error:`; a returned point, exact gradient norm or entry of
-    the exact gradient-norm trace (for JL, its base run's) that is not
-    finite is `diverged`. A tree Spider or recursive-regularization seed
-    whose population sample fails the loss's dataset check is tagged
-    `error:` alone, and the other seeds run as a smaller group. Under
-    `timing`, each row gets the call's wall time divided by the number of
-    seeds.
+    exception `error:`, bar a seed that an entry tags alone (a population
+    sample that fails the loss's dataset check, a JL run that raises). A
+    returned point, exact gradient norm or entry of the exact gradient-norm
+    trace (for JL, its base run's) that is not finite is `diverged`. Under
+    `timing`, each row gets the call's wall time over the number of seeds.
     """
-    if len(seeds) != 1 and config.algorithm not in LOCKSTEP:
-        raise ValueError(f"{config.algorithm} takes one seed per call, got {len(seeds)}")
     rows = [{"algorithm": config.algorithm, "n": n, "d": d, "eps": eps,
              "delta": config.delta, "seed": seed, "grad_norm": float("nan"),
              "oracle_calls": 0, "wall_ms": 0.0, "param_hash": "", "status": "ok"}
             for _, seed in seeds]
     docs: list[dict | None] = [None] * len(seeds)
-    budget = PrivacyBudget(eps, config.delta, config.accountant_c)
-    loss = build_loss(config.loss, d)
-    seed_index = seeds[0][0]
-    run_rng = stream(config.master_seed, "run", grid_index, seed_index)
+    point = GridPoint(config, grid_index, n, d, seeds, rows, build_loss(config.loss, d),
+                      PrivacyBudget(eps, config.delta, config.accountant_c))
     t0 = time.perf_counter()
-
-    def set_hash(params):
-        for row in rows:
-            row["param_hash"] = param_hash(params)
-
-    def checked_samples(samples):
-        # each seed draws its own population sample, so one sample holding a
-        # support row above the norm bound fails only its own seed: the
-        # indices of the samples that pass, the others' rows tagged
-        live = []
-        for i, S in enumerate(samples):
-            try:
-                loss.validate_dataset(S)
-                live.append(i)
-            except ValueError as exc:
-                rows[i]["status"] = _failed(exc)
-        return live
-
     try:
-        # each branch gives outs: (w_out, exact gradient, oracle calls,
-        # noise ledger, report extras) per seed, or None for a seed that
-        # failed on its own and whose row already says so
-        if config.algorithm == "spiderboost":
-            params = derive_spider_params(n, d, loss.L0, loss.L1, loss.F0_hint,
-                                          budget, config.overrides)
-            set_hash(params)
-            # one seed's dataset at a time, into one block that the lockstep
-            # group samples from
-            data = Runs.pack(len(seeds), (_gen_dataset(config, n, d, grid_index, s)
-                                          for s, _ in seeds))
-            reps = run_spiderboost(loss, data, params,
-                                   [stream(config.master_seed, "run", grid_index, s)
-                                    for s, _ in seeds])
-            outs = [(rep.w_out, erm_grad(loss, rep.w_out, S), rep.oracle_calls,
-                     rep.noise_ledger, {"selected_index": rep.selected_index,
-                                        "trace_steps": rep.trace_steps,
-                                        "grad_norm_trace": rep.grad_norm_trace})
-                    for rep, S in zip(reps, data)]
-        elif config.algorithm == "tree_spider":
-            dist = _gen_population(config, d)
-            samples = [dist.sample(n, stream(config.master_seed, "sample", grid_index, s))
-                       for s, _ in seeds]
-            params = derive_tree_params(n, d, loss.L0, loss.L1, loss.F0_hint,
-                                        budget, float(config.overrides.get("p", 0.1)),
-                                        {k: v for k, v in config.overrides.items()
-                                         if k != "p"})
-            set_hash(params)
-            live = checked_samples(samples)
-            reps = run_tree_spider(
-                loss, [DatasetCursor(samples[i]) for i in live], params,
-                [stream(config.master_seed, "run", grid_index, seeds[i][0]) for i in live]
-            ) if live else []
-            outs = [None] * len(seeds)
-            for i, rep in zip(live, reps):
-                outs[i] = (rep.w_out, dist.population_grad(loss, rep.w_out), rep.oracle_calls,
-                           rep.noise_ledger,
-                           {"stopped_early": rep.stopped_early,
-                            "stop_address": (None if rep.stop_address is None else
-                                             [rep.stop_address.t, rep.stop_address.s]),
-                            "samples_consumed": rep.samples_consumed,
-                            "leaf_count_visited": rep.leaf_count_visited,
-                            "leaves_per_round": rep.leaves_per_round,
-                            "rounds_completed": rep.rounds_completed})
-        elif config.algorithm == "recursive_reg":
-            dist = _gen_population(config, d)
-            samples = [dist.sample(n, stream(config.master_seed, "sample", grid_index, s))
-                       for s, _ in seeds]
-            rr = config.rr
-            params = derive_rr_params(rr.get("mode", "linear_time"), n, d,
-                                      loss.L0, loss.L1,
-                                      float(rr.get("R_bar", 1.0)), budget,
-                                      config.overrides)
-            set_hash(params)
-            live = checked_samples(samples)
-            reps = run_recursive_regularization(
-                [samples[i] for i in live], loss, params,
-                rr.get("subroutine", "phased_sgd"),
-                [stream(config.master_seed, "run", grid_index, seeds[i][0]) for i in live]
-            ) if live else []
-            outs = [None] * len(seeds)
-            for i, rep in zip(live, reps):
-                # n oracle calls: a single pass over disjoint slices
-                outs[i] = (rep.w_out, dist.population_grad(loss, rep.w_out), n,
-                           rep.noise_ledger, {"rounds": rep.rounds, "t1_edge": rep.t1_edge,
-                                              "kt_capped": rep.kt_capped})
-        elif config.algorithm == "jl_spiderboost":
-            S = _gen_dataset(config, n, d, grid_index, seed_index)
-            rank = config.data.get("rank") or d
-            k = int(config.overrides.get(
-                "k", choose_k("spiderboost", n, rank, d, loss.L0_phi, loss.L1_phi,
-                              loss.normX, budget)))
-            jl_params = JLParams(k=k, rank=rank, normX=loss.normX,
-                                 base_kind="spiderboost",
-                                 force_identity=bool(config.overrides.get(
-                                     "force_identity", False)))
-
-            base_params = []
-
-            def base(S_proj, loss_proj, L0b, L1b, sub_budget, rng):
-                sp = derive_spider_params(S_proj.n, S_proj.dim, L0b, L1b,
-                                          loss.F0_hint, sub_budget,
-                                          {kk: vv for kk, vv in config.overrides.items()
-                                           if kk in ("eta", "q", "b1", "b2", "T")})
-                base_params.append(sp)
-                return run_spiderboost(loss_proj, S_proj, sp, rng)
-
-            rep = run_jl(base, loss, S, jl_params, budget, run_rng)
-            # the base run's derived parameters too, so rows whose base
-            # overrides differ get different hashes
-            set_hash({"k": k, "rank": rank, "normX": loss.normX,
-                      **{f"base_{f}": v for f, v in
-                         dataclasses.asdict(base_params[0]).items()}})
-            outs = [(rep.w_out, erm_grad(loss, rep.w_out, S), rep.base_report.oracle_calls,
-                     rep.base_report.noise_ledger,
-                     {"k": rep.k, "rank": rep.rank,
-                      "matrix_seed": rep.matrix_seed,
-                      "max_feature_norm_ratio": rep.max_feature_norm_ratio,
-                      "clamped": rep.clamped,
-                      "base_eps": rep.base_eps, "base_delta": rep.base_delta,
-                      "base_selected_index": rep.base_report.selected_index,
-                      "base_trace_steps": rep.base_report.trace_steps,
-                      "base_grad_norm_trace": rep.base_report.grad_norm_trace})]
-        else:
-            raise ValueError(f"unknown algorithm {config.algorithm!r}")
-        for i, (row, out) in enumerate(zip(rows, outs)):
+        for i, (row, out) in enumerate(zip(rows, ALGORITHMS[config.algorithm](point))):
             if out is None:
                 continue
             w_out, g, oracle_calls, ledger, extras = out
@@ -252,15 +262,8 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
                     and all(np.isfinite(t).all() for t in traces)):
                 row["status"] = "diverged"
             if config.write_reports:
-                docs[i] = {
-                    "algorithm": config.algorithm, "n": n, "d": d, "eps": eps,
-                    "delta": config.delta, "seed": row["seed"],
-                    "grad_norm": row["grad_norm"],
-                    "oracle_calls": row["oracle_calls"],
-                    "param_hash": row["param_hash"],
-                    **extras,
-                    "noise_ledger": ledger,
-                }
+                docs[i] = {**{c: row[c] for c in CSV_COLUMNS if c not in ("wall_ms", "status")},
+                           **extras, "noise_ledger": ledger}
     except Exception as exc:
         for row in rows:
             row["status"] = _failed(exc)
@@ -292,10 +295,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     if config.write_reports:
         rep_dir.mkdir(exist_ok=True)
 
-    seeds = list(enumerate(config.seeds))
-    groups = [seeds] if config.algorithm in LOCKSTEP else [[s] for s in seeds]
-    jobs = [(grid_index, n, d, eps, group)
-            for grid_index, n, d, eps in config.grid_points() for group in groups]
+    jobs = [(*point, list(enumerate(config.seeds))) for point in config.grid_points()]
 
     rows: dict[tuple[int, int], dict] = {}
 

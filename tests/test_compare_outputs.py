@@ -47,6 +47,27 @@ def test_workload_configs_come_from_perfbench(compare_outputs, tmp_path):
     assert config["master_seed"] == 101 and config["algorithm"] == "spiderboost"
 
 
+def test_a_workload_list_gives_each_workload_at_each_seed(compare_outputs):
+    workloads = compare_outputs.load_workloads(ROOT)
+    cases = compare_outputs.workload_cases(
+        workloads, ["jl_lowrank_sweep", "spiderboost_sweep"], [101, 107])
+    assert list(cases) == ["jl_lowrank_sweep_101", "jl_lowrank_sweep_107",
+                           "spiderboost_sweep_101", "spiderboost_sweep_107"]
+    assert [(c["algorithm"], c["master_seed"]) for c in cases.values()] == [
+        ("jl_spiderboost", 101), ("jl_spiderboost", 107),
+        ("spiderboost", 101), ("spiderboost", 107)]
+
+
+def test_an_unknown_name_in_a_list_is_rejected_before_any_run(tmp_path):
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--base", str(tmp_path),
+                           "--change", str(ROOT), "--workload",
+                           "spiderboost_sweep,jl_sweep", "--seeds", "101"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "unknown workload 'jl_sweep'" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_identical_directories_pass(compare_outputs, tmp_path):
     a, b = write_outputs(tmp_path / "a"), write_outputs(tmp_path / "b")
     assert compare_outputs.compare_dirs(a, b) == []

@@ -9,10 +9,24 @@ from dpopt.harness import (ExperimentConfig, gen_support, gen_synthetic,
                            median, median_by_x, read_csv_rows, run_experiment,
                            scaling_fit, stream, stream_seed)
 from dpopt.harness.cli import main as cli_main
-from dpopt.harness.experiment import report_json, run_single
+from dpopt.harness.experiment import ALGORITHMS, report_json, run_single
 from dpopt.core import load_csv, synthetic_nonconvex_loss
 from dpopt.glm_jl import numeric_rank
 from dpopt.privacy import NoiseLedger
+
+# overrides that keep an algorithm's tiny sweep short; an algorithm not named
+# here runs at its derived parameters
+TINY_OVERRIDES = {"spiderboost": {"T": 20}, "jl_spiderboost": {"k": 4, "T": 20}}
+
+
+def tiny_raw(algorithm: str, out, **extra) -> dict:
+    """A sweep of any entry of ALGORITHMS that runs in well under a second."""
+    return {"algorithm": algorithm, "grid": {"n": [256, 512], "eps": [1.0, 2.0], "d": [4]},
+            "delta": 1e-4, "seeds": [0, 1, 2], "out": str(out), "master_seed": 5,
+            "loss": {"kind": "glm_tanh"},
+            "data": {"kind": "glm_lowrank", "rank": 2, "label_scale": 0.5,
+                     "support_size": 64},
+            "overrides": TINY_OVERRIDES.get(algorithm, {}), **extra}
 
 
 class TestGenSynthetic:
@@ -140,6 +154,29 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="grid"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("block,key", [(None, "wrokers"), ("grid", "m"),
+                                           ("rr", "mdoe"), ("rr", "subrutine"),
+                                           ("loss", "nromX"), ("data", "rnak")])
+    def test_unknown_keys_are_rejected(self, tmp_path, block, key):
+        raw = self.base_raw(tmp_path)
+        (raw if block is None else raw.setdefault(block, {}))[key] = 1
+        with pytest.raises(ValueError, match=rf"unknown {block or 'config'} keys: \['{key}'\]"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_legacy_top_level_grid(self, tmp_path):
+        raw = self.base_raw(tmp_path)
+        del raw["grid"]
+        raw.update(n=[64, 128], d=[4], eps=[0.5])
+        cfg = ExperimentConfig.from_dict(raw)
+        assert (cfg.grid_n, cfg.grid_d, cfg.grid_eps) == ([64, 128], [4], [0.5])
+
+    def test_algorithm_is_a_key_of_the_table(self, tmp_path):
+        raw = self.base_raw(tmp_path)
+        for algorithm in ALGORITHMS:
+            assert ExperimentConfig.from_dict({**raw, "algorithm": algorithm}).algorithm == algorithm
+        with pytest.raises(ValueError, match="unknown algorithm 'spider_boost'"):
+            ExperimentConfig.from_dict({**raw, "algorithm": "spider_boost"})
+
     def test_grid_enumeration(self, tmp_path):
         raw = self.base_raw(tmp_path)
         raw["grid"] = {"n": [64, 128], "d": [2, 4], "eps": [0.5]}
@@ -151,14 +188,9 @@ class TestExperimentConfig:
 
 
 class TestRunExperiment:
-    def test_row_count_and_determinism(self, tmp_path):
-        raw = {"algorithm": "spiderboost",
-               "grid": {"n": [64, 128], "eps": [1.0, 2.0], "d": [4]},
-               "delta": 1e-4, "seeds": [0, 1, 2], "out": str(tmp_path / "a"),
-               "master_seed": 5,
-               "data": {"kind": "glm_fullrank", "label_scale": 0.5},
-               "overrides": {"T": 40}}
-        cfg = ExperimentConfig.from_dict(raw)
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_row_count_and_determinism(self, tmp_path, algorithm):
+        cfg = ExperimentConfig.from_dict(tiny_raw(algorithm, tmp_path / "a"))
         path = run_experiment(cfg)
         rows = read_csv_rows(path)
         assert len(rows) == 2 * 2 * 3  # 2x2 grid x 3 seeds
@@ -167,9 +199,47 @@ class TestRunExperiment:
                                  "param_hash", "status"]
         assert all(r["status"] == "ok" for r in rows)
         assert all(r["param_hash"] for r in rows)
-        first = path.read_bytes()
+        files = sorted(f for f in path.parent.rglob("*") if f.is_file())
+        assert len(files) == 1 + 12  # runs.csv and one report per row
+        first = [f.read_bytes() for f in files]
         run_experiment(cfg)
-        assert path.read_bytes() == first  # byte-identical rerun
+        assert [f.read_bytes() for f in files] == first  # byte-identical rerun
+
+    # the names perfbench/spans.py wraps by setting them on the experiment
+    # module, and those each entry must reach through it
+    SPAN_NAMES = ("run_spiderboost", "run_tree_spider", "run_recursive_regularization",
+                  "run_jl", "derive_spider_params", "derive_tree_params",
+                  "derive_rr_params", "choose_k", "gen_synthetic", "gen_support",
+                  "erm_grad")
+    REACHES = {
+        "spiderboost": {"derive_spider_params", "gen_synthetic", "run_spiderboost",
+                        "erm_grad"},
+        "tree_spider": {"derive_tree_params", "gen_support", "run_tree_spider"},
+        "recursive_reg": {"derive_rr_params", "gen_support",
+                          "run_recursive_regularization"},
+        "jl_spiderboost": {"choose_k", "gen_synthetic", "run_jl", "derive_spider_params",
+                           "run_spiderboost", "erm_grad"},
+    }
+
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_entries_call_through_module_globals(self, tmp_path, monkeypatch, algorithm):
+        # an entry that bound one of these names when it was defined would
+        # bypass the wrapper, and its spans would be lost in a traced run
+        from dpopt.harness import experiment
+        calls = dict.fromkeys(self.SPAN_NAMES, 0)
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in self.SPAN_NAMES:
+            monkeypatch.setattr(experiment, name, counting(name, getattr(experiment, name)))
+        cfg = ExperimentConfig.from_dict(tiny_raw(algorithm, tmp_path / "s"))
+        group = run_single(cfg, 0, 256, 4, 1.0, [(0, 0), (1, 1)])
+        assert [row["status"] for row, _ in group] == ["ok", "ok"]
+        assert {name for name, count in calls.items() if count} == self.REACHES[algorithm]
 
     def test_precondition_rows_isolated(self, tmp_path):
         raw = {"algorithm": "spiderboost",
@@ -193,8 +263,9 @@ class TestRunExperiment:
         assert status[3:] == ["ok"] * 3
         assert not any((tmp_path / "b" / "reports").glob("run_g0_*"))
 
-    @pytest.mark.parametrize("algorithm,kind", [("spiderboost", "spiderboost"),
-                                                ("tree_spider", "tree")])
+    @pytest.mark.parametrize("algorithm,kind", [
+        ("spiderboost", "spiderboost"), ("tree_spider", "tree"),
+        ("recursive_reg", "recursive-regularization"), ("jl_spiderboost", "jl")])
     def test_other_value_errors_are_error_rows(self, tmp_path, algorithm, kind):
         # a bad override is a config error, not a sample-size hypothesis
         raw = {"algorithm": algorithm,
@@ -202,10 +273,11 @@ class TestRunExperiment:
                "delta": 1e-4, "seeds": [0, 1], "out": str(tmp_path / "e"),
                "data": {"kind": "glm_fullrank", "label_scale": 0.5,
                         "support_size": 64},
-               "overrides": {"bogus": 1}}
+               "overrides": {"b_2": 7}}
         rows = read_csv_rows(run_experiment(ExperimentConfig.from_dict(raw)))
         assert [r["status"] for r in rows] == [
-            f"error: ValueError: unknown {kind} overrides: ['bogus']"] * 2
+            f"error: ValueError: unknown {kind} overrides: ['b_2']"] * 2
+        assert not any((tmp_path / "e" / "reports").glob("*"))
 
     def test_group_rows_equal_single_seed_rows(self, tmp_path):
         # a seed's row and report do not depend on the seeds it runs with
@@ -246,6 +318,30 @@ class TestRunExperiment:
             assert group[seed_index][0] == alone[0]
             assert group[seed_index][1] == alone[1]
             assert report_json(group[seed_index][1]) == report_json(alone[1])
+
+    def test_jl_seed_that_raises_fails_alone(self, tmp_path, monkeypatch):
+        # the grid point's seeds run one after another in one job; the
+        # second one's run raises, and only its row says so
+        from dpopt.harness import experiment
+        cfg = ExperimentConfig.from_dict(tiny_raw("jl_spiderboost", tmp_path / "j"))
+        seeds = [(0, 5), (1, 6), (2, 7)]
+        alone = [run_single(cfg, 0, 256, 4, 1.0, [seed])[0] for seed in seeds]
+        calls, run = [], experiment.run_jl
+
+        def flaky(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise FloatingPointError("overflow in seed 6")
+            return run(*args)
+
+        monkeypatch.setattr(experiment, "run_jl", flaky)
+        group = run_single(cfg, 0, 256, 4, 1.0, seeds)
+        assert [row["status"] for row, _ in group] == [
+            "ok", "error: FloatingPointError: overflow in seed 6", "ok"]
+        assert group[1][0]["param_hash"] == "" and group[1][1] is None
+        for i in (0, 2):
+            assert group[i][0] == alone[i][0] and group[i][0]["param_hash"]
+            assert report_json(group[i][1]) == report_json(alone[i][1])
 
     def test_group_python_peak_memory(self, tmp_path):
         """Python-side peak (tracemalloc, numpy buffers included) of one
@@ -648,6 +744,14 @@ class TestCLI:
         assert rc == 0
         rows = read_csv_rows(tmp_path / "y" / "runs.csv")
         assert rows[0]["n"] == "128"
+
+    def test_algorithm_choices_are_the_table(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["run", "--help"])
+        assert "--algorithm {" + ",".join(ALGORITHMS) + "}" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli_main(["run", "--algorithm", "spider_boost"])
+        assert "invalid choice: 'spider_boost'" in capsys.readouterr().err
 
     def test_check_command(self, capsys):
         assert cli_main(["check"]) == 0
