@@ -19,14 +19,14 @@ from dpopt.privacy import NoiseLedger
 TINY_OVERRIDES = {"spiderboost": {"T": 20}, "jl_spiderboost": {"k": 4, "T": 20}}
 
 
-def tiny_raw(algorithm: str, out, **extra) -> dict:
+def tiny_raw(algorithm: str, out) -> dict:
     """A sweep of any entry of ALGORITHMS that runs in well under a second."""
     return {"algorithm": algorithm, "grid": {"n": [256, 512], "eps": [1.0, 2.0], "d": [4]},
             "delta": 1e-4, "seeds": [0, 1, 2], "out": str(out), "master_seed": 5,
             "loss": {"kind": "glm_tanh"},
             "data": {"kind": "glm_lowrank", "rank": 2, "label_scale": 0.5,
                      "support_size": 64},
-            "overrides": TINY_OVERRIDES.get(algorithm, {}), **extra}
+            "overrides": TINY_OVERRIDES.get(algorithm, {})}
 
 
 class TestGenSynthetic:
