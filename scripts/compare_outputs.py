@@ -1,15 +1,15 @@
 """Check that two source trees write byte-identical sweep outputs.
 
     python3 scripts/compare_outputs.py --base TREE --change TREE \
-        (--workload W[,W...] --seeds 101,107 | --config configs/X.json)
+        (--workload W[,W...] --seeds 101,107 | --config configs/X.json[,...])
 
 Runs each sweep (each listed workload at each seed) once in each tree, in
 a fresh interpreter that imports dpopt from that tree's src/, and compares
 the two output directories: `runs.csv` and every report, byte for byte. An
 unknown workload name is rejected before any run. A workload's config is
 `make_config(seed, out)` of the change tree's perfbench/workloads.py, which
-is only read; a --config file (a path from the current directory) is run
-as it is in both trees, with only its `out` replaced. For each file that
+is only read; each --config file (a path from the current directory) is
+run as it is in both trees, with only its `out` replaced. For each file that
 differs, or exists on one side only, prints the file, the first differing
 key (a JSON path, or a CSV row and column), the largest relative
 difference among the numeric leaves at equal paths and every key whose
@@ -139,6 +139,11 @@ def workload_cases(workloads: dict, names: list[str], seeds: list[int]) -> dict:
             for name in names for seed in seeds}
 
 
+def config_cases(paths: list[Path]) -> dict:
+    """{file stem: config} for each config file, in that order."""
+    return {path.stem: json.loads(path.read_text(encoding="utf-8")) for path in paths}
+
+
 def run_sweep(tree: Path, config: dict, out: Path) -> None:
     """One sweep in a fresh interpreter on tree/src, writing to out."""
     out.mkdir(parents=True)
@@ -158,7 +163,7 @@ def main() -> int:
     ap.add_argument("--change", type=Path, required=True)
     what = ap.add_mutually_exclusive_group(required=True)
     what.add_argument("--workload")
-    what.add_argument("--config", type=Path)
+    what.add_argument("--config")
     ap.add_argument("--seeds", type=lambda text: [int(s) for s in text.split(",")])
     args = ap.parse_args()
     if args.base.resolve() == args.change.resolve():
@@ -175,7 +180,10 @@ def main() -> int:
     else:
         if args.seeds:
             ap.error("--seeds goes with --workload, not --config")
-        cases = {args.config.stem: json.loads(args.config.read_text(encoding="utf-8"))}
+        paths = [Path(path) for path in args.config.split(",")]
+        if len({path.stem for path in paths}) != len(paths):
+            ap.error("--config files need distinct names")
+        cases = config_cases(paths)
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)

@@ -244,8 +244,8 @@ class Runs(tuple):
     @classmethod
     def pack(cls, R: int, datasets: Iterable[Dataset]) -> "Runs":
         """R datasets of equal n, d and labelling, copied one at a time
-        (`datasets` may generate them lazily) into slots of one (R*n, d)
-        block and (R*n,) labels, which are frozen before the views are
+        (`datasets` may generate them lazily) into slots of one (R, n, d)
+        block and (R, n) labels, which are frozen before the views are
         taken."""
         if R < 1:
             raise ValueError("pack needs R >= 1")
@@ -254,21 +254,20 @@ class Runs(tuple):
         for S in datasets:
             if X is None:
                 n, d = S.n, S.dim
-                X = np.empty((R * n, d))
-                Y = np.empty(R * n) if S.labelled else None
+                X = np.empty((R, n, d))
+                Y = np.empty((R, n)) if S.labelled else None
             if count == R or (S.n, S.dim, S.labelled) != (n, d, Y is not None):
                 raise ValueError(f"pack needs {R} datasets that share n, d and labelling")
-            X[count * n:(count + 1) * n] = S.X
+            X[count] = S.X
             if Y is not None:
-                Y[count * n:(count + 1) * n] = S.y
+                Y[count] = S.y
             count += 1
         if count != R:
             raise ValueError(f"pack needs {R} datasets, got {count}")
         X.setflags(write=False)
         if Y is not None:
             Y.setflags(write=False)
-        slots = [slice(r * n, (r + 1) * n) for r in range(R)]
-        runs = cls(Dataset(X[s], None if Y is None else Y[s]) for s in slots)
+        runs = cls(Dataset(X[r], None if Y is None else Y[r]) for r in range(R))
         runs._block = (X, Y)
         return runs
 
@@ -276,23 +275,16 @@ class Runs(tuple):
     def n(self) -> int:
         return self[0].n
 
-    def block(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """Every run's features and labels, run after run: (R*n, d) and
-        (R*n,). A packed group gives its block, a lone run its own arrays,
-        and any other group a fresh concatenation."""
-        if self._block is not None:
-            return self._block
-        if len(self) == 1:
-            return self[0].X, self[0].y
-        return (np.concatenate([S.X for S in self]),
-                np.concatenate([S.y for S in self]) if self[0].labelled else None)
-
     def slice(self, start: int, stop: int) -> "Runs":
         return Runs(S.slice(start, stop) for S in self)
 
     def stack(self, axis: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """Every run's features and labels, stacked on `axis` (0 or 1). Runs
-        indexed into one source are gathered from it in one `take`."""
+        """Every run's features and labels, stacked on `axis` (0 or 1). A
+        packed group gives its block itself on axis 0; runs indexed into one
+        source are gathered from it in one `take`; any other group is
+        stacked into fresh arrays."""
+        if axis == 0 and self._block is not None:
+            return self._block
         src = self[0]._source
         if src is None or any(S._source is not src for S in self):
             labelled = self[0].y is not None

@@ -44,21 +44,15 @@ class LossSpec:
         raise NotImplementedError
 
     # batch means --------------------------------------------------------
-    def eval_mean(self, w: np.ndarray, X: np.ndarray, Y: np.ndarray | None = None,
-                  weights: np.ndarray | None = None) -> float:
+    def eval_mean(self, w: np.ndarray, X: np.ndarray, Y: np.ndarray | None = None) -> float:
         vals = np.array([self.eval(w, X[i], None if Y is None else Y[i])
                          for i in range(X.shape[0])])
-        if weights is None:
-            return float(np.mean(vals))
-        return float(np.dot(weights, vals))
+        return float(np.mean(vals))
 
-    def grad_mean(self, w: np.ndarray, X: np.ndarray, Y: np.ndarray | None = None,
-                  weights: np.ndarray | None = None) -> np.ndarray:
+    def grad_mean(self, w: np.ndarray, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
         grads = np.stack([self.grad(w, X[i], None if Y is None else Y[i])
                           for i in range(X.shape[0])])
-        if weights is None:
-            return grads.mean(axis=0)
-        return weights @ grads
+        return grads.mean(axis=0)
 
     def grad_rows(self, W: np.ndarray, X: np.ndarray,
                   Y: np.ndarray | None = None) -> np.ndarray:
@@ -115,10 +109,10 @@ class ZeroLoss(LossSpec):
     def grad(self, w, x, y=None):
         return np.zeros(self.dim)
 
-    def eval_mean(self, w, X, Y=None, weights=None):
+    def eval_mean(self, w, X, Y=None):
         return 0.0
 
-    def grad_mean(self, w, X, Y=None, weights=None):
+    def grad_mean(self, w, X, Y=None):
         return np.zeros(self.dim)
 
     def probe_sample(self, rng):
@@ -182,24 +176,20 @@ class HuberMeanLoss(LossSpec):
             return self.L1 * r
         return (self.L0 / nr) * r
 
-    def eval_mean(self, w, X, Y=None, weights=None):
+    def eval_mean(self, w, X, Y=None):
         R = w[None, :] - X
         nr = np.linalg.norm(R, axis=1)
         inside = nr <= self.B
         vals = np.where(inside, 0.5 * self.L1 * nr * nr,
                         self.L0 * nr - self.L0 ** 2 / (2.0 * self.L1))
-        if weights is None:
-            return float(np.mean(vals))
-        return float(np.dot(weights, vals))
+        return float(np.mean(vals))
 
-    def grad_mean(self, w, X, Y=None, weights=None):
+    def grad_mean(self, w, X, Y=None):
         R = w[None, :] - X
         nr = np.linalg.norm(R, axis=1)
         scale = np.where(nr <= self.B, self.L1, self.L0 / np.maximum(nr, 1e-300))
         G = R * scale[:, None]
-        if weights is None:
-            return G.mean(axis=0)
-        return weights @ G
+        return G.mean(axis=0)
 
     def probe_sample(self, rng):
         return rng.standard_normal(self.dim) * (self.B / 4.0), None
@@ -256,14 +246,14 @@ class Huber1DLoss(LossSpec):
         xs = float(np.asarray(x).reshape(()))
         return np.array([0.5 * self.L0 * xs + 0.5 * self.L1 * self._Dprime(ws)])
 
-    def eval_mean(self, w, X, Y=None, weights=None):
+    def eval_mean(self, w, X, Y=None):
         ws = float(np.asarray(w).reshape(()))
-        xbar = float(np.mean(X)) if weights is None else float(weights @ X[:, 0])
+        xbar = float(np.mean(X))
         return 0.5 * self.L0 * ws * xbar + 0.5 * self.L1 * self._D(ws)
 
-    def grad_mean(self, w, X, Y=None, weights=None):
+    def grad_mean(self, w, X, Y=None):
         ws = float(np.asarray(w).reshape(()))
-        xbar = float(np.mean(X)) if weights is None else float(weights @ X[:, 0])
+        xbar = float(np.mean(X))
         return np.array([0.5 * self.L0 * xbar + 0.5 * self.L1 * self._Dprime(ws)])
 
     def sample(self, n: int, rng: np.random.Generator) -> Dataset:
@@ -449,18 +439,14 @@ class GLMLoss(LossSpec):
     def grad_rows(self, W, X, Y=None):
         return self.grad(W, X, Y)
 
-    def eval_mean(self, w, X, Y=None, weights=None):
+    def eval_mean(self, w, X, Y=None):
         z = X @ w
         vals = self.link.value(z, Y)
-        if weights is None:
-            return float(np.mean(vals))
-        return float(np.dot(weights, vals))
+        return float(np.mean(vals))
 
-    def grad_mean(self, w, X, Y=None, weights=None):
+    def grad_mean(self, w, X, Y=None):
         s = self.link.slope_into(X @ w, Y)
-        if weights is None:
-            return (X.T @ s) / X.shape[0]
-        return X.T @ (s * weights)
+        return (X.T @ s) / X.shape[0]
 
     def grad_mean_rows(self, W, X, Y=None):
         # one batched X @ w and one slope^T @ X over the runs

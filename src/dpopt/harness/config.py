@@ -7,6 +7,7 @@ from pathlib import Path
 
 from ..core.loss import (LossSpec, glm_loss, huber_mean_loss, square_link,
                          synthetic_nonconvex_loss, tanh_link)
+from .synthetic import KINDS
 
 # the keys a config may hold: at its top level (where n, d and eps are the
 # legacy spelling of the grid's), and in each block that the harness reads
@@ -52,6 +53,12 @@ class ExperimentConfig:
             raise ValueError("seeds must be distinct")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        for block, default, kinds in (("loss", "synthetic_nonconvex", LOSS_KINDS),
+                                      ("data", "glm_fullrank", KINDS)):
+            kind = getattr(self, block).get("kind", default)
+            if kind not in kinds:
+                raise ValueError(f"unknown {block} kind {kind!r}; "
+                                 f"expected one of {list(kinds)}")
 
     def grid_points(self) -> list[tuple[int, int, int, float]]:
         """(grid_index, n, d, eps) in canonical (config-order) enumeration."""
@@ -99,27 +106,37 @@ class ExperimentConfig:
             return ExperimentConfig.from_dict(json.load(fh))
 
 
+def _glm_tanh(cfg: dict, d: int, normX: float) -> LossSpec:
+    loss = glm_loss(tanh_link(), 1.0, 1.0, normX, d, F0_hint=float(cfg.get("F0", 1.0)))
+    loss.name = "glm_tanh"
+    return loss
+
+
+def _glm_square(cfg: dict, d: int, normX: float) -> LossSpec:
+    zmax = float(cfg.get("zmax", 4.0))  # |z - y| range the L0 declaration covers
+    loss = glm_loss(square_link(), zmax, 1.0, normX, d, F0_hint=float(cfg.get("F0", 1.0)))
+    loss.name = "glm_square"
+    return loss
+
+
+def _huber_mean(cfg: dict, d: int, normX: float) -> LossSpec:
+    loss = huber_mean_loss(float(cfg.get("L0", 1.0)), float(cfg.get("L1", 1.0)), dim=d)
+    if "F0" in cfg:
+        loss.F0_hint = float(cfg["F0"])
+    return loss
+
+
+# each loss kind's factory, called with the loss block, d and normX
+LOSS_KINDS = {
+    "synthetic_nonconvex": lambda cfg, d, normX: synthetic_nonconvex_loss(d, normX=normX),
+    "glm_tanh": _glm_tanh, "glm_square": _glm_square, "huber_mean": _huber_mean,
+}
+
+
 def build_loss(loss_cfg: dict, d: int) -> LossSpec:
     """Instantiate the configured loss at dimension d."""
     kind = loss_cfg.get("kind", "synthetic_nonconvex")
     normX = float(loss_cfg.get("normX", 1.0))
-    if kind == "synthetic_nonconvex":
-        return synthetic_nonconvex_loss(d, normX=normX)
-    if kind == "glm_tanh":
-        loss = glm_loss(tanh_link(), 1.0, 1.0, normX, d,
-                        F0_hint=float(loss_cfg.get("F0", 1.0)))
-        loss.name = "glm_tanh"
-        return loss
-    if kind == "glm_square":
-        zmax = float(loss_cfg.get("zmax", 4.0))  # |z - y| range the L0 declaration covers
-        loss = glm_loss(square_link(), zmax, 1.0, normX, d,
-                        F0_hint=float(loss_cfg.get("F0", 1.0)))
-        loss.name = "glm_square"
-        return loss
-    if kind == "huber_mean":
-        loss = huber_mean_loss(float(loss_cfg.get("L0", 1.0)),
-                               float(loss_cfg.get("L1", 1.0)), dim=d)
-        if "F0" in loss_cfg:
-            loss.F0_hint = float(loss_cfg["F0"])
-        return loss
-    raise ValueError(f"unknown loss kind {kind!r}")
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {kind!r}; expected one of {list(LOSS_KINDS)}")
+    return LOSS_KINDS[kind](loss_cfg, d, normX)

@@ -25,7 +25,7 @@ import numpy as np
 from ..core.data import Dataset, DatasetCursor, Runs
 from ..core.loss import LossSpec, erm_grad
 from ..glm_jl import JLParams, choose_k, run_jl
-from ..privacy import NoiseLedger, PrivacyBudget
+from ..privacy import PrivacyBudget
 from ..recursive_reg import derive_rr_params, run_recursive_regularization
 from ..spiderboost import derive_spider_params, run_spiderboost
 from ..tree_spider import derive_tree_params, run_tree_spider
@@ -184,8 +184,9 @@ def _jl_spiderboost(p: GridPoint) -> list:
     if unknown:
         raise ValueError(f"unknown jl overrides: {unknown}")
     rank = p.config.data.get("rank") or p.d
-    k = int(overrides.get("k", choose_k("spiderboost", p.n, rank, p.d, loss.L0_phi,
-                                        loss.L1_phi, loss.normX, p.budget)))
+    k = int(overrides["k"] if "k" in overrides else
+            choose_k("spiderboost", p.n, rank, p.d, loss.L0_phi, loss.L1_phi, loss.normX,
+                     p.budget))
     params = JLParams(k=k, rank=rank, normX=loss.normX, base_kind="spiderboost",
                       force_identity=bool(overrides.get("force_identity", False)))
     return [_jl_seed(p, params, base_ov, s, row) for (s, _), row in zip(p.seeds, p.rows)]
@@ -346,10 +347,10 @@ def report_chunks(doc: dict) -> Iterator[str]:
     """The pieces of `report_json(doc)`, in order, so a report can be
     written without building it as one string.
 
-    The noise ledger, which must be the report's last key, can hold 10^4
-    entries per run; they are filled into a fixed template instead of going
-    through the pure-Python indenting encoder, straight from a ledger's
-    columns. Consecutive entries with one site, dim and count differ only in
+    The noise ledger, a `NoiseLedger` that must be the report's last key,
+    can hold 10^4 entries per run; they are filled into a fixed template
+    instead of going through the pure-Python indenting encoder, straight
+    from the ledger's columns. Consecutive entries with one site, dim and count differ only in
     sigma, so each such stretch is the join of its sigma reprs, in chunks of
     at most REPORT_CHUNK_ENTRIES entries.
     """
@@ -358,13 +359,11 @@ def report_chunks(doc: dict) -> Iterator[str]:
         raise ValueError("a report needs other keys before a last 'noise_ledger'")
     head = json.dumps({k: doc[k] for k in keys[:-1]}, indent=1)
     yield f'{head[:-2]},\n "noise_ledger": ['
-    ledger = doc["noise_ledger"]
-    rows = (ledger.iter_rows() if isinstance(ledger, NoiseLedger) else
-            ((e["site"], e["sigma"], e["dim"], e["count"]) for e in ledger))
     # a ledger names a handful of sites: encode each one once
     sites: dict[str, str] = {}
     sep = ""
-    for (s, dd, c), stretch in groupby(rows, key=itemgetter(0, 2, 3)):
+    for (s, dd, c), stretch in groupby(doc["noise_ledger"].iter_rows(),
+                                       key=itemgetter(0, 2, 3)):
         first = _ENTRY_HEAD % (sites.get(s) or sites.setdefault(s, json.dumps(s)))
         last = _ENTRY_TAIL % (dd, c)
         sigmas = map(_json_number, map(itemgetter(1), stretch))
@@ -376,9 +375,8 @@ def report_chunks(doc: dict) -> Iterator[str]:
 
 def report_json(doc: dict) -> str:
     """`json.dumps(doc, indent=1)`, byte for byte, for a run report whose
-    noise ledger is a list of entry dicts; a `NoiseLedger` is written as
-    the list of its entries' dicts (site, sigma, dim, count). The join of
-    `report_chunks(doc)`."""
+    `NoiseLedger` is written as the list of its entries' dicts (site,
+    sigma, dim, count). The join of `report_chunks(doc)`."""
     return "".join(report_chunks(doc))
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import median
 
 
 @dataclass(frozen=True)
@@ -38,16 +39,6 @@ def scaling_fit(points: list[tuple[float, float]]) -> ScalingFit:
     else:
         r2 = max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
     return ScalingFit(slope=slope, intercept=intercept, r2=r2, points=tuple(logs))
-
-
-def median(values: list[float]) -> float:
-    vs = sorted(values)
-    m = len(vs)
-    if m == 0:
-        raise ValueError("median of empty list")
-    if m % 2:
-        return vs[m // 2]
-    return 0.5 * (vs[m // 2 - 1] + vs[m // 2])
 
 
 def median_by_x(pairs: list[tuple[float, float]]) -> list[tuple[float, float]]:

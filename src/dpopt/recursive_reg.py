@@ -86,13 +86,13 @@ class RegularizedLoss(LossSpec):
         self._one_objective()
         return self.base.grad(w, x, y) + self._reg_grad(np.asarray(w, dtype=np.float64))
 
-    def eval_mean(self, w, X, Y=None, weights=None):
+    def eval_mean(self, w, X, Y=None):
         self._one_objective()
-        return self.base.eval_mean(w, X, Y, weights) + self._reg_value(w)
+        return self.base.eval_mean(w, X, Y) + self._reg_value(w)
 
-    def grad_mean(self, w, X, Y=None, weights=None):
+    def grad_mean(self, w, X, Y=None):
         self._one_objective()
-        return self.base.grad_mean(w, X, Y, weights) + self._reg_grad(w)
+        return self.base.grad_mean(w, X, Y) + self._reg_grad(w)
 
     def probe_sample(self, rng):
         return self.base.probe_sample(rng)

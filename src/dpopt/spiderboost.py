@@ -165,8 +165,9 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
     W_0 = 0, for `steps` steps.
 
     Run r samples data[r] with rngs[r] and records its noise in ledgers[r].
-    Runs on distinct datasets take their batches from `Runs.block()`: the
-    group's own block when `data` is a packed `Runs`, else a concatenation.
+    Runs on distinct datasets take their batches from `Runs.stack(axis=0)`:
+    the group's own (R, n, d) block when `data` is a packed `Runs`, else a
+    fresh stack, gathered from as one flat (R*n, d) view of it.
     At t = 0 mod q each run draws a fresh batch, then its N(0, sigma1^2 I)
     noise, and nabla_t is the batch-mean gradient plus that noise (with
     b1 = n on one shared dataset, the gradient is computed once per distinct
@@ -192,9 +193,9 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
         X_full = np.broadcast_to(X, (R, n, d))
         Y_full = np.broadcast_to(Y, (R, n)) if labelled else None
     else:
-        X, Y = (data if isinstance(data, Runs) else Runs(data)).block()
+        X_full, Y_full = (data if isinstance(data, Runs) else Runs(data)).stack(axis=0)
         offsets = [n * r for r in range(R)]
-        X_full, Y_full = X.reshape(R, n, d), Y.reshape(R, n) if labelled else None
+        X, Y = X_full.reshape(R * n, d), Y_full.reshape(R * n) if labelled else None
     b2, q = params.b2, params.q
     draw = replace and b2 < n
     block = max(1, BLOCK_ENTRIES // (b2 + d))

@@ -6,6 +6,7 @@ lines; every tolerance is pinned here, nothing is deferred.
 import dataclasses
 import math
 import time
+from statistics import median
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from dpopt.core import (Dataset, DatasetCursor, erm_grad, fd_check, glm_loss,
 from dpopt.glm_jl import (JLParams, _rate_spiderboost, check_subspace_embedding,
                           choose_k, jl_matrix, run_jl)
 from dpopt.harness import (ExperimentConfig, build_loss, gen_support,
-                           gen_synthetic, median, param_hash, read_csv_rows,
+                           gen_synthetic, param_hash, read_csv_rows,
                            run_experiment, scaling_fit)
 from dpopt.privacy import PrivacyBudget, accountant_sigma, gaussian_sigma
 from dpopt.recursive_reg import (derive_rr_params, make_selector, regularize,

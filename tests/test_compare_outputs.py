@@ -95,3 +95,21 @@ def test_csv_cell_and_missing_file_are_reported(compare_outputs, tmp_path):
         "runs.csv: first difference at [0].grad_norm; "
         "largest relative difference 0.2 at [0].grad_norm; "
         "keys whose values differ: [*].grad_norm"]
+
+
+def test_a_config_list_gives_each_config_file(compare_outputs):
+    paths = [ROOT / "configs" / "spiderboost_scaling.json",
+             ROOT / "configs" / "tree_scaling.json"]
+    cases = compare_outputs.config_cases(paths)
+    assert list(cases) == ["spiderboost_scaling", "tree_scaling"]
+    assert [c["algorithm"] for c in cases.values()] == ["spiderboost", "tree_spider"]
+
+
+def test_config_files_with_one_name_are_rejected_before_any_run(tmp_path):
+    config = str(ROOT / "configs" / "tree_scaling.json")
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--base", str(tmp_path),
+                           "--change", str(ROOT), "--config", f"{config},{config}"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "distinct names" in proc.stderr
+    assert proc.stdout == ""

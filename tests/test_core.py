@@ -748,27 +748,32 @@ class TestRuns:
 
     @pytest.mark.parametrize("labelled", [True, False])
     def test_pack_copies_runs_into_one_frozen_block(self, labelled):
+        # the packed group's stack on axis 0 is its block: no copy is made
         data = self.datasets(labelled=labelled)
         runs = Runs.pack(3, (S for S in data))  # generated lazily
-        X, Y = runs.block()
-        assert runs.block()[0] is X and X.shape == (15, 2)
+        X, Y = runs.stack(axis=0)
+        assert runs.stack(axis=0)[0] is X and X.shape == (3, 5, 2)
         assert not X.flags.writeable
         assert (Y is None) == (not labelled)
         for r, (S, ref) in enumerate(zip(runs, data)):
             assert np.array_equal(S.X, ref.X) and np.shares_memory(S.X, X)
-            assert np.array_equal(S.X, X[5 * r:5 * (r + 1)])
+            assert np.array_equal(S.X, X[r])
             if labelled:
+                assert Y.shape == (3, 5)
                 assert np.array_equal(S.y, ref.y) and np.shares_memory(S.y, Y)
                 assert not Y.flags.writeable
-        unpacked = Runs(data).block()
-        assert np.array_equal(unpacked[0], X) and not np.shares_memory(unpacked[0], X)
-        assert runs.slice(1, 3).block()[0].shape == (6, 2)
+        assert np.array_equal(runs.stack(axis=1)[0], X.transpose(1, 0, 2))
+        assert runs.slice(1, 3).stack(axis=0)[0].shape == (3, 2, 2)
         assert data_module.lockstep(runs, [np.random.default_rng(r) for r in range(3)])[0] is runs
 
-    def test_block_of_a_lone_run_is_its_own_arrays(self):
-        (S,) = self.datasets(R=1)
-        X, Y = Runs([S]).block()
-        assert X is S.X and Y is S.y
+    @pytest.mark.parametrize("R", [1, 3], ids=["lone", "group"])
+    def test_stack_of_an_unpacked_group_is_fresh(self, R):
+        data = self.datasets(R=R)
+        X, Y = Runs(data).stack(axis=0)
+        assert X.shape == (R, 5, 2) and Y.shape == (R, 5) and X.flags.writeable
+        for r, S in enumerate(data):
+            assert np.array_equal(X[r], S.X) and not np.shares_memory(X, S.X)
+            assert np.array_equal(Y[r], S.y) and not np.shares_memory(Y, S.y)
 
     def test_pack_rejects_mismatched_runs(self):
         data = self.datasets()

@@ -231,7 +231,7 @@ class TestLockstep:
         loss = synthetic_nonconvex_loss(3)
         data = self.datasets(129, 3)
         runs = Runs.pack(5, iter(data))
-        X, Y = runs.block()
+        X, Y = runs.stack(axis=0)
         assert not X.flags.writeable and not Y.flags.writeable
         for r, S in enumerate(runs):
             assert S.X.ctypes.data == X.ctypes.data + r * 3096
@@ -376,9 +376,9 @@ def reference_spider_path(loss, params, steps, data, rngs, ledgers, replace, adv
         X_full = np.broadcast_to(X, (R, n, d))
         Y_full = np.broadcast_to(Y, (R, n)) if labelled else None
     else:
-        X, Y = (data if isinstance(data, Runs) else Runs(data)).block()
+        X_full, Y_full = (data if isinstance(data, Runs) else Runs(data)).stack(axis=0)
         offset = n * np.arange(R)[:, None]
-        X_full, Y_full = X.reshape(R, n, d), Y.reshape(R, n) if labelled else None
+        X, Y = X_full.reshape(R * n, d), Y_full.reshape(R * n) if labelled else None
     b2, q = params.b2, params.q
     block = max(1, spiderboost.BLOCK_ENTRIES // (b2 + d))
     sigmas, norms = [], []

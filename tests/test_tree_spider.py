@@ -32,10 +32,10 @@ class ConstantGradLoss(LossSpec):
     def grad(self, w, x, y=None):
         return self.g.copy()
 
-    def eval_mean(self, w, X, Y=None, weights=None):
+    def eval_mean(self, w, X, Y=None):
         return float(self.g @ w)
 
-    def grad_mean(self, w, X, Y=None, weights=None):
+    def grad_mean(self, w, X, Y=None):
         return self.g.copy()
 
 
