@@ -68,7 +68,8 @@ class Dataset:
     index vector instead, checked against the source once: its slices are
     views of that vector, its subsets are checked again, ``X`` and ``y``
     are gathered on first use, and ``max_feature_norm`` reads the source's
-    row norms.
+    row norms. ``feature_norm_bound`` is the source's own maximum, which
+    reads no index vector, so a loss's dataset check reads that bound first.
 
     ``X`` and ``y`` are read-only. An array that owns its memory is frozen
     in place and not copied; a view is copied when its base can still be
@@ -76,6 +77,8 @@ class Dataset:
     (or void the cached norm bound). A caller that sets an owner writeable
     again with ``setflags`` is not guarded against.
     """
+
+    __slots__ = ("_X", "_y", "_source", "_idx", "_max_feature_norm", "_row_norms")
 
     def __init__(self, X: np.ndarray, y: np.ndarray | None = None):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -200,9 +203,18 @@ class Dataset:
             self._max_feature_norm = float(np.max(norms)) if self.n else 0.0
         return self._max_feature_norm
 
+    def feature_norm_bound(self) -> float:
+        """An upper bound on ``max_feature_norm()`` that reads no index
+        vector: an indexed dataset's source's largest row norm (cached on
+        the source, so every sample of one support shares it), and a plain
+        dataset's own."""
+        return (self if self._source is None else self._source).max_feature_norm()
+
 
 class DatasetCursor:
     """Consumes a dataset front to back, yielding each sample exactly once."""
+
+    __slots__ = ("_dataset", "_pos")
 
     def __init__(self, dataset: Dataset, start: int = 0):
         self._dataset = dataset

@@ -507,10 +507,17 @@ class GLMLoss(LossSpec):
         return x, float(rng.standard_normal() * 0.5)
 
     def validate_dataset(self, dataset: Dataset) -> None:
+        """Reject a dataset with a row norm above normX. The dataset's
+        `feature_norm_bound()` is read first (for a sample indexed into a
+        support, the support's maximum); the exact `max_feature_norm()` is
+        computed only when that bound is above normX, and decides and names
+        the failure."""
         super().validate_dataset(dataset)
-        worst = dataset.max_feature_norm()
-        if worst > self.normX * (1.0 + 1e-12):
-            raise ValueError(f"feature norm {worst} exceeds declared bound {self.normX}")
+        limit = self.normX * (1.0 + 1e-12)
+        if dataset.feature_norm_bound() > limit:
+            worst = dataset.max_feature_norm()
+            if worst > limit:
+                raise ValueError(f"feature norm {worst} exceeds declared bound {self.normX}")
 
 
 def glm_loss(link: LinkFamily, L0_phi: float, L1_phi: float, normX: float,

@@ -35,6 +35,13 @@ def _parse_override(kv: str):
     return key, val
 
 
+def _parse_filter(kv: str) -> tuple[str, str]:
+    col, sep, val = kv.partition("=")
+    if not (sep and col):
+        raise argparse.ArgumentTypeError(f"filter must be COL=VALUE, got {kv!r}")
+    return col, val
+
+
 def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v]
 
@@ -86,18 +93,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    rows = read_csv_rows(args.csv)
-    pairs = []
-    for r in rows:
-        if r.get("status", "ok") != "ok":
-            continue
-        keep = True
-        for kv in args.where or []:
-            key, val = kv.split("=", 1)
-            if r.get(key) != val:
-                keep = False
-        if keep:
-            pairs.append((float(r[args.x]), float(r[args.y])))
+    where = args.where or []
+    with open(args.csv, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+    for col in (args.x, args.y, *(c for c, _ in where)):
+        if col not in header:
+            print(f"error: {args.csv} has no column {col!r}", file=sys.stderr)
+            return 2
+    pairs = [(float(r[args.x]), float(r[args.y])) for r in read_csv_rows(args.csv)
+             if r.get("status", "ok") == "ok" and all(r.get(c) == v for c, v in where)]
     if args.median:
         pairs = median_by_x(pairs)
     try:
@@ -225,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     p_fit.add_argument("--median", action="store_true",
                        help="aggregate y by median at each x before fitting")
     p_fit.add_argument("--where", action="append", metavar="COL=VALUE",
-                       help="row filter (repeatable)")
+                       type=_parse_filter, help="row filter (repeatable)")
     p_fit.set_defaults(fn=cmd_fit)
 
     p_gen = sub.add_parser("gen", help="emit a synthetic dataset as CSV")

@@ -719,6 +719,33 @@ class TestDataset:
             loss.validate_dataset(bad.slice(1, 3))
         loss.validate_dataset(bad.slice(3, 4))
 
+    def test_validation_within_the_support_bound_reads_no_index(self):
+        rng = np.random.default_rng(18)
+        support = Dataset(rng.standard_normal((64, 3)) / 4.0, rng.standard_normal(64))
+        loss = glm_loss(tanh_link(), 1.0, 1.0, 1.0, 3)
+        ds = synthetic.FiniteSupportDistribution(support).sample(5000, rng)
+        views = [ds, ds.slice(100, 900), DatasetCursor(ds, 40).take(300)]
+        for S in views:
+            assert S.feature_norm_bound() == support.max_feature_norm()
+            loss.validate_dataset(S)
+            assert S._max_feature_norm is None  # the sample's own norm: never taken
+            assert S.max_feature_norm() <= S.feature_norm_bound()
+        assert support.feature_norm_bound() == support.max_feature_norm()
+
+    def test_slice_of_a_sample_is_judged_by_its_own_rows(self):
+        X = np.full((5, 2), 0.5)
+        X[1], X[3] = [2.0, 0.0], [0.0, 3.0]  # norms 2 and 3 > normX = 1
+        support = Dataset(X)
+        loss = glm_loss(tanh_link(), 1.0, 1.0, 1.0, 2)
+        ds = Dataset.indexed(support, np.array([0, 4, 2, 1, 0, 2, 4]))
+        assert ds.feature_norm_bound() == 3.0
+        for clean in (ds.slice(0, 3), ds.slice(4, 7), DatasetCursor(ds, 4).take(3)):
+            loss.validate_dataset(clean)
+        for bad in (ds, ds.slice(2, 5), DatasetCursor(ds, 3).take(1)):
+            # the held row's norm 2.0, not the support's 3.0
+            with pytest.raises(ValueError, match=r"^feature norm 2\.0 exceeds declared bound 1\.0$"):
+                loss.validate_dataset(bad)
+
     def test_csv_round_trip_unlabeled(self, tmp_path):
         ds = Dataset(np.random.default_rng(9).standard_normal((7, 3)))
         path = tmp_path / "d.csv"

@@ -745,6 +745,30 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "slope=" in out
 
+    @staticmethod
+    def fit_csv(tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text("n,seed,grad_norm,status\n" + "".join(
+            f"{n},{s},{(s + 1) / n},ok\n" for n in (64, 128, 256) for s in (0, 1)))
+        return str(path)
+
+    def test_fit_filter_without_value_exits_2(self, tmp_path, capsys):
+        path = self.fit_csv(tmp_path)
+        assert cli_main(["fit", "--csv", path, "--where", "seed=1"]) == 0
+        out = capsys.readouterr().out
+        assert "slope=-1 " in out and "points=3" in out
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["fit", "--csv", path, "--where", "seed"])
+        assert exc.value.code == 2
+        assert "argument --where: filter must be COL=VALUE, got 'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--x", "nosuch"), ("--y", "nosuch"),
+                                            ("--where", "nosuch=1")])
+    def test_fit_unknown_column_exits_2(self, tmp_path, capsys, flag, value):
+        path = self.fit_csv(tmp_path)
+        assert cli_main(["fit", "--csv", path, flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {path} has no column 'nosuch'\n"
+
     def test_flag_overrides_config(self, tmp_path):
         cfg = {"algorithm": "spiderboost",
                "grid": {"n": [64], "eps": [1.0], "d": [4]},
