@@ -46,8 +46,9 @@ def fd_check(loss: LossSpec, probes: int = 100, h: float = 1e-5,
     return GradCheckReport(max_rel_err=worst, probe_count=probes)
 
 
-def lipschitz_audit(loss: LossSpec, pairs: int = 1000, seed: int = 0) -> float:
-    """Largest observed |eval(w1) - eval(w2)| / ||w1 - w2|| over random probes."""
+def _probe_ratios(loss: LossSpec, pairs: int, seed: int, gap) -> float:
+    """Largest observed gap(x, y, w1, w2) / ||w1 - w2|| over random probes:
+    a probe sample, then w1 ~ N(0, I) and w2 = w1 + N(0, I) U(1e-3, 2)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(pairs):
@@ -55,23 +56,20 @@ def lipschitz_audit(loss: LossSpec, pairs: int = 1000, seed: int = 0) -> float:
         w1 = rng.standard_normal(loss.dim)
         w2 = w1 + rng.standard_normal(loss.dim) * rng.uniform(1e-3, 2.0)
         dw = float(np.linalg.norm(w1 - w2))
-        dv = abs(loss.eval(w1, x, y) - loss.eval(w2, x, y))
-        worst = max(worst, dv / dw)
+        worst = max(worst, gap(x, y, w1, w2) / dw)
     return worst
+
+
+def lipschitz_audit(loss: LossSpec, pairs: int = 1000, seed: int = 0) -> float:
+    """Largest observed |eval(w1) - eval(w2)| / ||w1 - w2|| over random probes."""
+    return _probe_ratios(loss, pairs, seed, lambda x, y, w1, w2:
+                         abs(loss.eval(w1, x, y) - loss.eval(w2, x, y)))
 
 
 def smoothness_audit(loss: LossSpec, pairs: int = 1000, seed: int = 0) -> float:
     """Largest observed ||grad(w1) - grad(w2)|| / ||w1 - w2|| over random probes."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(pairs):
-        x, y = loss.probe_sample(rng)
-        w1 = rng.standard_normal(loss.dim)
-        w2 = w1 + rng.standard_normal(loss.dim) * rng.uniform(1e-3, 2.0)
-        dw = float(np.linalg.norm(w1 - w2))
-        dg = float(np.linalg.norm(loss.grad(w1, x, y) - loss.grad(w2, x, y)))
-        worst = max(worst, dg / dw)
-    return worst
+    return _probe_ratios(loss, pairs, seed, lambda x, y, w1, w2: float(
+        np.linalg.norm(loss.grad(w1, x, y) - loss.grad(w2, x, y))))
 
 
 def convexity_spot_check(loss: LossSpec, probes: int = 32, seed: int = 0,

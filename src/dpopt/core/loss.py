@@ -1,6 +1,7 @@
 """Per-sample losses with declared Lipschitz and smoothness constants.
 
-Every loss exposes scalar evaluation/gradient plus vectorized batch means.
+Every loss exposes scalar evaluation/gradient plus vectorized batch-mean
+gradients.
 Declared ``L0`` (Lipschitz) and ``L1`` (smoothness) bounds hold uniformly
 over the loss's data domain; ``F0_hint`` upper-bounds the initial gap
 F(0) - min F and feeds the optimizers' parameter derivations.
@@ -18,8 +19,8 @@ class LossSpec:
     """Base class for per-sample differentiable losses.
 
     Subclasses implement ``eval``/``grad`` for a single sample and the
-    vectorized ``eval_mean``/``grad_mean`` over a batch. Gradients are
-    closed-form throughout; there is no autodiff.
+    vectorized ``grad_mean`` over a batch. Gradients are closed-form
+    throughout; there is no autodiff.
     """
 
     name = "loss"
@@ -44,11 +45,6 @@ class LossSpec:
         raise NotImplementedError
 
     # batch means --------------------------------------------------------
-    def eval_mean(self, w: np.ndarray, X: np.ndarray, Y: np.ndarray | None = None) -> float:
-        vals = np.array([self.eval(w, X[i], None if Y is None else Y[i])
-                         for i in range(X.shape[0])])
-        return float(np.mean(vals))
-
     def grad_mean(self, w: np.ndarray, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
         grads = np.stack([self.grad(w, X[i], None if Y is None else Y[i])
                           for i in range(X.shape[0])])
@@ -109,9 +105,6 @@ class ZeroLoss(LossSpec):
     def grad(self, w, x, y=None):
         return np.zeros(self.dim)
 
-    def eval_mean(self, w, X, Y=None):
-        return 0.0
-
     def grad_mean(self, w, X, Y=None):
         return np.zeros(self.dim)
 
@@ -132,13 +125,6 @@ def _check_erm_data(loss: LossSpec, S: Dataset) -> None:
     if S.n == 0:
         raise ValueError("the empirical risk of a dataset with no rows is undefined")
     loss.validate_dataset(S)
-
-
-def erm_value(loss: LossSpec, w: np.ndarray, S: Dataset) -> float:
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (S.dim,):
-        raise ValueError(f"w has shape {w.shape}, expected ({S.dim},)")
-    return loss.eval_mean(w, S.X, S.y)
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +161,6 @@ class HuberMeanLoss(LossSpec):
         if nr <= self.B:
             return self.L1 * r
         return (self.L0 / nr) * r
-
-    def eval_mean(self, w, X, Y=None):
-        R = w[None, :] - X
-        nr = np.linalg.norm(R, axis=1)
-        inside = nr <= self.B
-        vals = np.where(inside, 0.5 * self.L1 * nr * nr,
-                        self.L0 * nr - self.L0 ** 2 / (2.0 * self.L1))
-        return float(np.mean(vals))
 
     def grad_mean(self, w, X, Y=None):
         R = w[None, :] - X
@@ -245,11 +223,6 @@ class Huber1DLoss(LossSpec):
         ws = float(np.asarray(w).reshape(()))
         xs = float(np.asarray(x).reshape(()))
         return np.array([0.5 * self.L0 * xs + 0.5 * self.L1 * self._Dprime(ws)])
-
-    def eval_mean(self, w, X, Y=None):
-        ws = float(np.asarray(w).reshape(()))
-        xbar = float(np.mean(X))
-        return 0.5 * self.L0 * ws * xbar + 0.5 * self.L1 * self._D(ws)
 
     def grad_mean(self, w, X, Y=None):
         ws = float(np.asarray(w).reshape(()))
@@ -438,11 +411,6 @@ class GLMLoss(LossSpec):
 
     def grad_rows(self, W, X, Y=None):
         return self.grad(W, X, Y)
-
-    def eval_mean(self, w, X, Y=None):
-        z = X @ w
-        vals = self.link.value(z, Y)
-        return float(np.mean(vals))
 
     def grad_mean(self, w, X, Y=None):
         s = self.link.slope_into(X @ w, Y)

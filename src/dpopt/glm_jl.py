@@ -23,9 +23,7 @@ class JLParams:
     k: int
     rank: int
     normX: float
-    base_kind: str = "spiderboost"     # {"spiderboost", "recursive_reg"}
     force_identity: bool = False       # test mode: Phi = I_d, k = d
-    clamp_bound: float | None = None   # poly trajectory bound; None = default
 
     def validate(self, d: int) -> None:
         if not 1 <= self.k <= d:
@@ -130,8 +128,9 @@ def run_jl(base, loss: GLMLoss, S: Dataset, params: JLParams,
     rebound constants (2 L0_phi ||X||, 2 L1_phi ||X||^2), return Phi^T w_tilde.
 
     `base` is a closure base(S_proj, loss_proj, L0, L1, budget, rng) returning
-    a report with a `w_out` attribute. The base output is clamped to a poly
-    trajectory bound before lifting (clamps are reported).
+    a report with a `w_out` attribute. The base output is clamped to the poly
+    trajectory bound (n d max(1, L0) max(1, L1))^2 before lifting (clamps
+    are reported).
     """
     params.validate(S.dim)
     loss.validate_dataset(S)
@@ -162,9 +161,7 @@ def run_jl(base, loss: GLMLoss, S: Dataset, params: JLParams,
     base_report = base(S_proj, loss_proj, L0_declared, L1_declared, base_budget, rng)
     w_tilde = np.asarray(base_report.w_out, dtype=np.float64)
 
-    bound = params.clamp_bound
-    if bound is None:
-        bound = (S.n * d * max(1.0, loss.L0) * max(1.0, loss.L1)) ** 2
+    bound = (S.n * d * max(1.0, loss.L0) * max(1.0, loss.L1)) ** 2
     clamped = False
     norm_wt = float(np.linalg.norm(w_tilde))
     if norm_wt > bound:

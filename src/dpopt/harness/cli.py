@@ -251,9 +251,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except KeyError as exc:
-        print(f"error: missing config field {exc}", file=sys.stderr)
-        return 2
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,14 +7,15 @@ from pathlib import Path
 
 from ..core.loss import (LossSpec, glm_loss, huber_mean_loss, square_link,
                          synthetic_nonconvex_loss, tanh_link)
+from ..recursive_reg import MODES, SUBROUTINES
 from .synthetic import KINDS
 
-# the keys a config may hold: at its top level (where n, d and eps are the
-# legacy spelling of the grid's), and in each block that the harness reads
+# the keys a config may hold: at its top level, and in each block that the
+# harness reads
 CONFIG_KEYS = {
-    "config": ("algorithm", "grid", "n", "d", "eps", "delta", "seeds", "out",
-               "master_seed", "loss", "data", "rr", "overrides", "accountant_c",
-               "workers", "timing", "write_reports"),
+    "config": ("algorithm", "grid", "delta", "seeds", "out", "master_seed", "loss",
+               "data", "rr", "overrides", "accountant_c", "workers", "timing",
+               "write_reports"),
     "grid": ("n", "d", "eps"),
     "rr": ("mode", "subroutine", "R_bar"),
     "loss": ("kind", "normX", "F0", "zmax", "L0", "L1"),
@@ -53,12 +54,15 @@ class ExperimentConfig:
             raise ValueError("seeds must be distinct")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        for block, default, kinds in (("loss", "synthetic_nonconvex", LOSS_KINDS),
-                                      ("data", "glm_fullrank", KINDS)):
-            kind = getattr(self, block).get("kind", default)
-            if kind not in kinds:
-                raise ValueError(f"unknown {block} kind {kind!r}; "
-                                 f"expected one of {list(kinds)}")
+        for block, key, default, allowed in (
+                ("loss", "kind", "synthetic_nonconvex", LOSS_KINDS),
+                ("data", "kind", "glm_fullrank", KINDS),
+                ("rr", "mode", "linear_time", MODES),
+                ("rr", "subroutine", "phased_sgd", SUBROUTINES)):
+            value = getattr(self, block).get(key, default)
+            if value not in allowed:
+                raise ValueError(f"unknown {block} {key} {value!r}; "
+                                 f"expected one of {list(allowed)}")
 
     def grid_points(self) -> list[tuple[int, int, int, float]]:
         """(grid_index, n, d, eps) in canonical (config-order) enumeration."""
@@ -78,12 +82,15 @@ class ExperimentConfig:
             unknown = sorted(set(keys) - set(known))
             if unknown:
                 raise ValueError(f"unknown {block} keys: {unknown}")
+        for key in ("algorithm", "delta", "seeds", "out"):
+            if key not in raw:
+                raise ValueError(f"missing config field {key!r}")
         grid = raw.get("grid", {})
         cfg = ExperimentConfig(
             algorithm=raw["algorithm"],
-            grid_n=[int(v) for v in grid.get("n", raw.get("n", []))],
-            grid_d=[int(v) for v in grid.get("d", raw.get("d", []))],
-            grid_eps=[float(v) for v in grid.get("eps", raw.get("eps", []))],
+            grid_n=[int(v) for v in grid.get("n", [])],
+            grid_d=[int(v) for v in grid.get("d", [])],
+            grid_eps=[float(v) for v in grid.get("eps", [])],
             delta=float(raw["delta"]),
             seeds=[int(s) for s in raw["seeds"]],
             out=str(raw["out"]),

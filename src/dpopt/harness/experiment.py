@@ -76,26 +76,27 @@ class GridPoint:
             row["param_hash"] = param_hash(params)
 
 
+def _generator_args(data: dict) -> tuple[str, dict]:
+    """The data block's generator kind, and the keyword arguments that
+    gen_synthetic and gen_support take from it, with their defaults."""
+    return data.get("kind", "glm_fullrank"), {
+        "rank": data.get("rank"), "B": float(data.get("B", 1.0)),
+        "label_scale": float(data.get("label_scale", 0.0)),
+        "spectrum_decay": float(data.get("spectrum_decay", 1.0))}
+
+
 def _gen_dataset(p: GridPoint, seed_index: int) -> Dataset:
-    data = p.config.data
+    kind, kw = _generator_args(p.config.data)
     seed = stream_seed(p.config.master_seed, "data", p.grid_index, seed_index)
-    return gen_synthetic(data.get("kind", "glm_fullrank"), p.n, p.d,
-                         rank=data.get("rank"), seed=seed,
-                         B=float(data.get("B", 1.0)),
-                         label_scale=float(data.get("label_scale", 0.0)),
-                         spectrum_decay=float(data.get("spectrum_decay", 1.0)))
+    return gen_synthetic(kind, p.n, p.d, seed=seed, **kw)
 
 
 def _gen_population(config: ExperimentConfig, d: int) -> FiniteSupportDistribution:
     # the population is shared across n and seeds: keyed by d only
-    data = config.data
+    kind, kw = _generator_args(config.data)
     seed = stream_seed(config.master_seed, "support", d)
-    m = int(data.get("support_size") or DEFAULT_SUPPORT_SIZE)
-    return gen_support(data.get("kind", "glm_fullrank"), m, d,
-                       rank=data.get("rank"), seed=seed,
-                       B=float(data.get("B", 1.0)),
-                       label_scale=float(data.get("label_scale", 0.0)),
-                       spectrum_decay=float(data.get("spectrum_decay", 1.0)))
+    m = int(config.data.get("support_size") or DEFAULT_SUPPORT_SIZE)
+    return gen_support(kind, m, d, seed=seed, **kw)
 
 
 def _failed(exc: Exception) -> str:
@@ -180,15 +181,14 @@ def _recursive_reg(p: GridPoint) -> list:
 def _jl_spiderboost(p: GridPoint) -> list:
     overrides, loss = p.config.overrides, p.loss
     base_ov = {k: v for k, v in overrides.items() if k in ("eta", "q", "b1", "b2", "T")}
-    unknown = sorted(set(overrides) - {*base_ov, "k", "force_identity"})
+    unknown = sorted(set(overrides) - {*base_ov, "k"})
     if unknown:
         raise ValueError(f"unknown jl overrides: {unknown}")
     rank = p.config.data.get("rank") or p.d
     k = int(overrides["k"] if "k" in overrides else
             choose_k("spiderboost", p.n, rank, p.d, loss.L0_phi, loss.L1_phi, loss.normX,
                      p.budget))
-    params = JLParams(k=k, rank=rank, normX=loss.normX, base_kind="spiderboost",
-                      force_identity=bool(overrides.get("force_identity", False)))
+    params = JLParams(k=k, rank=rank, normX=loss.normX)
     return [_jl_seed(p, params, base_ov, s, row) for (s, _), row in zip(p.seeds, p.rows)]
 
 
@@ -390,10 +390,15 @@ def _csv_cell(v) -> str:
 
 
 def read_csv_rows(path: str | Path) -> list[dict]:
+    """The rows of a CSV under its header line, as dicts keyed by column; a
+    row whose field count differs from the header's raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         rows = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
+            if len(parts) != len(header):
+                raise ValueError(f"{path}: line {lineno} has {len(parts)} fields, "
+                                 f"the header has {len(header)}")
             rows.append(dict(zip(header, parts)))
     return rows

@@ -27,6 +27,10 @@ from .util import PreconditionError, floori
 
 KT_CAP = 10 ** 7  # desk-scale cap on inner step counts; capped rounds are flagged
 
+# the two schedules of derive_rr_params, and the two private inner solvers
+MODES = ("optimal", "linear_time")
+SUBROUTINES = ("noisy_gd", "phased_sgd")
+
 # noisy_gd hands its iterates to the selector in blocks of at most this many
 # steps, so its memory does not grow with K_t
 ITERATE_BLOCK = 2 ** 16
@@ -43,7 +47,7 @@ class RegularizedLoss(LossSpec):
     Centers of shape (R, d) give each of R runs its own objective; the
     solvers take such a loss's step through `_affine_terms`, as the base
     loss's gradient plus one affine update, and its single-run `eval`,
-    `grad`, `eval_mean` and `grad_mean` raise `ValueError`.
+    `grad` and `grad_mean` raise `ValueError`.
     """
 
     name = "regularized"
@@ -85,10 +89,6 @@ class RegularizedLoss(LossSpec):
     def grad(self, w, x, y=None):
         self._one_objective()
         return self.base.grad(w, x, y) + self._reg_grad(np.asarray(w, dtype=np.float64))
-
-    def eval_mean(self, w, X, Y=None):
-        self._one_objective()
-        return self.base.eval_mean(w, X, Y) + self._reg_value(w)
 
     def grad_mean(self, w, X, Y=None):
         self._one_objective()
@@ -337,7 +337,7 @@ class RRParams:
     kt_capped: tuple[bool, ...]
 
     def validate(self) -> None:
-        if self.mode not in ("optimal", "linear_time"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.T < 1:
             raise ValueError("T must be >= 1")
@@ -366,6 +366,8 @@ def derive_rr_params(mode: str, n: int, d: int, L0: float, L1: float,
     """
     if min(L0, L1, R_bar) <= 0:
         raise ValueError("L0, L1, R_bar must be positive")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     eps, delta = budget.eps, budget.delta
     log1d = math.log(1.0 / delta)
     ov = dict(overrides or {})
@@ -373,10 +375,8 @@ def derive_rr_params(mode: str, n: int, d: int, L0: float, L1: float,
     trade = min(1.0 / n, d / (n * eps) ** 2)
     if mode == "optimal":
         lam = L0 ** 2 / (L1 * R_bar) * trade
-    elif mode == "linear_time":
-        lam = max(L0 ** 2 / (L1 * R_bar ** 2) * trade, L1 * math.log(n) / n)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        lam = max(L0 ** 2 / (L1 * R_bar ** 2) * trade, L1 * math.log(n) / n)
     lam = float(ov.pop("lam", lam))
     if lam >= L1:
         raise PreconditionError(f"lam = {lam:.6g} >= L1 = {L1:.6g}: T would be 0; "
@@ -402,13 +402,7 @@ def derive_rr_params(mode: str, n: int, d: int, L0: float, L1: float,
             sigmas.append(0.0)
             capped.append(False)
             continue
-        if k_override == "branch1":
-            # convergence-driven branch alone: enough inner steps that
-            # eta_t = log(K)/(lam_t K) sits below 1/(L1 + lam_t)
-            ratio = (L1 + lam_t) / lam_t
-            K_t = int(math.ceil(ratio * math.log(ratio)))
-            was_capped = False
-        elif k_override is not None:
+        if k_override is not None:
             K_t = int(k_override)
             was_capped = False
         elif mode == "optimal":
@@ -462,7 +456,7 @@ def run_recursive_regularization(S: Dataset | Sequence[Dataset], loss: LossSpec,
     ledger, and a list of reports comes back; each equals what that run
     gives alone.
     """
-    if subroutine not in ("noisy_gd", "phased_sgd"):
+    if subroutine not in SUBROUTINES:
         raise ValueError(f"unknown subroutine {subroutine!r}")
     if not loss.convex:
         raise ValueError("recursive regularization requires a convex base loss")

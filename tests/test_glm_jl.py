@@ -222,9 +222,9 @@ class TestRunJL:
         loss, S = self.setup_data()
 
         def base(S_proj, loss_proj, L0b, L1b, sub_budget, rng):
-            return FakeBaseReport(np.full(S_proj.dim, 100.0))
+            return FakeBaseReport(np.full(S_proj.dim, 1e150))
 
-        params = JLParams(k=4, rank=2, normX=1.0, clamp_bound=1.0)
+        params = JLParams(k=4, rank=2, normX=1.0)
         rep = run_jl(base, loss, S, params, PrivacyBudget(1.0, 1e-4),
                      np.random.default_rng(7))
         assert rep.clamped

@@ -29,6 +29,11 @@ def tiny_raw(algorithm: str, out) -> dict:
             "overrides": TINY_OVERRIDES.get(algorithm, {})}
 
 
+# a misspelled value of each key that config load checks against its table
+UNKNOWN_VALUES = [("loss", "kind", "glm_tanhh"), ("data", "kind", "glm_fulrank"),
+                  ("rr", "mode", "linear-time"), ("rr", "subroutine", "phased")]
+
+
 class TestGenSynthetic:
     def test_deterministic_from_seed(self):
         a = gen_synthetic("glm_lowrank", 50, 8, rank=3, seed=5, label_scale=0.4)
@@ -153,28 +158,30 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="grid"):
             ExperimentConfig.from_dict(raw)
 
+    # top-level n, d and eps too: the grid is read from "grid" only
     @pytest.mark.parametrize("block,key", [(None, "wrokers"), ("grid", "m"),
                                            ("rr", "mdoe"), ("rr", "subrutine"),
-                                           ("loss", "nromX"), ("data", "rnak")])
+                                           ("loss", "nromX"), ("data", "rnak"),
+                                           (None, "n"), (None, "d"), (None, "eps")])
     def test_unknown_keys_are_rejected(self, tmp_path, block, key):
         raw = self.base_raw(tmp_path)
         (raw if block is None else raw.setdefault(block, {}))[key] = 1
         with pytest.raises(ValueError, match=rf"unknown {block or 'config'} keys: \['{key}'\]"):
             ExperimentConfig.from_dict(raw)
 
-    @pytest.mark.parametrize("block,kind", [("loss", "glm_tanhh"), ("data", "glm_fulrank")])
-    def test_unknown_kinds_are_rejected_at_load(self, tmp_path, block, kind):
+    @pytest.mark.parametrize("block,key,value", UNKNOWN_VALUES)
+    def test_unknown_kinds_are_rejected_at_load(self, tmp_path, block, key, value):
         raw = self.base_raw(tmp_path)
-        raw[block]["kind"] = kind
-        with pytest.raises(ValueError, match=rf"unknown {block} kind '{kind}'"):
+        raw.setdefault(block, {})[key] = value
+        with pytest.raises(ValueError, match=rf"unknown {block} {key} '{value}'"):
             ExperimentConfig.from_dict(raw)
 
-    def test_legacy_top_level_grid(self, tmp_path):
+    @pytest.mark.parametrize("key", ["algorithm", "delta", "seeds", "out"])
+    def test_missing_required_key_is_named(self, tmp_path, key):
         raw = self.base_raw(tmp_path)
-        del raw["grid"]
-        raw.update(n=[64, 128], d=[4], eps=[0.5])
-        cfg = ExperimentConfig.from_dict(raw)
-        assert (cfg.grid_n, cfg.grid_d, cfg.grid_eps) == ([64, 128], [4], [0.5])
+        del raw[key]
+        with pytest.raises(ValueError, match=rf"^missing config field '{key}'$"):
+            ExperimentConfig.from_dict(raw)
 
     def test_algorithm_is_a_key_of_the_table(self, tmp_path):
         raw = self.base_raw(tmp_path)
@@ -285,6 +292,14 @@ class TestRunExperiment:
         assert [r["status"] for r in rows] == [
             f"error: ValueError: unknown {kind} overrides: ['b_2']"] * 2
         assert not any((tmp_path / "e" / "reports").glob("*"))
+
+    def test_jl_rejects_force_identity_override(self, tmp_path):
+        # the identity projection is a JLParams field for tests, not a sweep option
+        raw = tiny_raw("jl_spiderboost", tmp_path / "f")
+        raw["overrides"] = {**raw["overrides"], "force_identity": True}
+        rows = read_csv_rows(run_experiment(ExperimentConfig.from_dict(raw)))
+        assert [r["status"] for r in rows] == [
+            "error: ValueError: unknown jl overrides: ['force_identity']"] * len(rows)
 
     def test_group_rows_equal_single_seed_rows(self, tmp_path):
         # a seed's row and report do not depend on the seeds it runs with
@@ -769,6 +784,15 @@ class TestCLI:
         assert cli_main(["fit", "--csv", path, flag, value]) == 2
         assert capsys.readouterr().err == f"error: {path} has no column 'nosuch'\n"
 
+    @pytest.mark.parametrize("row,fields", [("128,1,0.5", 3), ("128,1,0.5,ok,extra", 5)])
+    def test_fit_rejects_row_with_wrong_field_count(self, tmp_path, capsys, row, fields):
+        path = self.fit_csv(tmp_path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        assert cli_main(["fit", "--csv", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 8 has {fields} fields, the header has 4\n")
+
     def test_flag_overrides_config(self, tmp_path):
         cfg = {"algorithm": "spiderboost",
                "grid": {"n": [64], "eps": [1.0], "d": [4]},
@@ -808,14 +832,14 @@ class TestCLI:
         assert rc == 2
         assert "missing config field" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("block,kind", [("loss", "glm_tanhh"), ("data", "glm_fulrank")])
-    def test_unknown_kind_exits_before_any_output(self, tmp_path, capsys, block, kind):
+    @pytest.mark.parametrize("block,key,value", UNKNOWN_VALUES)
+    def test_unknown_kind_exits_before_any_output(self, tmp_path, capsys, block, key, value):
         cfg = {"algorithm": "spiderboost", "grid": {"n": [64], "eps": [1.0], "d": [4]},
                "delta": 1e-4, "seeds": [0], "out": str(tmp_path / "out"),
                "loss": {"kind": "synthetic_nonconvex"}, "data": {"kind": "glm_fullrank"}}
-        cfg[block]["kind"] = kind
+        cfg.setdefault(block, {})[key] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert cli_main(["run", "--config", str(cfg_path)]) == 2
-        assert f"unknown {block} kind '{kind}'" in capsys.readouterr().err
+        assert f"unknown {block} {key} '{value}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

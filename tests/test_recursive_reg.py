@@ -71,7 +71,7 @@ class TestRegularize:
         reg = regularize(base, [np.zeros((5, 3)), np.ones((5, 3))], [0.5, 1.0])
         w, x, X, Y = np.full(3, 0.1), np.full(3, 0.2), np.full((4, 3), 0.2), np.zeros(4)
         for call in (lambda: reg.eval(w, x, 0.5), lambda: reg.grad(w, x, 0.5),
-                     lambda: reg.eval_mean(w, X, Y), lambda: reg.grad_mean(w, X, Y)):
+                     lambda: reg.grad_mean(w, X, Y)):
             with pytest.raises(ValueError, match="_affine_terms"):
                 call()
         _, a, c = rr._affine_terms(reg, 0.1)
