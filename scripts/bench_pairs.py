@@ -17,9 +17,11 @@ than the base's by more than the metric's relative bound in
 BENCHMARK.json. Each workload's entry also records the
 two trees' `git describe`, the command and the host's Python, numpy, BLAS
 and CPU count, so an existing output file keeps its other workloads with
-their own labels. At least two seeds are needed for quartiles; fewer are
-rejected before any run, as is a --base that resolves to the --change
-directory. Standard library only; numpy is queried in a child process.
+their own labels. The host entry also holds the caller's BLAS thread
+variables (null when unset): they decide the last bits of some outputs,
+though perfbench/run.py pins one thread in its own runs. At least two
+seeds are needed for quartiles; fewer are rejected before any run, as is a
+--base that resolves to the --change directory. Standard library only; numpy is queried in a child process.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ import sys
 import time
 from pathlib import Path
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 NUMPY_PROBE = ("import json, numpy; c = numpy.show_config(mode='dicts'); "
                "b = c['Build Dependencies']['blas']; "
                "print(json.dumps([numpy.__version__, b.get('name'), b.get('version')]))")
@@ -88,7 +91,8 @@ def host_info() -> dict:
     numpy_version, blas, blas_version = json.loads(probe.stdout)
     return {"python": platform.python_version(), "numpy": numpy_version,
             "blas": f"{blas} {blas_version}",
-            "nproc": len(os.sched_getaffinity(0)), "machine": platform.machine()}
+            "nproc": len(os.sched_getaffinity(0)), "machine": platform.machine(),
+            **{var: os.environ.get(var) for var in THREAD_VARS}}
 
 
 def describe(tree: Path) -> str:

@@ -290,6 +290,15 @@ class Runs(tuple):
     def slice(self, start: int, stop: int) -> "Runs":
         return Runs(S.slice(start, stop) for S in self)
 
+    def indices(self, starts: Iterable[int], length: int) -> tuple[Dataset, np.ndarray] | None:
+        """(source, idx) when every run indexes one plain source: row i of
+        the (R, length) block idx holds the source rows of run i's samples
+        starts[i] to starts[i] + length. None for any other group."""
+        src = self[0]._source
+        if src is None or any(S._source is not src for S in self):
+            return None
+        return src, np.stack([S._idx[p:p + length] for S, p in zip(self, starts)])
+
     def stack(self, axis: int) -> tuple[np.ndarray, np.ndarray | None]:
         """Every run's features and labels, stacked on `axis` (0 or 1). A
         packed group gives its block itself on axis 0; runs indexed into one
@@ -297,12 +306,12 @@ class Runs(tuple):
         stacked into fresh arrays."""
         if axis == 0 and self._block is not None:
             return self._block
-        src = self[0]._source
-        if src is None or any(S._source is not src for S in self):
+        held = self.indices([0] * len(self), self.n)
+        if held is None:
             labelled = self[0].y is not None
             return (np.stack([S.X for S in self], axis=axis),
                     np.stack([S.y for S in self], axis=axis) if labelled else None)
-        idx = np.concatenate([S._idx for S in self]).reshape(len(self), -1)
+        src, idx = held
         if axis:
             idx = idx.T
         return (src.X.take(idx, axis=0),

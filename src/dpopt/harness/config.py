@@ -54,6 +54,11 @@ class ExperimentConfig:
             raise ValueError("seeds must be distinct")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        for key in ("timing", "write_reports"):
+            if not isinstance(getattr(self, key), bool):  # bool("false") is True
+                raise ValueError(f"{key} must be true or false, got {getattr(self, key)!r}")
         for block, key, default, allowed in (
                 ("loss", "kind", "synthetic_nonconvex", LOSS_KINDS),
                 ("data", "kind", "glm_fullrank", KINDS),
@@ -101,8 +106,8 @@ class ExperimentConfig:
             overrides=dict(raw.get("overrides", {})),
             accountant_c=float(raw.get("accountant_c", 1.0)),
             workers=int(raw.get("workers", 1)),
-            timing=bool(raw.get("timing", False)),
-            write_reports=bool(raw.get("write_reports", True)),
+            timing=raw.get("timing", False),
+            write_reports=raw.get("write_reports", True),
         )
         cfg.validate()
         return cfg

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +38,9 @@ SITE_DELTA = "tree-delta"
 # many entries (256 KB) at a time: one root batch of five runs at n = 2^20
 # is 6.6 MB, and deep nodes, the most numerous, still go five runs at once
 GATHER_ENTRIES = 2 ** 15
+
+# a sub-group's batch rows: X of shape (A, size, d), Y of shape (A, size) or None
+Rows = tuple[np.ndarray, np.ndarray | None]
 
 
 @dataclass(frozen=True)
@@ -231,25 +234,64 @@ def _gathered_runs(size: int, d: int) -> int:
     return max(1, GATHER_ENTRIES // (size * d))
 
 
-def _grad_means(loss: LossSpec, batches: Sequence[Dataset], W: np.ndarray,
+def _grad_means(loss: LossSpec, blocks: Iterable[Rows], W: np.ndarray,
                 W_par: np.ndarray | None = None,
                 work: Callable[[int, int], VarWork] | None = None) -> np.ndarray:
-    """Row i the batch-mean gradient at W[i] on batches[i] or, given W_par,
-    its variation from W_par[i], `loss.grad_var` in the buffers `work(A,
-    size)` gives for a sub-group of A runs' batches of `size` rows; each
-    sub-group's result is copied out before the next call overwrites it.
-    The batches' rows are gathered (one `take` when they index one source)
-    for at most GATHER_ENTRIES entries of runs at a time."""
-    size, d = batches[0].n, batches[0].dim
+    """Row i the batch-mean gradient at W[i] on run i's batch or, given
+    W_par, its variation from W_par[i], `loss.grad_var` in the buffers
+    `work(A, size)` gives for a sub-group of A runs' batches of `size` rows;
+    each sub-group's result is copied out before the next call overwrites
+    it. `blocks` gives the rows of one sub-group of runs at a time, in run
+    order."""
     out = np.empty_like(W)
-    step = _gathered_runs(size, d)
-    for i in range(0, len(batches), step):
-        X, Y = Runs(batches[i:i + step]).stack(axis=0)
-        rows = slice(i, i + step)
+    i = 0
+    for X, Y in blocks:
+        rows = slice(i, i + len(X))
         out[rows] = (loss.grad_mean_rows(W[rows], X, Y) if W_par is None else
-                     loss.grad_var(W[rows], W_par[rows], X, Y, work(len(X), size)))
+                     loss.grad_var(W[rows], W_par[rows], X, Y, work(*X.shape[:2])))
+        i += len(X)
         del X, Y  # one sub-group's rows at a time
     return out
+
+
+class _StreamBatches:
+    """The optimizer's `batch` hook: the rows that R cursors hand out next,
+    read in place while the cursors stay where they are. Every active run
+    has taken the same `used` samples since its cursor's start, so one
+    counter places them all.
+
+    When the runs index one source (population samples), the hook slices a
+    block of the active runs' source rows up to the end of the round, at a
+    round's first node and again after a run stops, and a node gathers each
+    sub-group's rows with one `take` of a slice of that block. Any other
+    group stacks each node's slices (see `Runs.stack`)."""
+
+    def __init__(self, streams: Sequence[DatasetCursor], per_round: int, d: int):
+        self.data = Runs(c.dataset for c in streams)
+        self.starts = [c.consumed for c in streams]
+        self.per_round, self.d = per_round, d
+        self.used = 0
+        self.runs: list[int] | None = None
+        self.lo = self.end = 0  # the block's span of `used`
+        self.block: tuple[Dataset, np.ndarray] | None = None
+
+    def __call__(self, runs: list[int], size: int) -> Iterator[Rows]:
+        lo = self.used
+        self.used += size
+        if runs != self.runs or lo >= self.end:
+            self.runs, self.lo = runs, lo
+            self.end = lo - lo % self.per_round + self.per_round
+            self.block = Runs(self.data[r] for r in runs).indices(
+                [self.starts[r] + lo for r in runs], self.end - lo)
+        step = _gathered_runs(size, self.d)
+        if self.block is None:
+            return (Runs(self.data[r].slice(self.starts[r] + lo, self.starts[r] + lo + size)
+                         for r in runs[i:i + step]).stack(axis=0)
+                    for i in range(0, len(runs), step))
+        src, idx = self.block
+        cols = idx[:, lo - self.lo:lo - self.lo + size]
+        return ((src.X.take(c, axis=0), None if src.y is None else src.y.take(c))
+                for c in (cols[i:i + step] for i in range(0, len(runs), step)))
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:
@@ -258,25 +300,28 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(V, V))
 
 
-def _tree_path(loss: LossSpec, params: TreeParams,
-               takes: Sequence[Callable[[int], Dataset]],
+def _tree_path(loss: LossSpec, params: TreeParams, batch,
                rngs: Sequence[np.random.Generator],
                ledgers: Sequence[NoiseLedger] | None, leaf, node=None) -> None:
     """The DFS of T rounds of depth-D trees for R = len(rngs) runs in
     lockstep, each from the root iterate 0.
 
-    Run r takes k fresh samples with `takes[r](k)`, draws its noise from
-    rngs[r] and records it in ledgers[r] (nowhere when `ledgers` is None).
-    At the root of a round each run draws its batch, then its noise, for the
-    estimate grad(w_root) + N(0, sigma_root^2); a left child copies its
-    parent; at a right child of depth k each run draws its batch of b/2^k,
-    then its noise, for Delta = (2^k/b) sum (grad(w_s) - grad(w_parent)) +
+    At a root or right child, `batch(runs, size)` gives each active run's
+    `size` fresh samples, as the rows of sub-groups of the runs in run order
+    (see `_grad_means`; the optimizer's hook gathers at most GATHER_ENTRIES
+    entries at a time). It is called before the node's noise draws, so a
+    hook that samples from the runs' generators (the validator's) draws
+    there. Run r draws its noise from rngs[r] and
+    records it in ledgers[r] (nowhere when `ledgers` is None). At the root
+    of a round each run takes its batch, then its noise, for the estimate
+    grad(w_root) + N(0, sigma_root^2); a left child copies its parent; at a
+    right child of depth k each run takes its batch of b/2^k, then its
+    noise, for Delta = (2^k/b) sum (grad(w_s) - grad(w_parent)) +
     N(0, sigma_delta^2) and the estimate nabla_parent + Delta. Roots and
     right children sit at the pending iterates.
 
     The sum is b/2^k times `loss.grad_var(W, W_par, X, Y, work)` on each
-    sub-group of runs whose batches are gathered together (see
-    `_grad_means`). Its buffers are `VarWork` views of the front of one
+    sub-group of runs. Its buffers are `VarWork` views of the front of one
     flat array, allocated here for the largest sub-group a right child
     gathers (R (7 size + 4 d) entries at most, with size the depth-1 batch)
     and made once per (runs, size) shape, smaller groups left after runs
@@ -322,18 +367,17 @@ def _tree_path(loss: LossSpec, params: TreeParams,
             else:
                 sigma, site = ((params.sigma_delta, SITE_DELTA) if k
                                else (params.sigma_root, SITE_ROOT))
-                batches, noise = [], noise_rows[:len(runs)]
+                blocks, noise = batch(runs, size), noise_rows[:len(runs)]
                 for i, r in enumerate(runs):
-                    batches.append(takes[r](size))
                     draw_gaussian(d, sigma, rngs[r], None if ledgers is None else ledgers[r],
                                   site, out=noise[i])
                 W = pending
                 if not k:
-                    nabla = _grad_means(loss, batches, W) + noise
+                    nabla = _grad_means(loss, blocks, W) + noise
                 else:
                     W_par, nabla_par = path[k - 1]
                     # (2^|s|/b) * sum over the batch of per-sample variations
-                    delta = scale * (size * _grad_means(loss, batches, W, W_par, work)) + noise
+                    delta = scale * (size * _grad_means(loss, blocks, W, W_par, work)) + noise
                     nabla = nabla_par + delta
             path[k] = (W, nabla)
             if node is not None:
@@ -361,12 +405,16 @@ def run_tree_spider(loss: LossSpec, stream: DatasetCursor | Sequence[DatasetCurs
     Given a sequence of generators and one stream per generator, the runs
     go in lockstep and a `TreeRuns` of reports comes back; each equals what
     that run gives alone. The streams' datasets must share n, d and
-    labelling.
+    labelling. The runs read their batches in place (see `_StreamBatches`),
+    and each cursor moves once, at the end, past what its run consumed.
     """
     streams = [stream] if isinstance(stream, DatasetCursor) else list(stream)
     data, rngs, _, single = lockstep(Runs(c.dataset for c in streams), rng)
+    if len(set(map(id, streams))) < len(streams):
+        raise ValueError("each run needs its own cursor")
     params.validate()
-    need = params.T * params.samples_per_round()
+    per_round = params.samples_per_round()
+    need = params.T * per_round
     for c in streams:
         if c.remaining < need:
             raise ValueError(f"stream holds {c.remaining} samples, need {need}")
@@ -378,8 +426,8 @@ def run_tree_spider(loss: LossSpec, stream: DatasetCursor | Sequence[DatasetCurs
     step_len = params.beta_par / (2 ** (params.D / 2.0) * loss.L1)
     threshold, row_bytes = 2.0 * params.alpha_tilde, 8 * d
     last_leaf = "1" * params.D
-    consumed0 = [c.consumed for c in streams]
-    round_start, batch_start = list(consumed0), list(consumed0)
+    batch = _StreamBatches(streams, per_round, d)
+    consumed = [need] * R  # a run that stops has consumed less
     # each running run's leaf iterates, copied into a compact array so that
     # no view keeps a group array alive; a stopped run keeps only its last
     leaf_ws = [array("d") for _ in rngs]
@@ -388,9 +436,8 @@ def run_tree_spider(loss: LossSpec, stream: DatasetCursor | Sequence[DatasetCurs
     round_consumption: list[list[int]] = [[] for _ in rngs]
     stops: list[NodeAddress | None] = [None] * R
 
-    def close_round(r):
-        round_consumption[r].append(streams[r].consumed - round_start[r])
-        round_start[r] = streams[r].consumed
+    def close_round(r, t):
+        round_consumption[r].append(batch.used - (t - 1) * per_round)
 
     def leaf(runs, t, s, W, nabla):
         norms = _row_norms(nabla)
@@ -400,7 +447,8 @@ def run_tree_spider(loss: LossSpec, stream: DatasetCursor | Sequence[DatasetCurs
                 r = runs[i]
                 stops[r], leaf_ws[r] = NodeAddress(t, s), array("d", W[i].tobytes())
                 leaf_counts[r] += 1
-                close_round(r)
+                consumed[r] = batch.used
+                close_round(r, t)
             keep = np.flatnonzero(~near)  # a NaN norm steps on, as it does alone
             runs, W, nabla, norms = [runs[i] for i in keep], W[keep], nabla[keep], norms[keep]
         else:
@@ -411,19 +459,20 @@ def run_tree_spider(loss: LossSpec, stream: DatasetCursor | Sequence[DatasetCurs
             leaf_counts[r] += 1
         if s == last_leaf:
             for r in runs:
-                close_round(r)
+                close_round(r, t)
         return keep, W - (step_len / norms)[:, None] * nabla
 
     def record(runs, t, s, W, nabla, delta):
+        taken = not s.endswith("0")  # the root and right children take a batch
+        lo = batch.used - params.batch_size(len(s))
         for i, r in enumerate(runs):
-            span = None
-            if not s.endswith("0"):  # the root and right children take a batch
-                span, batch_start[r] = (batch_start[r], streams[r].consumed), streams[r].consumed
+            span = (batch.starts[r] + lo, batch.starts[r] + batch.used) if taken else None
             records[r].append(NodeRecord(NodeAddress(t, s), W[i], nabla[i],
                                          None if delta is None else delta[i], span))
 
-    _tree_path(loss, params, [c.take for c in streams], rngs, ledgers, leaf,
-               record if record_nodes else None)
+    _tree_path(loss, params, batch, rngs, ledgers, leaf, record if record_nodes else None)
+    for c, k in zip(streams, consumed):
+        c.take(k)
     reports = TreeRuns()
     for r, (rng_r, stop) in enumerate(zip(rngs, stops)):
         ws = np.frombuffer(leaf_ws[r]).reshape(-1, d)
@@ -431,7 +480,7 @@ def run_tree_spider(loss: LossSpec, stream: DatasetCursor | Sequence[DatasetCurs
         reports.append(TreeRunReport(
             w_out=ws[-1 if selected is None else selected].copy(),
             stopped_early=stop is not None, stop_address=stop,
-            samples_consumed=streams[r].consumed - consumed0[r],
+            samples_consumed=consumed[r],
             leaf_count_visited=leaf_counts[r], noise_ledger=ledgers[r],
             rounds_completed=params.T if stop is None else stop.t - 1,
             leaves_per_round=leaves, round_consumption=round_consumption[r],
@@ -488,9 +537,11 @@ def validate_tree_estimation_error(loss: LossSpec, dist, params: TreeParams,
         err = nabla_s - pop_grads[(t, s)]
         sq_errs.append(float(err @ err))
 
+    def batch(runs, size):
+        return [Runs([dist.sample(size, rng)]).stack(axis=0)]
+
     for _ in range(trials):
-        _tree_path(loss, params, [lambda k: dist.sample(k, rng)], [rng], None,
-                   _pinned_leaf(ref, check))
+        _tree_path(loss, params, batch, [rng], None, _pinned_leaf(ref, check))
     bound = params.alpha * params.alpha_tilde
     violations = sum(sq > bound for sq in sq_errs)
     return TreeBoundCheck(violation_rate=violations / max(len(sq_errs), 1),

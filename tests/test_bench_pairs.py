@@ -118,3 +118,14 @@ def test_existing_fields_keep_their_names(bench_pairs):
                         "within_bound"}
     assert (got["wins"], got["median_diff"], got["claim_met"], got["within_bound"]) == (
         0, 0.0, False, True)
+
+
+def test_host_info_records_the_blas_thread_variables(bench_pairs, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    host = bench_pairs.host_info()
+    assert {var: host[var] for var in bench_pairs.THREAD_VARS} == {
+        "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": None}
+    assert {"python", "numpy", "blas", "nproc", "machine"} <= set(host)
+    assert json.loads(json.dumps(host))["MKL_NUM_THREADS"] is None  # null in the file

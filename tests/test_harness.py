@@ -1,5 +1,6 @@
 """Harness: synthetic data, RNG streams, scaling fits, sweeps, and the CLI."""
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,34 @@ class TestExperimentConfig:
         raw.setdefault(block, {})[key] = value
         with pytest.raises(ValueError, match=rf"unknown {block} {key} '{value}'"):
             ExperimentConfig.from_dict(raw)
+
+    # 0 and -1 only: a rejected count must never reach a process pool
+    @pytest.mark.parametrize("key,value,message", [
+        ("workers", 0, "workers must be >= 1, got 0"),
+        ("workers", -1, "workers must be >= 1, got -1"),
+        ("timing", "false", "timing must be true or false, got 'false'"),
+        ("timing", 0, "timing must be true or false, got 0"),
+        ("write_reports", "true", "write_reports must be true or false, got 'true'"),
+        ("write_reports", None, "write_reports must be true or false, got None")])
+    def test_bad_run_settings_are_rejected_before_out_exists(self, tmp_path, capsys, key,
+                                                             value, message):
+        out = tmp_path / "out"
+        raw = {**self.base_raw(out), key: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict(raw)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_run_settings_keep_their_values(self, tmp_path):
+        raw = self.base_raw(tmp_path)
+        cfg = ExperimentConfig.from_dict(raw)
+        assert (cfg.workers, cfg.timing, cfg.write_reports) == (1, False, True)
+        cfg = ExperimentConfig.from_dict({**raw, "workers": 2, "timing": True,
+                                          "write_reports": False})
+        assert (cfg.workers, cfg.timing, cfg.write_reports) == (2, True, False)
 
     @pytest.mark.parametrize("key", ["algorithm", "delta", "seeds", "out"])
     def test_missing_required_key_is_named(self, tmp_path, key):

@@ -355,10 +355,55 @@ class TestLockstep:
         with pytest.raises(ValueError, match="one dataset per generator"):
             run_tree_spider(loss, [DatasetCursor(base)] * 2, params,
                             [np.random.default_rng(1)])
+        with pytest.raises(ValueError, match="its own cursor"):
+            run_tree_spider(loss, [DatasetCursor(base)] * 2, params,
+                            [np.random.default_rng(1), np.random.default_rng(2)])
         short = DatasetCursor(base, start=150)
         with pytest.raises(ValueError, match="stream holds 50 samples"):
             run_tree_spider(loss, [DatasetCursor(base), short], params,
                             [np.random.default_rng(1), np.random.default_rng(2)])
+
+
+class TestCursors:
+    """`run_tree_spider` reads each run's batches in place and moves every
+    cursor once, at the end, past the samples its run consumed."""
+
+    STARTS = [0, 7, 13, 40, 72]  # the last run ends on the stream's last sample
+    PARAMS = TreeParams(b=16, D=2, T=4, alpha=0.056, alpha_tilde=0.056, beta_par=0.112,
+                        C_tilde=1.0, sigma_root=0.05, sigma_delta=0.02, p=0.1)
+
+    @pytest.mark.parametrize("plain", [False, True], ids=["indexed", "plain"])
+    def test_each_cursor_ends_at_its_start_plus_what_its_run_consumed(self, plain):
+        loss = synthetic_nonconvex_loss(3)
+        dist = gen_support("glm_fullrank", 64, 3, seed=13, label_scale=0.5)
+        samples = [dist.sample(200, np.random.default_rng(30 + r)) for r in range(5)]
+        if plain:  # the same rows, held as arrays
+            samples = [Dataset(S.X, S.y) for S in samples]
+        cursors = [DatasetCursor(S, start=p) for S, p in zip(samples, self.STARTS)]
+        group = run_tree_spider(loss, cursors, self.PARAMS,
+                                [np.random.default_rng(50 + r) for r in range(5)],
+                                record_nodes=True)
+        # one run never stops; the others stop mid-round or at a round's end
+        assert [rep.stop_address for rep in group] == [
+            None, NodeAddress(3, "11"), NodeAddress(3, "01"), NodeAddress(4, "01"),
+            NodeAddress(3, "11")]
+        for r, (S, start, cursor, rep) in enumerate(zip(samples, self.STARTS, cursors, group)):
+            assert cursor.consumed == start + rep.samples_consumed
+            assert rep.samples_consumed == sum(rep.round_consumption)
+            spans = [rec.batch_range for rec in rep.nodes if rec.batch_range is not None]
+            assert spans[0][0] == start and spans[-1][1] == cursor.consumed
+            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+            # alone (R = 1), and on a cursor over the same rows from 0
+            alone = DatasetCursor(S, start=start)
+            assert_same_tree_run(rep, run_tree_spider(loss, alone, self.PARAMS,
+                                                      np.random.default_rng(50 + r),
+                                                      record_nodes=True))
+            assert alone.consumed == cursor.consumed
+            rest = DatasetCursor(S.slice(start, S.n))
+            moved = run_tree_spider(loss, rest, self.PARAMS, np.random.default_rng(50 + r))
+            assert moved.w_out.tobytes() == rep.w_out.tobytes()
+            assert moved.noise_ledger == rep.noise_ledger
+            assert rest.consumed == moved.samples_consumed == rep.samples_consumed
 
 
 def right_children(rep):
@@ -476,7 +521,8 @@ class TestSharedTraversal:
         assert ref.stopped_early == stops
         seen = []
         ledger = NoiseLedger()
-        _tree_path(loss, params, [DatasetCursor(S).take], [np.random.default_rng(1)],
+        batch = tree_spider._StreamBatches([DatasetCursor(S)], params.samples_per_round(), 3)
+        _tree_path(loss, params, batch, [np.random.default_rng(1)],
                    [ledger], _pinned_leaf(ref, lambda *leaf: seen.append(leaf)))
         leaves = [r for r in ref.nodes if len(r.address.s) == params.D]
         assert len(seen) == len(leaves) == ref.leaf_count_visited
@@ -507,14 +553,14 @@ class TestGroupHooks:
         nodes = {r: [] for r in ids}
         spans = {r: [] for r in ids}
         calls = []
+        gather = tree_spider._StreamBatches(
+            [DatasetCursor(dist.sample(200, np.random.default_rng(30 + r))) for r in ids],
+            self.PARAMS.samples_per_round(), 3)
 
-        def take_of(r):
-            cursor = DatasetCursor(dist.sample(200, np.random.default_rng(30 + r)))
-
-            def take(k):
-                spans[r].append((cursor.consumed, k))
-                return cursor.take(k)
-            return take
+        def batch(runs, size):
+            for pos in runs:
+                spans[ids[pos]].append((gather.starts[pos] + gather.used, size))
+            return gather(runs, size)
 
         def leaf(runs, t, s, W, nabla):
             assert W.shape == nabla.shape == (len(runs), 3)
@@ -530,7 +576,7 @@ class TestGroupHooks:
                                         None if delta is None else delta[i].tobytes()))
 
         ledgers = [NoiseLedger() for _ in ids]
-        _tree_path(loss, self.PARAMS, [take_of(r) for r in ids],
+        _tree_path(loss, self.PARAMS, batch,
                    [np.random.default_rng(50 + r) for r in ids], ledgers, leaf, node)
         return leaves, nodes, spans, {r: l.rows() for r, l in zip(ids, ledgers)}, calls
 
@@ -604,8 +650,10 @@ class TestBoundaryCounts:
         assert len({rep.leaf_count_visited for rep in reps}) == 3
         alone = [run([r])[0] for r in seeds]
         assert group == {key: sum(c[key] for c in alone) for key in counts}
-        # one take, slice, draw and ledger record per leaf visited
-        assert set(group.values()) == {reps.leaf_count_visited}
+        # one draw and ledger record per leaf visited; each cursor moves
+        # once, by one take and its slice
+        assert group == {"take": len(seeds), "slice": len(seeds),
+                         "draw": reps.leaf_count_visited, "record": reps.leaf_count_visited}
 
 
 class TestEstimationErrorValidator:
