@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,6 +55,13 @@ class ExperimentConfig:
             raise ValueError("seeds must be distinct")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        for key, values in (("n", self.grid_n), ("d", self.grid_d)):
+            if min(values) < 1:
+                raise ValueError(f"grid {key} must be >= 1, got {min(values)}")
+        for key, value in [("grid eps", eps) for eps in self.grid_eps] + [
+                ("accountant_c", self.accountant_c)]:
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{key} must be finite and positive, got {value!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         for key in ("timing", "write_reports"):

@@ -4,8 +4,8 @@ noise sampler with its draw ledger.
 All calibration operations are pure: identical inputs give bit-identical
 outputs. Optimizers route every noise draw through :func:`draw_gaussian`,
 or scale normals drawn ahead in a block and record the block's draws through
-:func:`record_draws`, so each draw lands in the run's ledger with the
-calibrated sigma.
+:func:`record_draws` (or, for tree Spider, one `NoiseLedger.record` per
+node), so each draw lands in the run's ledger with the calibrated sigma.
 """
 from __future__ import annotations
 
@@ -30,11 +30,12 @@ class PrivacyBudget:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.eps <= 0:
+        # written so that a NaN fails each check
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError("c must be positive")
 
     def halve_delta(self) -> "PrivacyBudget":

@@ -52,9 +52,9 @@ class SpiderParams:
             raise ValueError("q must be >= 1")
         if self.T < 1:
             raise ValueError("T must be >= 1")
-        if self.eta <= 0:
+        if not self.eta > 0:  # so that a NaN fails too
             raise ValueError("eta must be positive")
-        if min(self.sigma1, self.sigma2, self.sigma2_hat) < 0:
+        if not (self.sigma1 >= 0 and self.sigma2 >= 0 and self.sigma2_hat >= 0):
             raise ValueError("noise scales must be non-negative")
 
 

@@ -19,7 +19,6 @@ workspace allocated per traversal.
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -38,6 +37,11 @@ SITE_DELTA = "tree-delta"
 # many entries (256 KB) at a time: one root batch of five runs at n = 2^20
 # is 6.6 MB, and deep nodes, the most numerous, still go five runs at once
 GATHER_ENTRIES = 2 ** 15
+
+# each run draws the standard normals of at most this many noisy nodes (roots
+# and right children) in one call; a power of two, so that a block of
+# min(NOISE_NODES, 2^D) nodes never crosses a round's 2^D
+NOISE_NODES = 64
 
 # a sub-group's batch rows: X of shape (A, size, d), Y of shape (A, size) or None
 Rows = tuple[np.ndarray, np.ndarray | None]
@@ -101,11 +105,13 @@ class TreeParams:
             raise ValueError("T must be >= 1")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie in (0, 1)")
-        if abs(self.alpha_tilde - self.C_tilde * self.alpha) > 1e-9 * max(1.0, self.alpha_tilde):
+        # each check is written so that a NaN fails it
+        if not (abs(self.alpha_tilde - self.C_tilde * self.alpha)
+                <= 1e-9 * max(1.0, self.alpha_tilde)):
             raise ValueError("alpha_tilde must equal C_tilde * alpha")
-        if self.beta_par > 2 ** (self.D / 2.0) * self.alpha_tilde * (1 + 1e-12):
+        if not self.beta_par <= 2 ** (self.D / 2.0) * self.alpha_tilde * (1 + 1e-12):
             raise ValueError("need beta <= 2^(D/2) alpha_tilde")
-        if min(self.sigma_root, self.sigma_delta) < 0:
+        if not (self.sigma_root >= 0 and self.sigma_delta >= 0):
             raise ValueError("noise scales must be non-negative")
 
     def batch_size(self, depth: int) -> int:
@@ -300,20 +306,68 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(V, V))
 
 
-def _tree_path(loss: LossSpec, params: TreeParams, batch,
-               rngs: Sequence[np.random.Generator],
-               ledgers: Sequence[NoiseLedger] | None, leaf, node=None) -> None:
-    """The DFS of T rounds of depth-D trees for R = len(rngs) runs in
-    lockstep, each from the root iterate 0.
+def _active(runs: list[int], R: int) -> list[int] | slice:
+    """An index of the active runs' rows in an array over all R runs: a
+    slice when every run is active, which numpy indexes faster than a list."""
+    return slice(None) if len(runs) == R else runs
+
+
+class _BlockNoise:
+    """The optimizer's `noise` hook: run r's noise from rngs[r], recorded in
+    ledgers[r], one `NoiseLedger.record` per run per node. Each active run
+    draws the standard normals of its next C = min(NOISE_NODES, 2^D) noisy
+    nodes with one `draw_gaussian` call into its row of one (R, C, d)
+    block; a node scales its (A, d) column by sigma, so each entry is the
+    product sigma * z that a per-node draw gives. C divides 2^D, so a block
+    starts and ends with a round, and every active run has used the same
+    rows of it: one counter places them all.
+
+    A block draw first saves the run's generator state. `rewind(r)`, for a
+    run that stops, restores it and draws again exactly the rows the run
+    used, which leaves the generator where per-node draws would have left
+    it; a run that never stops uses every row of its last block."""
+
+    def __init__(self, rngs: Sequence[np.random.Generator], ledgers: Sequence[NoiseLedger],
+                 d: int, D: int):
+        self.rngs, self.ledgers, self.d = rngs, ledgers, d
+        self.C = min(NOISE_NODES, 2 ** D)
+        self.Z = np.empty((len(rngs), self.C, d))
+        self.states: list[dict | None] = [None] * len(rngs)
+        self.row = self.C  # rows of the current block used
+
+    def __call__(self, runs: list[int], sigma: float, site: str) -> np.ndarray:
+        if self.row == self.C:
+            for r in runs:
+                self.states[r] = self.rngs[r].bit_generator.state
+                draw_gaussian(self.C * self.d, 1.0, self.rngs[r], out=self.Z[r].reshape(-1))
+            self.row = 0
+        z = self.Z[_active(runs, len(self.rngs)), self.row] * sigma
+        self.row += 1
+        for r in runs:
+            self.ledgers[r].record(site, sigma, self.d)
+        return z
+
+    def rewind(self, r: int) -> None:
+        rng = self.rngs[r]
+        rng.bit_generator.state = self.states[r]
+        rng.standard_normal(self.row * self.d)
+
+
+def _tree_path(loss: LossSpec, params: TreeParams, R: int, batch, noise, leaf,
+               node=None) -> None:
+    """The DFS of T rounds of depth-D trees for R runs in lockstep, each
+    from the root iterate 0.
 
     At a root or right child, `batch(runs, size)` gives each active run's
     `size` fresh samples, as the rows of sub-groups of the runs in run order
     (see `_grad_means`; the optimizer's hook gathers at most GATHER_ENTRIES
-    entries at a time). It is called before the node's noise draws, so a
+    entries at a time). Then `noise(runs, sigma, site)` gives the node's
+    draws from N(0, sigma^2 I_d), one row per active run, and records them
+    at `site` when the caller keeps ledgers; called in this order, a batch
     hook that samples from the runs' generators (the validator's) draws
-    there. Run r draws its noise from rngs[r] and
-    records it in ledgers[r] (nowhere when `ledgers` is None). At the root
-    of a round each run takes its batch, then its noise, for the estimate
+    before the noise, as one run's per-node `draw_gaussian` calls would
+    (the optimizer's noise hook is `_BlockNoise`). At the root of a round
+    each run takes its batch, then its noise, for the estimate
     grad(w_root) + N(0, sigma_root^2); a left child copies its parent; at a
     right child of depth k each run takes its batch of b/2^k, then its
     noise, for Delta = (2^k/b) sum (grad(w_s) - grad(w_parent)) +
@@ -325,8 +379,7 @@ def _tree_path(loss: LossSpec, params: TreeParams, batch,
     flat array, allocated here for the largest sub-group a right child
     gathers (R (7 size + 4 d) entries at most, with size the depth-1 batch)
     and made once per (runs, size) shape, smaller groups left after runs
-    stop included. Each node's noise rows go into one (R, d) block, one
-    `draw_gaussian(..., out=row)` per run.
+    stop included.
 
     Iterates and estimates are (A, d) arrays over the A active runs, whose
     indices `runs` lists in run order, and every operation is row-wise, so a
@@ -346,7 +399,6 @@ def _tree_path(loss: LossSpec, params: TreeParams, batch,
         (s, len(s), s[-1] == "1", params.batch_size(len(s)), 2 ** len(s) / params.b)
         for s in dfs_order(D)]
     path: list[tuple[np.ndarray, np.ndarray] | None] = [None] * (D + 1)
-    R = len(rngs)
     runs = list(range(R))
     pending = np.zeros((R, d))
     buf = np.empty(max((VarWork.entries(min(R, _gathered_runs(size, d)), size, d)
@@ -358,7 +410,6 @@ def _tree_path(loss: LossSpec, params: TreeParams, batch,
             works[A, size] = VarWork(A, size, d, buf)
         return works[A, size]
 
-    noise_rows = np.empty((R, d))
     for t in range(1, params.T + 1):
         for s, k, right, size, scale in schedule:
             delta = None
@@ -367,17 +418,15 @@ def _tree_path(loss: LossSpec, params: TreeParams, batch,
             else:
                 sigma, site = ((params.sigma_delta, SITE_DELTA) if k
                                else (params.sigma_root, SITE_ROOT))
-                blocks, noise = batch(runs, size), noise_rows[:len(runs)]
-                for i, r in enumerate(runs):
-                    draw_gaussian(d, sigma, rngs[r], None if ledgers is None else ledgers[r],
-                                  site, out=noise[i])
+                blocks = batch(runs, size)
+                draws = noise(runs, sigma, site)
                 W = pending
                 if not k:
-                    nabla = _grad_means(loss, blocks, W) + noise
+                    nabla = _grad_means(loss, blocks, W) + draws
                 else:
                     W_par, nabla_par = path[k - 1]
                     # (2^|s|/b) * sum over the batch of per-sample variations
-                    delta = scale * (size * _grad_means(loss, blocks, W, W_par, work)) + noise
+                    delta = scale * (size * _grad_means(loss, blocks, W, W_par, work)) + draws
                     nabla = nabla_par + delta
             path[k] = (W, nabla)
             if node is not None:
@@ -423,43 +472,33 @@ def run_tree_spider(loss: LossSpec, stream: DatasetCursor | Sequence[DatasetCurs
 
     R, d, leaves = len(rngs), loss.dim, 2 ** params.D
     ledgers = [NoiseLedger() for _ in rngs]
+    noise = _BlockNoise(rngs, ledgers, d, params.D)
     step_len = params.beta_par / (2 ** (params.D / 2.0) * loss.L1)
-    threshold, row_bytes = 2.0 * params.alpha_tilde, 8 * d
-    last_leaf = "1" * params.D
+    threshold = 2.0 * params.alpha_tilde
     batch = _StreamBatches(streams, per_round, d)
     consumed = [need] * R  # a run that stops has consumed less
-    # each running run's leaf iterates, copied into a compact array so that
-    # no view keeps a group array alive; a stopped run keeps only its last
-    leaf_ws = [array("d") for _ in rngs]
-    leaf_counts = [0] * R
+    # round t's leaf iterates, rounds[t - 1][k, r] run r's at leaf k, copied
+    # so that no view keeps a group array alive
+    rounds: list[np.ndarray] = []
     records: list[list[NodeRecord]] = [[] for _ in rngs]
-    round_consumption: list[list[int]] = [[] for _ in rngs]
     stops: list[NodeAddress | None] = [None] * R
 
-    def close_round(r, t):
-        round_consumption[r].append(batch.used - (t - 1) * per_round)
-
     def leaf(runs, t, s, W, nabla):
+        k = int(s or "0", 2)
+        if not k:
+            rounds.append(np.empty((leaves, R, d)))
+        rounds[-1][k, _active(runs, R)] = W
         norms = _row_norms(nabla)
         near = norms <= threshold
         if near.any():
             for i in np.flatnonzero(near).tolist():
                 r = runs[i]
-                stops[r], leaf_ws[r] = NodeAddress(t, s), array("d", W[i].tobytes())
-                leaf_counts[r] += 1
-                consumed[r] = batch.used
-                close_round(r, t)
+                stops[r], consumed[r] = NodeAddress(t, s), batch.used
+                noise.rewind(r)
             keep = np.flatnonzero(~near)  # a NaN norm steps on, as it does alone
-            runs, W, nabla, norms = [runs[i] for i in keep], W[keep], nabla[keep], norms[keep]
+            W, nabla, norms = W[keep], nabla[keep], norms[keep]
         else:
             keep = range(len(runs))
-        rows = W.tobytes()
-        for i, r in enumerate(runs):
-            leaf_ws[r].frombytes(rows[i * row_bytes:(i + 1) * row_bytes])
-            leaf_counts[r] += 1
-        if s == last_leaf:
-            for r in runs:
-                close_round(r, t)
         return keep, W - (step_len / norms)[:, None] * nabla
 
     def record(runs, t, s, W, nabla, delta):
@@ -470,20 +509,27 @@ def run_tree_spider(loss: LossSpec, stream: DatasetCursor | Sequence[DatasetCurs
             records[r].append(NodeRecord(NodeAddress(t, s), W[i], nabla[i],
                                          None if delta is None else delta[i], span))
 
-    _tree_path(loss, params, batch, rngs, ledgers, leaf, record if record_nodes else None)
+    _tree_path(loss, params, R, batch, noise, leaf, record if record_nodes else None)
     for c, k in zip(streams, consumed):
         c.take(k)
     reports = TreeRuns()
     for r, (rng_r, stop) in enumerate(zip(rngs, stops)):
-        ws = np.frombuffer(leaf_ws[r]).reshape(-1, d)
-        selected = None if stop is not None else int(rng_r.integers(leaf_counts[r]))
+        if stop is None:
+            count = params.T * leaves
+            selected = int(rng_r.integers(count))
+            t, k = divmod(selected, leaves)
+            spent = [per_round] * params.T
+        else:
+            selected, t, k = None, stop.t - 1, int(stop.s or "0", 2)
+            count = t * leaves + k + 1
+            spent = [per_round] * t + [consumed[r] - t * per_round]
         reports.append(TreeRunReport(
-            w_out=ws[-1 if selected is None else selected].copy(),
+            w_out=rounds[t][k, r].copy(),
             stopped_early=stop is not None, stop_address=stop,
             samples_consumed=consumed[r],
-            leaf_count_visited=leaf_counts[r], noise_ledger=ledgers[r],
-            rounds_completed=params.T if stop is None else stop.t - 1,
-            leaves_per_round=leaves, round_consumption=round_consumption[r],
+            leaf_count_visited=count, noise_ledger=ledgers[r],
+            rounds_completed=params.T if stop is None else t,
+            leaves_per_round=leaves, round_consumption=spent,
             selected_leaf=selected, nodes=records[r]))
     return reports[0] if single else reports
 
@@ -540,8 +586,11 @@ def validate_tree_estimation_error(loss: LossSpec, dist, params: TreeParams,
     def batch(runs, size):
         return [Runs([dist.sample(size, rng)]).stack(axis=0)]
 
+    def noise(runs, sigma, site):
+        return draw_gaussian(loss.dim, sigma, rng, None, site)[None]
+
     for _ in range(trials):
-        _tree_path(loss, params, batch, [rng], None, _pinned_leaf(ref, check))
+        _tree_path(loss, params, 1, batch, noise, _pinned_leaf(ref, check))
     bound = params.alpha * params.alpha_tilde
     violations = sum(sq > bound for sq in sq_errs)
     return TreeBoundCheck(violation_rate=violations / max(len(sq_errs), 1),

@@ -184,7 +184,19 @@ class TestExperimentConfig:
         ("timing", "false", "timing must be true or false, got 'false'"),
         ("timing", 0, "timing must be true or false, got 0"),
         ("write_reports", "true", "write_reports must be true or false, got 'true'"),
-        ("write_reports", None, "write_reports must be true or false, got None")])
+        ("write_reports", None, "write_reports must be true or false, got None"),
+        # a NaN eps or c ran a whole job before: PrivacyBudget took it, and
+        # gaussian_sigma returned NaN
+        ("grid", {"n": [64], "d": [4], "eps": [1.0, float("nan")]},
+         "grid eps must be finite and positive, got nan"),
+        ("grid", {"n": [64], "d": [4], "eps": [float("inf")]},
+         "grid eps must be finite and positive, got inf"),
+        ("grid", {"n": [64], "d": [4], "eps": [0.0]},
+         "grid eps must be finite and positive, got 0.0"),
+        ("grid", {"n": [64, 0], "d": [4], "eps": [1.0]}, "grid n must be >= 1, got 0"),
+        ("grid", {"n": [64], "d": [-2], "eps": [1.0]}, "grid d must be >= 1, got -2"),
+        ("accountant_c", float("nan"), "accountant_c must be finite and positive, got nan"),
+        ("accountant_c", float("inf"), "accountant_c must be finite and positive, got inf")])
     def test_bad_run_settings_are_rejected_before_out_exists(self, tmp_path, capsys, key,
                                                              value, message):
         out = tmp_path / "out"
@@ -527,9 +539,10 @@ class TestRunExperiment:
         """Python-side peak (tracemalloc, numpy buffers included) of one
         5-seed tree Spider grid point of tree_stream_sweep at n = 2^18 (d =
         16, eps = 1, support 256, C_tilde = 2, master seed 101), after a
-        warm-up job: 3.05 MB in lockstep, with uint8 samples, each run's
-        leaves in a compact array and batch rows gathered 2^15 entries at a
-        time. One seed alone, as one job with an int64 sample and a list of
+        warm-up job: 3.20 MB in lockstep, with uint8 samples, each round's
+        leaves in one (2^D, R, d) array, each run's noise drawn 64 nodes
+        ahead (41 KB) and batch rows gathered 2^15 entries at a time. One
+        seed alone, as one job with an int64 sample and a list of
         leaf arrays, peaked at 3.26-3.30 MB (3,263,786 B at the least)."""
         import tracemalloc
         cfg = ExperimentConfig.from_dict({

@@ -258,8 +258,10 @@ class TestRecordDraws:
 
 class TestPrivacyBudget:
     def test_rejects_bad_params(self):
+        nan = float("nan")
         for eps, delta, c in ((0.0, 1e-5, 1.0), (1.0, 0.0, 1.0),
-                              (1.0, 1.0, 1.0), (1.0, 1e-5, 0.0)):
+                              (1.0, 1.0, 1.0), (1.0, 1e-5, 0.0),
+                              (nan, 1e-5, 1.0), (1.0, nan, 1.0), (1.0, 1e-5, nan)):
             with pytest.raises(ValueError):
                 PrivacyBudget(eps, delta, c)
 

@@ -171,6 +171,12 @@ class TestRunSpiderboost:
         with pytest.raises(ValueError):
             run_spiderboost(loss, S, SpiderParams(0.1, 1, 9, 4, 5, 0, 0, 0),
                             np.random.default_rng(0))
+        nan = float("nan")
+        for bad, message in (((nan, 0, 0, 0), "eta"), ((0.1, nan, 0, 0), "noise"),
+                             ((0.1, 0, nan, 0), "noise"), ((0.1, 0, 0, nan), "noise")):
+            eta, s1, s2, s2_hat = bad
+            with pytest.raises(ValueError, match=message):
+                SpiderParams(eta, 1, 4, 4, 5, s1, s2, s2_hat).validate(8)
 
 
 def assert_same_run(a, b):

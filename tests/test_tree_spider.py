@@ -7,7 +7,7 @@ import pytest
 from dpopt.core import Dataset, DatasetCursor, LossSpec, synthetic_nonconvex_loss
 from dpopt.core.loss import glm_loss, huber_mean_loss, tanh_link
 from dpopt.harness import FiniteSupportDistribution, gen_support
-from dpopt.privacy import NoiseLedger, PrivacyBudget
+from dpopt.privacy import NoiseLedger, PrivacyBudget, draw_gaussian
 from dpopt import tree_spider
 from dpopt.tree_spider import (NodeAddress, TreeParams, TreeRuns, _pinned_leaf,
                                _tree_path, derive_tree_params, dfs_order,
@@ -126,6 +126,15 @@ class TestDeriveTreeParams:
         with pytest.raises(ValueError, match="beta"):
             TreeParams(b=64, D=1, T=1, alpha=1.0, alpha_tilde=1.0, beta_par=10.0,
                        C_tilde=1.0, sigma_root=0.0, sigma_delta=0.0, p=0.1).validate()
+        # each check fails a NaN, which `x <= 0`-style checks let through
+        nan = float("nan")
+        for field, message in (("alpha", "alpha_tilde"), ("alpha_tilde", "alpha_tilde"),
+                               ("C_tilde", "alpha_tilde"), ("beta_par", "beta"),
+                               ("sigma_root", "noise"), ("sigma_delta", "noise"),
+                               ("p", "p must")):
+            fields = {**vars(manual_params(b=16, D=1, T=1)), field: nan}
+            with pytest.raises(ValueError, match=message):
+                TreeParams(**fields).validate()
 
 
 class TestRunTreeSpider:
@@ -406,6 +415,47 @@ class TestCursors:
             assert rest.consumed == moved.samples_consumed == rep.samples_consumed
 
 
+class TestNoiseBlocks:
+    """Each run draws its noise for a block of nodes in one call, and leaves
+    its generator where one draw per node would have left it."""
+
+    PARAMS = TreeParams(b=16, D=2, T=4, alpha=0.06, alpha_tilde=0.06, beta_par=0.12,
+                        C_tilde=1.0, sigma_root=0.05, sigma_delta=0.02, p=0.1)
+
+    @pytest.mark.parametrize("R", [1, 5])
+    @pytest.mark.parametrize("nodes", [2, 4, 8], ids=["C_below_2D", "C_at_2D", "C_above_2D"])
+    def test_generators_end_as_after_per_node_draws(self, monkeypatch, nodes, R):
+        loss = synthetic_nonconvex_loss(3)
+        dist = gen_support("glm_fullrank", 64, 3, seed=13, label_scale=0.5)
+        samples = [dist.sample(200, np.random.default_rng(30 + r)) for r in range(5)]
+
+        def run(noise_nodes):
+            """Each run's report and generator, in groups of R runs."""
+            monkeypatch.setattr(tree_spider, "NOISE_NODES", noise_nodes)
+            out = []
+            for ids in ([[0, 1, 2, 3, 4]] if R == 5 else [[r] for r in range(5)]):
+                rngs = [np.random.default_rng(50 + r) for r in ids]
+                reps = run_tree_spider(loss, [DatasetCursor(samples[r]) for r in ids],
+                                       self.PARAMS, rngs, record_nodes=True)
+                out += zip(reps, rngs)
+            return out
+
+        got = run(nodes)
+        # 2^D = 4 leaves a round: with C = 2 blocks end at leaves 01 and 11,
+        # with C = 4 at 11; the runs stop mid-block (00, and 01 for C = 4), at
+        # a block's last row (11, and 01 for C = 2), or never
+        assert [rep.stop_address for rep, _ in got] == [
+            NodeAddress(3, "01"), NodeAddress(3, "11"), NodeAddress(3, "00"),
+            NodeAddress(1, "01"), None]
+        for r, ((rep, rng), (per_node, _)) in enumerate(zip(got, run(1))):
+            assert_same_tree_run(rep, per_node)  # C = 1 is one draw per node
+            replay = np.random.default_rng(50 + r)
+            replay.standard_normal(3 * rep.leaf_count_visited)
+            if not rep.stopped_early:
+                replay.integers(rep.leaf_count_visited)
+            assert rng.bit_generator.state == replay.bit_generator.state
+
+
 def right_children(rep):
     """(record, its parent's record) for each right child of a recorded run."""
     at = {(rec.address.t, rec.address.s): rec for rec in rep.nodes}
@@ -522,8 +572,13 @@ class TestSharedTraversal:
         seen = []
         ledger = NoiseLedger()
         batch = tree_spider._StreamBatches([DatasetCursor(S)], params.samples_per_round(), 3)
-        _tree_path(loss, params, batch, [np.random.default_rng(1)],
-                   [ledger], _pinned_leaf(ref, lambda *leaf: seen.append(leaf)))
+        rng = np.random.default_rng(1)
+
+        def noise(runs, sigma, site):  # one draw per node, as the validator's
+            return draw_gaussian(3, sigma, rng, ledger, site)[None]
+
+        _tree_path(loss, params, 1, batch, noise,
+                   _pinned_leaf(ref, lambda *leaf: seen.append(leaf)))
         leaves = [r for r in ref.nodes if len(r.address.s) == params.D]
         assert len(seen) == len(leaves) == ref.leaf_count_visited
         for (t, s, w, nabla), rec in zip(seen, leaves):
@@ -576,8 +631,9 @@ class TestGroupHooks:
                                         None if delta is None else delta[i].tobytes()))
 
         ledgers = [NoiseLedger() for _ in ids]
-        _tree_path(loss, self.PARAMS, batch,
-                   [np.random.default_rng(50 + r) for r in ids], ledgers, leaf, node)
+        noise = tree_spider._BlockNoise([np.random.default_rng(50 + r) for r in ids],
+                                        ledgers, 3, self.PARAMS.D)
+        _tree_path(loss, self.PARAMS, len(ids), batch, noise, leaf, node)
         return leaves, nodes, spans, {r: l.rows() for r, l in zip(ids, ledgers)}, calls
 
     def test_stopped_runs_leave_the_others_as_they_are_alone(self):
@@ -650,10 +706,13 @@ class TestBoundaryCounts:
         assert len({rep.leaf_count_visited for rep in reps}) == 3
         alone = [run([r])[0] for r in seeds]
         assert group == {key: sum(c[key] for c in alone) for key in counts}
-        # one draw and ledger record per leaf visited; each cursor moves
-        # once, by one take and its slice
+        # a run uses one noise row and one ledger record per leaf visited, and
+        # draws its rows one block of min(NOISE_NODES, 2^D) = 4 at a time;
+        # each cursor moves once, by one take and its slice
+        blocks = sum(-(-rep.leaf_count_visited // 4) for rep in reps)
+        assert blocks < reps.leaf_count_visited
         assert group == {"take": len(seeds), "slice": len(seeds),
-                         "draw": reps.leaf_count_visited, "record": reps.leaf_count_visited}
+                         "draw": blocks, "record": reps.leaf_count_visited}
 
 
 class TestEstimationErrorValidator:
