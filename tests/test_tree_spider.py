@@ -423,7 +423,7 @@ class TestNoiseBlocks:
                         C_tilde=1.0, sigma_root=0.05, sigma_delta=0.02, p=0.1)
 
     @pytest.mark.parametrize("R", [1, 5])
-    @pytest.mark.parametrize("nodes", [2, 4, 8], ids=["C_below_2D", "C_at_2D", "C_above_2D"])
+    @pytest.mark.parametrize("nodes", [2, 4, 8], ids=["below_2D", "at_2D", "above_2D"])
     def test_generators_end_as_after_per_node_draws(self, monkeypatch, nodes, R):
         loss = synthetic_nonconvex_loss(3)
         dist = gen_support("glm_fullrank", 64, 3, seed=13, label_scale=0.5)
