@@ -1,5 +1,5 @@
 """Losses, datasets, gradient oracles, and the finite-difference verifier."""
-from .data import Dataset, DatasetCursor, StreamExhausted, load_csv, save_csv
+from .data import Dataset, DatasetCursor, StreamExhausted
 from .gradcheck import (GradCheckReport, convexity_spot_check, fd_check,
                         lipschitz_audit, smoothness_audit)
 from .loss import (GLMLoss, Huber1DLoss, HuberMeanLoss, LinkFamily, LossSpec,
@@ -8,7 +8,7 @@ from .loss import (GLMLoss, Huber1DLoss, HuberMeanLoss, LinkFamily, LossSpec,
                    synthetic_nonconvex_loss, tanh_link)
 
 __all__ = [
-    "Dataset", "DatasetCursor", "StreamExhausted", "load_csv", "save_csv",
+    "Dataset", "DatasetCursor", "StreamExhausted",
     "GradCheckReport", "fd_check", "lipschitz_audit", "smoothness_audit",
     "convexity_spot_check",
     "LossSpec", "HuberMeanLoss", "Huber1DLoss", "GLMLoss", "LinkFamily",

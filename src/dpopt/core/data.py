@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
-from pathlib import Path
 
 import numpy as np
 
@@ -334,44 +333,3 @@ def lockstep(S, rng, ledger=None):
         raise ValueError("lockstep datasets must share n, d and labelling")
     ledgers = None if ledger is None else [ledger] if single else list(ledger)
     return data, rngs, ledgers, single
-
-
-def load_csv(path: str | Path, labels: bool = False) -> Dataset:
-    """Load a dataset from CSV: one sample per row, features then an optional
-    trailing label column; an optional header line is skipped."""
-    rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                if lineno == 0:
-                    continue  # header line
-                raise
-    if not rows:
-        raise ValueError(f"no data rows in {path}")
-    arr = np.asarray(rows, dtype=np.float64)
-    if labels:
-        if arr.shape[1] < 2:
-            raise ValueError("labels requested but only one column present")
-        return Dataset(arr[:, :-1], arr[:, -1])
-    return Dataset(arr)
-
-
-def save_csv(dataset: Dataset, path: str | Path, header: bool = False) -> None:
-    """Write a dataset as CSV with round-trip decimal formatting."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            cols = [f"x{i}" for i in range(dataset.dim)]
-            if dataset.y is not None:
-                cols.append("y")
-            fh.write(",".join(cols) + "\n")
-        for i in range(dataset.n):
-            vals = [repr(float(v)) for v in dataset.X[i]]
-            if dataset.y is not None:
-                vals.append(repr(float(dataset.y[i])))
-            fh.write(",".join(vals) + "\n")

@@ -9,6 +9,7 @@ of the data.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,19 +47,16 @@ class JLMatrix:
         return self.entries.shape[1]
 
 
-def jl_matrix(k: int, d: int, seed) -> JLMatrix:
-    """Phi = G/sqrt(k) with standard normal G; reproducible from an int seed
-    (a Generator is also accepted, in which case no seed is recorded)."""
+def jl_matrix(k: int, d: int, seed: int) -> JLMatrix:
+    """Phi = G/sqrt(k) with standard normal G, reproducible from its integer
+    seed, which is recorded; any other seed raises TypeError."""
     if k < 1 or d < 1:
         raise ValueError("k and d must be >= 1")
-    if isinstance(seed, np.random.Generator):
-        rng, recorded = seed, None
-    else:
-        recorded = int(seed)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(recorded)))
+    seed = operator.index(seed)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     entries = rng.standard_normal((k, d)) / math.sqrt(k)
     entries.setflags(write=False)
-    return JLMatrix(entries=entries, seed=recorded)
+    return JLMatrix(entries=entries, seed=seed)
 
 
 def numeric_rank(X: np.ndarray, rel_threshold: float = 1e-10) -> int:
@@ -117,7 +115,6 @@ class JLRunReport:
     base_report: object
     clamped: bool
     max_feature_norm_ratio: float
-    projected_norm_bound: float
     base_eps: float
     base_delta: float
 
@@ -172,7 +169,6 @@ def run_jl(base, loss: GLMLoss, S: Dataset, params: JLParams,
     return JLRunReport(w_out=w_out, k=k, rank=params.rank, matrix_seed=phi.seed,
                        base_report=base_report, clamped=clamped,
                        max_feature_norm_ratio=ratio,
-                       projected_norm_bound=proj_norm_bound,
                        base_eps=base_budget.eps, base_delta=base_budget.delta)
 
 

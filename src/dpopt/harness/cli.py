@@ -1,5 +1,4 @@
-"""Command-line interface: run sweeps, fit scaling slopes, self-check, and
-emit synthetic datasets."""
+"""Command-line interface: run sweeps, fit scaling slopes and self-check."""
 from __future__ import annotations
 
 import argparse
@@ -7,7 +6,6 @@ import json
 import sys
 import numpy as np
 
-from ..core.data import save_csv
 from ..core.gradcheck import fd_check
 from ..core.loss import (erm_grad, huber_mean_loss, glm_loss,
                          synthetic_nonconvex_loss, tanh_link)
@@ -18,7 +16,7 @@ from ..tree_spider import dfs_order
 from .config import ExperimentConfig
 from .experiment import ALGORITHMS, read_csv_rows, run_experiment
 from .fitting import median_by_x, scaling_fit
-from .synthetic import KINDS, gen_synthetic
+from .synthetic import gen_synthetic
 
 
 def _parse_override(kv: str):
@@ -111,16 +109,6 @@ def cmd_fit(args) -> int:
         return 1
     print(f"slope={fit.slope:.6g} intercept={fit.intercept:.6g} "
           f"r2={fit.r2:.6g} points={len(fit.points)}")
-    return 0
-
-
-def cmd_gen(args) -> int:
-    ds = gen_synthetic(args.kind, args.n, args.d, rank=args.rank, seed=args.seed,
-                       B=args.B, label_scale=args.label_scale,
-                       spectrum_decay=args.spectrum_decay)
-    save_csv(ds, args.out, header=args.header)
-    print(f"wrote {args.out} ({ds.n} rows, dim {ds.dim}"
-          f"{', labeled' if ds.y is not None else ''})")
     return 0
 
 
@@ -231,19 +219,6 @@ def main(argv: list[str] | None = None) -> int:
     p_fit.add_argument("--where", action="append", metavar="COL=VALUE",
                        type=_parse_filter, help="row filter (repeatable)")
     p_fit.set_defaults(fn=cmd_fit)
-
-    p_gen = sub.add_parser("gen", help="emit a synthetic dataset as CSV")
-    p_gen.add_argument("--kind", required=True, choices=KINDS)
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--d", type=int, required=True)
-    p_gen.add_argument("--rank", type=int, default=None)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--B", type=float, default=1.0)
-    p_gen.add_argument("--label-scale", dest="label_scale", type=float, default=0.0)
-    p_gen.add_argument("--spectrum-decay", dest="spectrum_decay", type=float, default=1.0)
-    p_gen.add_argument("--header", action="store_true")
-    p_gen.add_argument("--out", required=True)
-    p_gen.set_defaults(fn=cmd_gen)
 
     p_check = sub.add_parser("check", help="run the invariant/validation suite")
     p_check.set_defaults(fn=cmd_check)

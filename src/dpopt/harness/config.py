@@ -58,8 +58,12 @@ class ExperimentConfig:
         for key, values in (("n", self.grid_n), ("d", self.grid_d)):
             if min(values) < 1:
                 raise ValueError(f"grid {key} must be >= 1, got {min(values)}")
-        for key, value in [("grid eps", eps) for eps in self.grid_eps] + [
-                ("accountant_c", self.accountant_c)]:
+        numbers = [("grid eps", eps) for eps in self.grid_eps]
+        numbers += [("accountant_c", self.accountant_c)]
+        numbers += [(f"loss {key}", value) for key, value in self.loss.items() if key != "kind"]
+        numbers += [("rr R_bar", self.rr["R_bar"])] if "R_bar" in self.rr else []
+        for key, value in numbers:
+            value = float(value)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{key} must be finite and positive, got {value!r}")
         if self.workers < 1:

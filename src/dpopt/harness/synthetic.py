@@ -70,14 +70,6 @@ class FiniteSupportDistribution:
     def __init__(self, support: Dataset):
         self.support = support
 
-    @property
-    def size(self) -> int:
-        return self.support.n
-
-    @property
-    def dim(self) -> int:
-        return self.support.dim
-
     def sample(self, k: int, rng: np.random.Generator) -> Dataset:
         """k i.i.d. uniform draws, held as indices into the support (see
         `Dataset.indexed`): rows are gathered only when a consumer asks."""

@@ -126,9 +126,10 @@ class LedgerEntries(Sequence):
 def gaussian_sigma(sensitivity: float, eps: float, delta: float) -> float:
     """Classical Gaussian-mechanism scale for an l2-sensitivity-bounded query:
     sigma = sensitivity * sqrt(2 log(1.25/delta)) / eps."""
-    if sensitivity < 0:
+    # written so that a NaN fails each check
+    if not sensitivity >= 0:
         raise ValueError("sensitivity must be non-negative")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -147,7 +148,7 @@ def accountant_sigma(per_query_sensitivity: float, b: int, T: float, n: int,
     for T adaptive queries over batches of size b drawn from n elements.
     T may be fractional (queries issued every q-th step count as T/q).
     """
-    if per_query_sensitivity < 0:
+    if not per_query_sensitivity >= 0:  # so that a NaN fails too
         raise ValueError("sensitivity must be non-negative")
     if not 1 <= b <= n:
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")

@@ -129,7 +129,7 @@ def selector_weighted_avg(iterates, eta: float, lam: float,
     if K < 1:
         raise ValueError("need at least one iterate")
     r = eta * lam
-    if r < 0 or r >= 1:
+    if not 0 <= r < 1:  # so that a NaN fails too
         raise ValueError(f"need 0 <= eta*lam < 1, got {r}")
     base = 1.0 - r
     g = base ** np.arange(K - 1, -1, -1.0)  # (1-r)^(-k) / (1-r)^(-K)
@@ -166,7 +166,7 @@ def project_ball(w: np.ndarray, R: float) -> np.ndarray:
     block. A row holding a NaN comes back as it is and does not touch the
     other rows.
     """
-    if R < 0:
+    if not R >= 0:  # so that a NaN fails too
         raise ValueError("R must be non-negative")
     sq = np.vecdot(w, w)
     R2 = R * R
@@ -364,7 +364,7 @@ def derive_rr_params(mode: str, n: int, d: int, L0: float, L1: float,
     eta_t = log(K_t)/(lambda_t K_t), sigma_t = 8 L0 K_t sqrt(log(1/delta))/(m eps)
     with m the round's slice size. K_t is capped at 10^7 (flagged per round).
     """
-    if min(L0, L1, R_bar) <= 0:
+    if not (L0 > 0 and L1 > 0 and R_bar > 0):  # so that a NaN fails too
         raise ValueError("L0, L1, R_bar must be positive")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")

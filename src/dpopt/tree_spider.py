@@ -146,7 +146,7 @@ def derive_tree_params(n: int, d: int, L0: float, L1: float, F0: float,
     """
     if F0 is None:
         raise ValueError("F0 is required (set the loss's F0_hint or pass a gap bound)")
-    if min(L0, L1, F0) <= 0:
+    if not (L0 > 0 and L1 > 0 and F0 > 0):  # so that a NaN fails too
         raise ValueError("L0, L1, F0 must be positive")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")

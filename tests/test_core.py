@@ -7,9 +7,9 @@ import pytest
 from dpopt.core import (Dataset, DatasetCursor, StreamExhausted, ZeroLoss,
                         convexity_spot_check, erm_grad, fd_check,
                         glm_loss, huber_1d_loss, huber_mean_loss,
-                        lipschitz_audit, load_csv, rational_link, save_csv,
-                        smoothness_audit, square_link, synthetic_nonconvex_loss,
-                        tanh_link, RATIONAL_L0, RATIONAL_L1)
+                        lipschitz_audit, rational_link, smoothness_audit,
+                        square_link, synthetic_nonconvex_loss, tanh_link,
+                        RATIONAL_L0, RATIONAL_L1)
 from dpopt.core import data as data_module
 from dpopt.core.data import Runs, row_norms
 from dpopt.core.loss import VarWork
@@ -744,22 +744,6 @@ class TestDataset:
             # the held row's norm 2.0, not the support's 3.0
             with pytest.raises(ValueError, match=r"^feature norm 2\.0 exceeds declared bound 1\.0$"):
                 loss.validate_dataset(bad)
-
-    def test_csv_round_trip_unlabeled(self, tmp_path):
-        ds = Dataset(np.random.default_rng(9).standard_normal((7, 3)))
-        path = tmp_path / "d.csv"
-        save_csv(ds, path)
-        back = load_csv(path)
-        assert np.array_equal(back.X, ds.X)
-
-    def test_csv_round_trip_labeled_with_header(self, tmp_path):
-        rng = np.random.default_rng(10)
-        ds = Dataset(rng.standard_normal((5, 2)) / 3.0, rng.standard_normal(5))
-        path = tmp_path / "d.csv"
-        save_csv(ds, path, header=True)
-        back = load_csv(path, labels=True)
-        assert np.array_equal(back.X, ds.X)
-        assert np.array_equal(back.y, ds.y)
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):

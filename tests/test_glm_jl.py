@@ -45,6 +45,13 @@ class TestJLMatrix:
         with pytest.raises(ValueError):
             jl_matrix(0, 4, seed=1)
 
+    @pytest.mark.parametrize("seed", [7.0, np.random.default_rng(7)])
+    def test_seed_must_be_an_integer(self, seed):
+        # the seed is always recorded, so a Generator has no place here
+        with pytest.raises(TypeError):
+            jl_matrix(4, 8, seed)
+        assert jl_matrix(4, 8, np.int64(7)).seed == 7
+
 
 class TestNumericRank:
     @pytest.mark.parametrize("rank", [1, 2, 4, 7])

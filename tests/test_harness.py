@@ -1,5 +1,6 @@
 """Harness: synthetic data, RNG streams, scaling fits, sweeps, and the CLI."""
 import json
+import math
 import re
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from dpopt.harness import (ExperimentConfig, gen_support, gen_synthetic,
                            scaling_fit, stream, stream_seed)
 from dpopt.harness.cli import main as cli_main
 from dpopt.harness.experiment import ALGORITHMS, report_json, run_single
-from dpopt.core import load_csv, synthetic_nonconvex_loss
+from dpopt.core import synthetic_nonconvex_loss
 from dpopt.glm_jl import numeric_rank
 from dpopt.privacy import NoiseLedger
 
@@ -142,6 +143,16 @@ class TestScalingFit:
             (1, 6.0), (2, 2.0)]
 
 
+# each loss-block number and rr.R_bar, rejected at load: a NaN L0 ran a tree
+# job to `alpha_tilde must equal C_tilde * alpha`, and a NaN R_bar ran
+# recursive_reg to `cannot convert float NaN to integer`
+LOSS_NUMBER_CASES = [
+    (block, {key: value}, f"{block} {key} must be finite and positive, got {value!r}")
+    for block, key in (("loss", "L0"), ("loss", "L1"), ("loss", "F0"),
+                       ("loss", "normX"), ("loss", "zmax"), ("rr", "R_bar"))
+    for value in (math.nan, math.inf, -math.inf, 0.0, -1.0)]
+
+
 class TestExperimentConfig:
     def base_raw(self, out):
         return {"algorithm": "spiderboost", "grid": {"n": [64], "d": [4],
@@ -196,7 +207,8 @@ class TestExperimentConfig:
         ("grid", {"n": [64, 0], "d": [4], "eps": [1.0]}, "grid n must be >= 1, got 0"),
         ("grid", {"n": [64], "d": [-2], "eps": [1.0]}, "grid d must be >= 1, got -2"),
         ("accountant_c", float("nan"), "accountant_c must be finite and positive, got nan"),
-        ("accountant_c", float("inf"), "accountant_c must be finite and positive, got inf")])
+        ("accountant_c", float("inf"), "accountant_c must be finite and positive, got inf")]
+        + LOSS_NUMBER_CASES)
     def test_bad_run_settings_are_rejected_before_out_exists(self, tmp_path, capsys, key,
                                                              value, message):
         out = tmp_path / "out"
@@ -776,16 +788,6 @@ class TestReportJson:
 
 
 class TestCLI:
-    def test_gen_and_load(self, tmp_path):
-        out = tmp_path / "data.csv"
-        rc = cli_main(["gen", "--kind", "glm_lowrank", "--n", "30", "--d", "6",
-                       "--rank", "2", "--seed", "3", "--label-scale", "0.5",
-                       "--out", str(out)])
-        assert rc == 0
-        ds = load_csv(out, labels=True)
-        assert ds.n == 30 and ds.dim == 6
-        assert numeric_rank(ds.X) == 2
-
     def test_run_and_fit(self, tmp_path, capsys):
         cfg = {"algorithm": "spiderboost",
                "grid": {"n": [64, 128, 256], "eps": [1.0], "d": [4]},

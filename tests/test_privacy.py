@@ -34,6 +34,11 @@ class TestGaussianSigma:
             gaussian_sigma(1.0, 0.0, 1e-5)
         with pytest.raises(ValueError):
             gaussian_sigma(1.0, 1.0, 1.5)
+        # `x < 0`-style checks let a NaN through, and sigma came back NaN
+        with pytest.raises(ValueError, match="^sensitivity must be non-negative$"):
+            gaussian_sigma(math.nan, 1.0, 1e-5)
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            gaussian_sigma(1.0, math.nan, 1e-5)
 
 
 class TestAccountantSigma:
@@ -57,6 +62,10 @@ class TestAccountantSigma:
     def test_rejects_b_greater_than_n(self):
         with pytest.raises(ValueError):
             accountant_sigma(1.0, 11, 1, 10, PrivacyBudget(1.0, 1e-5))
+
+    def test_rejects_nan_sensitivity(self):
+        with pytest.raises(ValueError, match="^sensitivity must be non-negative$"):
+            accountant_sigma(math.nan, 3, 7, 10, PrivacyBudget(1.0, 1e-5))
 
     def test_matches_independent_reimplementation(self):
         # invariant: 1000 random draws against a re-typed closed form

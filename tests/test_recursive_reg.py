@@ -123,6 +123,12 @@ class TestSelector:
         with pytest.raises(ValueError):
             selector_weighted_avg([np.zeros(2)], 1.0, 1.0)
 
+    # `r < 0 or r >= 1` let a NaN step through, and the averages were NaN
+    @pytest.mark.parametrize("eta,lam", [(math.nan, 0.5), (1.0, math.nan)])
+    def test_rejects_nan_step(self, eta, lam):
+        with pytest.raises(ValueError, match=r"^need 0 <= eta\*lam < 1, got nan$"):
+            selector_weighted_avg([e(0, 2), e(1, 2)], eta, lam)
+
     @pytest.mark.parametrize("with_prior", [False, True], ids=["no_prior", "prior"])
     @pytest.mark.parametrize("runs", [1, 3])
     def test_a_run_gets_its_own_slabs_bits_in_every_layout(self, runs, with_prior):
@@ -192,6 +198,11 @@ class TestProjectBall:
         assert np.array_equal(project_ball(W[0], 0.0), np.zeros(2))
         with pytest.raises(ValueError, match="non-negative"):
             project_ball(W, -1.0)
+
+    def test_nan_radius_is_rejected(self):
+        # `R < 0` let it through, and the point came back unprojected
+        with pytest.raises(ValueError, match="^R must be non-negative$"):
+            project_ball(np.array([[3.0, 4.0]]), math.nan)
 
     @pytest.mark.parametrize("nan_row", [0, 2])
     @pytest.mark.parametrize("others", ["inside", "one_projected"])
@@ -515,6 +526,14 @@ class TestDeriveRRParams:
         with pytest.raises(PreconditionError, match="T would be 0"):
             derive_rr_params("optimal", 8, 2, 10.0, 0.1, 1.0,
                              PrivacyBudget(1.0, 1e-5))
+
+    # `min(L0, L1, R_bar) <= 0` let a NaN through in any position
+    @pytest.mark.parametrize("nan_at", [0, 1, 2])
+    def test_rejects_nan_constant(self, nan_at):
+        consts = [1.0, 1.0, 1.0]
+        consts[nan_at] = math.nan
+        with pytest.raises(ValueError, match="^L0, L1, R_bar must be positive$"):
+            derive_rr_params("linear_time", 1024, 4, *consts, PrivacyBudget(1.0, 1e-5))
 
     def test_kt_cap_flagged(self):
         params = derive_rr_params("optimal", 4096, 8, 1.0, 1.0, 1.0,

@@ -79,6 +79,14 @@ class TestDeriveSpiderParams:
         with pytest.raises(PreconditionError, match="sample-size hypothesis"):
             derive_spider_params(4, 64, 1.0, 1.0, 1.0, PrivacyBudget(0.5, 1e-6))
 
+    # `min(L0, L1, F0) <= 0` let a NaN through in any position
+    @pytest.mark.parametrize("nan_at", [0, 1, 2])
+    def test_rejects_nan_constant(self, nan_at):
+        consts = [1.0, 1.0, 1.0]
+        consts[nan_at] = math.nan
+        with pytest.raises(ValueError, match="^L0, L1, F0 must be positive$"):
+            derive_spider_params(256, 4, *consts, PrivacyBudget(1.0, 1e-5))
+
     def test_overrides(self):
         params = derive_spider_params(256, 4, 1.0, 1.0, 1.0,
                                       PrivacyBudget(1.0, 1e-5),

@@ -111,6 +111,14 @@ class TestDeriveTreeParams:
         with pytest.raises(PreconditionError, match="sample-size hypothesis"):
             derive_tree_params(8, 4096, 1.0, 1.0, 1.0, PrivacyBudget(0.5, 1e-6), 0.1)
 
+    # `min(L0, L1, F0) <= 0` let a NaN through in any position
+    @pytest.mark.parametrize("nan_at", [0, 1, 2])
+    def test_rejects_nan_constant(self, nan_at):
+        consts = [1.0, 1.0, 1.0]
+        consts[nan_at] = math.nan
+        with pytest.raises(ValueError, match="^L0, L1, F0 must be positive$"):
+            derive_tree_params(1024, 4, *consts, PrivacyBudget(1.0, 1e-6), 0.1)
+
     def test_override_C_tilde_recomputes_threshold(self):
         base = derive_tree_params(1024, 4, 1.0, 1.0, 1.0,
                                   PrivacyBudget(1.0, 1e-6), 0.1)
