@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..core.loss import (LossSpec, glm_loss, huber_mean_loss, square_link,
@@ -11,16 +11,19 @@ from ..core.loss import (LossSpec, glm_loss, huber_mean_loss, square_link,
 from ..recursive_reg import MODES, SUBROUTINES
 from .synthetic import KINDS
 
-# the keys a config may hold: at its top level, and in each block that the
-# harness reads
-CONFIG_KEYS = {
-    "config": ("algorithm", "grid", "delta", "seeds", "out", "master_seed", "loss",
-               "data", "rr", "overrides", "accountant_c", "workers", "timing",
-               "write_reports"),
-    "grid": ("n", "d", "eps"),
-    "rr": ("mode", "subroutine", "R_bar"),
-    "loss": ("kind", "normX", "F0", "zmax", "L0", "L1"),
-    "data": ("kind", "rank", "B", "label_scale", "spectrum_decay", "support_size"),
+REQUIRED = ("algorithm", "delta", "seeds", "out")
+
+# every other key of a config, at its top level and in each block, with the value
+# it takes when absent; a loss block also holds its kind's keys in LOSS_KINDS
+DEFAULTS = {
+    "config": {"grid": {}, "master_seed": 0, "loss": {}, "data": {}, "rr": {},
+               "overrides": {}, "accountant_c": 1.0, "workers": 1, "timing": False,
+               "write_reports": True},
+    "grid": {"n": [], "d": [], "eps": []},
+    "loss": {"kind": "synthetic_nonconvex"},
+    "data": {"kind": "glm_fullrank", "rank": None, "B": 1.0, "label_scale": 0.0,
+             "spectrum_decay": 1.0, "support_size": 256},
+    "rr": {"mode": "linear_time", "subroutine": "phased_sgd", "R_bar": 1.0},
 }
 
 
@@ -33,15 +36,15 @@ class ExperimentConfig:
     delta: float
     seeds: list[int]
     out: str
-    master_seed: int = 0
-    loss: dict = field(default_factory=lambda: {"kind": "synthetic_nonconvex"})
-    data: dict = field(default_factory=lambda: {"kind": "glm_fullrank"})
-    rr: dict = field(default_factory=dict)
-    overrides: dict = field(default_factory=dict)
-    accountant_c: float = 1.0
-    workers: int = 1
-    timing: bool = False
-    write_reports: bool = True
+    master_seed: int
+    loss: dict
+    data: dict
+    rr: dict
+    overrides: dict
+    accountant_c: float
+    workers: int
+    timing: bool
+    write_reports: bool
 
     def validate(self) -> None:
         from .experiment import ALGORITHMS  # experiment imports this module
@@ -60,26 +63,29 @@ class ExperimentConfig:
                 raise ValueError(f"grid {key} must be >= 1, got {min(values)}")
         numbers = [("grid eps", eps) for eps in self.grid_eps]
         numbers += [("accountant_c", self.accountant_c)]
-        numbers += [(f"loss {key}", value) for key, value in self.loss.items() if key != "kind"]
-        numbers += [("rr R_bar", self.rr["R_bar"])] if "R_bar" in self.rr else []
+        numbers += [(f"loss {key}", value) for key, value in self.loss.items()
+                    if key != "kind" and value is not None]
+        numbers += [("rr R_bar", self.rr["R_bar"]), ("data B", self.data["B"])]
         for key, value in numbers:
             value = float(value)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{key} must be finite and positive, got {value!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        for key in ("label_scale", "spectrum_decay"):
+            if not math.isfinite(self.data[key]):
+                raise ValueError(f"data {key} must be finite, got {self.data[key]!r}")
+        rank = self.data["rank"]
+        if rank is not None and not (type(rank) is int and rank >= 1):
+            raise ValueError(f"data rank must be null or an integer >= 1, got {rank!r}")
+        for key, value in (("data support_size", self.data["support_size"]),
+                           ("workers", self.workers)):
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
         for key in ("timing", "write_reports"):
             if not isinstance(getattr(self, key), bool):  # bool("false") is True
                 raise ValueError(f"{key} must be true or false, got {getattr(self, key)!r}")
-        for block, key, default, allowed in (
-                ("loss", "kind", "synthetic_nonconvex", LOSS_KINDS),
-                ("data", "kind", "glm_fullrank", KINDS),
-                ("rr", "mode", "linear_time", MODES),
-                ("rr", "subroutine", "phased_sgd", SUBROUTINES)):
-            value = getattr(self, block).get(key, default)
-            if value not in allowed:
-                raise ValueError(f"unknown {block} {key} {value!r}; "
-                                 f"expected one of {list(allowed)}")
+        for block, key, allowed in (("data", "kind", KINDS), ("rr", "mode", MODES),
+                                    ("rr", "subroutine", SUBROUTINES)):
+            _check_kind(block, key, getattr(self, block)[key], allowed)
 
     def grid_points(self) -> list[tuple[int, int, int, float]]:
         """(grid_index, n, d, eps) in canonical (config-order) enumeration."""
@@ -94,33 +100,20 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        for block, known in CONFIG_KEYS.items():
-            keys = raw if block == "config" else raw.get(block) or {}
-            unknown = sorted(set(keys) - set(known))
-            if unknown:
-                raise ValueError(f"unknown {block} keys: {unknown}")
-        for key in ("algorithm", "delta", "seeds", "out"):
+        """The validated config of `raw`, each absent key at its default."""
+        for key in REQUIRED:
             if key not in raw:
                 raise ValueError(f"missing config field {key!r}")
-        grid = raw.get("grid", {})
-        cfg = ExperimentConfig(
-            algorithm=raw["algorithm"],
-            grid_n=[int(v) for v in grid.get("n", [])],
-            grid_d=[int(v) for v in grid.get("d", [])],
-            grid_eps=[float(v) for v in grid.get("eps", [])],
-            delta=float(raw["delta"]),
-            seeds=[int(s) for s in raw["seeds"]],
-            out=str(raw["out"]),
-            master_seed=int(raw.get("master_seed", 0)),
-            loss=dict(raw.get("loss", {"kind": "synthetic_nonconvex"})),
-            data=dict(raw.get("data", {"kind": "glm_fullrank"})),
-            rr=dict(raw.get("rr", {})),
-            overrides=dict(raw.get("overrides", {})),
-            accountant_c=float(raw.get("accountant_c", 1.0)),
-            workers=int(raw.get("workers", 1)),
-            timing=raw.get("timing", False),
-            write_reports=raw.get("write_reports", True),
-        )
+        top = _filled("config", raw, {**dict.fromkeys(REQUIRED), **DEFAULTS["config"]})
+        grid = _filled("grid", top.pop("grid"), DEFAULTS["grid"])
+        top.update(delta=float(top["delta"]), seeds=[int(s) for s in top["seeds"]],
+                   out=str(top["out"]), overrides=dict(top["overrides"]),
+                   loss=_loss_block(top["loss"]),
+                   data=_filled("data", top["data"], DEFAULTS["data"]),
+                   rr=_filled("rr", top["rr"], DEFAULTS["rr"]))
+        cfg = ExperimentConfig(grid_n=[int(v) for v in grid["n"]],
+                               grid_d=[int(v) for v in grid["d"]],
+                               grid_eps=[float(v) for v in grid["eps"]], **top)
         cfg.validate()
         return cfg
 
@@ -130,37 +123,62 @@ class ExperimentConfig:
             return ExperimentConfig.from_dict(json.load(fh))
 
 
-def _glm_tanh(cfg: dict, d: int, normX: float) -> LossSpec:
-    loss = glm_loss(tanh_link(), 1.0, 1.0, normX, d, F0_hint=float(cfg.get("F0", 1.0)))
+def _filled(block: str, given: dict, defaults: dict) -> dict:
+    """`given` with each absent key of `defaults`; any other key is rejected."""
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown {block} keys: {unknown}")
+    filled = {**defaults, **given}
+    for key, default in defaults.items():
+        if type(default) in (int, float):  # a bool is left for validate to check
+            filled[key] = type(default)(filled[key])
+    return filled
+
+
+def _check_kind(block: str, key: str, value, allowed) -> None:
+    if value not in allowed:
+        raise ValueError(f"unknown {block} {key} {value!r}; expected one of {list(allowed)}")
+
+
+def _glm_tanh(cfg: dict, d: int) -> LossSpec:
+    loss = glm_loss(tanh_link(), 1.0, 1.0, cfg["normX"], d, F0_hint=cfg["F0"])
     loss.name = "glm_tanh"
     return loss
 
 
-def _glm_square(cfg: dict, d: int, normX: float) -> LossSpec:
-    zmax = float(cfg.get("zmax", 4.0))  # |z - y| range the L0 declaration covers
-    loss = glm_loss(square_link(), zmax, 1.0, normX, d, F0_hint=float(cfg.get("F0", 1.0)))
+def _glm_square(cfg: dict, d: int) -> LossSpec:
+    # zmax: the |z - y| range that the L0 declaration covers
+    loss = glm_loss(square_link(), cfg["zmax"], 1.0, cfg["normX"], d, F0_hint=cfg["F0"])
     loss.name = "glm_square"
     return loss
 
 
-def _huber_mean(cfg: dict, d: int, normX: float) -> LossSpec:
-    loss = huber_mean_loss(float(cfg.get("L0", 1.0)), float(cfg.get("L1", 1.0)), dim=d)
-    if "F0" in cfg:
+def _huber_mean(cfg: dict, d: int) -> LossSpec:
+    loss = huber_mean_loss(cfg["L0"], cfg["L1"], dim=d)
+    if cfg["F0"] is not None:
         loss.F0_hint = float(cfg["F0"])
     return loss
 
 
-# each loss kind's factory, called with the loss block, d and normX
+# each loss kind's keys, with the value each takes when absent, and its
+# factory, called with the filled loss block and d
 LOSS_KINDS = {
-    "synthetic_nonconvex": lambda cfg, d, normX: synthetic_nonconvex_loss(d, normX=normX),
-    "glm_tanh": _glm_tanh, "glm_square": _glm_square, "huber_mean": _huber_mean,
+    "synthetic_nonconvex": ({"normX": 1.0},
+                            lambda cfg, d: synthetic_nonconvex_loss(d, normX=cfg["normX"])),
+    "glm_tanh": ({"normX": 1.0, "F0": 1.0}, _glm_tanh),
+    "glm_square": ({"normX": 1.0, "F0": 1.0, "zmax": 4.0}, _glm_square),
+    "huber_mean": ({"L0": 1.0, "L1": 1.0, "F0": None}, _huber_mean),
 }
 
 
+def _loss_block(block: dict) -> dict:
+    """The loss block filled from its kind's entry in LOSS_KINDS."""
+    kind = block.get("kind", DEFAULTS["loss"]["kind"])
+    _check_kind("loss", "kind", kind, LOSS_KINDS)
+    return _filled("loss", block, {**DEFAULTS["loss"], **LOSS_KINDS[kind][0]})
+
+
 def build_loss(loss_cfg: dict, d: int) -> LossSpec:
-    """Instantiate the configured loss at dimension d."""
-    kind = loss_cfg.get("kind", "synthetic_nonconvex")
-    normX = float(loss_cfg.get("normX", 1.0))
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}; expected one of {list(LOSS_KINDS)}")
-    return LOSS_KINDS[kind](loss_cfg, d, normX)
+    """Instantiate the configured loss at dimension d, its block filled as at load."""
+    cfg = _loss_block(loss_cfg)
+    return LOSS_KINDS[cfg["kind"]][1](cfg, d)

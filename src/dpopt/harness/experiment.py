@@ -37,8 +37,6 @@ from .synthetic import FiniteSupportDistribution, gen_support, gen_synthetic
 CSV_COLUMNS = ("algorithm", "n", "d", "eps", "delta", "seed", "grad_norm",
                "oracle_calls", "wall_ms", "param_hash", "status")
 
-DEFAULT_SUPPORT_SIZE = 256
-
 
 def _fmt(v) -> str:
     if isinstance(v, float):
@@ -76,27 +74,21 @@ class GridPoint:
             row["param_hash"] = param_hash(params)
 
 
-def _generator_args(data: dict) -> tuple[str, dict]:
-    """The data block's generator kind, and the keyword arguments that
-    gen_synthetic and gen_support take from it, with their defaults."""
-    return data.get("kind", "glm_fullrank"), {
-        "rank": data.get("rank"), "B": float(data.get("B", 1.0)),
-        "label_scale": float(data.get("label_scale", 0.0)),
-        "spectrum_decay": float(data.get("spectrum_decay", 1.0))}
+def _generator_args(data: dict) -> dict:
+    """The data block's keyword arguments to gen_synthetic and gen_support."""
+    return {key: data[key] for key in ("kind", "rank", "B", "label_scale", "spectrum_decay")}
 
 
 def _gen_dataset(p: GridPoint, seed_index: int) -> Dataset:
-    kind, kw = _generator_args(p.config.data)
     seed = stream_seed(p.config.master_seed, "data", p.grid_index, seed_index)
-    return gen_synthetic(kind, p.n, p.d, seed=seed, **kw)
+    return gen_synthetic(n=p.n, d=p.d, seed=seed, **_generator_args(p.config.data))
 
 
 def _gen_population(config: ExperimentConfig, d: int) -> FiniteSupportDistribution:
     # the population is shared across n and seeds: keyed by d only
-    kind, kw = _generator_args(config.data)
     seed = stream_seed(config.master_seed, "support", d)
-    m = int(config.data.get("support_size") or DEFAULT_SUPPORT_SIZE)
-    return gen_support(kind, m, d, seed=seed, **kw)
+    return gen_support(m=config.data["support_size"], d=d, seed=seed,
+                       **_generator_args(config.data))
 
 
 def _failed(exc: Exception) -> str:
@@ -168,14 +160,14 @@ def _tree_spider(p: GridPoint) -> list:
 
 def _recursive_reg(p: GridPoint) -> list:
     loss, rr = p.loss, p.config.rr
-    params = derive_rr_params(rr.get("mode", "linear_time"), p.n, p.d, loss.L0, loss.L1,
-                              float(rr.get("R_bar", 1.0)), p.budget, p.config.overrides)
+    params = derive_rr_params(rr["mode"], p.n, p.d, loss.L0, loss.L1, rr["R_bar"],
+                              p.budget, p.config.overrides)
     # n oracle calls: a single pass over disjoint slices
     return _population(p, params, lambda samples, rngs: [
         (rep.w_out, p.n, rep.noise_ledger,
          {"rounds": rep.rounds, "t1_edge": rep.t1_edge, "kt_capped": rep.kt_capped})
         for rep in run_recursive_regularization(samples, loss, params,
-                                                rr.get("subroutine", "phased_sgd"), rngs)])
+                                                rr["subroutine"], rngs)])
 
 
 def _jl_spiderboost(p: GridPoint) -> list:
@@ -184,7 +176,7 @@ def _jl_spiderboost(p: GridPoint) -> list:
     unknown = sorted(set(overrides) - {*base_ov, "k"})
     if unknown:
         raise ValueError(f"unknown jl overrides: {unknown}")
-    rank = p.config.data.get("rank") or p.d
+    rank = p.config.data["rank"] or p.d
     k = int(overrides["k"] if "k" in overrides else
             choose_k("spiderboost", p.n, rank, p.d, loss.L0_phi, loss.L1_phi, loss.normX,
                      p.budget))

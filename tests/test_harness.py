@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpopt.harness import (ExperimentConfig, gen_support, gen_synthetic,
+from dpopt.harness import (ExperimentConfig, build_loss, gen_support, gen_synthetic,
                            median_by_x, read_csv_rows, run_experiment,
                            scaling_fit, stream, stream_seed)
 from dpopt.harness.cli import main as cli_main
@@ -30,6 +30,19 @@ def tiny_raw(algorithm: str, out) -> dict:
                      "support_size": 64},
             "overrides": TINY_OVERRIDES.get(algorithm, {})}
 
+
+# every key that a config may leave out, at the value that it then takes
+SPELLED_OUT = {"master_seed": 0, "overrides": {}, "accountant_c": 1.0, "workers": 1,
+               "timing": False, "write_reports": True,
+               "data": {"kind": "glm_fullrank", "rank": None, "B": 1.0, "label_scale": 0.0,
+                        "spectrum_decay": 1.0, "support_size": 256},
+               "rr": {"mode": "linear_time", "subroutine": "phased_sgd", "R_bar": 1.0}}
+
+# each loss kind's block with every key that it reads spelled out
+SPELLED_OUT_LOSS = {"synthetic_nonconvex": {"normX": 1.0},
+                    "glm_tanh": {"normX": 1.0, "F0": 1.0},
+                    "glm_square": {"normX": 1.0, "F0": 1.0, "zmax": 4.0},
+                    "huber_mean": {"L0": 1.0, "L1": 1.0, "F0": None}}
 
 # a misspelled value of each key that config load checks against its table
 UNKNOWN_VALUES = [("loss", "kind", "glm_tanhh"), ("data", "kind", "glm_fulrank"),
@@ -143,14 +156,36 @@ class TestScalingFit:
             (1, 6.0), (2, 2.0)]
 
 
-# each loss-block number and rr.R_bar, rejected at load: a NaN L0 ran a tree
-# job to `alpha_tilde must equal C_tilde * alpha`, and a NaN R_bar ran
-# recursive_reg to `cannot convert float NaN to integer`
+# each loss-block number, under a kind that reads it, and rr.R_bar, rejected
+# at load: a NaN L0 ran a tree job to `alpha_tilde must equal C_tilde * alpha`,
+# and a NaN R_bar ran recursive_reg to `cannot convert float NaN to integer`
 LOSS_NUMBER_CASES = [
-    (block, {key: value}, f"{block} {key} must be finite and positive, got {value!r}")
-    for block, key in (("loss", "L0"), ("loss", "L1"), ("loss", "F0"),
-                       ("loss", "normX"), ("loss", "zmax"), ("rr", "R_bar"))
+    (block, {**kind, key: value}, f"{block} {key} must be finite and positive, got {value!r}")
+    for block, kind, key in (("loss", {"kind": "huber_mean"}, "L0"),
+                             ("loss", {"kind": "huber_mean"}, "L1"),
+                             ("loss", {"kind": "glm_tanh"}, "F0"),
+                             ("loss", {"kind": "synthetic_nonconvex"}, "normX"),
+                             ("loss", {"kind": "glm_square"}, "zmax"), ("rr", {}, "R_bar"))
     for value in (math.nan, math.inf, -math.inf, 0.0, -1.0)]
+
+# loss keys that the kind does not read: glm_tanh gave L0 = 1.0 here, and
+# huber_mean ignored normX
+LOSS_KEY_CASES = [("loss", {"kind": "glm_tanh", "L0": 5.0, "zmax": 9.0},
+                   "unknown loss keys: ['L0', 'zmax']"),
+                  ("loss", {"kind": "huber_mean", "normX": 2.0}, "unknown loss keys: ['normX']")]
+
+# each bad data-block value, rejected at load: a support_size of 0 ran with
+# 256 rows, -5 ran to `negative dimensions are not allowed`, and a NaN
+# label_scale or spectrum_decay made every row `diverged`
+DATA_CASES = [
+    ("data", {"kind": "glm_fullrank", key: value}, f"data {key} must be {rule}, got {value!r}")
+    for key, rule, values in (
+        ("support_size", ">= 1", (0, -5)),
+        ("rank", "null or an integer >= 1", (0, -1, 2.0)),
+        ("label_scale", "finite", (math.nan, math.inf)),
+        ("spectrum_decay", "finite", (math.nan, -math.inf)),
+        ("B", "finite and positive", (math.nan, math.inf, 0.0, -1.0)))
+    for value in values]
 
 
 class TestExperimentConfig:
@@ -208,7 +243,7 @@ class TestExperimentConfig:
         ("grid", {"n": [64], "d": [-2], "eps": [1.0]}, "grid d must be >= 1, got -2"),
         ("accountant_c", float("nan"), "accountant_c must be finite and positive, got nan"),
         ("accountant_c", float("inf"), "accountant_c must be finite and positive, got inf")]
-        + LOSS_NUMBER_CASES)
+        + LOSS_NUMBER_CASES + LOSS_KEY_CASES + DATA_CASES)
     def test_bad_run_settings_are_rejected_before_out_exists(self, tmp_path, capsys, key,
                                                              value, message):
         out = tmp_path / "out"
@@ -228,6 +263,45 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_dict({**raw, "workers": 2, "timing": True,
                                           "write_reports": False})
         assert (cfg.workers, cfg.timing, cfg.write_reports) == (2, True, False)
+
+    def test_a_minimal_config_loads_filled(self, tmp_path):
+        cfg = ExperimentConfig.from_dict({
+            "algorithm": "spiderboost", "grid": {"n": [64], "d": [4], "eps": [1.0]},
+            "delta": 1e-4, "seeds": [0], "out": str(tmp_path)})
+        assert cfg.loss == {"kind": "synthetic_nonconvex", **SPELLED_OUT_LOSS["synthetic_nonconvex"]}
+        assert {key: getattr(cfg, key) for key in SPELLED_OUT} == SPELLED_OUT
+
+    @pytest.mark.parametrize("kind", list(SPELLED_OUT_LOSS))
+    def test_build_loss_fills_the_block_as_load_does(self, tmp_path, kind):
+        raw = {**self.base_raw(tmp_path), "loss": {"kind": kind}}
+        filled = ExperimentConfig.from_dict(raw).loss
+        assert filled == {"kind": kind, **SPELLED_OUT_LOSS[kind]}
+
+        def fields(loss):
+            return {**vars(loss), "link": type(getattr(loss, "link", None))}
+        assert fields(build_loss({"kind": kind}, 4)) == fields(build_loss(filled, 4))
+
+    def test_build_loss_rejects_keys_that_the_kind_does_not_read(self):
+        with pytest.raises(ValueError, match=r"^unknown loss keys: \['L0', 'zmax'\]$"):
+            build_loss({"kind": "glm_tanh", "L0": 5.0, "zmax": 9.0}, 4)
+
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_spelled_out_defaults_change_nothing(self, tmp_path, algorithm):
+        # recursive_reg needs a convex loss
+        kind = "glm_tanh" if algorithm == "recursive_reg" else "synthetic_nonconvex"
+        short = {"algorithm": algorithm, "grid": {"n": [256], "d": [4], "eps": [1.0]},
+                 "delta": 1e-4, "seeds": [0, 1], "loss": {"kind": kind}}
+        if algorithm in TINY_OVERRIDES:
+            short["overrides"] = TINY_OVERRIDES[algorithm]
+        spelled = {**SPELLED_OUT, **short, "loss": {"kind": kind, **SPELLED_OUT_LOSS[kind]}}
+        a = ExperimentConfig.from_dict({**short, "out": str(tmp_path / "a")})
+        assert ExperimentConfig.from_dict({**spelled, "out": str(tmp_path / "a")}) == a
+        run_experiment(a)
+        run_experiment(ExperimentConfig.from_dict({**spelled, "out": str(tmp_path / "b")}))
+        files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*.*"))
+        assert Path("runs.csv") in files and len(files) == 3
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     @pytest.mark.parametrize("key", ["algorithm", "delta", "seeds", "out"])
     def test_missing_required_key_is_named(self, tmp_path, key):
