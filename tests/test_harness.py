@@ -268,7 +268,7 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_dict({
             "algorithm": "spiderboost", "grid": {"n": [64], "d": [4], "eps": [1.0]},
             "delta": 1e-4, "seeds": [0], "out": str(tmp_path)})
-        assert cfg.loss == {"kind": "synthetic_nonconvex", **SPELLED_OUT_LOSS["synthetic_nonconvex"]}
+        assert cfg.loss == {"kind": "synthetic_nonconvex", "normX": 1.0}
         assert {key: getattr(cfg, key) for key in SPELLED_OUT} == SPELLED_OUT
 
     @pytest.mark.parametrize("kind", list(SPELLED_OUT_LOSS))
