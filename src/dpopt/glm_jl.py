@@ -24,7 +24,6 @@ class JLParams:
     k: int
     rank: int
     normX: float
-    force_identity: bool = False       # test mode: Phi = I_d, k = d
 
     def validate(self, d: int) -> None:
         if not 1 <= self.k <= d:
@@ -36,7 +35,7 @@ class JLParams:
 @dataclass
 class JLMatrix:
     entries: np.ndarray   # k x d
-    seed: int | None
+    seed: int
 
     @property
     def k(self) -> int:
@@ -78,6 +77,11 @@ def _rate_recursive_reg(j: float, n: int, L0h: float, L1h: float,
     return L0h * math.sqrt(j * math.log(1.0 / delta_half)) / (n * eps)
 
 
+def rebound_constants(L0_phi: float, L1_phi: float, normX: float) -> tuple[float, float]:
+    """The (L0, L1) the base run is derived at: (2 L0_phi ||X||, 2 L1_phi ||X||^2)."""
+    return 2.0 * L0_phi * normX, 2.0 * L1_phi * normX ** 2
+
+
 def choose_k(base_kind: str, n: int, rank: int, d: int, L0: float, L1: float,
              normX: float, budget: PrivacyBudget) -> int:
     """Embedding dimension balancing the base rate against the projection
@@ -93,8 +97,7 @@ def choose_k(base_kind: str, n: int, rank: int, d: int, L0: float, L1: float,
             "recursive_reg": _rate_recursive_reg}.get(base_kind)
     if rate is None:
         raise ValueError(f"unknown base_kind {base_kind!r}")
-    L0h = 2.0 * L0 * normX
-    L1h = 2.0 * L1 * normX ** 2
+    L0h, L1h = rebound_constants(L0, L1, normX)
     delta_half = budget.delta / 2.0
     penalty = L0 * normX * math.log(n)
     best_j, best_val = 1, math.inf
@@ -111,7 +114,7 @@ class JLRunReport:
     w_out: np.ndarray
     k: int
     rank: int
-    matrix_seed: int | None
+    matrix_seed: int
     base_report: object
     clamped: bool
     max_feature_norm_ratio: float
@@ -121,23 +124,19 @@ class JLRunReport:
 
 def run_jl(base, loss: GLMLoss, S: Dataset, params: JLParams,
            budget: PrivacyBudget, rng: np.random.Generator) -> JLRunReport:
-    """Project features by Phi, run the base optimizer at (eps, delta/2) with
-    rebound constants (2 L0_phi ||X||, 2 L1_phi ||X||^2), return Phi^T w_tilde.
+    """Project features by Phi, run the base optimizer on them, return
+    Phi^T w_tilde.
 
-    `base` is a closure base(S_proj, loss_proj, L0, L1, budget, rng) returning
-    a report with a `w_out` attribute. The base output is clamped to the poly
-    trajectory bound (n d max(1, L0) max(1, L1))^2 before lifting (clamps
-    are reported).
+    `base` is a closure base(S_proj, loss_proj, rng) returning a report with
+    a `w_out` attribute; its parameters are derived by the caller, at budget
+    (eps, delta/2) with the rebound constants of `rebound_constants`. The
+    base output is clamped to the poly trajectory bound
+    (n d max(1, L0) max(1, L1))^2 before lifting (clamps are reported).
     """
     params.validate(S.dim)
     loss.validate_dataset(S)
-    d = S.dim
-    if params.force_identity:
-        phi = JLMatrix(entries=np.eye(d), seed=None)
-        k = d
-    else:
-        phi = jl_matrix(params.k, d, int(rng.integers(2 ** 63)))
-        k = params.k
+    d, k = S.dim, params.k
+    phi = jl_matrix(k, d, int(rng.integers(2 ** 63)))
 
     Xp = S.X @ phi.entries.T
     S_proj = Dataset(Xp, S.y)
@@ -151,11 +150,7 @@ def run_jl(base, loss: GLMLoss, S: Dataset, params: JLParams,
     loss_proj = GLMLoss(loss.link, loss.L0_phi, loss.L1_phi,
                         normX=proj_norm_bound * (1.0 + 1e-12), dim=k,
                         F0_hint=loss.F0_hint)
-    L0_declared = 2.0 * loss.L0_phi * params.normX
-    L1_declared = 2.0 * loss.L1_phi * params.normX ** 2
-
-    base_budget = budget.halve_delta()
-    base_report = base(S_proj, loss_proj, L0_declared, L1_declared, base_budget, rng)
+    base_report = base(S_proj, loss_proj, rng)
     w_tilde = np.asarray(base_report.w_out, dtype=np.float64)
 
     bound = (S.n * d * max(1.0, loss.L0) * max(1.0, loss.L1)) ** 2
@@ -166,6 +161,7 @@ def run_jl(base, loss: GLMLoss, S: Dataset, params: JLParams,
         clamped = True
 
     w_out = phi.entries.T @ w_tilde
+    base_budget = budget.halve_delta()
     return JLRunReport(w_out=w_out, k=k, rank=params.rank, matrix_seed=phi.seed,
                        base_report=base_report, clamped=clamped,
                        max_feature_norm_ratio=ratio,

@@ -48,6 +48,13 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v]
 
 
+def _merge(raw: dict, block: str, given: dict) -> None:
+    """Set the given keys in raw's block; a block that is not an object is
+    left for config load to reject."""
+    if given and isinstance(raw.get(block, {}), dict):
+        raw[block] = {**raw.get(block, {}), **given}
+
+
 def cmd_run(args) -> int:
     raw = {}
     if args.config:
@@ -55,14 +62,9 @@ def cmd_run(args) -> int:
             raw = json.load(fh)
     if args.algorithm:
         raw["algorithm"] = args.algorithm
-    grid = dict(raw.get("grid", {}))
-    if args.n:
-        grid["n"] = _int_list(args.n)
-    if args.d:
-        grid["d"] = _int_list(args.d)
-    if args.eps:
-        grid["eps"] = _float_list(args.eps)
-    raw["grid"] = grid
+    _merge(raw, "grid", {key: parse(text) for key, parse, text in (
+        ("n", _int_list, args.n), ("d", _int_list, args.d), ("eps", _float_list, args.eps))
+        if text})
     if args.delta is not None:
         raw["delta"] = args.delta
     if args.seed:
@@ -75,11 +77,7 @@ def cmd_run(args) -> int:
         raw["workers"] = args.workers
     if args.timing:
         raw["timing"] = True
-    overrides = dict(raw.get("overrides", {}))
-    for kv in args.override or []:
-        key, val = _parse_override(kv)
-        overrides[key] = val
-    raw["overrides"] = overrides
+    _merge(raw, "overrides", dict(map(_parse_override, args.override or [])))
     config = ExperimentConfig.from_dict(raw)
     csv_path = run_experiment(config)
     rows = read_csv_rows(csv_path)

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core.loss import (LossSpec, glm_loss, huber_mean_loss, square_link,
+from ..core.loss import (GLMLoss, LossSpec, glm_loss, huber_mean_loss, square_link,
                          synthetic_nonconvex_loss, tanh_link)
 from ..recursive_reg import MODES, SUBROUTINES
 from .synthetic import KINDS
@@ -48,7 +48,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         from .experiment import ALGORITHMS  # experiment imports this module
-        if self.algorithm not in ALGORITHMS:
+        if not isinstance(self.algorithm, str) or self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if not (self.grid_n and self.grid_d and self.grid_eps):
             raise ValueError("grid must be non-empty in n, d, and eps")
@@ -67,7 +67,7 @@ class ExperimentConfig:
                     if key != "kind" and value is not None]
         numbers += [("rr R_bar", self.rr["R_bar"]), ("data B", self.data["B"])]
         for key, value in numbers:
-            value = float(value)
+            value = _number(key, float, value)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{key} must be finite and positive, got {value!r}")
         for key in ("label_scale", "spectrum_decay"):
@@ -86,6 +86,16 @@ class ExperimentConfig:
         for block, key, allowed in (("data", "kind", KINDS), ("rr", "mode", MODES),
                                     ("rr", "subroutine", SUBROUTINES)):
             _check_kind(block, key, getattr(self, block)[key], allowed)
+        # an algorithm/loss pair that would fail every row at run time
+        loss, kind = build_loss(self.loss, self.grid_d[0]), self.loss["kind"]
+        if self.algorithm == "jl_spiderboost" and not isinstance(loss, GLMLoss):
+            raise ValueError(f"jl_spiderboost needs a GLM loss, got {kind}")
+        if self.algorithm == "recursive_reg":
+            if not loss.convex:
+                raise ValueError(f"recursive_reg needs a convex loss, got {kind}")
+        elif loss.F0_hint is None:
+            raise ValueError(f"{self.algorithm} needs a bound on the initial gap: "
+                             f"set loss F0 for {kind}")
 
     def grid_points(self) -> list[tuple[int, int, int, float]]:
         """(grid_index, n, d, eps) in canonical (config-order) enumeration."""
@@ -106,14 +116,16 @@ class ExperimentConfig:
                 raise ValueError(f"missing config field {key!r}")
         top = _filled("config", raw, {**dict.fromkeys(REQUIRED), **DEFAULTS["config"]})
         grid = _filled("grid", top.pop("grid"), DEFAULTS["grid"])
-        top.update(delta=float(top["delta"]), seeds=[int(s) for s in top["seeds"]],
-                   out=str(top["out"]), overrides=dict(top["overrides"]),
+        top.update(delta=_number("delta", float, top["delta"]),
+                   seeds=_numbers("seeds", int, top["seeds"]),
+                   out=str(_typed("out", top["out"], (str, Path), "a path")),
+                   overrides=dict(_typed("overrides", top["overrides"], dict, "an object")),
                    loss=_loss_block(top["loss"]),
                    data=_filled("data", top["data"], DEFAULTS["data"]),
                    rr=_filled("rr", top["rr"], DEFAULTS["rr"]))
-        cfg = ExperimentConfig(grid_n=[int(v) for v in grid["n"]],
-                               grid_d=[int(v) for v in grid["d"]],
-                               grid_eps=[float(v) for v in grid["eps"]], **top)
+        cfg = ExperimentConfig(grid_n=_numbers("grid n", int, grid["n"]),
+                               grid_d=_numbers("grid d", int, grid["d"]),
+                               grid_eps=_numbers("grid eps", float, grid["eps"]), **top)
         cfg.validate()
         return cfg
 
@@ -125,18 +137,38 @@ class ExperimentConfig:
 
 def _filled(block: str, given: dict, defaults: dict) -> dict:
     """`given` with each absent key of `defaults`; any other key is rejected."""
-    unknown = sorted(set(given) - set(defaults))
+    unknown = sorted(set(_typed(block, given, dict, "an object")) - set(defaults))
     if unknown:
         raise ValueError(f"unknown {block} keys: {unknown}")
     filled = {**defaults, **given}
     for key, default in defaults.items():
         if type(default) in (int, float):  # a bool is left for validate to check
-            filled[key] = type(default)(filled[key])
+            name = key if block == "config" else f"{block} {key}"
+            filled[key] = _number(name, type(default), filled[key])
     return filled
 
 
+def _typed(name: str, value, types, what: str):
+    """value, or a ValueError naming the key if it is not one of types."""
+    if not isinstance(value, types):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _number(name: str, cast, value):
+    """cast(value), or a ValueError naming the key of a value it cannot take."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def _numbers(name: str, cast, values) -> list:
+    return [_number(name, cast, value) for value in _typed(name, values, list, "a list")]
+
+
 def _check_kind(block: str, key: str, value, allowed) -> None:
-    if value not in allowed:
+    if not isinstance(value, str) or value not in allowed:
         raise ValueError(f"unknown {block} {key} {value!r}; expected one of {list(allowed)}")
 
 
@@ -173,7 +205,7 @@ LOSS_KINDS = {
 
 def _loss_block(block: dict) -> dict:
     """The loss block filled from its kind's entry in LOSS_KINDS."""
-    kind = block.get("kind", DEFAULTS["loss"]["kind"])
+    kind = _typed("loss", block, dict, "an object").get("kind", DEFAULTS["loss"]["kind"])
     _check_kind("loss", "kind", kind, LOSS_KINDS)
     return _filled("loss", block, {**DEFAULTS["loss"], **LOSS_KINDS[kind][0]})
 

@@ -24,10 +24,10 @@ import numpy as np
 
 from ..core.data import Dataset, DatasetCursor, Runs
 from ..core.loss import LossSpec, erm_grad
-from ..glm_jl import JLParams, choose_k, run_jl
+from ..glm_jl import JLParams, choose_k, rebound_constants, run_jl
 from ..privacy import PrivacyBudget
 from ..recursive_reg import derive_rr_params, run_recursive_regularization
-from ..spiderboost import derive_spider_params, run_spiderboost
+from ..spiderboost import SpiderParams, derive_spider_params, run_spiderboost
 from ..tree_spider import derive_tree_params, run_tree_spider
 from ..util import PreconditionError
 from .config import ExperimentConfig, build_loss
@@ -46,7 +46,10 @@ def _fmt(v) -> str:
 
 def param_hash(params) -> str:
     """Stable digest of derived parameters, for artifact-level regression
-    detection."""
+    detection; a (JLParams, SpiderParams) pair as one dict, base fields `base_*`."""
+    if isinstance(params, tuple):
+        params = {**dataclasses.asdict(params[0]),
+                  **{f"base_{f}": v for f, v in dataclasses.asdict(params[1]).items()}}
     d = dataclasses.asdict(params) if dataclasses.is_dataclass(params) else dict(params)
     canon = json.dumps({k: _fmt(v) for k, v in sorted(d.items())}, sort_keys=True)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
@@ -54,24 +57,17 @@ def param_hash(params) -> str:
 
 @dataclasses.dataclass
 class GridPoint:
-    """One grid point as an algorithm entry sees it: its (seed_index, seed)
-    pairs and one CSV row per seed. The entry sets the rows' param_hash, and
-    the status of a seed that fails on its own."""
+    """One grid point, with its (seed_index, seed) pairs, as an entry sees it."""
     config: ExperimentConfig
     grid_index: int
     n: int
     d: int
     seeds: list[tuple[int, int]]
-    rows: list[dict]
     loss: LossSpec
     budget: PrivacyBudget
 
     def rng(self, seed_index: int, purpose: str = "run") -> np.random.Generator:
         return stream(self.config.master_seed, purpose, self.grid_index, seed_index)
-
-    def set_hash(self, params) -> None:
-        for row in self.rows:
-            row["param_hash"] = param_hash(params)
 
 
 def _generator_args(data: dict) -> dict:
@@ -98,43 +94,42 @@ def _failed(exc: Exception) -> str:
     return f"error: {type(exc).__name__}: {exc}"
 
 
-# An entry of ALGORITHMS runs all of a GridPoint's seeds as one job and gives,
-# per seed, (w_out, exact gradient, oracle calls, noise ledger, report extras),
-# or None for a seed that failed on its own. It calls the optimizers,
-# derivations, data generators and erm_grad through this module's globals,
-# so a wrapper set on this module sees every call.
+# An entry of ALGORITHMS is a pair: derive(point) gives a GridPoint's parameters
+# before any data exists, and run(point, params) runs all its seeds as one job,
+# giving per seed (w_out, exact gradient, oracle calls, noise ledger, report
+# extras), or the exception of a seed that failed alone. Both reach optimizers,
+# derivations, data generators and erm_grad through this module's globals.
 
-def _spiderboost(p: GridPoint) -> list:
-    loss = p.loss
-    params = derive_spider_params(p.n, p.d, loss.L0, loss.L1, loss.F0_hint, p.budget,
-                                  p.config.overrides)
-    p.set_hash(params)
+def _spiderboost_derive(p: GridPoint):
+    return derive_spider_params(p.n, p.d, p.loss.L0, p.loss.L1, p.loss.F0_hint, p.budget,
+                                p.config.overrides)
+
+
+def _spiderboost_run(p: GridPoint, params) -> list:
     # one seed's dataset at a time, into one block that the lockstep group
     # samples from
     data = Runs.pack(len(p.seeds), (_gen_dataset(p, s) for s, _ in p.seeds))
-    reps = run_spiderboost(loss, data, params, [p.rng(s) for s, _ in p.seeds])
-    return [(rep.w_out, erm_grad(loss, rep.w_out, S), rep.oracle_calls, rep.noise_ledger,
+    reps = run_spiderboost(p.loss, data, params, [p.rng(s) for s, _ in p.seeds])
+    return [(rep.w_out, erm_grad(p.loss, rep.w_out, S), rep.oracle_calls, rep.noise_ledger,
              {"selected_index": rep.selected_index, "trace_steps": rep.trace_steps,
               "grad_norm_trace": rep.grad_norm_trace})
             for rep, S in zip(reps, data)]
 
 
-def _population(p: GridPoint, params, run) -> list:
+def _population(p: GridPoint, run) -> list:
     """A population algorithm's outputs: each seed draws its own sample, and
     one that fails the loss's dataset check (a support row above the norm
     bound) fails alone. `run(samples, rngs)` runs the others in lockstep and
     gives (w_out, oracle calls, noise ledger, report extras) per run."""
-    p.set_hash(params)
     dist = _gen_population(p.config, p.d)
     samples = [dist.sample(p.n, p.rng(s, "sample")) for s, _ in p.seeds]
-    live = []
+    outs, live = [None] * len(p.seeds), []
     for i, S in enumerate(samples):
         try:
             p.loss.validate_dataset(S)
             live.append(i)
         except ValueError as exc:
-            p.rows[i]["status"] = _failed(exc)
-    outs = [None] * len(p.seeds)
+            outs[i] = exc
     if live:
         runs = run([samples[i] for i in live], [p.rng(p.seeds[i][0]) for i in live])
         for i, (w_out, calls, ledger, extras) in zip(live, runs):
@@ -142,11 +137,14 @@ def _population(p: GridPoint, params, run) -> list:
     return outs
 
 
-def _tree_spider(p: GridPoint) -> list:
+def _tree_spider_derive(p: GridPoint):
     loss, ov = p.loss, dict(p.config.overrides)
-    params = derive_tree_params(p.n, p.d, loss.L0, loss.L1, loss.F0_hint, p.budget,
-                                float(ov.pop("p", 0.1)), ov)
-    return _population(p, params, lambda samples, rngs: [
+    return derive_tree_params(p.n, p.d, loss.L0, loss.L1, loss.F0_hint, p.budget,
+                              float(ov.pop("p", 0.1)), ov)
+
+
+def _tree_spider_run(p: GridPoint, params) -> list:
+    return _population(p, lambda samples, rngs: [
         (rep.w_out, rep.oracle_calls, rep.noise_ledger,
          {"stopped_early": rep.stopped_early,
           "stop_address": (None if rep.stop_address is None else
@@ -155,22 +153,26 @@ def _tree_spider(p: GridPoint) -> list:
           "leaf_count_visited": rep.leaf_count_visited,
           "leaves_per_round": rep.leaves_per_round,
           "rounds_completed": rep.rounds_completed})
-        for rep in run_tree_spider(loss, [DatasetCursor(S) for S in samples], params, rngs)])
+        for rep in run_tree_spider(p.loss, list(map(DatasetCursor, samples)), params, rngs)])
 
 
-def _recursive_reg(p: GridPoint) -> list:
-    loss, rr = p.loss, p.config.rr
-    params = derive_rr_params(rr["mode"], p.n, p.d, loss.L0, loss.L1, rr["R_bar"],
-                              p.budget, p.config.overrides)
+def _recursive_reg_derive(p: GridPoint):
+    rr = p.config.rr
+    return derive_rr_params(rr["mode"], p.n, p.d, p.loss.L0, p.loss.L1, rr["R_bar"],
+                            p.budget, p.config.overrides)
+
+
+def _recursive_reg_run(p: GridPoint, params) -> list:
     # n oracle calls: a single pass over disjoint slices
-    return _population(p, params, lambda samples, rngs: [
+    return _population(p, lambda samples, rngs: [
         (rep.w_out, p.n, rep.noise_ledger,
          {"rounds": rep.rounds, "t1_edge": rep.t1_edge, "kt_capped": rep.kt_capped})
-        for rep in run_recursive_regularization(samples, loss, params,
-                                                rr["subroutine"], rngs)])
+        for rep in run_recursive_regularization(samples, p.loss, params,
+                                                p.config.rr["subroutine"], rngs)])
 
 
-def _jl_spiderboost(p: GridPoint) -> list:
+def _jl_derive(p: GridPoint) -> tuple[JLParams, SpiderParams]:
+    """k, and the base run's parameters at (n, k), rebound constants, delta/2."""
     overrides, loss = p.config.overrides, p.loss
     base_ov = {k: v for k, v in overrides.items() if k in ("eta", "q", "b1", "b2", "T")}
     unknown = sorted(set(overrides) - {*base_ov, "k"})
@@ -180,29 +182,18 @@ def _jl_spiderboost(p: GridPoint) -> list:
     k = int(overrides["k"] if "k" in overrides else
             choose_k("spiderboost", p.n, rank, p.d, loss.L0_phi, loss.L1_phi, loss.normX,
                      p.budget))
-    params = JLParams(k=k, rank=rank, normX=loss.normX)
-    return [_jl_seed(p, params, base_ov, s, row) for (s, _), row in zip(p.seeds, p.rows)]
+    L0, L1 = rebound_constants(loss.L0_phi, loss.L1_phi, loss.normX)
+    base = derive_spider_params(p.n, k, L0, L1, loss.F0_hint, p.budget.halve_delta(), base_ov)
+    return JLParams(k=k, rank=rank, normX=loss.normX), base
 
 
-def _jl_seed(p: GridPoint, params: JLParams, base_ov: dict, seed_index: int, row: dict):
+def _jl_seed(p: GridPoint, params: JLParams, base: SpiderParams, seed_index: int):
     """One JL seed; its dataset and report are dropped on return, before the
-    next seed's data is generated. A seed whose run raises is tagged alone,
-    and its row has no param_hash."""
-    base_params = []
-
-    def base(S_proj, loss_proj, L0b, L1b, sub_budget, rng):
-        base_params.append(derive_spider_params(S_proj.n, S_proj.dim, L0b, L1b,
-                                                p.loss.F0_hint, sub_budget, base_ov))
-        return run_spiderboost(loss_proj, S_proj, base_params[0], rng)
-
+    next seed's data is generated. A seed whose run raises fails alone."""
     try:
         S = _gen_dataset(p, seed_index)
-        rep = run_jl(base, p.loss, S, params, p.budget, p.rng(seed_index))
-        # the base run's derived parameters too, so rows whose base overrides
-        # differ get different hashes
-        row["param_hash"] = param_hash(
-            {"k": params.k, "rank": params.rank, "normX": params.normX,
-             **{f"base_{f}": v for f, v in dataclasses.asdict(base_params[0]).items()}})
+        rep = run_jl(lambda S_proj, loss_proj, rng: run_spiderboost(loss_proj, S_proj, base, rng),
+                     p.loss, S, params, p.budget, p.rng(seed_index))
         base_rep = rep.base_report
         return (rep.w_out, erm_grad(p.loss, rep.w_out, S), base_rep.oracle_calls,
                 base_rep.noise_ledger,
@@ -214,12 +205,14 @@ def _jl_seed(p: GridPoint, params: JLParams, base_ov: dict, seed_index: int, row
                  "base_trace_steps": base_rep.trace_steps,
                  "base_grad_norm_trace": base_rep.grad_norm_trace})
     except Exception as exc:
-        row["status"] = _failed(exc)
-        return None
+        return exc
 
 
-ALGORITHMS = {"spiderboost": _spiderboost, "tree_spider": _tree_spider,
-              "recursive_reg": _recursive_reg, "jl_spiderboost": _jl_spiderboost}
+ALGORITHMS = {"spiderboost": (_spiderboost_derive, _spiderboost_run),
+              "tree_spider": (_tree_spider_derive, _tree_spider_run),
+              "recursive_reg": (_recursive_reg_derive, _recursive_reg_run),
+              "jl_spiderboost": (_jl_derive, lambda p, params: [
+                  _jl_seed(p, *params, s) for s, _ in p.seeds])}
 
 
 def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
@@ -229,7 +222,7 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
     order, each seed on its own data or sample and its own generator.
 
     A failed sample-size hypothesis tags every row `precondition:`, any other
-    exception `error:`, bar a seed that an entry tags alone (a population
+    exception `error:`, bar a seed that the run fails alone (a population
     sample that fails the loss's dataset check, a JL run that raises). A
     returned point, exact gradient norm or entry of the exact gradient-norm
     trace (for JL, its base run's) that is not finite is `diverged`. Under
@@ -240,12 +233,17 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
              "oracle_calls": 0, "wall_ms": 0.0, "param_hash": "", "status": "ok"}
             for _, seed in seeds]
     docs: list[dict | None] = [None] * len(seeds)
-    point = GridPoint(config, grid_index, n, d, seeds, rows, build_loss(config.loss, d),
+    point = GridPoint(config, grid_index, n, d, seeds, build_loss(config.loss, d),
                       PrivacyBudget(eps, config.delta, config.accountant_c))
+    derive, run = ALGORITHMS[config.algorithm]
     t0 = time.perf_counter()
     try:
-        for i, (row, out) in enumerate(zip(rows, ALGORITHMS[config.algorithm](point))):
-            if out is None:
+        params = derive(point)
+        for row in rows:
+            row["param_hash"] = param_hash(params)
+        for i, (row, out) in enumerate(zip(rows, run(point, params))):
+            if isinstance(out, Exception):
+                row["status"] = _failed(out)
                 continue
             w_out, g, oracle_calls, ledger, extras = out
             row["grad_norm"] = float(np.linalg.norm(g))

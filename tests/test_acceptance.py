@@ -14,8 +14,8 @@ import pytest
 from dpopt.core import (Dataset, DatasetCursor, erm_grad, fd_check, glm_loss,
                         huber_1d_loss, huber_mean_loss, square_link,
                         synthetic_nonconvex_loss, tanh_link)
-from dpopt.glm_jl import (JLParams, _rate_spiderboost, check_subspace_embedding,
-                          choose_k, jl_matrix, run_jl)
+from dpopt.glm_jl import (JLMatrix, JLParams, _rate_spiderboost,
+                          check_subspace_embedding, choose_k, jl_matrix, run_jl)
 from dpopt.harness import (ExperimentConfig, build_loss, gen_support,
                            gen_synthetic, param_hash, read_csv_rows,
                            run_experiment, scaling_fit)
@@ -371,7 +371,7 @@ def test_criterion_10_output_perturbed_sgd_stability():
               "within 2 L0 log(n)/(lam n)", run, budget_s=10.0)
 
 
-def test_criterion_11_jl_properties():
+def test_criterion_11_jl_properties(monkeypatch):
     def run():
         tau, beta = 0.5, 0.05
         d = 64
@@ -387,26 +387,29 @@ def test_criterion_11_jl_properties():
                 passes += ok
             assert passes / 200 >= 0.95, (r, passes)
 
-        # identity-projection test mode reproduces the raw-data base run
+        # an identity projection reproduces the raw-data base run
+        from dpopt import glm_jl
         from dpopt.core import GLMLoss
         loss = synthetic_nonconvex_loss(8)
         S = gen_synthetic("glm_lowrank", 128, 8, rank=2, seed=42,
                           label_scale=0.6)
         budget = PrivacyBudget(1.0, 1e-5)
+        sp = derive_spider_params(128, 8, 2 * loss.L0_phi, 2 * loss.L1_phi, 1.0,
+                                  budget.halve_delta())
 
-        def base(S_proj, loss_proj, L0b, L1b, sub_budget, srng):
-            sp = derive_spider_params(S_proj.n, S_proj.dim, L0b, L1b, 1.0,
-                                      sub_budget)
+        def base(S_proj, loss_proj, srng):
             return run_spiderboost(loss_proj, S_proj, sp, srng)
 
-        params = JLParams(k=8, rank=2, normX=1.0, force_identity=True)
-        rep = run_jl(base, loss, S, params, budget, np.random.default_rng(43))
+        monkeypatch.setattr(glm_jl, "jl_matrix",
+                            lambda k, d, seed: JLMatrix(entries=np.eye(d), seed=seed))
+        rep = run_jl(base, loss, S, JLParams(k=8, rank=2, normX=1.0), budget,
+                     np.random.default_rng(43))
         bound = float(np.max(np.linalg.norm(S.X, axis=1))) * (1 + 1e-12)
         loss_ref = GLMLoss(loss.link, loss.L0_phi, loss.L1_phi, bound, 8,
                            F0_hint=loss.F0_hint)
-        ref = base(Dataset(S.X.copy(), S.y.copy()), loss_ref, 2 * loss.L0_phi,
-                   2 * loss.L1_phi, budget.halve_delta(),
-                   np.random.default_rng(43))
+        srng = np.random.default_rng(43)
+        srng.integers(2 ** 63)  # run_jl's draw of the matrix seed
+        ref = base(Dataset(S.X.copy(), S.y.copy()), loss_ref, srng)
         assert np.array_equal(rep.w_out, ref.w_out)
 
     check(11, "subspace embedding pass rate >= 95% at the prescribed k; "

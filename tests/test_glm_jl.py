@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from dpopt.core import Dataset, erm_grad, synthetic_nonconvex_loss
-from dpopt.glm_jl import (JLParams, check_subspace_embedding, choose_k,
-                          jl_matrix, numeric_rank, run_jl)
+from dpopt.glm_jl import (JLMatrix, JLParams, check_subspace_embedding, choose_k,
+                          jl_matrix, numeric_rank, rebound_constants, run_jl)
 from dpopt.harness import gen_synthetic
 from dpopt.privacy import PrivacyBudget
 from dpopt.spiderboost import derive_spider_params, run_spiderboost
@@ -104,9 +104,8 @@ class TestChooseK:
 
 class TestSubspaceEmbedding:
     def test_identity_matrix_zero_distortion(self):
-        from dpopt.glm_jl import JLMatrix
         d = 6
-        phi = JLMatrix(entries=np.eye(d), seed=None)
+        phi = JLMatrix(entries=np.eye(d), seed=0)
         basis = np.eye(d)[:3]
         ok, worst = check_subspace_embedding(phi, basis, tau=0.5,
                                              rng=np.random.default_rng(0))
@@ -170,52 +169,54 @@ class TestRunJL:
                           label_scale=0.6)
         return loss, S
 
-    def test_identity_mode_reproduces_raw_run(self):
+    def test_identity_projection_reproduces_raw_run(self, monkeypatch):
+        from dpopt import glm_jl
         from dpopt.core import GLMLoss
         loss, S = self.setup_data()
-        budget = PrivacyBudget(1.0, 1e-5)
+        sp = derive_spider_params(S.n, S.dim, *rebound_constants(loss.L0_phi, loss.L1_phi, 1.0),
+                                  1.0, PrivacyBudget(1.0, 1e-5).halve_delta())
 
-        def base(S_proj, loss_proj, L0b, L1b, sub_budget, rng):
-            sp = derive_spider_params(S_proj.n, S_proj.dim, L0b, L1b, 1.0, sub_budget)
+        def base(S_proj, loss_proj, rng):
             return run_spiderboost(loss_proj, S_proj, sp, rng)
 
-        params = JLParams(k=S.dim, rank=2, normX=1.0, force_identity=True)
-        rep = run_jl(base, loss, S, params, budget, np.random.default_rng(4))
+        monkeypatch.setattr(glm_jl, "jl_matrix",
+                            lambda k, d, seed: JLMatrix(entries=np.eye(d), seed=seed))
+        params = JLParams(k=S.dim, rank=2, normX=1.0)
+        rep = run_jl(base, loss, S, params, PrivacyBudget(1.0, 1e-5),
+                     np.random.default_rng(4))
 
-        # reference: the same base run on the raw (identity-projected) data
+        # reference: the same base run on the raw (identity-projected) data,
+        # its generator past run_jl's one draw of the matrix seed
         bound = float(np.max(np.linalg.norm(S.X, axis=1))) * (1 + 1e-12)
         loss_ref = GLMLoss(loss.link, loss.L0_phi, loss.L1_phi, bound, S.dim,
                            F0_hint=loss.F0_hint)
-        ref = base(Dataset(S.X.copy(), S.y.copy()), loss_ref,
-                   2 * loss.L0_phi * 1.0, 2 * loss.L1_phi * 1.0,
-                   budget.halve_delta(), np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        assert rep.matrix_seed == rng.integers(2 ** 63)
+        ref = base(Dataset(S.X.copy(), S.y.copy()), loss_ref, rng)
         assert np.array_equal(rep.w_out, ref.w_out)
 
     def test_budget_split(self):
         loss, S = self.setup_data()
         captured = {}
 
-        def base(S_proj, loss_proj, L0b, L1b, sub_budget, rng):
-            captured["budget"] = sub_budget
-            captured["consts"] = (L0b, L1b)
+        def base(S_proj, loss_proj, rng):
             captured["k"] = S_proj.dim
             return FakeBaseReport(np.zeros(S_proj.dim))
 
         budget = PrivacyBudget(0.8, 1e-4)
         params = JLParams(k=6, rank=2, normX=1.0)
         rep = run_jl(base, loss, S, params, budget, np.random.default_rng(5))
-        assert captured["budget"].eps == 0.8
-        assert captured["budget"].delta == 5e-5
         assert rep.base_eps == 0.8 and rep.base_delta == 5e-5
-        # Lipschitz rebinding is exactly (2 L0 ||X||, 2 L1 ||X||^2)
-        assert captured["consts"][0] == pytest.approx(2 * loss.L0_phi * 1.0)
-        assert captured["consts"][1] == pytest.approx(2 * loss.L1_phi * 1.0)
         assert captured["k"] == 6
+
+    def test_rebound_constants(self):
+        # Lipschitz rebinding is exactly (2 L0 ||X||, 2 L1 ||X||^2)
+        assert rebound_constants(0.5, 3.0, 2.0) == (2.0, 24.0)
 
     def test_output_in_row_space(self):
         loss, S = self.setup_data()
 
-        def base(S_proj, loss_proj, L0b, L1b, sub_budget, rng):
+        def base(S_proj, loss_proj, rng):
             return FakeBaseReport(rng.standard_normal(S_proj.dim))
 
         params = JLParams(k=5, rank=2, normX=1.0)
@@ -228,7 +229,7 @@ class TestRunJL:
     def test_clamp_applied_and_reported(self):
         loss, S = self.setup_data()
 
-        def base(S_proj, loss_proj, L0b, L1b, sub_budget, rng):
+        def base(S_proj, loss_proj, rng):
             return FakeBaseReport(np.full(S_proj.dim, 1e150))
 
         params = JLParams(k=4, rank=2, normX=1.0)

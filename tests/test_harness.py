@@ -13,8 +13,8 @@ from dpopt.harness import (ExperimentConfig, build_loss, gen_support, gen_synthe
 from dpopt.harness.cli import main as cli_main
 from dpopt.harness.experiment import ALGORITHMS, report_json, run_single
 from dpopt.core import synthetic_nonconvex_loss
-from dpopt.glm_jl import numeric_rank
-from dpopt.privacy import NoiseLedger
+from dpopt.glm_jl import choose_k, numeric_rank
+from dpopt.privacy import NoiseLedger, PrivacyBudget
 
 # overrides that keep an algorithm's tiny sweep short; an algorithm not named
 # here runs at its derived parameters
@@ -187,6 +187,38 @@ DATA_CASES = [
         ("B", "finite and positive", (math.nan, math.inf, 0.0, -1.0)))
     for value in values]
 
+# wrong-typed values, rejected at load with their key named: each of these
+# raised a TypeError or AttributeError that printed a traceback and exited 1
+TYPE_CASES = [
+    ("data", {"kind": "glm_fullrank", "B": None}, "data B must be a number, got None"),
+    ("workers", None, "workers must be a number, got None"),
+    ("accountant_c", None, "accountant_c must be a number, got None"),
+    ("loss", {"kind": "glm_tanh", "F0": None}, "loss F0 must be a number, got None"),
+    ("loss", {"kind": "huber_mean", "F0": [1.0]}, "loss F0 must be a number, got [1.0]"),
+    ("seeds", 5, "seeds must be a list, got 5"),
+    ("seeds", [0, None], "seeds must be a number, got None"),
+    ("grid", {"n": 64, "d": [4], "eps": [1.0]}, "grid n must be a list, got 64"),
+    ("loss", [], "loss must be an object, got []"),
+    ("loss", {"kind": ["glm_tanh"]},
+     f"unknown loss kind ['glm_tanh']; expected one of {list(SPELLED_OUT_LOSS)}"),
+    ("overrides", 5, "overrides must be an object, got 5"),
+    ("out", None, "out must be a path, got None"),
+    ("algorithm", ["spiderboost"], "unknown algorithm ['spiderboost']")]
+
+# algorithm/loss pairs that failed every row at run time: huber_mean has no
+# F0 by default, and jl_spiderboost and recursive_reg need a GLM and a
+# convex loss
+PAIR_CASES = [
+    ("spiderboost", {"kind": "huber_mean"},
+     "spiderboost needs a bound on the initial gap: set loss F0 for huber_mean"),
+    ("tree_spider", {"kind": "huber_mean"},
+     "tree_spider needs a bound on the initial gap: set loss F0 for huber_mean"),
+    ("jl_spiderboost", {"kind": "huber_mean"}, "jl_spiderboost needs a GLM loss, got huber_mean"),
+    ("jl_spiderboost", {"kind": "huber_mean", "F0": 1.0},
+     "jl_spiderboost needs a GLM loss, got huber_mean"),
+    ("recursive_reg", {"kind": "synthetic_nonconvex"},
+     "recursive_reg needs a convex loss, got synthetic_nonconvex")]
+
 
 class TestExperimentConfig:
     def base_raw(self, out):
@@ -243,7 +275,7 @@ class TestExperimentConfig:
         ("grid", {"n": [64], "d": [-2], "eps": [1.0]}, "grid d must be >= 1, got -2"),
         ("accountant_c", float("nan"), "accountant_c must be finite and positive, got nan"),
         ("accountant_c", float("inf"), "accountant_c must be finite and positive, got inf")]
-        + LOSS_NUMBER_CASES + LOSS_KEY_CASES + DATA_CASES)
+        + LOSS_NUMBER_CASES + LOSS_KEY_CASES + DATA_CASES + TYPE_CASES)
     def test_bad_run_settings_are_rejected_before_out_exists(self, tmp_path, capsys, key,
                                                              value, message):
         out = tmp_path / "out"
@@ -255,6 +287,28 @@ class TestExperimentConfig:
         assert cli_main(["run", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm,loss,message", PAIR_CASES)
+    def test_pairs_that_fail_every_row_are_rejected_at_load(self, tmp_path, capsys,
+                                                            algorithm, loss, message):
+        out = tmp_path / "out"
+        raw = {**self.base_raw(out), "algorithm": algorithm, "loss": loss}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict(raw)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm,loss", [
+        ("spiderboost", {"kind": "huber_mean", "F0": 1.0}),
+        ("tree_spider", {"kind": "huber_mean", "F0": 1.0}),
+        ("recursive_reg", {"kind": "huber_mean"}), ("recursive_reg", {"kind": "glm_square"}),
+        ("jl_spiderboost", {"kind": "glm_square"})])
+    def test_pairs_that_can_run_still_load(self, tmp_path, algorithm, loss):
+        raw = {**self.base_raw(tmp_path), "algorithm": algorithm, "loss": loss}
+        assert ExperimentConfig.from_dict(raw).algorithm == algorithm
 
     def test_run_settings_keep_their_values(self, tmp_path):
         raw = self.base_raw(tmp_path)
@@ -274,6 +328,8 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("kind", list(SPELLED_OUT_LOSS))
     def test_build_loss_fills_the_block_as_load_does(self, tmp_path, kind):
         raw = {**self.base_raw(tmp_path), "loss": {"kind": kind}}
+        if kind == "huber_mean":  # which has no F0 for spiderboost
+            raw["algorithm"] = "recursive_reg"
         filled = ExperimentConfig.from_dict(raw).loss
         assert filled == {"kind": kind, **SPELLED_OUT_LOSS[kind]}
 
@@ -311,7 +367,8 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict(raw)
 
     def test_algorithm_is_a_key_of_the_table(self, tmp_path):
-        raw = self.base_raw(tmp_path)
+        # glm_tanh: a loss that every algorithm takes
+        raw = {**self.base_raw(tmp_path), "loss": {"kind": "glm_tanh"}}
         for algorithm in ALGORITHMS:
             assert ExperimentConfig.from_dict({**raw, "algorithm": algorithm}).algorithm == algorithm
         with pytest.raises(ValueError, match="unknown algorithm 'spider_boost'"):
@@ -382,6 +439,47 @@ class TestRunExperiment:
         assert [row["status"] for row, _ in group] == ["ok", "ok"]
         assert {name for name, count in calls.items() if count} == self.REACHES[algorithm]
 
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_derive_alone_gives_the_rows_hash(self, tmp_path, monkeypatch, algorithm):
+        # derive generates no data and runs nothing: with every generator and
+        # runner refusing, it still gives the parameters hashed into each row
+        from dpopt.harness import experiment
+        cfg = ExperimentConfig.from_dict(tiny_raw(algorithm, tmp_path / "h"))
+        rows = [row for row, _ in run_single(cfg, 1, 256, 4, 2.0, [(0, 0), (1, 1)])]
+        assert [row["status"] for row in rows] == ["ok", "ok"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("derive generated data or ran an algorithm")
+
+        for name in ("gen_synthetic", "gen_support", "run_spiderboost", "run_tree_spider",
+                     "run_recursive_regularization", "run_jl", "erm_grad"):
+            monkeypatch.setattr(experiment, name, refuse)
+        derive, _ = ALGORITHMS[algorithm]
+        point = experiment.GridPoint(cfg, 1, 256, 4, [(0, 0), (1, 1)], build_loss(cfg.loss, 4),
+                                     PrivacyBudget(2.0, cfg.delta, cfg.accountant_c))
+        assert {row["param_hash"] for row in rows} == {experiment.param_hash(derive(point))}
+
+    def test_jl_derives_its_base_run_once_per_grid_point(self, tmp_path, monkeypatch):
+        # choose_k's k, and the base run at (n, k), the rebound constants and
+        # (eps, delta/2), derived before any seed's data exists
+        from dpopt.harness import experiment
+        from dpopt.spiderboost import derive_spider_params
+        raw = tiny_raw("jl_spiderboost", tmp_path / "b")
+        raw["overrides"] = {"T": 20}
+        cfg = ExperimentConfig.from_dict(raw)
+        calls = []
+        monkeypatch.setattr(experiment, "derive_spider_params",
+                            lambda *args: calls.append(args) or derive_spider_params(*args))
+        group = run_single(cfg, 0, 256, 4, 1.0, [(0, 0), (1, 1), (2, 2)])
+        assert [row["status"] for row, _ in group] == ["ok"] * 3
+        loss, budget = build_loss(cfg.loss, 4), PrivacyBudget(1.0, cfg.delta)
+        k = choose_k("spiderboost", 256, 2, 4, loss.L0_phi, loss.L1_phi, loss.normX, budget)
+        assert [doc["k"] for _, doc in group] == [k] * 3
+        (args,) = calls
+        assert args[:5] == (256, k, 2 * loss.L0_phi * loss.normX,
+                            2 * loss.L1_phi * loss.normX ** 2, loss.F0_hint)
+        assert (args[5].eps, args[5].delta) == (1.0, cfg.delta / 2) and args[6] == {"T": 20}
+
     def test_precondition_rows_isolated(self, tmp_path):
         raw = {"algorithm": "spiderboost",
                "grid": {"n": [2, 256], "eps": [1.0], "d": [16]},
@@ -408,8 +506,9 @@ class TestRunExperiment:
         ("spiderboost", "spiderboost"), ("tree_spider", "tree"),
         ("recursive_reg", "recursive-regularization"), ("jl_spiderboost", "jl")])
     def test_other_value_errors_are_error_rows(self, tmp_path, algorithm, kind):
-        # a bad override is a config error, not a sample-size hypothesis
-        raw = {"algorithm": algorithm,
+        # a bad override is a config error, not a sample-size hypothesis;
+        # glm_tanh is a loss that every algorithm takes
+        raw = {"algorithm": algorithm, "loss": {"kind": "glm_tanh"},
                "grid": {"n": [1024], "eps": [1.0], "d": [4]},
                "delta": 1e-4, "seeds": [0, 1], "out": str(tmp_path / "e"),
                "data": {"kind": "glm_fullrank", "label_scale": 0.5,
@@ -499,7 +598,9 @@ class TestRunExperiment:
         group = run_single(cfg, 0, 256, 4, 1.0, seeds)
         assert [row["status"] for row, _ in group] == [
             "ok", "error: FloatingPointError: overflow in seed 6", "ok"]
-        assert group[1][0]["param_hash"] == "" and group[1][1] is None
+        # the hash is the grid point's, derived before any seed runs
+        assert group[1][0]["param_hash"] == group[0][0]["param_hash"] == group[2][0]["param_hash"]
+        assert group[1][1] is None
         for i in (0, 2):
             assert group[i][0] == alone[i][0] and group[i][0]["param_hash"]
             assert report_json(group[i][1]) == report_json(alone[i][1])
@@ -923,6 +1024,18 @@ class TestCLI:
         assert rc == 0
         rows = read_csv_rows(tmp_path / "y" / "runs.csv")
         assert rows[0]["n"] == "128"
+
+    @pytest.mark.parametrize("key,value,flags", [("grid", 5, ["--n", "128"]),
+                                                 ("overrides", [1], ["--override", "T=25"])])
+    def test_flag_into_a_block_that_is_no_object(self, tmp_path, capsys, key, value, flags):
+        # the flag leaves the block alone, and config load names it
+        cfg = {"algorithm": "spiderboost", "grid": {"n": [64], "eps": [1.0], "d": [4]},
+               "delta": 1e-4, "seeds": [0], "out": str(tmp_path / "x"), key: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["run", "--config", str(cfg_path), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {key} must be an object, got {value!r}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_algorithm_choices_are_the_table(self, capsys):
         with pytest.raises(SystemExit):
