@@ -6,9 +6,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core.loss import (GLMLoss, LossSpec, glm_loss, huber_mean_loss, square_link,
+from ..core.loss import (LossSpec, glm_loss, huber_mean_loss, square_link,
                          synthetic_nonconvex_loss, tanh_link)
 from ..recursive_reg import MODES, SUBROUTINES
+from ..util import PreconditionError
 from .synthetic import KINDS
 
 REQUIRED = ("algorithm", "delta", "seeds", "out")
@@ -47,7 +48,10 @@ class ExperimentConfig:
     write_reports: bool
 
     def validate(self) -> None:
-        from .experiment import ALGORITHMS  # experiment imports this module
+        """Check every value, then derive every grid point through its
+        ALGORITHMS entry: a failed sample-size hypothesis is left to that
+        point's rows, and any other failure rejects the config."""
+        from .experiment import ALGORITHMS, grid_point  # experiment imports this module
         if not isinstance(self.algorithm, str) or self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if not (self.grid_n and self.grid_d and self.grid_eps):
@@ -74,8 +78,18 @@ class ExperimentConfig:
             if not math.isfinite(self.data[key]):
                 raise ValueError(f"data {key} must be finite, got {self.data[key]!r}")
         rank = self.data["rank"]
-        if rank is not None and not (type(rank) is int and rank >= 1):
+        if rank is None:
+            if self.data["kind"] == "glm_lowrank":
+                raise ValueError("data rank must be an integer for glm_lowrank, got None")
+        elif not (type(rank) is int and rank >= 1):
             raise ValueError(f"data rank must be null or an integer >= 1, got {rank!r}")
+        elif rank > min(self.grid_d):
+            raise ValueError(f"data rank must be <= every grid d, got {rank} > "
+                             f"{min(self.grid_d)}")
+        for key, value in self.overrides.items():
+            if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                               and math.isfinite(value)):
+                raise ValueError(f"overrides {key} must be a finite number, got {value!r}")
         for key, value in (("data support_size", self.data["support_size"]),
                            ("workers", self.workers)):
             if value < 1:
@@ -86,16 +100,15 @@ class ExperimentConfig:
         for block, key, allowed in (("data", "kind", KINDS), ("rr", "mode", MODES),
                                     ("rr", "subroutine", SUBROUTINES)):
             _check_kind(block, key, getattr(self, block)[key], allowed)
-        # an algorithm/loss pair that would fail every row at run time
-        loss, kind = build_loss(self.loss, self.grid_d[0]), self.loss["kind"]
-        if self.algorithm == "jl_spiderboost" and not isinstance(loss, GLMLoss):
-            raise ValueError(f"jl_spiderboost needs a GLM loss, got {kind}")
-        if self.algorithm == "recursive_reg":
-            if not loss.convex:
-                raise ValueError(f"recursive_reg needs a convex loss, got {kind}")
-        elif loss.F0_hint is None:
-            raise ValueError(f"{self.algorithm} needs a bound on the initial gap: "
-                             f"set loss F0 for {kind}")
+        derive, seeds = ALGORITHMS[self.algorithm][0], list(enumerate(self.seeds))
+        for point in self.grid_points():
+            try:
+                derive(grid_point(self, *point, seeds))
+            except PreconditionError:
+                pass
+            except Exception as exc:
+                _, n, d, eps = point
+                raise ValueError(f"{self.algorithm} at n={n}, d={d}, eps={eps}: {exc}") from exc
 
     def grid_points(self) -> list[tuple[int, int, int, float]]:
         """(grid_index, n, d, eps) in canonical (config-order) enumeration."""
@@ -156,11 +169,14 @@ def _typed(name: str, value, types, what: str):
 
 
 def _number(name: str, cast, value):
-    """cast(value), or a ValueError naming the key of a value it cannot take."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    """cast(value), or a ValueError naming the key of a value it cannot take;
+    a boolean is no number, though int(True) is 1."""
+    if not isinstance(value, bool):
+        try:
+            return cast(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _numbers(name: str, cast, values) -> list:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.data import Dataset, DatasetCursor, Runs
-from ..core.loss import LossSpec, erm_grad
+from ..core.loss import GLMLoss, LossSpec, erm_grad
 from ..glm_jl import JLParams, choose_k, rebound_constants, run_jl
 from ..privacy import PrivacyBudget
 from ..recursive_reg import derive_rr_params, run_recursive_regularization
@@ -70,6 +70,13 @@ class GridPoint:
         return stream(self.config.master_seed, purpose, self.grid_index, seed_index)
 
 
+def grid_point(config: ExperimentConfig, grid_index: int, n: int, d: int, eps: float,
+               seeds: list[tuple[int, int]]) -> GridPoint:
+    """The GridPoint that run_single runs, and that config load derives."""
+    return GridPoint(config, grid_index, n, d, seeds, build_loss(config.loss, d),
+                     PrivacyBudget(eps, config.delta, config.accountant_c))
+
+
 def _generator_args(data: dict) -> dict:
     """The data block's keyword arguments to gen_synthetic and gen_support."""
     return {key: data[key] for key in ("kind", "rank", "B", "label_scale", "spectrum_decay")}
@@ -99,6 +106,9 @@ def _failed(exc: Exception) -> str:
 # giving per seed (w_out, exact gradient, oracle calls, noise ledger, report
 # extras), or the exception of a seed that failed alone. Both reach optimizers,
 # derivations, data generators and erm_grad through this module's globals.
+# Config load calls derive at every grid point: it raises PreconditionError
+# for a failed sample-size hypothesis, and any other exception for a config
+# that it rejects, checking the algorithm's own needs of the loss first.
 
 def _spiderboost_derive(p: GridPoint):
     return derive_spider_params(p.n, p.d, p.loss.L0, p.loss.L1, p.loss.F0_hint, p.budget,
@@ -157,6 +167,8 @@ def _tree_spider_run(p: GridPoint, params) -> list:
 
 
 def _recursive_reg_derive(p: GridPoint):
+    if not p.loss.convex:
+        raise ValueError(f"the loss must be convex, got {p.config.loss['kind']}")
     rr = p.config.rr
     return derive_rr_params(rr["mode"], p.n, p.d, p.loss.L0, p.loss.L1, rr["R_bar"],
                             p.budget, p.config.overrides)
@@ -174,6 +186,8 @@ def _recursive_reg_run(p: GridPoint, params) -> list:
 def _jl_derive(p: GridPoint) -> tuple[JLParams, SpiderParams]:
     """k, and the base run's parameters at (n, k), rebound constants, delta/2."""
     overrides, loss = p.config.overrides, p.loss
+    if not isinstance(loss, GLMLoss):
+        raise ValueError(f"the loss must be a GLM, got {p.config.loss['kind']}")
     base_ov = {k: v for k, v in overrides.items() if k in ("eta", "q", "b1", "b2", "T")}
     unknown = sorted(set(overrides) - {*base_ov, "k"})
     if unknown:
@@ -182,9 +196,11 @@ def _jl_derive(p: GridPoint) -> tuple[JLParams, SpiderParams]:
     k = int(overrides["k"] if "k" in overrides else
             choose_k("spiderboost", p.n, rank, p.d, loss.L0_phi, loss.L1_phi, loss.normX,
                      p.budget))
+    params = JLParams(k=k, rank=rank, normX=loss.normX)
+    params.validate(p.d)
     L0, L1 = rebound_constants(loss.L0_phi, loss.L1_phi, loss.normX)
-    base = derive_spider_params(p.n, k, L0, L1, loss.F0_hint, p.budget.halve_delta(), base_ov)
-    return JLParams(k=k, rank=rank, normX=loss.normX), base
+    return params, derive_spider_params(p.n, k, L0, L1, loss.F0_hint, p.budget.halve_delta(),
+                                        base_ov)
 
 
 def _jl_seed(p: GridPoint, params: JLParams, base: SpiderParams, seed_index: int):
@@ -233,8 +249,7 @@ def run_single(config: ExperimentConfig, grid_index: int, n: int, d: int,
              "oracle_calls": 0, "wall_ms": 0.0, "param_hash": "", "status": "ok"}
             for _, seed in seeds]
     docs: list[dict | None] = [None] * len(seeds)
-    point = GridPoint(config, grid_index, n, d, seeds, build_loss(config.loss, d),
-                      PrivacyBudget(eps, config.delta, config.accountant_c))
+    point = grid_point(config, grid_index, n, d, eps, seeds)
     derive, run = ALGORITHMS[config.algorithm]
     t0 = time.perf_counter()
     try:

@@ -346,6 +346,9 @@ class RRParams:
                 raise ValueError("lambda_t must double")
             if not math.isclose(self.radii[t], math.sqrt(2.0) * self.radii[t - 1]):
                 raise ValueError("R_t must grow by sqrt(2)")
+        # written so that a NaN fails it
+        if not all(eta >= 0 and sigma >= 0 for eta, sigma in zip(self.eta, self.sigma)):
+            raise ValueError("step sizes and noise scales must be non-negative")
 
 
 def derive_rr_params(mode: str, n: int, d: int, L0: float, L1: float,

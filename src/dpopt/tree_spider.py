@@ -155,6 +155,8 @@ def derive_tree_params(n: int, d: int, L0: float, L1: float, F0: float,
     ov = dict(overrides or {})
     b = int(ov.pop("b", max(floori(max(n ** (2.0 / 3.0),
                                            math.sqrt(n) * d ** 0.25 / math.sqrt(eps))), 1)))
+    if b < 1:
+        raise ValueError(f"b must be >= 1, got {b}")
     D = int(ov.pop("D", largest_depth(b)))
 
     failures = []
@@ -168,9 +170,15 @@ def derive_tree_params(n: int, d: int, L0: float, L1: float, F0: float,
     if failures:
         raise PreconditionError("sample-size hypothesis violated: " + "; ".join(failures))
 
-    T = int(ov.pop("T", floori(n / (b * half))))
-    if T < 1:
-        raise PreconditionError(f"derived T = {T} < 1: n too small for b(D/2+1) = {b * half:.6g}")
+    if "T" in ov:
+        T = int(ov.pop("T"))
+        if T < 1:
+            raise ValueError(f"T must be >= 1, got {T}")
+    else:
+        T = floori(n / (b * half))
+        if T < 1:
+            raise PreconditionError(f"derived T = {T} < 1: n too small for b(D/2+1) = "
+                                    f"{b * half:.6g}")
 
     alpha = float(ov.pop("alpha",
                          math.sqrt(2.0) * L0 * max(n ** (-1.0 / 3.0),

@@ -7,8 +7,9 @@ import math
 class PreconditionError(ValueError):
     """A derivation's sample-size hypothesis does not hold at this (n, d, eps).
 
-    The harness turns exactly this error into a `precondition:` row; any
-    other ValueError is a bug or a bad config and surfaces as `error:`.
+    The harness turns exactly this error into a `precondition:` row. Any
+    other exception from a derivation rejects the config at load, and one
+    raised while a grid point runs surfaces as `error:`.
     """
 
 

@@ -205,19 +205,59 @@ TYPE_CASES = [
     ("out", None, "out must be a path, got None"),
     ("algorithm", ["spiderboost"], "unknown algorithm ['spiderboost']")]
 
-# algorithm/loss pairs that failed every row at run time: huber_mean has no
-# F0 by default, and jl_spiderboost and recursive_reg need a GLM and a
-# convex loss
-PAIR_CASES = [
-    ("spiderboost", {"kind": "huber_mean"},
-     "spiderboost needs a bound on the initial gap: set loss F0 for huber_mean"),
-    ("tree_spider", {"kind": "huber_mean"},
-     "tree_spider needs a bound on the initial gap: set loss F0 for huber_mean"),
-    ("jl_spiderboost", {"kind": "huber_mean"}, "jl_spiderboost needs a GLM loss, got huber_mean"),
-    ("jl_spiderboost", {"kind": "huber_mean", "F0": 1.0},
-     "jl_spiderboost needs a GLM loss, got huber_mean"),
-    ("recursive_reg", {"kind": "synthetic_nonconvex"},
-     "recursive_reg needs a convex loss, got synthetic_nonconvex")]
+# JSON booleans, which int() and float() take as 1: each of these ran at 1
+BOOL_CASES = [
+    ("workers", True, "workers must be a number, got True"),
+    ("accountant_c", True, "accountant_c must be a number, got True"),
+    ("data", {"kind": "glm_fullrank", "B": True}, "data B must be a number, got True"),
+    ("seeds", [True, 2], "seeds must be a number, got True"),
+    ("grid", {"n": [True], "d": [4], "eps": [1.0]}, "grid n must be a number, got True"),
+    ("overrides", {"T": True}, "overrides T must be a finite number, got True")]
+
+# values that reached the run and failed each of its rows: a rank above d
+# failed data generation, and an override that is no number its derivation
+RUN_FAILURE_CASES = [
+    ("data", {"kind": "glm_lowrank", "rank": 9}, "data rank must be <= every grid d, got 9 > 4"),
+    ("overrides", {"T": "20"}, "overrides T must be a finite number, got '20'"),
+    ("overrides", {"eta": float("nan")}, "overrides eta must be a finite number, got nan")]
+
+# configs that an entry's derive rejects, each of which failed every row at
+# run time: huber_mean has no F0 by default, jl_spiderboost and
+# recursive_reg need a GLM and a convex loss, JL's k must lie in [1, d]
+# (k = 0 failed with a ZeroDivisionError, k = 10 each seed in run_jl),
+# tree_spider's b and an overridden T must be >= 1, and each entry rejects
+# an override that it does not read (at n = 1024, where tree_spider's
+# sample-size hypothesis holds); glm_tanh is a loss that every algorithm
+# takes
+NO_F0 = "F0 is required (set the loss's F0_hint or pass a gap bound)"
+GLM = {"loss": {"kind": "glm_tanh"}}
+DERIVE_CASES = [
+    (algorithm, changes, f"{algorithm} at n={changes.get('grid', {}).get('n', [64])[0]}, "
+                         f"d=4, eps=1.0: {message}")
+    for algorithm, changes, message in [
+        ("spiderboost", {"loss": {"kind": "huber_mean"}}, NO_F0),
+        ("tree_spider", {"loss": {"kind": "huber_mean"}}, NO_F0),
+        ("jl_spiderboost", {"loss": {"kind": "huber_mean"}},
+         "the loss must be a GLM, got huber_mean"),
+        ("jl_spiderboost", {"loss": {"kind": "huber_mean", "F0": 1.0}},
+         "the loss must be a GLM, got huber_mean"),
+        ("recursive_reg", {"loss": {"kind": "synthetic_nonconvex"}},
+         "the loss must be convex, got synthetic_nonconvex"),
+        ("jl_spiderboost", {**GLM, "overrides": {"k": 0}}, "need 1 <= k <= d, got k=0, d=4"),
+        ("jl_spiderboost", {**GLM, "overrides": {"k": 10}}, "need 1 <= k <= d, got k=10, d=4"),
+        # the identity projection is a JLParams field for tests, not a sweep option
+        ("jl_spiderboost", {**GLM, "overrides": {"force_identity": 1}},
+         "unknown jl overrides: ['force_identity']")]
+    + [("tree_spider", {**GLM, "grid": {"n": [1024], "d": [4], "eps": [1.0]},
+                        "overrides": overrides}, message)
+       # each read `precondition: derived T = ... < 1` in every row
+       for overrides, message in (({"b": -1}, "b must be >= 1, got -1"),
+                                  ({"T": 0}, "T must be >= 1, got 0"))]
+    + [(algorithm, {**GLM, "grid": {"n": [1024], "d": [4], "eps": [1.0]},
+                    "overrides": {"b_2": 7}}, f"unknown {kind} overrides: ['b_2']")
+       for algorithm, kind in (("spiderboost", "spiderboost"), ("tree_spider", "tree"),
+                               ("recursive_reg", "recursive-regularization"),
+                               ("jl_spiderboost", "jl"))]]
 
 
 class TestExperimentConfig:
@@ -275,7 +315,8 @@ class TestExperimentConfig:
         ("grid", {"n": [64], "d": [-2], "eps": [1.0]}, "grid d must be >= 1, got -2"),
         ("accountant_c", float("nan"), "accountant_c must be finite and positive, got nan"),
         ("accountant_c", float("inf"), "accountant_c must be finite and positive, got inf")]
-        + LOSS_NUMBER_CASES + LOSS_KEY_CASES + DATA_CASES + TYPE_CASES)
+        + LOSS_NUMBER_CASES + LOSS_KEY_CASES + DATA_CASES + TYPE_CASES + BOOL_CASES
+        + RUN_FAILURE_CASES)
     def test_bad_run_settings_are_rejected_before_out_exists(self, tmp_path, capsys, key,
                                                              value, message):
         out = tmp_path / "out"
@@ -288,11 +329,11 @@ class TestExperimentConfig:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("algorithm,loss,message", PAIR_CASES)
-    def test_pairs_that_fail_every_row_are_rejected_at_load(self, tmp_path, capsys,
-                                                            algorithm, loss, message):
+    @pytest.mark.parametrize("algorithm,changes,message", DERIVE_CASES)
+    def test_configs_that_a_derive_rejects_fail_at_load(self, tmp_path, capsys, algorithm,
+                                                        changes, message):
         out = tmp_path / "out"
-        raw = {**self.base_raw(out), "algorithm": algorithm, "loss": loss}
+        raw = {**self.base_raw(out), "algorithm": algorithm, **changes}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig.from_dict(raw)
         cfg_path = tmp_path / "cfg.json"
@@ -300,6 +341,39 @@ class TestExperimentConfig:
         assert cli_main(["run", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @staticmethod
+    def derive_raising(exc, seen):
+        def derive(point):
+            seen.append((point.grid_index, point.n, point.d, point.budget.eps, point.seeds))
+            raise exc
+        return derive
+
+    def test_a_derive_that_raises_fails_the_load(self, tmp_path, monkeypatch):
+        # the load names the grid point and keeps the derive's message
+        from dpopt.harness import experiment
+        seen = []
+        monkeypatch.setitem(experiment.ALGORITHMS, "spiderboost", (
+            self.derive_raising(ValueError("no such point"), seen), ALGORITHMS["spiderboost"][1]))
+        with pytest.raises(ValueError,
+                           match=r"^spiderboost at n=256, d=4, eps=1.0: no such point$"):
+            ExperimentConfig.from_dict(tiny_raw("spiderboost", tmp_path / "r"))
+        assert seen == [(0, 256, 4, 1.0, [(0, 0), (1, 1), (2, 2)])]
+
+    def test_a_failed_hypothesis_at_load_is_left_to_the_rows(self, tmp_path, monkeypatch):
+        # load derives every grid point, and a PreconditionError at each
+        # one still loads; each row then says so
+        from dpopt.harness import experiment
+        from dpopt.util import PreconditionError
+        seen = []
+        monkeypatch.setitem(experiment.ALGORITHMS, "spiderboost", (
+            self.derive_raising(PreconditionError("n too small"), seen),
+            ALGORITHMS["spiderboost"][1]))
+        cfg = ExperimentConfig.from_dict(tiny_raw("spiderboost", tmp_path / "r"))
+        assert [point[:4] for point in seen] == [(0, 256, 4, 1.0), (1, 256, 4, 2.0),
+                                                (2, 512, 4, 1.0), (3, 512, 4, 2.0)]
+        rows = read_csv_rows(run_experiment(cfg))
+        assert [r["status"] for r in rows] == ["precondition: n too small"] * 12
 
     @pytest.mark.parametrize("algorithm,loss", [
         ("spiderboost", {"kind": "huber_mean", "F0": 1.0}),
@@ -382,6 +456,76 @@ class TestExperimentConfig:
         assert len(pts) == 4
         assert pts[0] == (0, 64, 2, 0.5)
         assert pts[-1] == (3, 128, 4, 0.5)
+
+
+# each algorithm's override names, as its derivation reads them
+OVERRIDE_NAMES = {
+    "spiderboost": ("eta", "q", "b1", "b2", "T", "sigma1", "sigma2", "sigma2_hat"),
+    "tree_spider": ("p", "b", "D", "T", "alpha", "beta_par", "C_tilde", "alpha_tilde",
+                    "sigma_root", "sigma_delta"),
+    "recursive_reg": ("lam", "T", "K_t", "eta_t", "sigma_t"),
+    "jl_spiderboost": ("k", "eta", "q", "b1", "b2", "T")}
+
+# one tiny sweep per algorithm whose rows all read ok: one grid point, one seed
+MATRIX_BASE = {
+    "spiderboost": ({"n": [64], "d": [2], "eps": [1.0]}, {"T": 10}),
+    "tree_spider": ({"n": [1024], "d": [2], "eps": [1.0]}, {"C_tilde": 0.5}),
+    "recursive_reg": ({"n": [256], "d": [2], "eps": [1.0]}, {}),
+    "jl_spiderboost": ({"n": [128], "d": [4], "eps": [1.0]}, {"T": 10})}
+
+MATRIX_VALUES = (None, True, [], "x", math.nan, -1, 0)
+
+
+def matrix_base(algorithm: str) -> dict:
+    grid, overrides = MATRIX_BASE[algorithm]
+    return {"algorithm": algorithm, "grid": grid, "delta": 1e-4, "seeds": [0],
+            "loss": {"kind": "glm_tanh"}, "overrides": overrides,
+            "data": {"kind": "glm_lowrank", "rank": 2, "label_scale": 0.5,
+                     "support_size": 64}}
+
+
+def matrix_cases(algorithm: str):
+    """(case name, raw config) for each key a config may set and each bad value."""
+    from dpopt.harness.config import DEFAULTS, LOSS_KINDS
+    places = [(None, key) for key in (*DEFAULTS["config"], "delta", "seeds")]
+    places += [(block, key) for block in ("grid", "loss", "data", "rr")
+               for key in DEFAULTS[block]]
+    places += [(("loss", kind), key) for kind, (keys, _) in LOSS_KINDS.items() for key in keys]
+    places += [("overrides", name) for name in OVERRIDE_NAMES[algorithm]]
+    for block, key in places:
+        for value in MATRIX_VALUES:
+            raw = json.loads(json.dumps(matrix_base(algorithm)))
+            if block is None:
+                raw[key] = value
+            elif isinstance(block, tuple):
+                raw["loss"] = {"kind": block[1], key: value}
+            else:
+                raw.setdefault(block, {})[key] = value
+            yield f"{block} {key}={value!r}", raw
+
+
+class TestConfigMatrix:
+    """Each key a config may set, each loss kind's keys and each override
+    name, in turn null, true, [], "x", NaN, -1 and 0: the config either fails
+    at load with a ValueError, or each of its rows is ok, precondition: or
+    diverged; a config error that reaches a row as `error:` is a hole."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_every_bad_value_fails_at_load_or_runs(self, tmp_path, algorithm):
+        base = {**matrix_base(algorithm), "out": str(tmp_path / "base")}
+        assert {r["status"] for r in read_csv_rows(run_experiment(
+            ExperimentConfig.from_dict(base)))} == {"ok"}
+        holes = []
+        for i, (case, raw) in enumerate(matrix_cases(algorithm)):
+            try:
+                cfg = ExperimentConfig.from_dict({**raw, "out": str(tmp_path / str(i))})
+            except ValueError:
+                continue
+            statuses = {r["status"] for r in read_csv_rows(run_experiment(cfg))}
+            holes += [f"{case}: {s}" for s in statuses if s != "ok" and
+                      not s.startswith("precondition: ") and s != "diverged"]
+        assert holes == []
 
 
 class TestRunExperiment:
@@ -501,31 +645,6 @@ class TestRunExperiment:
         assert status[:3] == [status[0]] * 3
         assert status[3:] == ["ok"] * 3
         assert not any((tmp_path / "b" / "reports").glob("run_g0_*"))
-
-    @pytest.mark.parametrize("algorithm,kind", [
-        ("spiderboost", "spiderboost"), ("tree_spider", "tree"),
-        ("recursive_reg", "recursive-regularization"), ("jl_spiderboost", "jl")])
-    def test_other_value_errors_are_error_rows(self, tmp_path, algorithm, kind):
-        # a bad override is a config error, not a sample-size hypothesis;
-        # glm_tanh is a loss that every algorithm takes
-        raw = {"algorithm": algorithm, "loss": {"kind": "glm_tanh"},
-               "grid": {"n": [1024], "eps": [1.0], "d": [4]},
-               "delta": 1e-4, "seeds": [0, 1], "out": str(tmp_path / "e"),
-               "data": {"kind": "glm_fullrank", "label_scale": 0.5,
-                        "support_size": 64},
-               "overrides": {"b_2": 7}}
-        rows = read_csv_rows(run_experiment(ExperimentConfig.from_dict(raw)))
-        assert [r["status"] for r in rows] == [
-            f"error: ValueError: unknown {kind} overrides: ['b_2']"] * 2
-        assert not any((tmp_path / "e" / "reports").glob("*"))
-
-    def test_jl_rejects_force_identity_override(self, tmp_path):
-        # the identity projection is a JLParams field for tests, not a sweep option
-        raw = tiny_raw("jl_spiderboost", tmp_path / "f")
-        raw["overrides"] = {**raw["overrides"], "force_identity": True}
-        rows = read_csv_rows(run_experiment(ExperimentConfig.from_dict(raw)))
-        assert [r["status"] for r in rows] == [
-            "error: ValueError: unknown jl overrides: ['force_identity']"] * len(rows)
 
     def test_group_rows_equal_single_seed_rows(self, tmp_path):
         # a seed's row and report do not depend on the seeds it runs with
@@ -1044,11 +1163,6 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli_main(["run", "--algorithm", "spider_boost"])
         assert "invalid choice: 'spider_boost'" in capsys.readouterr().err
-
-    def test_check_command(self, capsys):
-        assert cli_main(["check"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
 
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
         rc = cli_main(["run", "--algorithm", "spiderboost", "--n", "64",

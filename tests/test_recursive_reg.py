@@ -184,7 +184,7 @@ class TestProjectBall:
         assert got[0] @ got[0] <= self.R ** 2
 
     def test_vector_is_its_row_in_a_block(self):
-        # `dpopt check` projects 1-D vectors
+        # a 1-D vector is projected as the one row of a block
         rng = np.random.default_rng(4)
         for w in (*self.edge_rows(), rng.standard_normal(3) * 0.1,
                   rng.standard_normal(3) * 5.0):
