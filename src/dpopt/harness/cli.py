@@ -12,18 +12,15 @@ from .experiment import ALGORITHMS, read_csv_rows, run_experiment
 from .fitting import median_by_x, scaling_fit
 
 
-def _parse_override(kv: str):
-    if "=" not in kv:
-        raise argparse.ArgumentTypeError(f"override must be KEY=VALUE, got {kv!r}")
-    key, val = kv.split("=", 1)
-    for cast in (int, float):
-        try:
-            return key, cast(val)
-        except ValueError:
-            continue
-    if val.lower() in ("true", "false"):
-        return key, val.lower() == "true"
-    return key, val
+def _parse_override(kv: str) -> tuple[str, float | str]:
+    """KEY=VALUE, as a number where VALUE parses as one; load checks both."""
+    key, sep, val = kv.partition("=")
+    if not sep:
+        raise ValueError(f"override must be KEY=VALUE, got {kv!r}")
+    try:
+        return key, float(val)
+    except ValueError:
+        return key, val
 
 
 def _parse_filter(kv: str) -> tuple[str, str]:

@@ -86,10 +86,6 @@ class ExperimentConfig:
         elif rank > min(self.grid_d):
             raise ValueError(f"data rank must be <= every grid d, got {rank} > "
                              f"{min(self.grid_d)}")
-        for key, value in self.overrides.items():
-            if isinstance(value, bool) or not (isinstance(value, (int, float))
-                                               and math.isfinite(value)):
-                raise ValueError(f"overrides {key} must be a finite number, got {value!r}")
         for key, value in (("data support_size", self.data["support_size"]),
                            ("workers", self.workers)):
             if value < 1:

@@ -27,9 +27,10 @@ from ..core.loss import GLMLoss, LossSpec, erm_grad
 from ..glm_jl import JLParams, choose_k, rebound_constants, run_jl
 from ..privacy import PrivacyBudget
 from ..recursive_reg import derive_rr_params, run_recursive_regularization
+from ..spiderboost import OVERRIDES as SPIDER_OVERRIDES
 from ..spiderboost import SpiderParams, derive_spider_params, run_spiderboost
 from ..tree_spider import derive_tree_params, run_tree_spider
-from ..util import PreconditionError
+from ..util import PreconditionError, read_overrides
 from .config import ExperimentConfig, build_loss
 from .rng import stream, stream_seed
 from .synthetic import FiniteSupportDistribution, gen_support, gen_synthetic
@@ -148,9 +149,8 @@ def _population(p: GridPoint, run) -> list:
 
 
 def _tree_spider_derive(p: GridPoint):
-    loss, ov = p.loss, dict(p.config.overrides)
-    return derive_tree_params(p.n, p.d, loss.L0, loss.L1, loss.F0_hint, p.budget,
-                              float(ov.pop("p", 0.1)), ov)
+    return derive_tree_params(p.n, p.d, p.loss.L0, p.loss.L1, p.loss.F0_hint, p.budget, 0.1,
+                              p.config.overrides)
 
 
 def _tree_spider_run(p: GridPoint, params) -> list:
@@ -183,19 +183,20 @@ def _recursive_reg_run(p: GridPoint, params) -> list:
                                                 p.config.rr["subroutine"], rngs)])
 
 
+# JL's overrides: k, and those of its base run that SpiderBoost reads
+JL_OVERRIDES = {"k": (int, 1), **{name: SPIDER_OVERRIDES[name]
+                                  for name in ("eta", "q", "b1", "b2", "T")}}
+
+
 def _jl_derive(p: GridPoint) -> tuple[JLParams, SpiderParams]:
     """k, and the base run's parameters at (n, k), rebound constants, delta/2."""
-    overrides, loss = p.config.overrides, p.loss
+    ov, loss = read_overrides(p.config.overrides, JL_OVERRIDES, "jl"), p.loss
     if not isinstance(loss, GLMLoss):
         raise ValueError(f"the loss must be a GLM, got {p.config.loss['kind']}")
-    base_ov = {k: v for k, v in overrides.items() if k in ("eta", "q", "b1", "b2", "T")}
-    unknown = sorted(set(overrides) - {*base_ov, "k"})
-    if unknown:
-        raise ValueError(f"unknown jl overrides: {unknown}")
+    base_ov = {name: value for name, value in ov.items() if name != "k"}
     rank = p.config.data["rank"] or p.d
-    k = int(overrides["k"] if "k" in overrides else
-            choose_k("spiderboost", p.n, rank, p.d, loss.L0_phi, loss.L1_phi, loss.normX,
-                     p.budget))
+    k = ov["k"] if "k" in ov else choose_k("spiderboost", p.n, rank, p.d, loss.L0_phi,
+                                           loss.L1_phi, loss.normX, p.budget)
     params = JLParams(k=k, rank=rank, normX=loss.normX)
     params.validate(p.d)
     L0, L1 = rebound_constants(loss.L0_phi, loss.L1_phi, loss.normX)

@@ -23,7 +23,7 @@ from .core.data import Dataset, lockstep
 from .core.gradcheck import convexity_spot_check
 from .core.loss import LossSpec
 from .privacy import NoiseLedger, PrivacyBudget, draw_gaussian
-from .util import PreconditionError, floori
+from .util import PreconditionError, floori, read_overrides
 
 KT_CAP = 10 ** 7  # desk-scale cap on inner step counts; capped rounds are flagged
 
@@ -351,6 +351,10 @@ class RRParams:
             raise ValueError("step sizes and noise scales must be non-negative")
 
 
+OVERRIDES = {**dict.fromkeys(("lam", "eta_t", "sigma_t"), (float, None)),
+             "T": (int, 1), "K_t": (int, 2)}
+
+
 def derive_rr_params(mode: str, n: int, d: int, L0: float, L1: float,
                      R_bar: float, budget: PrivacyBudget,
                      overrides: dict | None = None) -> RRParams:
@@ -367,32 +371,27 @@ def derive_rr_params(mode: str, n: int, d: int, L0: float, L1: float,
     eta_t = log(K_t)/(lambda_t K_t), sigma_t = 8 L0 K_t sqrt(log(1/delta))/(m eps)
     with m the round's slice size. K_t is capped at 10^7 (flagged per round).
     """
+    ov = read_overrides(overrides, OVERRIDES, "recursive-regularization")
     if not (L0 > 0 and L1 > 0 and R_bar > 0):  # so that a NaN fails too
         raise ValueError("L0, L1, R_bar must be positive")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     eps, delta = budget.eps, budget.delta
     log1d = math.log(1.0 / delta)
-    ov = dict(overrides or {})
 
     trade = min(1.0 / n, d / (n * eps) ** 2)
     if mode == "optimal":
         lam = L0 ** 2 / (L1 * R_bar) * trade
     else:
         lam = max(L0 ** 2 / (L1 * R_bar ** 2) * trade, L1 * math.log(n) / n)
-    lam = float(ov.pop("lam", lam))
+    lam = ov.get("lam", lam)
+    if lam <= 0:
+        raise ValueError(f"overrides lam must be positive, got {lam!r}")
     if lam >= L1:
         raise PreconditionError(f"lam = {lam:.6g} >= L1 = {L1:.6g}: T would be 0; "
                                 "increase n or R_bar")
-    T = int(ov.pop("T", floori(math.log2(L1 / lam))))
-    T = max(T, 1)
+    T = ov.get("T", max(floori(math.log2(L1 / lam)), 1))
     m = n // T
-
-    k_override = ov.pop("K_t", None)
-    eta_override = ov.pop("eta_t", None)
-    sigma_override = ov.pop("sigma_t", None)
-    if ov:
-        raise ValueError(f"unknown recursive-regularization overrides: {sorted(ov)}")
 
     lambdas, radii, Ks, etas, sigmas, capped = [], [], [], [], [], []
     for t in range(T):
@@ -405,9 +404,8 @@ def derive_rr_params(mode: str, n: int, d: int, L0: float, L1: float,
             sigmas.append(0.0)
             capped.append(False)
             continue
-        if k_override is not None:
-            K_t = int(k_override)
-            was_capped = False
+        if "K_t" in ov:
+            K_t, was_capped = ov["K_t"], False
         elif mode == "optimal":
             ratio = (L1 + lam_t) / lam_t
             K_raw = max(ratio * math.log(ratio),
@@ -420,9 +418,8 @@ def derive_rr_params(mode: str, n: int, d: int, L0: float, L1: float,
             K_t = m
             was_capped = False
         K_t = max(K_t, 2)
-        eta_t = math.log(K_t) / (lam_t * K_t) if eta_override is None else float(eta_override)
-        sigma_t = (8.0 * L0 * K_t * math.sqrt(log1d) / (m * eps)
-                   if sigma_override is None else float(sigma_override))
+        eta_t = ov.get("eta_t", math.log(K_t) / (lam_t * K_t))
+        sigma_t = ov.get("sigma_t", 8.0 * L0 * K_t * math.sqrt(log1d) / (m * eps))
         Ks.append(K_t)
         etas.append(eta_t)
         sigmas.append(sigma_t)

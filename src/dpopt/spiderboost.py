@@ -23,7 +23,7 @@ from .core.data import Dataset, Runs, lockstep
 from .core.loss import GLMLoss, LossSpec, VarWork, erm_grad
 from .privacy import (NoiseLedger, PrivacyBudget, accountant_sigma,
                       draw_gaussian, record_draws)
-from .util import PreconditionError, floori
+from .util import PreconditionError, floori, read_overrides
 
 SITE_GRAD = "spider-grad"
 SITE_GV = "spider-gv"
@@ -92,6 +92,10 @@ def spider_oracle_count(params: SpiderParams) -> int:
     return params.b1 * fresh + 2 * params.b2 * (params.T - fresh)
 
 
+OVERRIDES = {**dict.fromkeys(("eta", "sigma1", "sigma2", "sigma2_hat"), (float, None)),
+             **dict.fromkeys(("q", "b1", "b2", "T"), (int, 1))}
+
+
 def derive_spider_params(n: int, d: int, L0: float, L1: float, F0: float,
                          budget: PrivacyBudget,
                          overrides: dict | None = None) -> SpiderParams:
@@ -102,6 +106,7 @@ def derive_spider_params(n: int, d: int, L0: float, L1: float, F0: float,
     scales come from the accountant (sigma1 with T/q queries at lam = L0,
     sigma2 with T queries at lam = L1, sigma2_hat at lam = 2 L0).
     """
+    ov = read_overrides(overrides, OVERRIDES, "spiderboost")
     if F0 is None:
         raise ValueError("F0 is required (set the loss's F0_hint or pass a gap bound)")
     if not (L0 > 0 and L1 > 0 and F0 > 0):  # so that a NaN fails too
@@ -120,27 +125,23 @@ def derive_spider_params(n: int, d: int, L0: float, L1: float, F0: float,
         raise PreconditionError("sample-size hypothesis violated: "
                                 + "; ".join(failures))
 
-    ov = dict(overrides or {})
-    eta = float(ov.pop("eta", 1.0 / (2.0 * L1)))
-    b1 = int(ov.pop("b1", n))
+    eta = ov.get("eta", 1.0 / (2.0 * L1))
+    b1 = ov.get("b1", n)
 
     b2_raw = max((L0 * n * eps / math.sqrt(F0 * L1 * d * log1d)) ** (2.0 / 3.0),
                  (L0 * n * d * log1d) ** (1.0 / 3.0) / ((L1 * F0) ** (1.0 / 6.0) * eps ** (2.0 / 3.0)))
-    b2 = int(ov.pop("b2", min(max(floori(b2_raw), 1), n)))
+    b2 = ov.get("b2", min(max(floori(b2_raw), 1), n))
 
     T_raw = max(((F0 * L1) ** 0.25 * n * eps / math.sqrt(L0 * d * log1d)) ** (4.0 / 3.0),
                 n * eps / math.sqrt(d * log1d))
-    T = int(ov.pop("T", max(floori(T_raw), 1)))
+    T = ov.get("T", max(floori(T_raw), 1))
 
     abar_sq = d * log1d / (n * eps) ** 2
-    q = int(ov.pop("q", max(floori(1.0 / (T * abar_sq)), 1)))
-    q = min(q, T)
+    q = min(ov.get("q", max(floori(1.0 / (T * abar_sq)), 1)), T)
 
-    sigma1 = float(ov.pop("sigma1", accountant_sigma(L0 / n, b1, T / q, n, budget)))
-    sigma2 = float(ov.pop("sigma2", accountant_sigma(L1 / n, b2, T, n, budget)))
-    sigma2_hat = float(ov.pop("sigma2_hat", accountant_sigma(2.0 * L0 / n, b2, T, n, budget)))
-    if ov:
-        raise ValueError(f"unknown spiderboost overrides: {sorted(ov)}")
+    sigma1 = ov.get("sigma1", accountant_sigma(L0 / n, b1, T / q, n, budget))
+    sigma2 = ov.get("sigma2", accountant_sigma(L1 / n, b2, T, n, budget))
+    sigma2_hat = ov.get("sigma2_hat", accountant_sigma(2.0 * L0 / n, b2, T, n, budget))
 
     params = SpiderParams(eta=eta, q=q, b1=b1, b2=b2, T=T,
                           sigma1=sigma1, sigma2=sigma2, sigma2_hat=sigma2_hat)

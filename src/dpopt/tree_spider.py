@@ -28,7 +28,7 @@ from .core.data import Dataset, DatasetCursor, Runs, lockstep
 from .core.loss import LossSpec, VarWork
 from .privacy import (NoiseLedger, PrivacyBudget, draw_gaussian,
                       gaussian_sigma, tree_gv_sensitivity)
-from .util import PreconditionError, floori
+from .util import PreconditionError, floori, read_overrides
 
 SITE_ROOT = "tree-root"
 SITE_DELTA = "tree-delta"
@@ -133,6 +133,11 @@ def largest_depth(b: int) -> int:
     return D
 
 
+OVERRIDES = {**dict.fromkeys(("p", "alpha", "beta_par", "C_tilde", "alpha_tilde", "sigma_root",
+                              "sigma_delta"), (float, None)),
+             "b": (int, 1), "T": (int, 1), "D": (int, 0)}
+
+
 def derive_tree_params(n: int, d: int, L0: float, L1: float, F0: float,
                        budget: PrivacyBudget, p: float,
                        overrides: dict | None = None) -> TreeParams:
@@ -142,8 +147,10 @@ def derive_tree_params(n: int, d: int, L0: float, L1: float, F0: float,
     D 2^(D+1) <= b; T = floor(n / (b (D/2 + 1))); thresholds from
     alpha = sqrt(2) L0 max(n^(-1/3), (sqrt(d)/(n eps))^(1/2)); Gaussian noise
     calibrated to the root sensitivity 2 L0 / b and the gradient-variation
-    sensitivity 2 beta 2^(D/2) / b.
+    sensitivity 2 beta 2^(D/2) / b. An override `p` replaces the argument p.
     """
+    ov = read_overrides(overrides, OVERRIDES, "tree")
+    p = ov.get("p", p)
     if F0 is None:
         raise ValueError("F0 is required (set the loss's F0_hint or pass a gap bound)")
     if not (L0 > 0 and L1 > 0 and F0 > 0):  # so that a NaN fails too
@@ -152,12 +159,9 @@ def derive_tree_params(n: int, d: int, L0: float, L1: float, F0: float,
         raise ValueError("p must lie in (0, 1)")
     eps, delta = budget.eps, budget.delta
 
-    ov = dict(overrides or {})
-    b = int(ov.pop("b", max(floori(max(n ** (2.0 / 3.0),
-                                           math.sqrt(n) * d ** 0.25 / math.sqrt(eps))), 1)))
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got {b}")
-    D = int(ov.pop("D", largest_depth(b)))
+    b = ov.get("b", max(floori(max(n ** (2.0 / 3.0),
+                                   math.sqrt(n) * d ** 0.25 / math.sqrt(eps))), 1))
+    D = ov.get("D", largest_depth(b))
 
     failures = []
     half = D / 2.0 + 1.0
@@ -170,29 +174,21 @@ def derive_tree_params(n: int, d: int, L0: float, L1: float, F0: float,
     if failures:
         raise PreconditionError("sample-size hypothesis violated: " + "; ".join(failures))
 
-    if "T" in ov:
-        T = int(ov.pop("T"))
-        if T < 1:
-            raise ValueError(f"T must be >= 1, got {T}")
-    else:
-        T = floori(n / (b * half))
-        if T < 1:
-            raise PreconditionError(f"derived T = {T} < 1: n too small for b(D/2+1) = "
-                                    f"{b * half:.6g}")
+    T = ov.get("T", floori(n / (b * half)))
+    if T < 1:
+        raise PreconditionError(f"derived T = {T} < 1: n too small for b(D/2+1) = "
+                                f"{b * half:.6g}")
 
-    alpha = float(ov.pop("alpha",
-                         math.sqrt(2.0) * L0 * max(n ** (-1.0 / 3.0),
-                                                   math.sqrt(math.sqrt(d) / (n * eps)))))
-    beta = float(ov.pop("beta_par", alpha * min(1.0, math.sqrt(b) * eps / math.sqrt(d))))
-    C_tilde = float(ov.pop("C_tilde",
-                           256.0 * math.log(1.25 / delta) * math.log(2.0 * T * 2 ** (D + 1) / p)
-                           + 8.0 * L1 * F0 * math.sqrt(2.0 * D) * half / (2.0 * L0 ** 2)))
-    alpha_tilde = float(ov.pop("alpha_tilde", C_tilde * alpha))
-    sigma_root = float(ov.pop("sigma_root", gaussian_sigma(2.0 * L0 / b, eps, delta)))
-    sigma_delta = float(ov.pop("sigma_delta",
-                               gaussian_sigma(tree_gv_sensitivity(beta, D, b), eps, delta)))
-    if ov:
-        raise ValueError(f"unknown tree overrides: {sorted(ov)}")
+    alpha = ov.get("alpha", math.sqrt(2.0) * L0 * max(n ** (-1.0 / 3.0),
+                                                      math.sqrt(math.sqrt(d) / (n * eps))))
+    beta = ov.get("beta_par", alpha * min(1.0, math.sqrt(b) * eps / math.sqrt(d)))
+    C_tilde = ov.get("C_tilde",
+                     256.0 * math.log(1.25 / delta) * math.log(2.0 * T * 2 ** (D + 1) / p)
+                     + 8.0 * L1 * F0 * math.sqrt(2.0 * D) * half / (2.0 * L0 ** 2))
+    alpha_tilde = ov.get("alpha_tilde", C_tilde * alpha)
+    sigma_root = ov.get("sigma_root", gaussian_sigma(2.0 * L0 / b, eps, delta))
+    sigma_delta = ov.get("sigma_delta",
+                         gaussian_sigma(tree_gv_sensitivity(beta, D, b), eps, delta))
 
     params = TreeParams(b=b, D=D, T=T, alpha=alpha, alpha_tilde=alpha_tilde,
                         beta_par=beta, C_tilde=C_tilde, sigma_root=sigma_root,

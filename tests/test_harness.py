@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dpopt import recursive_reg, spiderboost, tree_spider
 from dpopt.harness import (ExperimentConfig, build_loss, gen_support, gen_synthetic,
                            median_by_x, read_csv_rows, run_experiment,
                            scaling_fit, stream, stream_seed)
 from dpopt.harness.cli import main as cli_main
-from dpopt.harness.experiment import ALGORITHMS, report_json, run_single
+from dpopt.harness.experiment import (ALGORITHMS, JL_OVERRIDES, grid_point, param_hash,
+                                      report_json, run_single)
 from dpopt.core import synthetic_nonconvex_loss
 from dpopt.glm_jl import choose_k, numeric_rank
 from dpopt.privacy import NoiseLedger, PrivacyBudget
@@ -205,6 +207,10 @@ TYPE_CASES = [
     ("out", None, "out must be a path, got None"),
     ("algorithm", ["spiderboost"], "unknown algorithm ['spiderboost']")]
 
+# the prefix of a message from base_raw's one grid point's derivation, which
+# reads the overrides
+AT_BASE = "spiderboost at n=64, d=4, eps=1.0: "
+
 # JSON booleans, which int() and float() take as 1: each of these ran at 1
 BOOL_CASES = [
     ("workers", True, "workers must be a number, got True"),
@@ -212,28 +218,41 @@ BOOL_CASES = [
     ("data", {"kind": "glm_fullrank", "B": True}, "data B must be a number, got True"),
     ("seeds", [True, 2], "seeds must be a number, got True"),
     ("grid", {"n": [True], "d": [4], "eps": [1.0]}, "grid n must be a number, got True"),
-    ("overrides", {"T": True}, "overrides T must be a finite number, got True")]
+    ("overrides", {"T": True}, AT_BASE + "overrides T must be a finite number, got True")]
 
 # values that reached the run and failed each of its rows: a rank above d
 # failed data generation, and an override that is no number its derivation
 RUN_FAILURE_CASES = [
     ("data", {"kind": "glm_lowrank", "rank": 9}, "data rank must be <= every grid d, got 9 > 4"),
-    ("overrides", {"T": "20"}, "overrides T must be a finite number, got '20'"),
-    ("overrides", {"eta": float("nan")}, "overrides eta must be a finite number, got nan")]
+    ("overrides", {"T": "20"}, AT_BASE + "overrides T must be a finite number, got '20'"),
+    ("overrides", {"eta": float("nan")},
+     AT_BASE + "overrides eta must be a finite number, got nan")]
 
 # configs that an entry's derive rejects, each of which failed every row at
 # run time: huber_mean has no F0 by default, jl_spiderboost and
 # recursive_reg need a GLM and a convex loss, JL's k must lie in [1, d]
 # (k = 0 failed with a ZeroDivisionError, k = 10 each seed in run_jl),
 # tree_spider's b and an overridden T must be >= 1, and each entry rejects
-# an override that it does not read (at n = 1024, where tree_spider's
-# sample-size hypothesis holds); glm_tanh is a loss that every algorithm
-# takes
+# an override that it does not read, also where its sample-size hypothesis
+# fails (n = 2, d = 16: every row read `precondition:` there); glm_tanh is a
+# loss that every algorithm takes
 NO_F0 = "F0 is required (set the loss's F0_hint or pass a gap bound)"
 GLM = {"loss": {"kind": "glm_tanh"}}
+WHO = {"spiderboost": "spiderboost", "tree_spider": "tree",
+       "recursive_reg": "recursive-regularization", "jl_spiderboost": "jl"}
+# integer overrides with a fraction, each of which ran truncated, and below
+# their least value: q 0 and D -1 failed as `division by zero` and `math
+# domain error`, recursive_reg's T 0 and -1 ran at T = 1 and K_t 1 at K_t = 2
+INTEGER_CASES = [("spiderboost", "T", 20.7, 1), ("spiderboost", "b2", 3.9, 1),
+                 ("tree_spider", "b", 7.5, 1), ("tree_spider", "D", 1.5, 0),
+                 ("recursive_reg", "K_t", 3.9, 2), ("jl_spiderboost", "k", 3.5, 1),
+                 ("spiderboost", "q", 0, 1), ("tree_spider", "D", -1, 0),
+                 ("recursive_reg", "T", 0, 1), ("recursive_reg", "T", -1, 1),
+                 ("recursive_reg", "K_t", 1, 2)]
+N1024 = {"grid": {"n": [1024], "d": [4], "eps": [1.0]}}
 DERIVE_CASES = [
     (algorithm, changes, f"{algorithm} at n={changes.get('grid', {}).get('n', [64])[0]}, "
-                         f"d=4, eps=1.0: {message}")
+                         f"d={changes.get('grid', {}).get('d', [4])[0]}, eps=1.0: {message}")
     for algorithm, changes, message in [
         ("spiderboost", {"loss": {"kind": "huber_mean"}}, NO_F0),
         ("tree_spider", {"loss": {"kind": "huber_mean"}}, NO_F0),
@@ -243,21 +262,26 @@ DERIVE_CASES = [
          "the loss must be a GLM, got huber_mean"),
         ("recursive_reg", {"loss": {"kind": "synthetic_nonconvex"}},
          "the loss must be convex, got synthetic_nonconvex"),
-        ("jl_spiderboost", {**GLM, "overrides": {"k": 0}}, "need 1 <= k <= d, got k=0, d=4"),
+        ("jl_spiderboost", {**GLM, "overrides": {"k": 0}},
+         "overrides k must be an integer >= 1, got 0"),
         ("jl_spiderboost", {**GLM, "overrides": {"k": 10}}, "need 1 <= k <= d, got k=10, d=4"),
         # the identity projection is a JLParams field for tests, not a sweep option
         ("jl_spiderboost", {**GLM, "overrides": {"force_identity": 1}},
          "unknown jl overrides: ['force_identity']")]
-    + [("tree_spider", {**GLM, "grid": {"n": [1024], "d": [4], "eps": [1.0]},
-                        "overrides": overrides}, message)
+    + [("tree_spider", {**GLM, **N1024, "overrides": overrides}, message)
        # each read `precondition: derived T = ... < 1` in every row
-       for overrides, message in (({"b": -1}, "b must be >= 1, got -1"),
-                                  ({"T": 0}, "T must be >= 1, got 0"))]
-    + [(algorithm, {**GLM, "grid": {"n": [1024], "d": [4], "eps": [1.0]},
-                    "overrides": {"b_2": 7}}, f"unknown {kind} overrides: ['b_2']")
-       for algorithm, kind in (("spiderboost", "spiderboost"), ("tree_spider", "tree"),
-                               ("recursive_reg", "recursive-regularization"),
-                               ("jl_spiderboost", "jl"))]]
+       for overrides, message in (({"b": -1}, "overrides b must be an integer >= 1, got -1"),
+                                  ({"T": 0}, "overrides T must be an integer >= 1, got 0"))]
+    + [(algorithm, {**GLM, "grid": grid, "overrides": {"b_2": 7}},
+        f"unknown {who} overrides: ['b_2']")
+       for algorithm, who in WHO.items()
+       for grid in ({"n": [1024], "d": [4], "eps": [1.0]}, {"n": [2], "d": [16], "eps": [1.0]})]
+    + [(algorithm, {**GLM, **N1024, "overrides": {name: value}},
+        f"overrides {name} must be an integer >= {least}, got {value!r}")
+       for algorithm, name, value, least in INTEGER_CASES]
+    # failed as `float division by zero`
+    + [("recursive_reg", {**GLM, "overrides": {"lam": 0}},
+        "overrides lam must be positive, got 0.0")]]
 
 
 class TestExperimentConfig:
@@ -341,6 +365,17 @@ class TestExperimentConfig:
         assert cli_main(["run", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_an_integral_float_override_reads_as_its_integer(self, tmp_path, algorithm):
+        derive, hashes = ALGORITHMS[algorithm][0], set()
+        for T in (20, 20.0):
+            cfg = ExperimentConfig.from_dict({**matrix_base(algorithm), "out": str(tmp_path),
+                                              "overrides": {"T": T}})
+            params = derive(grid_point(cfg, *cfg.grid_points()[0], [(0, 0)]))
+            assert (params[1] if algorithm == "jl_spiderboost" else params).T == 20
+            hashes.add(param_hash(params))
+        assert len(hashes) == 1
 
     @staticmethod
     def derive_raising(exc, seen):
@@ -458,13 +493,9 @@ class TestExperimentConfig:
         assert pts[-1] == (3, 128, 4, 0.5)
 
 
-# each algorithm's override names, as its derivation reads them
-OVERRIDE_NAMES = {
-    "spiderboost": ("eta", "q", "b1", "b2", "T", "sigma1", "sigma2", "sigma2_hat"),
-    "tree_spider": ("p", "b", "D", "T", "alpha", "beta_par", "C_tilde", "alpha_tilde",
-                    "sigma_root", "sigma_delta"),
-    "recursive_reg": ("lam", "T", "K_t", "eta_t", "sigma_t"),
-    "jl_spiderboost": ("k", "eta", "q", "b1", "b2", "T")}
+# each algorithm's table of overrides, as its derivation declares it
+OVERRIDE_TABLES = {"spiderboost": spiderboost.OVERRIDES, "tree_spider": tree_spider.OVERRIDES,
+                   "recursive_reg": recursive_reg.OVERRIDES, "jl_spiderboost": JL_OVERRIDES}
 
 # one tiny sweep per algorithm whose rows all read ok: one grid point, one seed
 MATRIX_BASE = {
@@ -473,7 +504,7 @@ MATRIX_BASE = {
     "recursive_reg": ({"n": [256], "d": [2], "eps": [1.0]}, {}),
     "jl_spiderboost": ({"n": [128], "d": [4], "eps": [1.0]}, {"T": 10})}
 
-MATRIX_VALUES = (None, True, [], "x", math.nan, -1, 0)
+MATRIX_VALUES = (None, True, [], "x", math.nan, -1, 0, 2.5)
 
 
 def matrix_base(algorithm: str) -> dict:
@@ -491,7 +522,7 @@ def matrix_cases(algorithm: str):
     places += [(block, key) for block in ("grid", "loss", "data", "rr")
                for key in DEFAULTS[block]]
     places += [(("loss", kind), key) for kind, (keys, _) in LOSS_KINDS.items() for key in keys]
-    places += [("overrides", name) for name in OVERRIDE_NAMES[algorithm]]
+    places += [("overrides", name) for name in OVERRIDE_TABLES[algorithm]]
     for block, key in places:
         for value in MATRIX_VALUES:
             raw = json.loads(json.dumps(matrix_base(algorithm)))
@@ -506,9 +537,9 @@ def matrix_cases(algorithm: str):
 
 class TestConfigMatrix:
     """Each key a config may set, each loss kind's keys and each override
-    name, in turn null, true, [], "x", NaN, -1 and 0: the config either fails
-    at load with a ValueError, or each of its rows is ok, precondition: or
-    diverged; a config error that reaches a row as `error:` is a hole."""
+    name, in turn null, true, [], "x", NaN, -1, 0 and 2.5: the config either
+    fails at load with a ValueError, or each of its rows is ok, precondition:
+    or diverged; a config error that reaches a row as `error:` is a hole."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
@@ -1143,6 +1174,33 @@ class TestCLI:
         assert rc == 0
         rows = read_csv_rows(tmp_path / "y" / "runs.csv")
         assert rows[0]["n"] == "128"
+
+    def test_override_flag_is_read_as_the_config_reads_it(self, tmp_path, capsys):
+        # the flag gives a number, and config load types it or names the key
+        cfg = {"algorithm": "spiderboost", "grid": {"n": [128], "eps": [1.0], "d": [4]},
+               "delta": 1e-4, "seeds": [0], "data": {"kind": "glm_fullrank", "label_scale": 0.5}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        for value in ("true", "abc"):
+            out = tmp_path / value
+            assert cli_main(["run", "--config", str(cfg_path), "--out", str(out),
+                             "--override", f"T={value}"]) == 2
+            assert capsys.readouterr().err == ("error: spiderboost at n=128, d=4, eps=1.0: "
+                                               f"overrides T must be a finite number, got "
+                                               f"'{value}'\n")
+            assert not out.exists()
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "flag"),
+                         "--override", "T=25"]) == 0
+        run_experiment(ExperimentConfig.from_dict({**cfg, "out": str(tmp_path / "config"),
+                                                   "overrides": {"T": 25}}))
+        files = sorted(f.relative_to(tmp_path / "config")
+                       for f in (tmp_path / "config").rglob("*.*"))
+        assert Path("runs.csv") in files
+        assert sorted(f.relative_to(tmp_path / "flag")
+                      for f in (tmp_path / "flag").rglob("*.*")) == files
+        for name in files:
+            assert (tmp_path / "flag" / name).read_bytes() == \
+                (tmp_path / "config" / name).read_bytes()
 
     @pytest.mark.parametrize("key,value,flags", [("grid", 5, ["--n", "128"]),
                                                  ("overrides", [1], ["--override", "T=25"])])
