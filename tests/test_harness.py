@@ -1189,6 +1189,10 @@ class TestCLI:
                                                f"overrides T must be a finite number, got "
                                                f"'{value}'\n")
             assert not out.exists()
+        # raised out of cmd_run as an ArgumentTypeError, with a traceback
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "T"),
+                         "--override", "T"]) == 2
+        assert capsys.readouterr().err == "error: override must be KEY=VALUE, got 'T'\n"
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "flag"),
                          "--override", "T=25"]) == 0
         run_experiment(ExperimentConfig.from_dict({**cfg, "out": str(tmp_path / "config"),
