@@ -12,15 +12,27 @@ from .experiment import ALGORITHMS, read_csv_rows, run_experiment
 from .fitting import median_by_x, scaling_fit
 
 
-def _parse_override(kv: str) -> tuple[str, float | str]:
-    """KEY=VALUE, as a number where VALUE parses as one; load checks both."""
+def _value(text: str):
+    """The JSON number that text spells, else the text itself: config load
+    reads a flag's value as it reads the config's, and names a bad one."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return text
+    return value if type(value) in (int, float) else text
+
+
+def _values(text: str) -> list:
+    """A comma-separated flag's items, each read by `_value`."""
+    return [_value(item) for item in text.split(",") if item]
+
+
+def _parse_override(kv: str) -> tuple[str, object]:
+    """KEY=VALUE, its value read by `_value`; load checks both."""
     key, sep, val = kv.partition("=")
     if not sep:
         raise ValueError(f"override must be KEY=VALUE, got {kv!r}")
-    try:
-        return key, float(val)
-    except ValueError:
-        return key, val
+    return key, _value(val)
 
 
 def _parse_filter(kv: str) -> tuple[str, str]:
@@ -28,14 +40,6 @@ def _parse_filter(kv: str) -> tuple[str, str]:
     if not (sep and col):
         raise argparse.ArgumentTypeError(f"filter must be COL=VALUE, got {kv!r}")
     return col, val
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v]
 
 
 def _merge(raw: dict, block: str, given: dict) -> None:
@@ -52,19 +56,16 @@ def cmd_run(args) -> int:
             raw = json.load(fh)
     if args.algorithm:
         raw["algorithm"] = args.algorithm
-    _merge(raw, "grid", {key: parse(text) for key, parse, text in (
-        ("n", _int_list, args.n), ("d", _int_list, args.d), ("eps", _float_list, args.eps))
-        if text})
-    if args.delta is not None:
-        raw["delta"] = args.delta
+    _merge(raw, "grid", {key: _values(text) for key, text in (
+        ("n", args.n), ("d", args.d), ("eps", args.eps)) if text})
     if args.seed:
-        raw["seeds"] = _int_list(args.seed)
+        raw["seeds"] = _values(args.seed)
+    for key, value in (("delta", args.delta), ("master_seed", args.master_seed),
+                       ("workers", args.workers)):
+        if value is not None:
+            raw[key] = value
     if args.out:
         raw["out"] = args.out
-    if args.master_seed is not None:
-        raw["master_seed"] = args.master_seed
-    if args.workers is not None:
-        raw["workers"] = args.workers
     if args.timing:
         raw["timing"] = True
     _merge(raw, "overrides", dict(map(_parse_override, args.override or [])))
@@ -113,11 +114,11 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--n", help="comma-separated n grid")
     p_run.add_argument("--d", help="comma-separated d grid")
     p_run.add_argument("--eps", help="comma-separated eps grid")
-    p_run.add_argument("--delta", type=float)
+    p_run.add_argument("--delta", type=_value)
     p_run.add_argument("--seed", help="comma-separated seed list")
     p_run.add_argument("--out", help="output directory")
-    p_run.add_argument("--master-seed", type=int, default=None)
-    p_run.add_argument("--workers", type=int, default=None)
+    p_run.add_argument("--master-seed", type=_value, default=None)
+    p_run.add_argument("--workers", type=_value, default=None)
     p_run.add_argument("--timing", action="store_true",
                        help="record wall times (breaks byte-identical reruns)")
     p_run.add_argument("--override", action="append", metavar="KEY=VALUE",

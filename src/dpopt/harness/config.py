@@ -1,30 +1,58 @@
 """Experiment configuration: JSON files with CLI flag overrides."""
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..core.loss import (LossSpec, glm_loss, huber_mean_loss, square_link,
                          synthetic_nonconvex_loss, tanh_link)
 from ..recursive_reg import MODES, SUBROUTINES
-from ..util import PreconditionError
+from ..util import PreconditionError, read_number
 from .synthetic import KINDS
 
-REQUIRED = ("algorithm", "delta", "seeds", "out")
+
+@dataclass(frozen=True)
+class Number:
+    """A numeric key's default and rule: its value, or each entry of it when
+    the default is a list, is read by `read_number` as `kind` with least value
+    `least`; a `null` key may also be None."""
+    default: object
+    kind: type = float
+    least: float | None = None
+    null: bool = False
+
+    def read(self, name: str, value):
+        if self.null and value is None:
+            return None
+        if isinstance(self.default, list):
+            return [read_number(name, v, self.kind, self.least)
+                    for v in _typed(name, value, list, "a list")]
+        return read_number(name, value, self.kind, self.least)
+
+
+# a number > 0, 1.0 when absent
+POSITIVE = Number(1.0, least=0)
+
+# the keys a config must hold, with the rule of each number (a list default
+# marks a list; a required key's default is never taken)
+REQUIRED = {"algorithm": None, "delta": Number(None), "seeds": Number([], int), "out": None}
 
 # every other key of a config, at its top level and in each block, with the value
-# it takes when absent; a loss block also holds its kind's keys in LOSS_KINDS
+# it takes when absent, or for a number its Number; a loss block also holds its
+# kind's keys in LOSS_KINDS
 DEFAULTS = {
-    "config": {"grid": {}, "master_seed": 0, "loss": {}, "data": {}, "rr": {},
-               "overrides": {}, "accountant_c": 1.0, "workers": 1, "timing": False,
-               "write_reports": True},
-    "grid": {"n": [], "d": [], "eps": []},
+    "config": {"grid": {}, "master_seed": Number(0, int), "loss": {}, "data": {}, "rr": {},
+               "overrides": {}, "accountant_c": POSITIVE,
+               "workers": Number(1, int, 1), "timing": False, "write_reports": True},
+    "grid": {"n": Number([], int, 1), "d": Number([], int, 1), "eps": Number([], least=0)},
     "loss": {"kind": "synthetic_nonconvex"},
-    "data": {"kind": "glm_fullrank", "rank": None, "B": 1.0, "label_scale": 0.0,
-             "spectrum_decay": 1.0, "support_size": 256},
-    "rr": {"mode": "linear_time", "subroutine": "phased_sgd", "R_bar": 1.0},
+    "data": {"kind": "glm_fullrank", "rank": Number(None, int, 1, null=True),
+             "B": POSITIVE, "label_scale": Number(0.0),
+             "spectrum_decay": Number(1.0), "support_size": Number(256, int, 1)},
+    "rr": {"mode": "linear_time", "subroutine": "phased_sgd", "R_bar": POSITIVE},
 }
 
 
@@ -48,9 +76,10 @@ class ExperimentConfig:
     write_reports: bool
 
     def validate(self) -> None:
-        """Check every value, then derive every grid point through its
-        ALGORITHMS entry: a failed sample-size hypothesis is left to that
-        point's rows, and any other failure rejects the config."""
+        """Check the rules that involve more than one key, then derive every
+        grid point through its ALGORITHMS entry: a failed sample-size
+        hypothesis is left to that point's rows, and any other failure
+        rejects the config. Each key's own rule is read by `from_dict`."""
         from .experiment import ALGORITHMS, grid_point  # experiment imports this module
         if not isinstance(self.algorithm, str) or self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
@@ -62,34 +91,13 @@ class ExperimentConfig:
             raise ValueError("seeds must be distinct")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        for key, values in (("n", self.grid_n), ("d", self.grid_d)):
-            if min(values) < 1:
-                raise ValueError(f"grid {key} must be >= 1, got {min(values)}")
-        numbers = [("grid eps", eps) for eps in self.grid_eps]
-        numbers += [("accountant_c", self.accountant_c)]
-        numbers += [(f"loss {key}", value) for key, value in self.loss.items()
-                    if key != "kind" and value is not None]
-        numbers += [("rr R_bar", self.rr["R_bar"]), ("data B", self.data["B"])]
-        for key, value in numbers:
-            value = _number(key, float, value)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{key} must be finite and positive, got {value!r}")
-        for key in ("label_scale", "spectrum_decay"):
-            if not math.isfinite(self.data[key]):
-                raise ValueError(f"data {key} must be finite, got {self.data[key]!r}")
         rank = self.data["rank"]
         if rank is None:
             if self.data["kind"] == "glm_lowrank":
                 raise ValueError("data rank must be an integer for glm_lowrank, got None")
-        elif not (type(rank) is int and rank >= 1):
-            raise ValueError(f"data rank must be null or an integer >= 1, got {rank!r}")
         elif rank > min(self.grid_d):
             raise ValueError(f"data rank must be <= every grid d, got {rank} > "
                              f"{min(self.grid_d)}")
-        for key, value in (("data support_size", self.data["support_size"]),
-                           ("workers", self.workers)):
-            if value < 1:
-                raise ValueError(f"{key} must be >= 1, got {value}")
         for key in ("timing", "write_reports"):
             if not isinstance(getattr(self, key), bool):  # bool("false") is True
                 raise ValueError(f"{key} must be true or false, got {getattr(self, key)!r}")
@@ -108,33 +116,30 @@ class ExperimentConfig:
 
     def grid_points(self) -> list[tuple[int, int, int, float]]:
         """(grid_index, n, d, eps) in canonical (config-order) enumeration."""
-        pts = []
-        i = 0
-        for n in self.grid_n:
-            for d in self.grid_d:
-                for eps in self.grid_eps:
-                    pts.append((i, int(n), int(d), float(eps)))
-                    i += 1
-        return pts
+        return [(i, *point) for i, point in
+                enumerate(itertools.product(self.grid_n, self.grid_d, self.grid_eps))]
+
+    def to_dict(self) -> dict:
+        """The config as a dict that `from_dict` reads back."""
+        raw = dataclasses.asdict(self)
+        raw["grid"] = {key: raw.pop(f"grid_{key}") for key in ("n", "d", "eps")}
+        return raw
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        """The validated config of `raw`, each absent key at its default."""
+        """The validated config of `raw`, each absent key at its default and
+        each number read by its rule."""
         for key in REQUIRED:
             if key not in raw:
                 raise ValueError(f"missing config field {key!r}")
-        top = _filled("config", raw, {**dict.fromkeys(REQUIRED), **DEFAULTS["config"]})
+        top = _filled("config", raw, {**REQUIRED, **DEFAULTS["config"]})
         grid = _filled("grid", top.pop("grid"), DEFAULTS["grid"])
-        top.update(delta=_number("delta", float, top["delta"]),
-                   seeds=_numbers("seeds", int, top["seeds"]),
-                   out=str(_typed("out", top["out"], (str, Path), "a path")),
+        top.update(out=str(_typed("out", top["out"], (str, Path), "a path")),
                    overrides=dict(_typed("overrides", top["overrides"], dict, "an object")),
                    loss=_loss_block(top["loss"]),
                    data=_filled("data", top["data"], DEFAULTS["data"]),
                    rr=_filled("rr", top["rr"], DEFAULTS["rr"]))
-        cfg = ExperimentConfig(grid_n=_numbers("grid n", int, grid["n"]),
-                               grid_d=_numbers("grid d", int, grid["d"]),
-                               grid_eps=_numbers("grid eps", float, grid["eps"]), **top)
+        cfg = ExperimentConfig(grid_n=grid["n"], grid_d=grid["d"], grid_eps=grid["eps"], **top)
         cfg.validate()
         return cfg
 
@@ -144,16 +149,19 @@ class ExperimentConfig:
             return ExperimentConfig.from_dict(json.load(fh))
 
 
-def _filled(block: str, given: dict, defaults: dict) -> dict:
-    """`given` with each absent key of `defaults`; any other key is rejected."""
-    unknown = sorted(set(_typed(block, given, dict, "an object")) - set(defaults))
+def _filled(block: str, given: dict, declared: dict) -> dict:
+    """`given` with each absent key at its declared default and each number
+    read by its declared rule; any other key is rejected."""
+    unknown = sorted(set(_typed(block, given, dict, "an object")) - set(declared))
     if unknown:
         raise ValueError(f"unknown {block} keys: {unknown}")
-    filled = {**defaults, **given}
-    for key, default in defaults.items():
-        if type(default) in (int, float):  # a bool is left for validate to check
+    filled = {}
+    for key, default in declared.items():
+        if isinstance(default, Number):
             name = key if block == "config" else f"{block} {key}"
-            filled[key] = _number(name, type(default), filled[key])
+            filled[key] = default.read(name, given.get(key, default.default))
+        else:
+            filled[key] = given.get(key, default)
     return filled
 
 
@@ -162,21 +170,6 @@ def _typed(name: str, value, types, what: str):
     if not isinstance(value, types):
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return value
-
-
-def _number(name: str, cast, value):
-    """cast(value), or a ValueError naming the key of a value it cannot take;
-    a boolean is no number, though int(True) is 1."""
-    if not isinstance(value, bool):
-        try:
-            return cast(value)
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(f"{name} must be a number, got {value!r}")
-
-
-def _numbers(name: str, cast, values) -> list:
-    return [_number(name, cast, value) for value in _typed(name, values, list, "a list")]
 
 
 def _check_kind(block: str, key: str, value, allowed) -> None:
@@ -199,19 +192,20 @@ def _glm_square(cfg: dict, d: int) -> LossSpec:
 
 def _huber_mean(cfg: dict, d: int) -> LossSpec:
     loss = huber_mean_loss(cfg["L0"], cfg["L1"], dim=d)
-    if cfg["F0"] is not None:
-        loss.F0_hint = float(cfg["F0"])
+    loss.F0_hint = cfg["F0"]
     return loss
 
 
-# each loss kind's keys, with the value each takes when absent, and its
-# factory, called with the filled loss block and d
+# each loss kind's keys, with the default and rule of each, and its factory,
+# called with the filled loss block and d
 LOSS_KINDS = {
-    "synthetic_nonconvex": ({"normX": 1.0},
+    "synthetic_nonconvex": ({"normX": POSITIVE},
                             lambda cfg, d: synthetic_nonconvex_loss(d, normX=cfg["normX"])),
-    "glm_tanh": ({"normX": 1.0, "F0": 1.0}, _glm_tanh),
-    "glm_square": ({"normX": 1.0, "F0": 1.0, "zmax": 4.0}, _glm_square),
-    "huber_mean": ({"L0": 1.0, "L1": 1.0, "F0": None}, _huber_mean),
+    "glm_tanh": ({"normX": POSITIVE, "F0": POSITIVE}, _glm_tanh),
+    "glm_square": ({"normX": POSITIVE, "F0": POSITIVE, "zmax": Number(4.0, least=0)},
+                   _glm_square),
+    "huber_mean": ({"L0": POSITIVE, "L1": POSITIVE, "F0": Number(None, least=0, null=True)},
+                   _huber_mean),
 }
 
 

@@ -287,9 +287,10 @@ def run_experiment(config: ExperimentConfig) -> Path:
     Each report is written as soon as its row's job finishes, and only the
     row is kept. A process pool takes the jobs largest n first; rows are
     written in canonical order (grid index, then seed index) regardless of
-    submission or completion order.
+    submission or completion order. The config is read again as `from_dict`
+    reads it, so one built by hand meets every rule before any output exists.
     """
-    config.validate()
+    config = ExperimentConfig.from_dict(config.to_dict())
     out_dir = Path(config.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -351,7 +351,7 @@ class RRParams:
             raise ValueError("step sizes and noise scales must be non-negative")
 
 
-OVERRIDES = {**dict.fromkeys(("lam", "eta_t", "sigma_t"), (float, None)),
+OVERRIDES = {"lam": (float, 0), **dict.fromkeys(("eta_t", "sigma_t"), (float, None)),
              "T": (int, 1), "K_t": (int, 2)}
 
 
@@ -385,12 +385,14 @@ def derive_rr_params(mode: str, n: int, d: int, L0: float, L1: float,
     else:
         lam = max(L0 ** 2 / (L1 * R_bar ** 2) * trade, L1 * math.log(n) / n)
     lam = ov.get("lam", lam)
-    if lam <= 0:
-        raise ValueError(f"overrides lam must be positive, got {lam!r}")
     if lam >= L1:
         raise PreconditionError(f"lam = {lam:.6g} >= L1 = {L1:.6g}: T would be 0; "
                                 "increase n or R_bar")
     T = ov.get("T", max(floori(math.log2(L1 / lam)), 1))
+    if T > n:  # a round's slice n // T would be empty
+        given = "T" in ov  # a derived T above n is a sample-size failure
+        raise (ValueError if given else PreconditionError)(
+            f"{'overrides' if given else 'derived'} T must be <= n = {n}, got {T}")
     m = n // T
 
     lambdas, radii, Ks, etas, sigmas, capped = [], [], [], [], [], []
@@ -456,6 +458,7 @@ def run_recursive_regularization(S: Dataset | Sequence[Dataset], loss: LossSpec,
     ledger, and a list of reports comes back; each equals what that run
     gives alone.
     """
+    params.validate()
     if subroutine not in SUBROUTINES:
         raise ValueError(f"unknown subroutine {subroutine!r}")
     if not loss.convex:

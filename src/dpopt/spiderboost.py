@@ -124,6 +124,9 @@ def derive_spider_params(n: int, d: int, L0: float, L1: float, F0: float,
     if failures:
         raise PreconditionError("sample-size hypothesis violated: "
                                 + "; ".join(failures))
+    for name in ("b1", "b2"):
+        if ov.get(name, 0) > n:
+            raise ValueError(f"overrides {name} must be <= n = {n}, got {ov[name]}")
 
     eta = ov.get("eta", 1.0 / (2.0 * L1))
     b1 = ov.get("b1", n)

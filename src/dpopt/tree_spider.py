@@ -194,6 +194,11 @@ def derive_tree_params(n: int, d: int, L0: float, L1: float, F0: float,
                         beta_par=beta, C_tilde=C_tilde, sigma_root=sigma_root,
                         sigma_delta=sigma_delta, p=p)
     params.validate()
+    need = T * params.samples_per_round()
+    if need > n:  # only overrides can ask for more than n
+        given = ", ".join(f"{name} = {ov[name]}" for name in ("b", "D", "T") if name in ov)
+        raise ValueError(f"overrides {given} use T * samples_per_round() = {need} samples, "
+                         f"more than n = {n}")
     return params
 
 

@@ -158,11 +158,24 @@ class TestScalingFit:
             (1, 6.0), (2, 2.0)]
 
 
+# the message of each rule that config load reads a number by
+def positive(name, value):
+    return f"{name} must be a finite number > 0, got {value!r}"
+
+
+def finite(name, value):
+    return f"{name} must be a finite number, got {value!r}"
+
+
+def integer(name, value, least=None):
+    return f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}"
+
+
 # each loss-block number, under a kind that reads it, and rr.R_bar, rejected
 # at load: a NaN L0 ran a tree job to `alpha_tilde must equal C_tilde * alpha`,
 # and a NaN R_bar ran recursive_reg to `cannot convert float NaN to integer`
 LOSS_NUMBER_CASES = [
-    (block, {**kind, key: value}, f"{block} {key} must be finite and positive, got {value!r}")
+    (block, {**kind, key: value}, positive(f"{block} {key}", value))
     for block, kind, key in (("loss", {"kind": "huber_mean"}, "L0"),
                              ("loss", {"kind": "huber_mean"}, "L1"),
                              ("loss", {"kind": "glm_tanh"}, "F0"),
@@ -180,25 +193,25 @@ LOSS_KEY_CASES = [("loss", {"kind": "glm_tanh", "L0": 5.0, "zmax": 9.0},
 # 256 rows, -5 ran to `negative dimensions are not allowed`, and a NaN
 # label_scale or spectrum_decay made every row `diverged`
 DATA_CASES = [
-    ("data", {"kind": "glm_fullrank", key: value}, f"data {key} must be {rule}, got {value!r}")
+    ("data", {"kind": "glm_fullrank", key: value}, rule(f"data {key}", value))
     for key, rule, values in (
-        ("support_size", ">= 1", (0, -5)),
-        ("rank", "null or an integer >= 1", (0, -1, 2.0)),
-        ("label_scale", "finite", (math.nan, math.inf)),
-        ("spectrum_decay", "finite", (math.nan, -math.inf)),
-        ("B", "finite and positive", (math.nan, math.inf, 0.0, -1.0)))
+        ("support_size", lambda name, value: integer(name, value, 1), (0, -5)),
+        ("rank", lambda name, value: integer(name, value, 1), (0, -1)),
+        ("label_scale", finite, (math.nan, math.inf)),
+        ("spectrum_decay", finite, (math.nan, -math.inf)),
+        ("B", positive, (math.nan, math.inf, 0.0, -1.0)))
     for value in values]
 
 # wrong-typed values, rejected at load with their key named: each of these
 # raised a TypeError or AttributeError that printed a traceback and exited 1
 TYPE_CASES = [
-    ("data", {"kind": "glm_fullrank", "B": None}, "data B must be a number, got None"),
-    ("workers", None, "workers must be a number, got None"),
-    ("accountant_c", None, "accountant_c must be a number, got None"),
-    ("loss", {"kind": "glm_tanh", "F0": None}, "loss F0 must be a number, got None"),
-    ("loss", {"kind": "huber_mean", "F0": [1.0]}, "loss F0 must be a number, got [1.0]"),
+    ("data", {"kind": "glm_fullrank", "B": None}, positive("data B", None)),
+    ("workers", None, integer("workers", None, 1)),
+    ("accountant_c", None, positive("accountant_c", None)),
+    ("loss", {"kind": "glm_tanh", "F0": None}, positive("loss F0", None)),
+    ("loss", {"kind": "huber_mean", "F0": [1.0]}, positive("loss F0", [1.0])),
     ("seeds", 5, "seeds must be a list, got 5"),
-    ("seeds", [0, None], "seeds must be a number, got None"),
+    ("seeds", [0, None], integer("seeds", None)),
     ("grid", {"n": 64, "d": [4], "eps": [1.0]}, "grid n must be a list, got 64"),
     ("loss", [], "loss must be an object, got []"),
     ("loss", {"kind": ["glm_tanh"]},
@@ -213,20 +226,37 @@ AT_BASE = "spiderboost at n=64, d=4, eps=1.0: "
 
 # JSON booleans, which int() and float() take as 1: each of these ran at 1
 BOOL_CASES = [
-    ("workers", True, "workers must be a number, got True"),
-    ("accountant_c", True, "accountant_c must be a number, got True"),
-    ("data", {"kind": "glm_fullrank", "B": True}, "data B must be a number, got True"),
-    ("seeds", [True, 2], "seeds must be a number, got True"),
-    ("grid", {"n": [True], "d": [4], "eps": [1.0]}, "grid n must be a number, got True"),
-    ("overrides", {"T": True}, AT_BASE + "overrides T must be a finite number, got True")]
+    ("workers", True, integer("workers", True, 1)),
+    ("accountant_c", True, positive("accountant_c", True)),
+    ("data", {"kind": "glm_fullrank", "B": True}, positive("data B", True)),
+    ("seeds", [True, 2], integer("seeds", True)),
+    ("grid", {"n": [True], "d": [4], "eps": [1.0]}, integer("grid n", True, 1)),
+    ("overrides", {"T": True}, AT_BASE + integer("overrides T", True, 1))]
+
+# integer keys given a fraction, each of which ran truncated (n = 64, seed
+# 0, 2 workers, master seed 3, 10 support rows), and numbers given as
+# strings, each of which loaded as the number it spells
+FRACTION_CASES = [
+    ("seeds", [0.7], integer("seeds", 0.7)),
+    ("grid", {"n": [64.5], "d": [4], "eps": [1.0]}, integer("grid n", 64.5, 1)),
+    ("workers", 2.5, integer("workers", 2.5, 1)),
+    ("master_seed", 3.9, integer("master_seed", 3.9)),
+    ("data", {"kind": "glm_fullrank", "support_size": 10.5},
+     integer("data support_size", 10.5, 1))]
+STRING_CASES = [
+    ("delta", "1e-6", finite("delta", "1e-6")),
+    ("seeds", ["3"], integer("seeds", "3")),
+    ("grid", {"n": [64], "d": [4], "eps": ["1.0"]}, positive("grid eps", "1.0")),
+    ("data", {"kind": "glm_fullrank", "B": "2"}, positive("data B", "2")),
+    ("loss", {"kind": "synthetic_nonconvex", "normX": "1.0"}, positive("loss normX", "1.0")),
+    ("rr", {"R_bar": "1"}, positive("rr R_bar", "1"))]
 
 # values that reached the run and failed each of its rows: a rank above d
 # failed data generation, and an override that is no number its derivation
 RUN_FAILURE_CASES = [
     ("data", {"kind": "glm_lowrank", "rank": 9}, "data rank must be <= every grid d, got 9 > 4"),
-    ("overrides", {"T": "20"}, AT_BASE + "overrides T must be a finite number, got '20'"),
-    ("overrides", {"eta": float("nan")},
-     AT_BASE + "overrides eta must be a finite number, got nan")]
+    ("overrides", {"T": "20"}, AT_BASE + integer("overrides T", "20", 1)),
+    ("overrides", {"eta": float("nan")}, AT_BASE + finite("overrides eta", math.nan))]
 
 # configs that an entry's derive rejects, each of which failed every row at
 # run time: huber_mean has no F0 by default, jl_spiderboost and
@@ -277,11 +307,24 @@ DERIVE_CASES = [
        for algorithm, who in WHO.items()
        for grid in ({"n": [1024], "d": [4], "eps": [1.0]}, {"n": [2], "d": [16], "eps": [1.0]})]
     + [(algorithm, {**GLM, **N1024, "overrides": {name: value}},
-        f"overrides {name} must be an integer >= {least}, got {value!r}")
+        integer(f"overrides {name}", value, least))
        for algorithm, name, value, least in INTEGER_CASES]
     # failed as `float division by zero`
-    + [("recursive_reg", {**GLM, "overrides": {"lam": 0}},
-        "overrides lam must be positive, got 0.0")]]
+    + [("recursive_reg", {**GLM, "overrides": {"lam": 0}}, positive("overrides lam", 0))]
+    # overrides that ask for more than n samples: spiderboost's and JL's b1
+    # and b2 failed as `need 1 <= b <= n, got b=2000, n=1024`, which names no
+    # key, recursive_reg's T as `float division by zero`, and tree_spider's
+    # loaded, then failed every row with `stream holds 1024 samples, need ...`
+    + [(algorithm, {**GLM, **N1024, "overrides": {name: value}},
+        f"overrides {name} must be <= n = 1024, got {value}")
+       for algorithm, name, value in (("spiderboost", "b1", 2000), ("spiderboost", "b2", 2000),
+                                      ("jl_spiderboost", "b2", 5000),
+                                      ("recursive_reg", "T", 2000))]
+    + [("tree_spider", {**GLM, "grid": {"n": [1024], "d": [2], "eps": [1.0]},
+                        "overrides": {"C_tilde": 0.5, **overrides}},
+        f"overrides {given} use T * samples_per_round() = {need} samples, more than n = 1024")
+       for overrides, given, need in (({"T": 50}, "T = 50", 12450),
+                                      ({"b": 4096, "T": 1}, "b = 4096, T = 1", 20480))]]
 
 
 class TestExperimentConfig:
@@ -321,8 +364,8 @@ class TestExperimentConfig:
 
     # 0 and -1 only: a rejected count must never reach a process pool
     @pytest.mark.parametrize("key,value,message", [
-        ("workers", 0, "workers must be >= 1, got 0"),
-        ("workers", -1, "workers must be >= 1, got -1"),
+        ("workers", 0, integer("workers", 0, 1)),
+        ("workers", -1, integer("workers", -1, 1)),
         ("timing", "false", "timing must be true or false, got 'false'"),
         ("timing", 0, "timing must be true or false, got 0"),
         ("write_reports", "true", "write_reports must be true or false, got 'true'"),
@@ -330,17 +373,17 @@ class TestExperimentConfig:
         # a NaN eps or c ran a whole job before: PrivacyBudget took it, and
         # gaussian_sigma returned NaN
         ("grid", {"n": [64], "d": [4], "eps": [1.0, float("nan")]},
-         "grid eps must be finite and positive, got nan"),
-        ("grid", {"n": [64], "d": [4], "eps": [float("inf")]},
-         "grid eps must be finite and positive, got inf"),
-        ("grid", {"n": [64], "d": [4], "eps": [0.0]},
-         "grid eps must be finite and positive, got 0.0"),
-        ("grid", {"n": [64, 0], "d": [4], "eps": [1.0]}, "grid n must be >= 1, got 0"),
-        ("grid", {"n": [64], "d": [-2], "eps": [1.0]}, "grid d must be >= 1, got -2"),
-        ("accountant_c", float("nan"), "accountant_c must be finite and positive, got nan"),
-        ("accountant_c", float("inf"), "accountant_c must be finite and positive, got inf")]
+         positive("grid eps", math.nan)),
+        ("grid", {"n": [64], "d": [4], "eps": [float("inf")]}, positive("grid eps", math.inf)),
+        ("grid", {"n": [64], "d": [4], "eps": [0.0]}, positive("grid eps", 0.0)),
+        ("grid", {"n": [64, 0], "d": [4], "eps": [1.0]}, integer("grid n", 0, 1)),
+        ("grid", {"n": [64], "d": [-2], "eps": [1.0]}, integer("grid d", -2, 1)),
+        ("accountant_c", float("nan"), positive("accountant_c", math.nan)),
+        ("accountant_c", float("inf"), positive("accountant_c", math.inf)),
+        # an int too large for a float raised OverflowError, with a traceback
+        ("accountant_c", 10 ** 400, positive("accountant_c", 10 ** 400))]
         + LOSS_NUMBER_CASES + LOSS_KEY_CASES + DATA_CASES + TYPE_CASES + BOOL_CASES
-        + RUN_FAILURE_CASES)
+        + FRACTION_CASES + STRING_CASES + RUN_FAILURE_CASES)
     def test_bad_run_settings_are_rejected_before_out_exists(self, tmp_path, capsys, key,
                                                              value, message):
         out = tmp_path / "out"
@@ -366,14 +409,53 @@ class TestExperimentConfig:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_a_whole_float_reads_as_its_integer(self, tmp_path):
+        # a data rank of 2.0 was rejected, though every other integer key took it
+        raw = {**self.base_raw(tmp_path), "seeds": [0, 1], "master_seed": 3, "workers": 1,
+               "data": {"kind": "glm_lowrank", "rank": 2, "support_size": 10}}
+        whole = {**raw, "grid": {"n": [64.0], "d": [4.0], "eps": [1]}, "seeds": [0.0, 1.0],
+                 "master_seed": 3.0, "workers": 1.0,
+                 "data": {"kind": "glm_lowrank", "rank": 2.0, "support_size": 10.0}}
+        cfg = ExperimentConfig.from_dict(whole)
+        assert cfg == ExperimentConfig.from_dict(raw)
+        assert [type(v) for v in (*cfg.grid_n, *cfg.grid_d, *cfg.grid_eps, *cfg.seeds,
+                                  cfg.master_seed, cfg.workers, cfg.data["rank"],
+                                  cfg.data["support_size"])] == [int] * 2 + [float] + [int] * 6
+
+    # a config built without from_dict is read as from_dict reads it
+    @pytest.mark.parametrize("key,value,message", [
+        ("workers", 0, integer("workers", 0, 1)),
+        ("workers", 2.5, integer("workers", 2.5, 1)),
+        ("grid_n", [64.5], integer("grid n", 64.5, 1)),
+        ("seeds", ["3"], integer("seeds", "3")),
+        ("data", {"kind": "glm_fullrank", "B": "2"}, positive("data B", "2"))])
+    def test_a_config_built_directly_is_read_by_the_run(self, tmp_path, key, value, message):
+        out = tmp_path / "out"
+        cfg = ExperimentConfig.from_dict(self.base_raw(out))
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        bad = ExperimentConfig(**{**vars(cfg), key: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_experiment(bad)
+        assert not out.exists()
+
+    def test_a_derived_T_above_n_gives_precondition_rows(self, tmp_path):
+        # failed the load as `float division by zero`
+        cfg = ExperimentConfig.from_dict({
+            **self.base_raw(tmp_path), "algorithm": "recursive_reg",
+            "grid": {"n": [4], "d": [1000], "eps": [1.0]}, "rr": {"mode": "optimal"},
+            "loss": {"kind": "huber_mean", "L0": 0.001}})
+        # the CSV writes a status's commas as semicolons
+        assert {r["status"] for r in read_csv_rows(run_experiment(cfg))} == {
+            "precondition: derived T must be <= n = 4; got 21"}
+
     @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
     def test_an_integral_float_override_reads_as_its_integer(self, tmp_path, algorithm):
         derive, hashes = ALGORITHMS[algorithm][0], set()
-        for T in (20, 20.0):
+        for T in (3, 3.0):
             cfg = ExperimentConfig.from_dict({**matrix_base(algorithm), "out": str(tmp_path),
                                               "overrides": {"T": T}})
             params = derive(grid_point(cfg, *cfg.grid_points()[0], [(0, 0)]))
-            assert (params[1] if algorithm == "jl_spiderboost" else params).T == 20
+            assert (params[1] if algorithm == "jl_spiderboost" else params).T == 3
             hashes.add(param_hash(params))
         assert len(hashes) == 1
 
@@ -504,7 +586,7 @@ MATRIX_BASE = {
     "recursive_reg": ({"n": [256], "d": [2], "eps": [1.0]}, {}),
     "jl_spiderboost": ({"n": [128], "d": [4], "eps": [1.0]}, {"T": 10})}
 
-MATRIX_VALUES = (None, True, [], "x", math.nan, -1, 0, 2.5)
+MATRIX_VALUES = (None, True, [], "x", "2", math.nan, -1, 0, 2.5)
 
 
 def matrix_base(algorithm: str) -> dict:
@@ -532,14 +614,15 @@ def matrix_cases(algorithm: str):
                 raw["loss"] = {"kind": block[1], key: value}
             else:
                 raw.setdefault(block, {})[key] = value
-            yield f"{block} {key}={value!r}", raw
+            yield f"{block} {key}={value!r}", value, raw
 
 
 class TestConfigMatrix:
     """Each key a config may set, each loss kind's keys and each override
-    name, in turn null, true, [], "x", NaN, -1, 0 and 2.5: the config either
-    fails at load with a ValueError, or each of its rows is ok, precondition:
-    or diverged; a config error that reaches a row as `error:` is a hole."""
+    name, in turn null, true, [], "x", "2", NaN, -1, 0 and 2.5: the config
+    either fails at load with a ValueError, or each of its rows is ok,
+    precondition: or diverged; a config error that reaches a row as `error:`
+    is a hole, and so is a string that loads (no key reads "2" as 2)."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
@@ -548,10 +631,13 @@ class TestConfigMatrix:
         assert {r["status"] for r in read_csv_rows(run_experiment(
             ExperimentConfig.from_dict(base)))} == {"ok"}
         holes = []
-        for i, (case, raw) in enumerate(matrix_cases(algorithm)):
+        for i, (case, value, raw) in enumerate(matrix_cases(algorithm)):
             try:
                 cfg = ExperimentConfig.from_dict({**raw, "out": str(tmp_path / str(i))})
             except ValueError:
+                continue
+            if isinstance(value, str):
+                holes.append(f"{case}: loaded")
                 continue
             statuses = {r["status"] for r in read_csv_rows(run_experiment(cfg))}
             holes += [f"{case}: {s}" for s in statuses if s != "ok" and
@@ -1186,8 +1272,7 @@ class TestCLI:
             assert cli_main(["run", "--config", str(cfg_path), "--out", str(out),
                              "--override", f"T={value}"]) == 2
             assert capsys.readouterr().err == ("error: spiderboost at n=128, d=4, eps=1.0: "
-                                               f"overrides T must be a finite number, got "
-                                               f"'{value}'\n")
+                                               f"{integer('overrides T', value, 1)}\n")
             assert not out.exists()
         # raised out of cmd_run as an ArgumentTypeError, with a traceback
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "T"),
@@ -1217,6 +1302,23 @@ class TestCLI:
         assert cli_main(["run", "--config", str(cfg_path), *flags]) == 2
         assert capsys.readouterr().err == f"error: {key} must be an object, got {value!r}\n"
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag,text,message", [
+        # `invalid literal for int() with base 10: '64.5'`, which named no key
+        ("--n", "64.5", integer("grid n", 64.5, 1)),
+        ("--seed", "0.5", integer("seeds", 0.5)),
+        ("--eps", "1.0,x", positive("grid eps", "x")),
+        ("--workers", "2.5", integer("workers", 2.5, 1)),
+        ("--delta", "abc", finite("delta", "abc"))])
+    def test_number_flags_are_read_as_the_config_reads_them(self, tmp_path, capsys, flag,
+                                                            text, message):
+        out = tmp_path / "out"
+        args = {"--n": "64", "--d": "4", "--eps": "1.0", "--delta": "1e-4", "--seed": "0",
+                flag: text}
+        assert cli_main(["run", "--algorithm", "spiderboost", "--out", str(out),
+                         *(item for pair in args.items() for item in pair)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_algorithm_choices_are_the_table(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,4 +1,5 @@
 """Recursive regularization, its sub-routines, and the selector algebra."""
+import dataclasses
 import math
 
 import numpy as np
@@ -535,6 +536,14 @@ class TestDeriveRRParams:
         with pytest.raises(ValueError, match="^L0, L1, R_bar must be positive$"):
             derive_rr_params("linear_time", 1024, 4, *consts, PrivacyBudget(1.0, 1e-5))
 
+    # both failed as `float division by zero`: the slice size n // T was 0
+    def test_T_above_n(self):
+        with pytest.raises(ValueError, match=r"^overrides T must be <= n = 1024, got 2000$"):
+            derive_rr_params("linear_time", 1024, 4, 1.0, 1.0, 1.0, PrivacyBudget(1.0, 1e-5),
+                             {"T": 2000})
+        with pytest.raises(PreconditionError, match=r"^derived T must be <= n = 4, got 21$"):
+            derive_rr_params("optimal", 4, 1000, 0.001, 1.0, 1.0, PrivacyBudget(1.0, 1e-6))
+
     def test_kt_cap_flagged(self):
         params = derive_rr_params("optimal", 4096, 8, 1.0, 1.0, 1.0,
                                   PrivacyBudget(1.0, 1e-6))
@@ -621,6 +630,22 @@ class TestRunRecursiveRegularization:
             assert row["K_t"] == params.K[t]
             assert row["sigma_t"] == params.sigma[t]
             assert "center_norm" in row
+
+    def test_rejects_params_that_validate_rejects(self):
+        # a hand-built schedule with an unknown mode and a constant lambda_t
+        # ran and returned a point
+        loss = self.quadratic_glm(2)
+        S = self.population(2).sample(64, np.random.default_rng(31))
+        params = derive_rr_params("linear_time", 64, 2, loss.L0, loss.L1, 1.0,
+                                  PrivacyBudget(1.0, 1e-5), {"lam": loss.L1 / 2 ** 3})
+        bad = dataclasses.replace(params, mode="fast", lambdas=(params.lam,) * params.T)
+        for subroutine in rr.SUBROUTINES:
+            with pytest.raises(ValueError, match="^unknown mode 'fast'$"):
+                run_recursive_regularization(S, loss, bad, subroutine,
+                                             np.random.default_rng(32))
+        bad = dataclasses.replace(params, lambdas=(params.lam,) * params.T)
+        with pytest.raises(ValueError, match="^lambda_t must double$"):
+            run_recursive_regularization(S, loss, bad, "phased_sgd", np.random.default_rng(32))
 
     def test_rejects_nonconvex_loss(self):
         from dpopt.core import synthetic_nonconvex_loss
