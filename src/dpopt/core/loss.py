@@ -80,6 +80,26 @@ class LossSpec:
                          - self.grad_mean(v, x, None if Y is None else Y[r])
                          for r, (w, v, x) in enumerate(zip(W, W_prev, X))])
 
+    def grad_counts(self, W: np.ndarray, X: np.ndarray, Y: np.ndarray | None,
+                    C: np.ndarray, size: int, W_prev: np.ndarray | None = None) -> np.ndarray:
+        """Batch means over counted rows on a run axis: row r is the mean,
+        over a batch of `size` samples that holds row j of the support X
+        (m, d) and labels Y (m,) C[r, j] times, of the gradient at W[r] or,
+        given W_prev, of its variation from W_prev[r]. C is an (R, m) integer
+        array whose rows sum to size. Tree Spider's roots and right children
+        call it on a batch at least as large as its support. This default,
+        for a loss without a counted kernel, expands each run's counts back
+        to rows, in support order, and calls `grad_mean_rows` or `grad_var`
+        on them one run at a time."""
+        out = np.empty_like(W)
+        support = np.arange(len(X))
+        for r, c in enumerate(C):
+            rows = np.repeat(support, c)[None]
+            Xr, Yr = X.take(rows, axis=0), None if Y is None else Y.take(rows)
+            out[r] = (self.grad_mean_rows(W[r:r + 1], Xr, Yr) if W_prev is None else
+                      self.grad_var(W[r:r + 1], W_prev[r:r + 1], Xr, Yr))[0]
+        return out
+
     # plumbing -----------------------------------------------------------
     def probe_sample(self, rng: np.random.Generator) -> tuple[np.ndarray, float | None]:
         """A random data point from the loss's domain, for gradient checks."""
@@ -468,6 +488,17 @@ class GLMLoss(LossSpec):
         np.subtract(s, s_prev, out=diff)
         np.matmul(work.diff, X, out=work.prod)
         return np.divide(prod, X.shape[1], out=work.out)
+
+    def grad_counts(self, W, X, Y, C, size, W_prev=None):
+        # sum_j C[r, j] (s_j - s'_j) x_j / size: one X @ [w, w_prev] and one
+        # slope difference times X per run, on a run axis with X broadcast,
+        # so each BLAS call has a lone run's shape (a 2-D product over the
+        # runs could round differently with their number)
+        P = W[:, :, None] if W_prev is None else np.stack((W, W_prev), axis=2)
+        s = self.link.slope_into(np.matmul(X, P), None if Y is None else Y[:, None])
+        s = s[:, :, 0] if W_prev is None else np.subtract(s[:, :, 0], s[:, :, 1])
+        s *= C
+        return (s[:, None, :] @ X)[:, 0, :] / size
 
     def probe_sample(self, rng):
         z = rng.standard_normal(self.dim)

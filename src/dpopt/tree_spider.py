@@ -11,16 +11,22 @@ The traversal is written once, in `_tree_path`, over a leading run axis:
 each run keeps its own stream, generator, ledger and early stop, so a run's
 output is bit-identical alone or in a group. The optimizer uses it with
 R = 1 or with R seeds in lockstep, and the Monte Carlo validator with R = 1.
-A right child's variation is `LossSpec.grad_var`, SpiderBoost's kernel: for
-a GLM one batched X @ [w, w_parent], one slope call and one
-(s - s_parent)^T X per gathered sub-group of runs, in views of one flat
-workspace allocated per traversal.
+A root's gradient and a right child's variation come from one row-wise
+kernel per gathered sub-group of runs: `LossSpec.grad_mean_rows`, and for a
+right child `LossSpec.grad_var`, SpiderBoost's kernel (for a GLM one batched
+X @ [w, w_parent], one slope call and one (s - s_parent)^T X, in views of one
+flat workspace per traversal). When the runs index one population support
+and a node's batch has at least as many rows as the support, the node takes
+each run's counts of the support rows instead of gathered rows, and
+`LossSpec.grad_counts` weighs the m support rows by them: O(m d + size) work
+instead of O(size d).
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +40,10 @@ SITE_ROOT = "tree-root"
 SITE_DELTA = "tree-delta"
 
 # the runs of a lockstep group gather a node's batch rows for at most this
-# many entries (256 KB) at a time: one root batch of five runs at n = 2^20
-# is 6.6 MB, and deep nodes, the most numerous, still go five runs at once
+# many entries (256 KB) at a time. A population sample gathers only batches
+# smaller than its support, five runs at once below a 256-row support at
+# d = 16; the cap binds on plain streams and large supports, where a root
+# batch of five runs at n = 2^20 would be 6.6 MB
 GATHER_ENTRIES = 2 ** 15
 
 # each run draws the standard normals of at most this many noisy nodes (roots
@@ -45,6 +53,16 @@ NOISE_NODES = 64
 
 # a sub-group's batch rows: X of shape (A, size, d), Y of shape (A, size) or None
 Rows = tuple[np.ndarray, np.ndarray | None]
+
+
+class Counts(NamedTuple):
+    """Every active run's batch of `size` samples as counts of the rows of
+    one support: C[i, j] copies of row j of X (m, d) and Y (m,) or None in
+    run i's batch (see `LossSpec.grad_counts`)."""
+    X: np.ndarray
+    Y: np.ndarray | None
+    C: np.ndarray
+    size: int
 
 
 @dataclass(frozen=True)
@@ -249,15 +267,18 @@ def _gathered_runs(size: int, d: int) -> int:
     return max(1, GATHER_ENTRIES // (size * d))
 
 
-def _grad_means(loss: LossSpec, blocks: Iterable[Rows], W: np.ndarray,
+def _grad_means(loss: LossSpec, blocks: Iterable[Rows] | Counts, W: np.ndarray,
                 W_par: np.ndarray | None = None,
                 work: Callable[[int, int], VarWork] | None = None) -> np.ndarray:
     """Row i the batch-mean gradient at W[i] on run i's batch or, given
-    W_par, its variation from W_par[i], `loss.grad_var` in the buffers
-    `work(A, size)` gives for a sub-group of A runs' batches of `size` rows;
-    each sub-group's result is copied out before the next call overwrites
-    it. `blocks` gives the rows of one sub-group of runs at a time, in run
-    order."""
+    W_par, its variation from W_par[i]. `blocks` is either every run's
+    `Counts`, for one `loss.grad_counts` call, or an iterable of the rows
+    of one sub-group of runs at a time, in run order: a sub-group of A runs'
+    batches of `size` rows takes `loss.grad_mean_rows` or `loss.grad_var`
+    in the buffers `work(A, size)` gives, and each sub-group's result is
+    copied out before the next call overwrites it."""
+    if isinstance(blocks, Counts):
+        return loss.grad_counts(W, *blocks, W_prev=W_par)
     out = np.empty_like(W)
     i = 0
     for X, Y in blocks:
@@ -270,16 +291,19 @@ def _grad_means(loss: LossSpec, blocks: Iterable[Rows], W: np.ndarray,
 
 
 class _StreamBatches:
-    """The optimizer's `batch` hook: the rows that R cursors hand out next,
-    read in place while the cursors stay where they are. Every active run
-    has taken the same `used` samples since its cursor's start, so one
+    """The optimizer's `batch` hook: the samples that R cursors hand out
+    next, read in place while the cursors stay where they are. Every active
+    run has taken the same `used` samples since its cursor's start, so one
     counter places them all.
 
     When the runs index one source (population samples), the hook slices a
     block of the active runs' source rows up to the end of the round, at a
-    round's first node and again after a run stops, and a node gathers each
-    sub-group's rows with one `take` of a slice of that block. Any other
-    group stacks each node's slices (see `Runs.stack`)."""
+    round's first node and again after a run stops. A node whose batch has
+    at least as many samples as the source has rows gets `Counts`, from one
+    `bincount` of its columns of that block; a smaller node gathers each
+    sub-group's rows with one `take` of a slice of it. Any other group
+    stacks each node's slices (see `Runs.stack`). Sub-groups of gathered
+    rows hold at most GATHER_ENTRIES entries."""
 
     def __init__(self, streams: Sequence[DatasetCursor], per_round: int, d: int):
         self.data = Runs(c.dataset for c in streams)
@@ -290,7 +314,7 @@ class _StreamBatches:
         self.lo = self.end = 0  # the block's span of `used`
         self.block: tuple[Dataset, np.ndarray] | None = None
 
-    def __call__(self, runs: list[int], size: int) -> Iterator[Rows]:
+    def __call__(self, runs: list[int], size: int) -> Iterator[Rows] | Counts:
         lo = self.used
         self.used += size
         if runs != self.runs or lo >= self.end:
@@ -305,6 +329,11 @@ class _StreamBatches:
                     for i in range(0, len(runs), step))
         src, idx = self.block
         cols = idx[:, lo - self.lo:lo - self.lo + size]
+        m = src.n
+        if size >= m:  # run i counts its source rows at i m to i m + m - 1
+            C = np.bincount((cols + np.arange(0, len(runs) * m, m)[:, None]).reshape(-1),
+                            minlength=len(runs) * m)
+            return Counts(src.X, src.y, C.reshape(-1, m), size)
         return ((src.X.take(c, axis=0), None if src.y is None else src.y.take(c))
                 for c in (cols[i:i + step] for i in range(0, len(runs), step)))
 
@@ -369,13 +398,14 @@ def _tree_path(loss: LossSpec, params: TreeParams, R: int, batch, noise, leaf,
 
     At a root or right child, `batch(runs, size)` gives each active run's
     `size` fresh samples, as the rows of sub-groups of the runs in run order
-    (see `_grad_means`; the optimizer's hook gathers at most GATHER_ENTRIES
-    entries at a time). Then `noise(runs, sigma, site)` gives the node's
-    draws from N(0, sigma^2 I_d), one row per active run, and records them
-    at `site` when the caller keeps ledgers; called in this order, a batch
-    hook that samples from the runs' generators (the validator's) draws
-    before the noise, as one run's per-node `draw_gaussian` calls would
-    (the optimizer's noise hook is `_BlockNoise`). At the root of a round
+    or as every run's `Counts` of support rows (see `_grad_means`, and
+    `_StreamBatches` for the optimizer's hook). Then `noise(runs, sigma,
+    site)` gives the node's draws from N(0, sigma^2 I_d), one row per active
+    run, and records them at `site` when the caller keeps ledgers; called in
+    this order, a batch hook that samples from the runs' generators (the
+    validator's) draws before the noise, as one run's per-node
+    `draw_gaussian` calls would (the optimizer's noise hook is
+    `_BlockNoise`). At the root of a round
     each run takes its batch, then its noise, for the estimate
     grad(w_root) + N(0, sigma_root^2); a left child copies its parent; at a
     right child of depth k each run takes its batch of b/2^k, then its
@@ -383,12 +413,12 @@ def _tree_path(loss: LossSpec, params: TreeParams, R: int, batch, noise, leaf,
     N(0, sigma_delta^2) and the estimate nabla_parent + Delta. Roots and
     right children sit at the pending iterates.
 
-    The sum is b/2^k times `loss.grad_var(W, W_par, X, Y, work)` on each
-    sub-group of runs. Its buffers are `VarWork` views of the front of one
-    flat array, allocated here for the largest sub-group a right child
-    gathers (R (7 size + 4 d) entries at most, with size the depth-1 batch)
-    and made once per (runs, size) shape, smaller groups left after runs
-    stop included.
+    The sum is b/2^k times the batch mean that `_grad_means` gives. On
+    gathered rows, that is `loss.grad_var(W, W_par, X, Y, work)` on each
+    sub-group of runs, whose buffers are `VarWork` views of the front of one
+    flat array, made once per (runs, size) shape, smaller groups left after
+    runs stop included. The array grows to the largest shape asked for,
+    so it covers only the batch sizes that are gathered.
 
     Iterates and estimates are (A, d) arrays over the A active runs, whose
     indices `runs` lists in run order, and every operation is row-wise, so a
@@ -410,12 +440,15 @@ def _tree_path(loss: LossSpec, params: TreeParams, R: int, batch, noise, leaf,
     path: list[tuple[np.ndarray, np.ndarray] | None] = [None] * (D + 1)
     runs = list(range(R))
     pending = np.zeros((R, d))
-    buf = np.empty(max((VarWork.entries(min(R, _gathered_runs(size, d)), size, d)
-                        for size in map(params.batch_size, range(1, D + 1))), default=0))
+    buf = np.empty(0)
     works: dict[tuple[int, int], VarWork] = {}
 
     def work(A: int, size: int) -> VarWork:
+        nonlocal buf
         if (A, size) not in works:
+            if VarWork.entries(A, size, d) > len(buf):  # drop the views of the old one
+                buf = np.empty(VarWork.entries(A, size, d))
+                works.clear()
             works[A, size] = VarWork(A, size, d, buf)
         return works[A, size]
 

@@ -213,6 +213,56 @@ class TestGradVar:
                                   - loss.grad_mean(W_prev[r], X[r]))
 
 
+class TestGradCounts:
+    """grad_counts on a run axis: row r is the mean over a batch that holds
+    support row j C[r, j] times, of the gradient at W[r] or of its variation
+    from W_prev[r]."""
+
+    @staticmethod
+    def counted(rng, R=3, m=7, size=40):
+        X = rng.standard_normal((m, 5)) / 3.0
+        C = rng.multinomial(size, np.full(m, 1.0 / m), size=R)
+        return X, C, size
+
+    @pytest.mark.parametrize("link", ["tanh", "square", "rational"])
+    @pytest.mark.parametrize("labelled", [True, False])
+    @pytest.mark.parametrize("var", [False, True], ids=["grad", "variation"])
+    def test_glm_matches_the_per_sample_sum_with_a_lone_runs_bits(self, link, labelled, var):
+        rng = np.random.default_rng(len(link) + 10 * labelled + 100 * var)
+        loss = glm_loss(FORMULAS[link][0](), 1.0, 1.0, 1.0, 5)
+        X, C, size = self.counted(rng)
+        Y = rng.standard_normal(len(X)) if labelled else None
+        W = rng.standard_normal((3, 5))
+        W_prev = rng.standard_normal((3, 5)) if var else None
+        got = loss.grad_counts(W, X, Y, C, size, W_prev)
+        assert got.shape == (3, 5)
+        for r in range(3):
+            want = sum(C[r, j] * (loss.grad(W[r], X[j], None if Y is None else Y[j])
+                                  - (0.0 if W_prev is None else
+                                     loss.grad(W_prev[r], X[j], None if Y is None else Y[j])))
+                       for j in range(len(X))) / size
+            assert np.max(np.abs(got[r] - want)) <= 1e-13 * np.max(np.abs(want))
+            alone = loss.grad_counts(W[r:r + 1], X, Y, C[r:r + 1], size,
+                                     None if W_prev is None else W_prev[r:r + 1])
+            assert alone.tobytes() == got[r:r + 1].tobytes()
+
+    @pytest.mark.parametrize("var", [False, True], ids=["grad", "variation"])
+    def test_default_expands_the_counts_to_rows_in_support_order(self, var):
+        # a loss without a counted kernel (the Huber mean loss) takes its
+        # batch means on the rows the counts stand for
+        rng = np.random.default_rng(6 + var)
+        loss = huber_mean_loss(1.0, 1.0, dim=5)
+        X, C, size = self.counted(rng)
+        W, W_prev = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
+        got = loss.grad_counts(W, X, None, C, size, W_prev if var else None)
+        for r in range(3):
+            rows = X[np.repeat(np.arange(len(X)), C[r])]
+            want = loss.grad_mean(W[r], rows)
+            if var:
+                want = want - loss.grad_mean(W_prev[r], rows)
+            assert got[r].tobytes() == want.tobytes()
+
+
 class TestRunAxisGrad:
     """GLMLoss.grad on a run axis: row r is grad(W[r], X[r], Y[r]), and a
     row's bits do not depend on the rows beside it."""

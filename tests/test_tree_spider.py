@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dpopt.core import Dataset, DatasetCursor, LossSpec, synthetic_nonconvex_loss
-from dpopt.core.loss import glm_loss, huber_mean_loss, tanh_link
+from dpopt.core.loss import GLMLoss, glm_loss, huber_mean_loss, square_link, tanh_link
 from dpopt.harness import FiniteSupportDistribution, gen_support
 from dpopt.privacy import NoiseLedger, PrivacyBudget, draw_gaussian
 from dpopt import tree_spider
@@ -284,6 +284,26 @@ class TestRunTreeSpider:
             assert (a.delta is None) == (b.delta is None)
             assert a.delta is None or np.array_equal(a.delta, b.delta)
 
+    def test_indexed_stream_at_the_support_size_matches_plain_stream(self):
+        # on an 8-row support the roots (16 samples) and depth-1 right
+        # children (8) sum counted support rows, not rows in sample order:
+        # the noise, stops and samples are the plain stream's, the iterates
+        # agree to rounding
+        loss = synthetic_nonconvex_loss(3)
+        dist = gen_support("glm_fullrank", 8, 3, seed=17, label_scale=0.5)
+        sample = dist.sample(200, np.random.default_rng(18))
+        params = manual_params(b=16, D=2, T=3, sigma_root=0.03, sigma_delta=0.01)
+        indexed, plain = [run_tree_spider(loss, DatasetCursor(S), params,
+                                          np.random.default_rng(19), record_nodes=True)
+                          for S in (sample, Dataset(sample.X.copy(), sample.y.copy()))]
+        assert indexed.noise_ledger.rows() == plain.noise_ledger.rows()
+        for field in ("stopped_early", "stop_address", "samples_consumed",
+                      "leaf_count_visited", "rounds_completed", "round_consumption",
+                      "selected_leaf"):
+            assert getattr(indexed, field) == getattr(plain, field), field
+        assert [a.batch_range for a in indexed.nodes] == [b.batch_range for b in plain.nodes]
+        assert np.max(np.abs(indexed.w_out - plain.w_out)) <= 1e-13 * np.max(np.abs(plain.w_out))
+
     def test_uniform_leaf_selection_range(self):
         loss = synthetic_nonconvex_loss(2)
         params = manual_params(b=8, D=1, T=3, sigma_root=0.02, sigma_delta=0.01)
@@ -328,23 +348,38 @@ class TestLockstep:
                 for rep in group]
 
     @pytest.mark.parametrize("gather", [None, 48], ids=["one_gather", "sub_groups"])
-    @pytest.mark.parametrize("label_scale, alpha, stops", [
-        (0.5, 0.06, [(3, "01"), (3, "11"), (3, "00"), (1, "01"), None]),
-        (0.0, 0.015, [(3, "11"), None, (1, "11"), (2, "10"), (2, "10")]),
-    ], ids=["labelled", "unlabelled"])
-    def test_population_samples(self, monkeypatch, gather, label_scale, alpha, stops):
+    @pytest.mark.parametrize("support, label_scale, alpha, stops", [
+        (64, 0.5, 0.06, [(3, "01"), (3, "11"), (3, "00"), (1, "01"), None]),
+        (64, 0.0, 0.015, [(3, "11"), None, (1, "11"), (2, "10"), (2, "10")]),
+        (8, 0.5, 0.05, [None, (3, "10"), (4, "01"), None, (4, "10")]),
+        (8, 0.0, 0.015, [(3, "11"), None, (1, "11"), (2, "10"), None]),
+    ], ids=["labelled", "unlabelled", "labelled_counted", "unlabelled_counted"])
+    def test_population_samples(self, monkeypatch, gather, support, label_scale, alpha,
+                                stops):
         # runs stop at other leaves and in other rounds, and one never stops
         # and draws its returned leaf; with 48 entries (16 rows x 3) a root
-        # gathers one run at a time and a depth-1 node two at a time
+        # gathers one run at a time and a depth-1 node two at a time. On the
+        # 8-row support, roots (16 samples) and depth-1 right children (8)
+        # take counts instead, and depth-2 ones (4) gather.
         if gather is not None:
             monkeypatch.setattr(tree_spider, "GATHER_ENTRIES", gather)
+        counted = []
+
+        def grad_counts(self, W, X, Y, C, size, W_prev=None, _orig=GLMLoss.grad_counts):
+            counted.append((len(C), size))
+            return _orig(self, W, X, Y, C, size, W_prev)
+        monkeypatch.setattr(GLMLoss, "grad_counts", grad_counts)
         loss = synthetic_nonconvex_loss(3)
-        dist = gen_support("glm_fullrank", 64, 3, seed=13, label_scale=label_scale)
+        dist = gen_support("glm_fullrank", support, 3, seed=13, label_scale=label_scale)
         samples = [dist.sample(200, np.random.default_rng(30 + r)) for r in range(5)]
         params = TreeParams(b=16, D=2, T=4, alpha=alpha, alpha_tilde=alpha,
                             beta_par=2 * alpha, C_tilde=1.0, sigma_root=0.05,
                             sigma_delta=0.02, p=0.1)
         assert self.group_equals_alone(loss, samples, params) == stops
+        assert {size for _, size in counted} == ({16, 8} if support == 8 else set())
+        # counts over the whole group, over one run alone, and over a group
+        # that stopped runs have left
+        assert support == 64 or {1, 5} < {A for A, _ in counted}
 
     def test_plain_streams_and_a_loss_that_is_not_a_glm(self):
         rngs = [np.random.default_rng(80 + r) for r in range(5)]
@@ -355,6 +390,17 @@ class TestLockstep:
         stops = self.group_equals_alone(huber_mean_loss(1.0, 1.0, dim=3), data, params,
                                         record_nodes=True)
         assert len(set(stops)) > 1 and None not in stops
+
+    def test_a_loss_that_is_not_a_glm_on_counted_batches(self):
+        # the Huber mean loss has no counted kernel: on an 8-row support,
+        # roots and depth-1 right children expand their counts back to rows
+        dist = gen_support("huber_cluster", 8, 3, seed=13)
+        samples = [dist.sample(200, np.random.default_rng(30 + r)) for r in range(5)]
+        params = TreeParams(b=16, D=2, T=4, alpha=0.02, alpha_tilde=0.02, beta_par=0.04,
+                            C_tilde=1.0, sigma_root=0.05, sigma_delta=0.02, p=0.1)
+        stops = self.group_equals_alone(huber_mean_loss(1.0, 1.0, dim=3), samples, params,
+                                        record_nodes=True)
+        assert stops == [(3, "11"), (1, "01"), (1, "10"), (2, "11"), (2, "11")]
 
     def test_rejects_mismatched_groups(self):
         loss = synthetic_nonconvex_loss(3)
@@ -482,52 +528,83 @@ class TestRightChildDelta:
                                record_nodes=True)
 
     @pytest.mark.parametrize("gather", [None, 48], ids=["one_gather", "sub_groups"])
+    @pytest.mark.parametrize("support", [64, 8], ids=["gathered", "counted"])
     @pytest.mark.parametrize("label_scale", [0.5, 0.0], ids=["labelled", "unlabelled"])
     @pytest.mark.parametrize("make", [synthetic_nonconvex_loss,
-                                      lambda d: glm_loss(tanh_link(), 1.0, 1.0, 1.0, d)],
-                             ids=["rational", "tanh"])
-    def test_matches_the_per_sample_sum(self, monkeypatch, gather, label_scale, make):
+                                      lambda d: glm_loss(tanh_link(), 1.0, 1.0, 1.0, d),
+                                      lambda d: glm_loss(square_link(), 1.0, 1.0, 1.0, d)],
+                             ids=["rational", "tanh", "square"])
+    def test_matches_the_per_sample_sum(self, monkeypatch, gather, support, label_scale,
+                                        make):
         # with 48 entries a depth-1 node gathers two runs at a time: its
-        # sub-groups of 2, 2 and 1 runs take their buffers from one array
+        # sub-groups of 2, 2 and 1 runs take their buffers from one array.
+        # On the 8-row support, roots (16 samples) and depth-1 right children
+        # (8) take their means over counted support rows instead.
         if gather is not None:
             monkeypatch.setattr(tree_spider, "GATHER_ENTRIES", gather)
         loss = make(3)
-        dist = gen_support("glm_fullrank", 64, 3, seed=13, label_scale=label_scale)
+        dist = gen_support("glm_fullrank", support, 3, seed=13, label_scale=label_scale)
         data = [dist.sample(200, np.random.default_rng(30 + r)) for r in range(5)]
         params = TreeParams(b=16, D=2, T=4, alpha=1e-3, alpha_tilde=0.02, beta_par=0.04,
                             C_tilde=20.0, sigma_root=0.1, sigma_delta=0.0, p=0.1)
-        checked = 0
-        for S, rep in zip(data, self.group(loss, data, params)):
+
+        def grad_sum(S, w, span, w_par=None):
+            return sum(loss.grad(w, S.X[i], None if S.y is None else S.y[i])
+                       - (0.0 if w_par is None else
+                          loss.grad(w_par, S.X[i], None if S.y is None else S.y[i]))
+                       for i in range(*span))
+
+        checked = roots = 0
+        for r, (S, rep) in enumerate(zip(data, self.group(loss, data, params))):
+            # a run draws d normals per noisy node, four a round, the root's first
+            root_noise = params.sigma_root * np.random.default_rng(60 + r).standard_normal(
+                (params.T, 4, 3))[:, 0]
+            for rec in rep.nodes:
+                if not rec.address.s:
+                    want = grad_sum(S, rec.w, rec.batch_range) / params.b
+                    got = rec.grad_est - root_noise[rec.address.t - 1]
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+                    roots += 1
             for rec, par in right_children(rep):
                 lo, hi = rec.batch_range
                 k = len(rec.address.s)
-                want = 2 ** k / params.b * sum(
-                    loss.grad(rec.w, S.X[i], None if S.y is None else S.y[i])
-                    - loss.grad(par.w, S.X[i], None if S.y is None else S.y[i])
-                    for i in range(lo, hi))
+                want = 2 ** k / params.b * grad_sum(S, rec.w, (lo, hi), par.w)
                 assert hi - lo == params.batch_size(k)
                 assert np.max(np.abs(rec.delta - want)) <= 1e-13 * np.max(np.abs(want))
                 checked += 1
         assert checked >= 48  # of 60: three right children a round, some runs stop early
+        assert roots >= 17  # of 20
 
-    def test_a_loss_without_a_batched_kernel_keeps_its_two_grad_means(self):
+    @pytest.mark.parametrize("support", [None, 8], ids=["plain", "counted"])
+    def test_a_loss_without_a_batched_kernel_keeps_its_two_grad_means(self, support):
         # LossSpec.grad_var's default: Delta is, row for row and bit for bit,
-        # scale * (size * (grad_mean(w_s) - grad_mean(w_par)))
+        # scale * (size * (grad_mean(w_s) - grad_mean(w_par))). On an 8-row
+        # support, LossSpec.grad_counts' default gives a depth-1 right child
+        # (8 samples) the same on its batch sorted by support row, and a
+        # depth-2 one (4 samples) keeps its rows in sample order.
         loss = huber_mean_loss(1.0, 1.0, dim=3)
-        rngs = [np.random.default_rng(80 + r) for r in range(5)]
-        data = [Dataset(0.2 * rng.standard_normal((300, 3)) + np.array([1.5, 1.0, 0.0]))
-                for rng in rngs]
-        params = TreeParams(b=16, D=2, T=4, alpha=0.35, alpha_tilde=0.35, beta_par=0.3,
+        if support is None:
+            rngs = [np.random.default_rng(80 + r) for r in range(5)]
+            data = [Dataset(0.2 * rng.standard_normal((300, 3)) + np.array([1.5, 1.0, 0.0]))
+                    for rng in rngs]
+            alpha, beta = 0.35, 0.3
+        else:
+            dist = gen_support("huber_cluster", support, 3, seed=13)
+            data = [dist.sample(200, np.random.default_rng(30 + r)) for r in range(5)]
+            alpha, beta = 0.005, 0.01
+        params = TreeParams(b=16, D=2, T=4, alpha=alpha, alpha_tilde=alpha, beta_par=beta,
                             C_tilde=1.0, sigma_root=0.0, sigma_delta=0.0, p=0.1)
-        checked = 0
+        checked = []
         for S, rep in zip(data, self.group(loss, data, params)):
             for rec, par in right_children(rep):
-                X = S.X[slice(*rec.batch_range)]
-                size, scale = len(X), 2 ** len(rec.address.s) / params.b
+                lo, hi = rec.batch_range
+                size, scale = hi - lo, 2 ** len(rec.address.s) / params.b
+                X = (S.X[lo:hi] if support is None or size < support else
+                     dist.support.X[np.sort(S._idx[lo:hi])])
                 want = scale * (size * (loss.grad_mean(rec.w, X) - loss.grad_mean(par.w, X)))
                 assert rec.delta.tobytes() == want.tobytes()
-                checked += 1
-        assert checked > 10
+                checked.append(size)
+        assert len(checked) > 10 and set(checked) == {8, 4}
 
 
 class TestTreeSensitivityRealization:
