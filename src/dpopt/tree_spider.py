@@ -262,11 +262,6 @@ class TreeRuns(list):
         return sum(rep.samples_consumed for rep in self)
 
 
-def _gathered_runs(size: int, d: int) -> int:
-    """How many runs' batches of `size` rows a node gathers at a time."""
-    return max(1, GATHER_ENTRIES // (size * d))
-
-
 def _grad_means(loss: LossSpec, blocks: Iterable[Rows] | Counts, W: np.ndarray,
                 W_par: np.ndarray | None = None,
                 work: Callable[[int, int], VarWork] | None = None) -> np.ndarray:
@@ -322,7 +317,7 @@ class _StreamBatches:
             self.end = lo - lo % self.per_round + self.per_round
             self.block = Runs(self.data[r] for r in runs).indices(
                 [self.starts[r] + lo for r in runs], self.end - lo)
-        step = _gathered_runs(size, self.d)
+        step = max(1, GATHER_ENTRIES // (size * self.d))  # runs gathered at a time
         if self.block is None:
             return (Runs(self.data[r].slice(self.starts[r] + lo, self.starts[r] + lo + size)
                          for r in runs[i:i + step]).stack(axis=0)
@@ -405,13 +400,12 @@ def _tree_path(loss: LossSpec, params: TreeParams, R: int, batch, noise, leaf,
     this order, a batch hook that samples from the runs' generators (the
     validator's) draws before the noise, as one run's per-node
     `draw_gaussian` calls would (the optimizer's noise hook is
-    `_BlockNoise`). At the root of a round
-    each run takes its batch, then its noise, for the estimate
-    grad(w_root) + N(0, sigma_root^2); a left child copies its parent; at a
-    right child of depth k each run takes its batch of b/2^k, then its
-    noise, for Delta = (2^k/b) sum (grad(w_s) - grad(w_parent)) +
-    N(0, sigma_delta^2) and the estimate nabla_parent + Delta. Roots and
-    right children sit at the pending iterates.
+    `_BlockNoise`). At the root of a round each run takes its batch, then
+    its noise, for the estimate grad(w_root) + N(0, sigma_root^2); a left
+    child copies its parent; at a right child of depth k each run takes its
+    batch of b/2^k, then its noise, for Delta = (2^k/b) sum (grad(w_s) -
+    grad(w_parent)) + N(0, sigma_delta^2) and the estimate nabla_parent +
+    Delta. Roots and right children sit at the pending iterates.
 
     The sum is b/2^k times the batch mean that `_grad_means` gives. On
     gathered rows, that is `loss.grad_var(W, W_par, X, Y, work)` on each
