@@ -1,7 +1,7 @@
 """Immutable datasets, deterministic slicing, and single-pass cursors."""
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -42,6 +42,11 @@ _NORM_BLOCK_ENTRIES = 2 ** 16
 _INDEX_BLOCK = 2 ** 16
 
 
+def _check_rows(idx: np.ndarray, n: int) -> None:
+    if idx.size and not (0 <= idx.min() and idx.max() < n):
+        raise ValueError(f"row index out of range for n={n}")
+
+
 def row_norms(X: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of X, taken in row blocks.
 
@@ -69,6 +74,9 @@ class Dataset:
     are gathered on first use, and ``max_feature_norm`` reads the source's
     row norms. ``feature_norm_bound`` is the source's own maximum, which
     reads no index vector, so a loss's dataset check reads that bound first.
+    One made by :meth:`drawn` draws its index vector as it is read: every
+    read (:meth:`indices`, and through it slices, subsets, ``X``, ``y`` and
+    ``max_feature_norm``) first draws up to the furthest sample it asks for.
 
     ``X`` and ``y`` are read-only. An array that owns its memory is frozen
     in place and not copied; a view is copied when its base can still be
@@ -77,7 +85,8 @@ class Dataset:
     again with ``setflags`` is not guarded against.
     """
 
-    __slots__ = ("_X", "_y", "_source", "_idx", "_max_feature_norm", "_row_norms")
+    __slots__ = ("_X", "_y", "_n", "_source", "_idx", "_draw", "_max_feature_norm",
+                 "_row_norms")
 
     def __init__(self, X: np.ndarray, y: np.ndarray | None = None):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -89,8 +98,10 @@ class Dataset:
                 raise ValueError(f"label count {y.shape[0]} != sample count {X.shape[0]}")
             y = _freeze(y)
         self._X, self._y = _freeze(X), y
+        self._n = X.shape[0]
         self._source: Dataset | None = None
         self._idx: np.ndarray | None = None
+        self._draw: Callable[[int], np.ndarray] | None = None
         self._max_feature_norm: float | None = None
         self._row_norms: np.ndarray | None = None
 
@@ -99,42 +110,85 @@ class Dataset:
         """Rows idx of source (with repeats), held as the index vector. An
         integer idx keeps its dtype (a compact sample stays uint8), anything
         else becomes int64. A writeable idx is copied, so the vector checked
-        here cannot change."""
-        if source._idx is not None:
-            source, idx = source._source, source._idx[idx]
+        here cannot change. Of an indexed source, only the samples up to
+        the largest of a non-negative integer idx are read."""
+        if source._source is not None:
+            at = np.asarray(idx)
+            stop = source.n
+            if not at.size:
+                stop = 0
+            elif at.dtype.kind in "iu" and at.min() >= 0:
+                stop = min(int(at.max()) + 1, stop)
+            source, idx = source._source, source.indices(0, stop)[idx]
         idx = np.asarray(idx)
         if idx.dtype.kind not in "iu":
             idx = idx.astype(np.int64)
         idx = idx.reshape(-1)
         if idx.flags.writeable:
             idx = idx.copy()
-        if idx.size and not (0 <= idx.min() and idx.max() < source.n):
-            raise ValueError(f"row index out of range for n={source.n}")
+        _check_rows(idx, source.n)
         idx.setflags(write=False)
         return cls._view(source, idx)
+
+    @classmethod
+    def drawn(cls, source: "Dataset", n: int, draw: Callable[[int], np.ndarray]) -> "Dataset":
+        """n rows of a plain source, held as an index vector drawn as it is
+        read: `draw(k)` gives the vector's next k entries, each piece
+        checked against the source, and the empty piece `draw(0)` sets the
+        vector's dtype. The dataset owns `draw` and whatever generator it
+        draws from, and lets go of it once all n are drawn. Only the drawn
+        prefix is held, so a reader that skips :meth:`indices` gets a short
+        vector, not unset memory."""
+        idx = draw(0)
+        idx.setflags(write=False)
+        ds = cls._view(source, idx)
+        ds._n, ds._draw = n, (draw if n else None)
+        return ds
 
     @classmethod
     def _view(cls, source: "Dataset", idx: np.ndarray) -> "Dataset":
         # rows idx of a plain source, for an index vector already checked
         # against source.n and frozen (a slice of one stays both)
         ds = cls.__new__(cls)
-        ds._X = ds._y = None
-        ds._source, ds._idx = source, idx
+        ds._X = ds._y = ds._draw = None
+        ds._n, ds._source, ds._idx = idx.shape[0], source, idx
         ds._max_feature_norm = ds._row_norms = None
         return ds
+
+    def indices(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The source rows of samples start to stop (all by default) of an
+        indexed dataset: a read-only view of its index vector. A dataset
+        made by `drawn` first draws the entries up to stop that it has not
+        drawn yet."""
+        stop = self.n if stop is None else stop
+        if self._source is None:
+            raise ValueError("a plain dataset holds no index vector")
+        if not 0 <= start <= stop <= self.n:
+            raise ValueError(f"bad index range [{start}:{stop}] for n={self.n}")
+        held = self._idx.shape[0]
+        if stop > held:
+            new = self._draw(stop - held)
+            if new.shape != (stop - held,):
+                raise ValueError(f"drew {new.shape} indices, asked for {stop - held}")
+            _check_rows(new, self._source.n)
+            self._idx = new if not held else np.concatenate((self._idx, new))
+            self._idx.setflags(write=False)
+            if stop == self.n:
+                self._draw = None
+        return self._idx[start:stop]
 
     @property
     def X(self) -> np.ndarray:
         # take gives a fresh contiguous copy, frozen in place
         if self._X is None:
-            self._X = self._source.X.take(self._idx, axis=0)
+            self._X = self._source.X.take(self.indices(), axis=0)
             self._X.setflags(write=False)
         return self._X
 
     @property
     def y(self) -> np.ndarray | None:
-        if self._y is None and self._idx is not None and self._source.y is not None:
-            self._y = self._source.y.take(self._idx)
+        if self._y is None and self._source is not None and self._source.y is not None:
+            self._y = self._source.y.take(self.indices())
             self._y.setflags(write=False)
         return self._y
 
@@ -145,11 +199,11 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return self._X.shape[0] if self._idx is None else self._idx.shape[0]
+        return self._n
 
     @property
     def dim(self) -> int:
-        return self._X.shape[1] if self._idx is None else self._source.dim
+        return self._X.shape[1] if self._source is None else self._source.dim
 
     def __len__(self) -> int:
         return self.n
@@ -157,13 +211,13 @@ class Dataset:
     def slice(self, start: int, stop: int) -> "Dataset":
         if not (0 <= start <= stop <= self.n):
             raise ValueError(f"bad slice [{start}:{stop}] for n={self.n}")
-        if self._idx is not None:
-            return Dataset._view(self._source, self._idx[start:stop])
+        if self._source is not None:
+            return Dataset._view(self._source, self.indices(start, stop))
         y = self.y[start:stop] if self.y is not None else None
         return Dataset(self.X[start:stop], y)
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        if self._idx is not None:
+        if self._source is not None:
             return Dataset.indexed(self, idx)
         y = self.y[idx] if self.y is not None else None
         return Dataset(self.X[idx], y)
@@ -192,12 +246,13 @@ class Dataset:
         source rows it holds, marked in blocks of its index vector, so no
         n-length temporary is made."""
         if self._max_feature_norm is None:
-            if self._idx is None:
+            if self._source is None:
                 norms = self._norms()
             else:
+                idx = self.indices()
                 held = np.zeros(self._source.n, dtype=bool)
                 for i in range(0, self.n, _INDEX_BLOCK):
-                    held[self._idx[i:i + _INDEX_BLOCK]] = True
+                    held[idx[i:i + _INDEX_BLOCK]] = True
                 norms = self._source._norms()[held]
             self._max_feature_norm = float(np.max(norms)) if self.n else 0.0
         return self._max_feature_norm
@@ -296,7 +351,7 @@ class Runs(tuple):
         src = self[0]._source
         if src is None or any(S._source is not src for S in self):
             return None
-        return src, np.stack([S._idx[p:p + length] for S, p in zip(self, starts)])
+        return src, np.stack([S.indices(p, p + length) for S, p in zip(self, starts)])
 
     def stack(self, axis: int) -> tuple[np.ndarray, np.ndarray | None]:
         """Every run's features and labels, stacked on `axis` (0 or 1). A

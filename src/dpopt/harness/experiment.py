@@ -131,9 +131,11 @@ def _population(p: GridPoint, run) -> list:
     """A population algorithm's outputs: each seed draws its own sample, and
     one that fails the loss's dataset check (a support row above the norm
     bound) fails alone. `run(samples, rngs)` runs the others in lockstep and
-    gives (w_out, oracle calls, noise ledger, report extras) per run."""
+    gives (w_out, oracle calls, noise ledger, report extras) per run. Each
+    sample owns its fresh generator and draws its indices as they are read,
+    so a run that stops early skips the rest."""
     dist = _gen_population(p.config, p.d)
-    samples = [dist.sample(p.n, p.rng(s, "sample")) for s, _ in p.seeds]
+    samples = [dist.sample_on_read(p.n, p.rng(s, "sample")) for s, _ in p.seeds]
     outs, live = [None] * len(p.seeds), []
     for i, S in enumerate(samples):
         try:

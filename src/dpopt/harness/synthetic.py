@@ -1,6 +1,8 @@
 """Synthetic dataset generators and finite-support populations."""
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..core.data import Dataset, row_norms
@@ -56,7 +58,9 @@ def uniform_indices(m: int, k: int, rng: np.random.Generator) -> np.ndarray:
     state, in the smallest unsigned dtype that holds m - 1 (uint8 for
     m <= 256). Integer draws in blocks give the one-shot draw's values at any
     block size: the bit generator, not the call, keeps the unused half of a
-    64-bit word."""
+    64-bit word. So k draws made in any number of calls give the values and
+    state of one call, which lets a sample draw its indices as they are read
+    (see `FiniteSupportDistribution.sample_on_read`)."""
     out = np.empty(k, dtype=np.min_scalar_type(max(m - 1, 0)))
     for i in range(0, k, INDEX_DRAW_BLOCK):
         out[i:i + INDEX_DRAW_BLOCK] = rng.integers(0, m, min(INDEX_DRAW_BLOCK, k - i))
@@ -65,17 +69,31 @@ def uniform_indices(m: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 class FiniteSupportDistribution:
     """A uniform distribution on finitely many points; exact population
-    gradients by enumeration."""
+    gradients by enumeration.
+
+    A sample holds indices into the support (see `Dataset.indexed`), and
+    rows are gathered only when a consumer asks. `sample_on_read` draws the
+    indices as they are read, so a run that stops early never draws the
+    rest; `sample` draws them all at once and leaves `rng` free for other
+    draws. Both give the same indices from the same generator."""
 
     def __init__(self, support: Dataset):
         self.support = support
 
     def sample(self, k: int, rng: np.random.Generator) -> Dataset:
-        """k i.i.d. uniform draws, held as indices into the support (see
-        `Dataset.indexed`): rows are gathered only when a consumer asks."""
-        idx = uniform_indices(self.support.n, k, rng)
-        idx.setflags(write=False)  # no one else holds it: spare indexed's copy
-        return Dataset.indexed(self.support, idx)
+        """k i.i.d. uniform draws, all drawn now: `rng` stands where
+        `uniform_indices(m, k, rng)` leaves it, and the sample holds no
+        reference to it."""
+        S = self.sample_on_read(k, rng)
+        S.indices()  # read in full: the sample lets go of rng
+        return S
+
+    def sample_on_read(self, k: int, rng: np.random.Generator) -> Dataset:
+        """k i.i.d. uniform draws, drawn from `rng` as the sample's index
+        vector is read (see `Dataset.drawn`). The sample owns `rng`: a draw
+        from it elsewhere would change the indices that are still to come."""
+        return Dataset.drawn(self.support, k,
+                             functools.partial(uniform_indices, self.support.n, rng=rng))
 
     def population_grad(self, loss: LossSpec, w: np.ndarray) -> np.ndarray:
         return loss.grad_mean(w, self.support.X, self.support.y)

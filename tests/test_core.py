@@ -16,6 +16,12 @@ from dpopt.core.loss import VarWork
 from dpopt.harness import gen_synthetic, synthetic
 
 
+def state(rng):
+    """A generator's bit generator state, comparable with == (Philox's
+    holds arrays)."""
+    return repr(rng.bit_generator.state)
+
+
 def e(i, d):
     v = np.zeros(d)
     v[i] = 1.0
@@ -702,7 +708,7 @@ class TestDataset:
             want = support.subset(rows)
             assert np.array_equal(got.X, want.X) and np.array_equal(got.y, want.y)
             assert not got.X.flags.writeable and not got.y.flags.writeable
-            assert np.shares_memory(got._idx, ds._idx)  # a view, not a copy
+            assert np.shares_memory(got.indices(), ds.indices())  # a view, not a copy
         for bad in ([7], [0, -1]):
             with pytest.raises(ValueError, match="out of range"):
                 Dataset.indexed(support, np.array(bad))
@@ -711,7 +717,7 @@ class TestDataset:
         with pytest.raises(IndexError):
             ds.slice(4, 44).subset(np.array([3, 40]))
         idx[12] = 7  # a write to the caller's array misses the checked copy
-        assert ds._idx[12] != 7
+        assert ds.indices()[12] != 7
 
     @pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.PCG64])
     @pytest.mark.parametrize("m, dtype", [(7, np.uint8), (255, np.uint8), (256, np.uint8),
@@ -729,11 +735,11 @@ class TestDataset:
         rng = np.random.default_rng(16)
         support = Dataset(rng.standard_normal((256, 3)) / 4.0, rng.standard_normal(256))
         ds = synthetic.FiniteSupportDistribution(support).sample(300, rng)
-        ref = support.subset(ds._idx.astype(np.int64))
+        ref = support.subset(ds.indices().astype(np.int64))
         views = [ds, ds.slice(10, 200), ds.slice(10, 200).subset(np.array([5, 0, 5])),
                  DatasetCursor(ds, 7).take(40), Dataset.indexed(ds, np.arange(20, 60))]
         for got in views:
-            assert got._idx.dtype == np.uint8 and not got._idx.flags.writeable
+            assert got.indices().dtype == np.uint8 and not got.indices().flags.writeable
         for got, want in zip(views[1:3], [ref.slice(10, 200),
                                           ref.slice(10, 200).subset(np.array([5, 0, 5]))]):
             assert np.array_equal(got.X, want.X) and np.array_equal(got.y, want.y)
@@ -745,7 +751,7 @@ class TestDataset:
         rng = np.random.default_rng(17)
         support = Dataset(rng.standard_normal((256, 16)))
         ds = synthetic.FiniteSupportDistribution(support).sample(2 ** 20, rng)
-        want = float(np.max(np.linalg.norm(support.X, axis=1)[np.unique(ds._idx)]))
+        want = float(np.max(np.linalg.norm(support.X, axis=1)[np.unique(ds.indices())]))
         tracemalloc.start()
         try:
             got = ds.max_feature_norm()
@@ -794,6 +800,94 @@ class TestDataset:
             # the held row's norm 2.0, not the support's 3.0
             with pytest.raises(ValueError, match=r"^feature norm 2\.0 exceeds declared bound 1\.0$"):
                 loss.validate_dataset(bad)
+
+    # each reader of a sample, and how far into its index vector it reads
+    READERS = [
+        (lambda S, other: S.slice(1500, 2300), 2300),
+        (lambda S, other: S.slice(200, 900).slice(30, 600), 900),
+        (lambda S, other: DatasetCursor(S, 700).take(1650), 2350),
+        (lambda S, other: S.indices(10, 1234), 1234),
+        (lambda S, other: Runs([S, other]).indices([5, 2001], 777)[1], 782),
+        (lambda S, other: S.subset(np.array([3, 2499, 17])), 2500),
+        (lambda S, other: S.slice(0, 3000).subset(np.array([1998, 4])), 3000),
+        (lambda S, other: Dataset.indexed(S, np.arange(1001, 1999)), 1999),
+        (lambda S, other: S.subset(np.array([5, -1])), 4500),
+        (lambda S, other: S.X, 4500),
+        (lambda S, other: S.y, 4500),
+        (lambda S, other: S.max_feature_norm(), 4500),
+        (lambda S, other: Runs([other, S]).stack(axis=1)[0], 4500),
+        (lambda S, other: S.slice(0, 0), 0),
+    ]
+
+    @staticmethod
+    def same_read(got, want):
+        if isinstance(got, Dataset):
+            assert got.n == want.n and got.indices().dtype == want.indices().dtype
+            assert np.array_equal(got.indices(), want.indices())
+            assert np.array_equal(got.X, want.X) and np.array_equal(got.y, want.y)
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.PCG64])
+    @pytest.mark.parametrize("m, dtype", [(256, np.uint8), (1000, np.uint16),
+                                          (65537, np.uint32)])
+    @pytest.mark.parametrize("reader", range(len(READERS)))
+    def test_sample_drawn_on_read_equals_eager_sample(self, monkeypatch, bitgen, m, dtype,
+                                                      reader):
+        # blocks of 1000 draws: every read but the last stops inside a block
+        monkeypatch.setattr(synthetic, "INDEX_DRAW_BLOCK", 1000)
+        rng = np.random.default_rng(19)  # rows of norm below 1 / sqrt(2)
+        support = Dataset(rng.uniform(-0.5, 0.5, (m, 2)), rng.standard_normal(m))
+        dist, k = synthetic.FiniteSupportDistribution(support), 4500
+        read, stop = self.READERS[reader]
+        eager_rng, ref = np.random.Generator(bitgen(22)), np.random.Generator(bitgen(22))
+        eager = dist.sample(k, eager_rng)
+        assert np.array_equal(eager.indices(), ref.integers(0, m, k))
+        assert eager.indices().dtype == dtype
+        assert state(eager_rng) == state(ref)
+        other = dist.sample(k, np.random.Generator(bitgen(23)))
+
+        drawn_rng, ref = np.random.Generator(bitgen(22)), np.random.Generator(bitgen(22))
+        S = dist.sample_on_read(k, drawn_rng)
+        assert S.n == k and S.dim == 2 and S.labelled
+        loss = glm_loss(tanh_link(), 1.0, 1.0, 1.0, 2)
+        loss.validate_dataset(S)  # within the support's bound: draws nothing
+        assert state(drawn_rng) == state(ref)
+        got = read(S, other)
+        # the generator stands where an eager draw of the prefix leaves it,
+        # and only that prefix is held: no unset memory behind a view
+        ref.integers(0, m, stop)
+        assert state(drawn_rng) == state(ref)
+        assert S._idx.shape == (stop,) and S._idx.base is None
+        self.same_read(got, read(eager, other))
+        assert np.array_equal(S.indices(), eager.indices())  # drawn on to the end
+        assert state(drawn_rng) == state(eager_rng)
+        self.same_read(got, read(eager, other))  # what was read before stays valid
+        self.same_read(read(S, other), read(eager, other))
+
+    def test_indices_of_a_sample_and_of_a_plain_dataset(self):
+        support = Dataset(np.eye(3))
+        S = synthetic.FiniteSupportDistribution(support).sample_on_read(
+            10, np.random.default_rng(3))
+        for start, stop in ((-1, 4), (5, 4), (0, 11)):
+            with pytest.raises(ValueError, match="bad index range"):
+                S.indices(start, stop)
+        assert not S.indices(2, 6).flags.writeable and S.indices(2, 6).shape == (4,)
+        with pytest.raises(ValueError, match="no index vector"):
+            support.indices()
+        empty = synthetic.FiniteSupportDistribution(support).sample_on_read(
+            0, np.random.default_rng(3))
+        assert empty.n == 0 and empty.indices().dtype == np.uint8
+        assert empty.X.shape == (0, 3)
+
+    def test_a_bad_drawn_piece_fails(self):
+        support = Dataset(np.eye(3))
+        S = Dataset.drawn(support, 10, lambda k: np.full(k, 3, dtype=np.uint8))
+        with pytest.raises(ValueError, match="out of range"):
+            S.slice(0, 4)
+        S = Dataset.drawn(support, 10, lambda k: np.zeros(k // 2, dtype=np.uint8))
+        with pytest.raises(ValueError, match=r"drew \(5,\) indices, asked for 10"):
+            S.X
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):

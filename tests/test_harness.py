@@ -942,7 +942,7 @@ class TestRunExperiment:
                   (1024, self.tree_config(tmp_path, support_size=4096)))
         support = experiment._gen_population(cfg, 3).support
         drawn = [np.isin(np.arange(support.n), FiniteSupportDistribution(support)
-                         .sample(n, stream(cfg.master_seed, "sample", 0, i))._idx)
+                         .sample(n, stream(cfg.master_seed, "sample", 0, i)).indices())
                  for i in range(3)]
         j = int(np.flatnonzero(drawn[1] & ~drawn[0] & ~drawn[2])[0])
         X = support.X.copy()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dpopt.core import Dataset, DatasetCursor, LossSpec, synthetic_nonconvex_loss
+from dpopt.core.data import Runs
 from dpopt.core.loss import GLMLoss, glm_loss, huber_mean_loss, square_link, tanh_link
 from dpopt.harness import FiniteSupportDistribution, gen_support
 from dpopt.privacy import NoiseLedger, PrivacyBudget, draw_gaussian
@@ -427,6 +428,54 @@ class TestLockstep:
                             [np.random.default_rng(1), np.random.default_rng(2)])
 
 
+class TestSamplesDrawnOnRead:
+    """Runs on samples that draw their indices as they are read give the
+    reports of runs on samples drawn in full, alone and in a group, and
+    draw no index past the furthest position their group read."""
+
+    @pytest.mark.parametrize("support, alpha, stops", [
+        (64, 0.06, [(3, "01"), (3, "11"), (3, "00"), (1, "01"), None]),
+        (8, 0.05, [None, (3, "10"), (4, "01"), None, (4, "10")]),
+    ], ids=["gathered", "counted"])
+    def test_reports_and_draws_match_eager_samples(self, monkeypatch, support, alpha, stops):
+        read = {}  # id of a sample -> the furthest position read from it
+
+        def indices(self, starts, length, _orig=Runs.indices):
+            for S, p in zip(self, starts):
+                read[id(S)] = max(read.get(id(S), 0), p + length)
+            return _orig(self, starts, length)
+        monkeypatch.setattr(Runs, "indices", indices)
+        loss = synthetic_nonconvex_loss(3)
+        dist = gen_support("glm_fullrank", support, 3, seed=13, label_scale=0.5)
+        params = TreeParams(b=16, D=2, T=4, alpha=alpha, alpha_tilde=alpha,
+                            beta_par=2 * alpha, C_tilde=1.0, sigma_root=0.05,
+                            sigma_delta=0.02, p=0.1)
+        per_round = params.samples_per_round()
+
+        def run(ids, sample):
+            rngs = [np.random.default_rng(30 + r) for r in ids]
+            data = [sample(200, rng) for rng in rngs]
+            return data, rngs, run_tree_spider(loss, list(map(DatasetCursor, data)), params,
+                                               [np.random.default_rng(50 + r) for r in ids])
+
+        ids = range(5)
+        *_, want = run(ids, dist.sample)
+        group = run(ids, dist.sample_on_read)
+        assert [None if rep.stop_address is None else (rep.stop_address.t, rep.stop_address.s)
+                for rep in group[2]] == stops
+        for r, stop in zip(ids, stops):
+            alone = run([r], dist.sample_on_read)
+            for data, rngs, reps, i in (group + (r,), alone + (0,)):
+                assert_same_tree_run(reps[i], want[r])
+                assert reps[i].w_out.tobytes() == want[r].w_out.tobytes()
+                # drawn to the end of the round the run stopped in, and no further
+                end = (params.T if stop is None else stop[0]) * per_round
+                assert read[id(data[i])] == end
+                ref = np.random.default_rng(30 + r)
+                ref.integers(0, support, end)
+                assert rngs[i].bit_generator.state == ref.bit_generator.state
+
+
 class TestCursors:
     """`run_tree_spider` reads each run's batches in place and moves every
     cursor once, at the end, past the samples its run consumed."""
@@ -600,7 +649,7 @@ class TestRightChildDelta:
                 lo, hi = rec.batch_range
                 size, scale = hi - lo, 2 ** len(rec.address.s) / params.b
                 X = (S.X[lo:hi] if support is None or size < support else
-                     dist.support.X[np.sort(S._idx[lo:hi])])
+                     dist.support.X[np.sort(S.indices(lo, hi))])
                 want = scale * (size * (loss.grad_mean(rec.w, X) - loss.grad_mean(par.w, X)))
                 assert rec.delta.tobytes() == want.tobytes()
                 checked.append(size)
