@@ -168,8 +168,6 @@ class Dataset:
         held = self._idx.shape[0]
         if stop > held:
             new = self._draw(stop - held)
-            if new.shape != (stop - held,):
-                raise ValueError(f"drew {new.shape} indices, asked for {stop - held}")
             _check_rows(new, self._source.n)
             self._idx = new if not held else np.concatenate((self._idx, new))
             self._idx.setflags(write=False)
