@@ -137,14 +137,10 @@ def erm_grad(loss: LossSpec, w: np.ndarray, S: Dataset) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (S.dim,):
         raise ValueError(f"w has shape {w.shape}, expected ({S.dim},)")
-    _check_erm_data(loss, S)
-    return loss.grad_mean(w, S.X, S.y)
-
-
-def _check_erm_data(loss: LossSpec, S: Dataset) -> None:
     if S.n == 0:
         raise ValueError("the empirical risk of a dataset with no rows is undefined")
     loss.validate_dataset(S)
+    return loss.grad_mean(w, S.X, S.y)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +387,6 @@ class VarWork:
                      self.diff[:, 0, :], self.prod[:, 0, :])
 
 
-# GLMLoss.erm_grads evaluates at most this many points per pass over X
-ERM_POINT_BLOCK = 256
-
-
 class GLMLoss(LossSpec):
     """GLM loss with gradient phi'_y(<w, x>) x.
 
@@ -440,38 +432,6 @@ class GLMLoss(LossSpec):
         # one batched X @ w and one slope^T @ X over the runs
         s = self.link.slope_into((X @ W[:, :, None])[:, :, 0], Y)
         return (s[:, None, :] @ X)[:, 0, :] / X.shape[1]
-
-    def erm_grads(self, W: np.ndarray, S: Dataset) -> np.ndarray:
-        """Exact empirical-risk gradients at the rows of W, shape (P, d).
-
-        The points go in blocks of at most ERM_POINT_BLOCK. For a block of p
-        points, X is read once, in row chunks of 2**15 // p rows: each chunk
-        gives X_c @ W_block^T and its slopes in the first 2**15-entry
-        (256 KB) half of one workspace, the slope's denominator going to the
-        second half, so no chunk allocates; X_c^T @ slopes is added, in
-        chunk order, to a (d, p) sum that starts at zero. The sum is divided
-        by n at the end.
-        """
-        W = np.asarray(W, dtype=np.float64)
-        if W.ndim != 2 or W.shape[1] != S.dim:
-            raise ValueError(f"W has shape {W.shape}, expected (P, {S.dim})")
-        _check_erm_data(self, S)
-        X, Y, n = S.X, None if S.y is None else S.y[:, None], S.n
-        work = np.empty((2, min(2 ** 15, n * min(ERM_POINT_BLOCK, len(W)))))
-        out = np.empty_like(W)
-        for i in range(0, len(W), ERM_POINT_BLOCK):
-            Wt = W[i:i + ERM_POINT_BLOCK].T
-            p = Wt.shape[1]
-            rows = 2 ** 15 // p  # at least 128, as p <= ERM_POINT_BLOCK
-            total, part = np.zeros((S.dim, p)), np.empty((S.dim, p))
-            for c in range(0, n, rows):
-                Xc = X[c:c + rows]
-                z, den = work[:, :len(Xc) * p].reshape(2, len(Xc), p)
-                np.matmul(Xc, Wt, out=z)
-                total += np.matmul(Xc.T, self.link.slope_into(
-                    z, None if Y is None else Y[c:c + rows], den), out=part)
-            out[i:i + ERM_POINT_BLOCK] = (total / n).T
-        return out
 
     def grad_var(self, W, W_prev, X, Y=None, work=None):
         # one batched X @ [w, w_prev], one slope call, one X^T @ slope

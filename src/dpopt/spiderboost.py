@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core.data import Dataset, Runs, lockstep
-from .core.loss import GLMLoss, LossSpec, VarWork, erm_grad
+from .core.loss import LossSpec, VarWork, erm_grad
 from .privacy import (NoiseLedger, PrivacyBudget, accountant_sigma,
                       draw_gaussian, record_draws)
 from .util import PreconditionError, floori, read_overrides
@@ -75,6 +75,8 @@ class GvRecords:
 
 @dataclass
 class OptimizerReport:
+    """One run's output. grad_norm_trace[i] is the exact ERM gradient norm
+    at w_t for t = trace_steps[i], a phase start (see run_spiderboost)."""
     w_out: np.ndarray
     grad_norm_trace: list[float]
     trace_steps: list[int]
@@ -163,7 +165,8 @@ def _batch(S: Dataset, b: int, rng: np.random.Generator, replace: bool):
 def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
                  data: Sequence[Dataset], rngs: Sequence[np.random.Generator],
                  ledgers: Sequence[NoiseLedger] | None, replace: bool,
-                 advance: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
+                 advance: Callable[[int, np.ndarray, np.ndarray, np.ndarray | None],
+                                   np.ndarray]
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The SpiderBoost estimator for R = len(rngs) runs in lockstep, from
     W_0 = 0, for `steps` steps.
@@ -186,8 +189,10 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
     block's draws and the steps' arrays live in buffers allocated once per
     call, which every block and step overwrites in the allocating order of
     operations; the estimate is extended as (nabla + grad_var) + noise.
-    `advance(t, W_t, nabla_t)` returns W_{t+1}. Returns the (R, G) sigma_t
-    and step norms of the G variation steps.
+    `advance(t, W_t, nabla_t, G_t)` returns W_{t+1}, where G_t is the (R, d)
+    batch-mean gradient of a phase start before its noise (with b1 = n, the
+    exact ERM gradient at W_t) and None inside a phase. Returns the (R, G)
+    sigma_t and step norms of the G variation steps.
     """
     R, n, d = len(rngs), data[0].n, data[0].dim
     labelled = data[0].y is not None
@@ -217,7 +222,7 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
     g = 0
     W = np.zeros((R, d))
     for t0 in range(0, steps, q):
-        nabla = np.empty((R, d))
+        nabla, grads = np.empty((R, d)), np.empty((R, d))
         fresh: dict = {}
         for r, (S, rng) in enumerate(zip(data, rngs)):
             Xb, Yb = _batch(S, params.b1, rng, replace)
@@ -226,8 +231,9 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
             key = W[r].tobytes() if shared and params.b1 == n else r
             if key not in fresh:
                 fresh[key] = loss.grad_mean(W[r], Xb, Yb)
-            nabla[r] = fresh[key] + noise
-        W_prev, W = W, advance(t0, W, nabla)
+            grads[r] = fresh[key]
+            nabla[r] = grads[r] + noise
+        W_prev, W = W, advance(t0, W, nabla, grads)
         phase_end = min(t0 + q, steps)
         for t1 in range(t0 + 1, phase_end, block):
             m = min(block, phase_end - t1)
@@ -255,7 +261,7 @@ def _spider_path(loss: LossSpec, params: SpiderParams, steps: int,
                 nabla = nabla + loss.grad_var(W, W_prev, Xb, Yb, work)
                 nabla += np.multiply(z_steps[j], sigma[:, None], out=scaled)
                 g += 1
-                W_prev, W = W, advance(t1 + j, W, nabla)
+                W_prev, W = W, advance(t1 + j, W, nabla, None)
             record_draws(ledgers, sigmas[g0:g], d, SITE_GV)
     return sigmas.T, norms.T
 
@@ -279,8 +285,14 @@ def run_spiderboost(loss: LossSpec, S: Dataset | Sequence[Dataset],
     Given a sequence of generators (and one dataset per generator, or one
     shared dataset), the runs go in lockstep and a list of reports comes
     back; each equals what that run gives alone. The exact ERM gradient norm
-    is traced at up to `trace_points` iterates, evaluated after the run.
+    ||grad F(w_t)|| is traced at phase starts t = 0, p q, 2 p q, ... < T,
+    with the phase stride p = ceil(ceil(T/q) / trace_points), so at most
+    `trace_points` entries. With b1 = n it is the norm of the phase's fresh
+    gradient before its noise, which is erm_grad's, bit for bit; with
+    b1 < n, erm_grad is evaluated at that step.
     """
+    if trace_points < 1:
+        raise ValueError(f"trace_points must be >= 1, got {trace_points}")
     data, rngs, _, single = lockstep(S, rng)
     params.validate(data[0].n)
     for D in dict.fromkeys(data):
@@ -291,13 +303,17 @@ def run_spiderboost(loss: LossSpec, S: Dataset | Sequence[Dataset],
     for r, s in enumerate(selected):
         picks.setdefault(s - 1, []).append(r)
     w_out = np.empty((R, d))
-    stride = max(1, -(-T // trace_points))
-    traced: list[np.ndarray] = []
+    phases = -(-T // params.q)
+    stride = -(-phases // trace_points) * params.q  # every p-th phase start
+    exact = params.b1 == data[0].n
+    traces: list[list[float]] = [[] for _ in rngs]
     iterates: list[np.ndarray] | None = [] if record_iterates else None
 
-    def advance(t, W, nabla):
-        if t % stride == 0:
-            traced.append(W)
+    def advance(t, W, nabla, grads):
+        if grads is not None and t % stride == 0:
+            for r, trace in enumerate(traces):
+                g = grads[r] if exact else erm_grad(loss, W[r], data[r])
+                trace.append(float(np.linalg.norm(g)))
         W_next = W - params.eta * nabla
         for r in picks.get(t, ()):
             w_out[r] = W_next[r]
@@ -310,25 +326,14 @@ def run_spiderboost(loss: LossSpec, S: Dataset | Sequence[Dataset],
                                  replace_within_batch, advance)
     trace_steps = list(range(0, T, stride))
     gv_t = np.array([t for t in range(T) if t % params.q], dtype=np.int64)
-    traced_W = np.stack(traced, axis=1)  # (R, P, d)
     reports = [OptimizerReport(
-        w_out=w_out[r].copy(),
-        grad_norm_trace=np.linalg.norm(_erm_grads(loss, traced_W[r], data[r]),
-                                       axis=1).tolist(),
+        w_out=w_out[r].copy(), grad_norm_trace=traces[r],
         trace_steps=list(trace_steps), oracle_calls=spider_oracle_count(params),
         noise_ledger=ledgers[r], selected_index=selected[r],
         gv_records=GvRecords(gv_t, sigmas[r], norms[r]),
         iterates=None if iterates is None else [w[r] for w in iterates])
         for r in range(R)]
     return reports[0] if single else reports
-
-
-def _erm_grads(loss: LossSpec, W: np.ndarray, S: Dataset) -> np.ndarray:
-    """Exact ERM gradients at the rows of W (P, d): in blocks for a GLM, and
-    through erm_grad point by point otherwise."""
-    if isinstance(loss, GLMLoss):
-        return loss.erm_grads(W, S)
-    return np.array([erm_grad(loss, w, S) for w in W]).reshape(W.shape)
 
 
 @dataclass
@@ -365,20 +370,20 @@ def validate_spider_error_bound(loss: LossSpec, S: Dataset, params: SpiderParams
 
     path = [np.zeros((1, d))]
 
-    def follow(t, W, nabla):
+    def follow(t, W, nabla, _):
         path.append(W - params.eta * nabla)
         return path[-1]
 
     _spider_path(loss, params, t_max, [S], [rng], None, True, follow)
     ws = np.concatenate(path)
-    true_grads = _erm_grads(loss, ws, S)
+    true_grads = [erm_grad(loss, w, S) for w in ws]
     dists = [0.0] + [float(np.linalg.norm(ws[k] - ws[k - 1])) for k in range(1, t_max + 1)]
 
     sq_err = np.zeros((trials, t_max))
     est_sum = np.zeros((t_max, d))
     est_sq_sum = np.zeros((t_max, d))
 
-    def pinned(t, W, nabla):
+    def pinned(t, W, nabla, _):
         err = nabla - true_grads[t]
         sq_err[:, t] = np.einsum("rd,rd->r", err, err)
         est_sum[t] = nabla.sum(axis=0)

@@ -493,76 +493,11 @@ class TestErmGrad:
         S = Dataset(np.ones((5, 2)))
         assert np.all(erm_grad(ZeroLoss(2), np.ones(2), S) == 0.0)
 
-    @pytest.mark.parametrize("n,P,d", [(4096, 19, 6), (100, 3, 6), (2 ** 16, 2, 6),
-                                       (8192, 200, 95)],
-                             ids=["4096-19", "100-3", "65536-2", "8192-200-95"])
-    def test_glm_blocks_match_erm_grad(self, n, P, d):
-        # row chunks of 1724 (two full, one partial), 10922 (n below one
-        # chunk), 16384 (four full) and 163 (a trace at the JL base's width)
-        loss = synthetic_nonconvex_loss(d)
-        S = gen_synthetic("glm_fullrank", n, d, seed=n, label_scale=0.5)
-        W = np.random.default_rng(P).standard_normal((P, d))
-        got = loss.erm_grads(W, S)
-        for w, g in zip(W, got):
-            want = erm_grad(loss, w, S)
-            assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("link", ["rational", "tanh"])
-    @pytest.mark.parametrize("labelled", [True, False])
-    @pytest.mark.parametrize("n,P", [(4096, 19), (100, 3), (2 ** 15 + 3, 2), (1000, 300)])
-    def test_glm_blocks_same_bits_as_blockwise_formula(self, link, labelled, n, P):
-        # point blocks of at most 256, each summing X_c^T @ slope(X_c @ W^T)
-        # from zero over row chunks of 2**15 // p: chunks of 1724 (the last
-        # partial), 10922 (n below one chunk), 16384 (a 3-row last chunk),
-        # and P = 300 as blocks of 256 and 44 with chunks of 128 and 744
-        make, formula = FORMULAS[link]
-        loss = glm_loss(make(), 1.0, 1.0, 1.0, 16)
-        S = gen_synthetic("glm_fullrank", n, 16, seed=n,
-                          **({"label_scale": 0.5} if labelled else {}))
-        assert (S.y is not None) == labelled
-        W = np.random.default_rng(P).standard_normal((P, 16))
-        want = np.empty_like(W)
-        for i in range(0, P, 256):
-            Wb = W[i:i + 256]
-            rows = 2 ** 15 // len(Wb)
-            total = np.zeros((16, len(Wb)))
-            for c in range(0, n, rows):
-                Xc = S.X[c:c + rows]
-                r = Xc @ Wb.T
-                total += Xc.T @ formula(r if S.y is None else r - S.y[c:c + rows, None])
-            want[i:i + 256] = (total / n).T
-        assert loss.erm_grads(W, S).tobytes() == want.tobytes()
-
-    def test_glm_blocks_python_peak_memory(self):
-        # a 512 KB workspace (product and slope denominator) and (d, P)
-        # sums; an n x P product would be 52 MB
-        import tracemalloc
-        loss = glm_loss(rational_link(), 1.0, 1.0, 1.0, 16)
-        S = gen_synthetic("glm_fullrank", 2 ** 15 + 3, 16, seed=3, label_scale=0.5)
-        W = np.random.default_rng(0).standard_normal((200, 16))
-        tracemalloc.start()
-        try:
-            loss.erm_grads(W, S)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
-
     def test_empty_dataset_rejected(self):
         loss = synthetic_nonconvex_loss(3)
         S = Dataset(np.zeros((0, 3)), np.zeros(0))
         with pytest.raises(ValueError, match="no rows"):
             erm_grad(loss, np.zeros(3), S)
-        with pytest.raises(ValueError, match="no rows"):
-            loss.erm_grads(np.zeros((2, 3)), S)
-
-    def test_glm_blocks_check_shapes_and_domain(self):
-        loss = synthetic_nonconvex_loss(3)
-        S = gen_synthetic("glm_fullrank", 10, 3, seed=0)
-        with pytest.raises(ValueError, match="shape"):
-            loss.erm_grads(np.zeros(3), S)
-        with pytest.raises(ValueError, match="exceeds"):
-            loss.erm_grads(np.zeros((2, 3)), Dataset(np.full((4, 3), 5.0)))
 
 
 class TestDataset:

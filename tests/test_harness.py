@@ -1099,7 +1099,7 @@ class TestRunExperiment:
             (row,) = read_csv_rows(csv)
             report = json.loads((csv.parent / "reports" / "run_g0_s0.json").read_text())
             assert np.isfinite(float(row["grad_norm"]))
-            assert len(report[key]) == 40 and not np.isfinite(report[key]).all()
+            assert len(report[key]) == 20 and not np.isfinite(report[key]).all()
             assert row["status"] == "diverged"
 
     def test_workers_match_serial(self, tmp_path):

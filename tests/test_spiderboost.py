@@ -398,13 +398,15 @@ def reference_spider_path(loss, params, steps, data, rngs, ledgers, replace, adv
     sigmas, norms = [], []
     W = np.zeros((R, d))
     for t0 in range(0, steps, q):
-        nabla = np.empty((R, d))
+        grads = np.empty((R, d))
+        noise = np.empty((R, d))
         for r, (S, rng) in enumerate(zip(data, rngs)):
             Xb, Yb = spiderboost._batch(S, params.b1, rng, replace)
-            noise = draw_gaussian(d, params.sigma1, rng,
-                                  None if ledgers is None else ledgers[r], SITE_GRAD)
-            nabla[r] = loss.grad_mean(W[r], Xb, Yb) + noise
-        W_prev, W = W, advance(t0, W, nabla)
+            noise[r] = draw_gaussian(d, params.sigma1, rng,
+                                     None if ledgers is None else ledgers[r], SITE_GRAD)
+            grads[r] = loss.grad_mean(W[r], Xb, Yb)
+        nabla = grads + noise
+        W_prev, W = W, advance(t0, W, nabla, grads)
         phase_end = min(t0 + q, steps)
         for t1 in range(t0 + 1, phase_end, block):
             m = min(block, phase_end - t1)
@@ -427,7 +429,7 @@ def reference_spider_path(loss, params, steps, data, rngs, ledgers, replace, adv
                 sigmas.append(sigma)
                 nabla = (nabla + allocating_grad_var(loss, W, W_prev, Xb, Yb)
                          + z[j] * sigma[:, None])
-                W_prev, W = W, advance(t1 + j, W, nabla)
+                W_prev, W = W, advance(t1 + j, W, nabla, None)
             record_draws(ledgers, np.array(sigmas[g0:]).reshape(-1, R), d, SITE_GV)
     return (np.array(sigmas).reshape(-1, R).T.copy(),
             np.array(norms).reshape(-1, R).T.copy())
@@ -486,23 +488,64 @@ class TestStepBits:
 
 
 class TestTrace:
-    """The trace is the exact ERM gradient norm at w_t, t = 0, stride, ..."""
+    """The trace is the exact ERM gradient norm at the phase starts
+    t = 0, p q, 2 p q, ... < T, with p = ceil(ceil(T/q) / trace_points)."""
+
+    def traced(self, loss, S, monkeypatch, trace_points=200, **changes):
+        # each entry against erm_grad at w_t, and the run's own erm_grad calls
+        calls = []
+        monkeypatch.setattr(spiderboost, "erm_grad",
+                            lambda *a: calls.append(1) or erm_grad(*a))
+        params = SpiderParams(**{**dict(eta=0.3, q=6, b1=S.n, b2=11, T=30, sigma1=0.05,
+                                        sigma2=0.4, sigma2_hat=0.08), **changes})
+        rep = run_spiderboost(loss, S, params, np.random.default_rng(3),
+                              record_iterates=True, trace_points=trace_points)
+        for t, got in zip(rep.trace_steps, rep.grad_norm_trace, strict=True):
+            w = np.zeros(S.dim) if t == 0 else rep.iterates[t - 1]
+            assert got == float(np.linalg.norm(erm_grad(loss, w, S)))
+        return rep, len(calls)
 
     @pytest.mark.parametrize("loss,kind,n", [
-        (synthetic_nonconvex_loss(4), "glm_fullrank", 4096),   # GLM: blocks of 8
-        (huber_mean_loss(1.0, 1.0, dim=4), "huber_cluster", 300),  # erm_grad per point
-    ], ids=["glm_blocked", "huber_fallback"])
-    def test_trace_matches_erm_grad(self, loss, kind, n):
+        (synthetic_nonconvex_loss(4), "glm_fullrank", 4096),
+        (huber_mean_loss(1.0, 1.0, dim=4), "huber_cluster", 300),
+    ], ids=["glm", "huber_fallback"])
+    def test_fresh_gradient_is_the_trace(self, loss, kind, n, monkeypatch):
+        # b1 = n: each entry is the phase's noise-free fresh gradient, with
+        # no erm_grad pass of its own
         S = gen_synthetic(kind, n, 4, seed=8, label_scale=0.5)
-        params = SpiderParams(eta=0.3, q=6, b1=n, b2=11, T=30,
+        rep, calls = self.traced(loss, S, monkeypatch)
+        assert rep.trace_steps == [0, 6, 12, 18, 24] and calls == 0
+
+    def test_b1_below_n_evaluates_erm_grad(self, monkeypatch):
+        S = gen_synthetic("glm_fullrank", 256, 4, seed=8, label_scale=0.5)
+        rep, calls = self.traced(synthetic_nonconvex_loss(4), S, monkeypatch, b1=40)
+        assert rep.trace_steps == [0, 6, 12, 18, 24] and calls == 5
+
+    def test_last_phase_short(self, monkeypatch):
+        S = gen_synthetic("glm_fullrank", 256, 4, seed=8, label_scale=0.5)
+        rep, _ = self.traced(synthetic_nonconvex_loss(4), S, monkeypatch, T=32)
+        assert rep.trace_steps == [0, 6, 12, 18, 24, 30]
+
+    @pytest.mark.parametrize("trace_points,steps", [
+        (4, [0, 16, 32, 48]),       # 15 phases: every 4th
+        (7, [0, 12, 24, 36, 48]),   # every 3rd
+        (15, list(range(0, 60, 4))),
+        (500, list(range(0, 60, 4))),
+    ])
+    def test_phase_stride_under_the_cap(self, trace_points, steps, monkeypatch):
+        S = gen_synthetic("glm_fullrank", 256, 4, seed=8, label_scale=0.5)
+        rep, _ = self.traced(synthetic_nonconvex_loss(4), S, monkeypatch,
+                             trace_points, T=60, q=4)
+        assert rep.trace_steps == steps and len(steps) <= trace_points
+
+    @pytest.mark.parametrize("trace_points", [0, -3])
+    def test_rejects_fewer_than_one_trace_point(self, trace_points):
+        S = gen_synthetic("glm_fullrank", 64, 4, seed=8, label_scale=0.5)
+        params = SpiderParams(eta=0.3, q=6, b1=64, b2=11, T=30,
                               sigma1=0.05, sigma2=0.4, sigma2_hat=0.08)
-        rep = run_spiderboost(loss, S, params, np.random.default_rng(3),
-                              record_iterates=True)
-        assert rep.trace_steps == list(range(30))
-        for t, got in zip(rep.trace_steps, rep.grad_norm_trace):
-            w = np.zeros(4) if t == 0 else rep.iterates[t - 1]
-            want = float(np.linalg.norm(erm_grad(loss, w, S)))
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+        with pytest.raises(ValueError, match="trace_points"):
+            run_spiderboost(synthetic_nonconvex_loss(4), S, params,
+                            np.random.default_rng(3), trace_points=trace_points)
 
 
 class TestErrorBoundValidator:
@@ -558,7 +601,7 @@ class TestErrorBoundValidator:
         def estimates(data):
             seen = []
 
-            def pinned(t, W, nabla):
+            def pinned(t, W, nabla, grads):
                 seen.append(nabla.copy())
                 return np.broadcast_to(ws[t + 1], W.shape)
             _spider_path(loss, params, 8, data, np.random.default_rng(3).spawn(4),
@@ -573,7 +616,8 @@ class TestErrorBoundValidator:
         calls.clear()
         validate_spider_error_bound(loss, S, params, trials=200,
                                     rng=np.random.default_rng(4))
-        assert len(calls) == 2 * phases  # the frozen path, then all trials
+        # the frozen path, erm_grad at its 9 points w_0..w_8, then all trials
+        assert len(calls) == 2 * phases + 9
 
     def test_rejects_too_few_trials(self):
         loss, S, params = self._setup()
