@@ -1,4 +1,5 @@
 """Private SpiderBoost: derivation closed forms, run semantics, error bound."""
+import dataclasses
 import math
 
 import numpy as np
@@ -496,8 +497,9 @@ class TestTrace:
         calls = []
         monkeypatch.setattr(spiderboost, "erm_grad",
                             lambda *a: calls.append(1) or erm_grad(*a))
-        params = SpiderParams(**{**dict(eta=0.3, q=6, b1=S.n, b2=11, T=30, sigma1=0.05,
-                                        sigma2=0.4, sigma2_hat=0.08), **changes})
+        params = dataclasses.replace(SpiderParams(eta=0.3, q=6, b1=S.n, b2=11, T=30,
+                                                  sigma1=0.05, sigma2=0.4,
+                                                  sigma2_hat=0.08), **changes)
         rep = run_spiderboost(loss, S, params, np.random.default_rng(3),
                               record_iterates=True, trace_points=trace_points)
         for t, got in zip(rep.trace_steps, rep.grad_norm_trace, strict=True):
