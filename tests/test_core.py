@@ -499,6 +499,27 @@ class TestErmGrad:
         with pytest.raises(ValueError, match="no rows"):
             erm_grad(loss, np.zeros(3), S)
 
+    def test_rows_outside_the_feature_bound_rejected(self):
+        loss = synthetic_nonconvex_loss(3)
+        with pytest.raises(ValueError, match="exceeds"):
+            erm_grad(loss, np.zeros(3), Dataset(np.full((4, 3), 5.0)))
+
+    @pytest.mark.parametrize("link", ["rational", "tanh"])
+    @pytest.mark.parametrize("labelled", [True, False])
+    @pytest.mark.parametrize("n", [100, 4096, 2 ** 15 + 3])
+    def test_glm_same_bits_as_formula(self, link, labelled, n):
+        # the GLM's ERM gradient, which the SpiderBoost trace reads at its
+        # phase starts, is X^T slope(X w - y) / n in the formula's bits
+        make, formula = FORMULAS[link]
+        loss = glm_loss(make(), 1.0, 1.0, 1.0, 16)
+        S = gen_synthetic("glm_fullrank", n, 16, seed=n,
+                          **({"label_scale": 0.5} if labelled else {}))
+        assert (S.y is not None) == labelled
+        w = np.random.default_rng(n).standard_normal(16)
+        r = S.X @ w
+        want = (S.X.T @ formula(r if S.y is None else r - S.y)) / n
+        assert erm_grad(loss, w, S).tobytes() == want.tobytes()
+
 
 class TestDataset:
     def test_slicing_deterministic_and_disjoint(self):

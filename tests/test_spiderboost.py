@@ -7,7 +7,8 @@ import pytest
 
 from dpopt import spiderboost
 from dpopt.core import (Dataset, erm_grad, glm_loss, huber_mean_loss,
-                        square_link, synthetic_nonconvex_loss, tanh_link)
+                        rational_link, square_link, synthetic_nonconvex_loss,
+                        tanh_link)
 from dpopt.core.data import Runs
 from dpopt.harness import gen_synthetic
 from dpopt.privacy import NoiseLedger, PrivacyBudget, draw_gaussian, record_draws
@@ -502,10 +503,14 @@ class TestTrace:
                                                   sigma2_hat=0.08), **changes)
         rep = run_spiderboost(loss, S, params, np.random.default_rng(3),
                               record_iterates=True, trace_points=trace_points)
+        self.assert_entries(loss, rep, S)
+        return rep, len(calls)
+
+    @staticmethod
+    def assert_entries(loss, rep, S):
         for t, got in zip(rep.trace_steps, rep.grad_norm_trace, strict=True):
             w = np.zeros(S.dim) if t == 0 else rep.iterates[t - 1]
             assert got == float(np.linalg.norm(erm_grad(loss, w, S)))
-        return rep, len(calls)
 
     @pytest.mark.parametrize("loss,kind,n", [
         (synthetic_nonconvex_loss(4), "glm_fullrank", 4096),
@@ -517,6 +522,38 @@ class TestTrace:
         S = gen_synthetic(kind, n, 4, seed=8, label_scale=0.5)
         rep, calls = self.traced(loss, S, monkeypatch)
         assert rep.trace_steps == [0, 6, 12, 18, 24] and calls == 0
+
+    @pytest.mark.parametrize("link", [rational_link, tanh_link], ids=["rational", "tanh"])
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_fresh_gradient_is_the_trace_for_each_link(self, link, labelled, monkeypatch):
+        loss = glm_loss(link(), 1.0, 1.0, 1.0, 16)
+        S = gen_synthetic("glm_fullrank", 1000, 16, seed=5,
+                          **({"label_scale": 0.5} if labelled else {}))
+        assert (S.y is not None) == labelled
+        rep, calls = self.traced(loss, S, monkeypatch, q=4)
+        assert rep.trace_steps == list(range(0, 30, 4)) and calls == 0
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
+    def test_lockstep_runs_trace_their_own_data(self, shared, monkeypatch):
+        # on one shared dataset the runs read one deduplicated fresh
+        # gradient per distinct iterate; each entry is still its own run's
+        calls = []
+        monkeypatch.setattr(spiderboost, "erm_grad",
+                            lambda *a: calls.append(1) or erm_grad(*a))
+        loss = synthetic_nonconvex_loss(4)
+        data = [gen_synthetic("glm_fullrank", 128, 4, seed=20 + r, label_scale=0.5)
+                for r in range(3)]
+        params = SpiderParams(eta=0.3, q=5, b1=128, b2=11, T=23,
+                              sigma1=0.05, sigma2=0.4, sigma2_hat=0.08)
+        group = run_spiderboost(loss, data[0] if shared else data, params,
+                                [np.random.default_rng(70 + r) for r in range(3)],
+                                record_iterates=True)
+        for r, rep in enumerate(group):
+            assert rep.trace_steps == [0, 5, 10, 15, 20]
+            self.assert_entries(loss, rep, data[0] if shared else data[r])
+        assert calls == []
+        assert len({rep.grad_norm_trace[0] for rep in group}) == (1 if shared else 3)
+        assert len({rep.grad_norm_trace[1] for rep in group}) == 3
 
     def test_b1_below_n_evaluates_erm_grad(self, monkeypatch):
         S = gen_synthetic("glm_fullrank", 256, 4, seed=8, label_scale=0.5)
